@@ -1,0 +1,69 @@
+"""Integer helpers shared by the package: primes, factorizations, divisors.
+
+Everything here works by sieving or trial division, which is plenty for the
+moduli, norms, field sizes and prime ranges the package handles.
+"""
+
+from __future__ import annotations
+
+from math import isqrt
+
+
+def primes_up_to(bound: int, exclude=()) -> list[int]:
+    """The primes p <= bound that are not in exclude, ascending."""
+    sieve = bytearray([1]) * (bound + 1)
+    out = []
+    for p in range(2, bound + 1):
+        if sieve[p]:
+            if p not in exclude:
+                out.append(p)
+            for k in range(p * p, bound + 1, p):
+                sieve[k] = 0
+    return out
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n >= 1, primes ascending; [] for n < 2."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending."""
+    small, large = [], []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+    return small + large[::-1]
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k, or ValueError."""
+    factors = factorize(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return factors[0]
+
+
+def euler_phi(n: int) -> int:
+    result = 1
+    for p, e in factorize(n):
+        result *= (p - 1) * p ** (e - 1)
+    return result

@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 from math import gcd, lcm
 
+from .arith import divisors, factorize
 from .errors import (
     Ambiguous,
     IncompatibleSupports,
@@ -32,26 +33,10 @@ from .numberfield import (
 # unit group structure
 # ---------------------------------------------------------------------------
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def _primitive_root(p: int, e: int) -> int:
     """A generator of (Z/p^e)^x for odd prime p."""
     order = p - 1
-    factors = [q for q, _ in _factorize(order)]
+    factors = [q for q, _ in factorize(order)]
     g = 2
     while True:
         if all(pow(g, order // q, p) != 1 for q in factors):
@@ -69,7 +54,7 @@ def unit_group_structure(N: int) -> list[tuple[int, int]]:
     if N <= 2:
         return []
     gens = []
-    for p, e in _factorize(N):
+    for p, e in factorize(N):
         pe = p ** e
         rest = N // pe
         def lift(r):
@@ -86,18 +71,6 @@ def unit_group_structure(N: int) -> list[tuple[int, int]]:
         else:
             gens.append((lift(_primitive_root(p, e)), p ** (e - 1) * (p - 1)))
     return gens
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +143,7 @@ class Character:
             raise ValueError("conductor is defined for Dirichlet characters only")
         if self._conductor is None:
             one = self.field.one()
-            for M in _divisors(self.modulus):
+            for M in divisors(self.modulus):
                 if all(v == one for r, v in self.table.items() if r % M == 1 % M):
                     self._conductor = M
                     break

@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import lmfdb
+from .arith import is_prime, primes_up_to
 from .eigensystem import load_system, normalize, serialize
 from .errors import InsufficientData, Ramified, TwistctlError
 from .finitefield import split_order, unitary_order
@@ -38,23 +38,6 @@ from .numberfield import frobenius_at
 from .twists import detect, detection_to_json
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared plumbing for one invocation; subcommand-specific arguments
-    stay on the parsed namespace."""
-    subcommand: str
-    input_path: str | None = None
-    output_path: str | None = None
-    bound: int = 100
-    n_max: int | None = None
-    primes: tuple = ()
-    fmt: str = "text"
-    cache_dir: str | None = None
-    network: bool = False
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
@@ -66,29 +49,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _primes_between(lo: int, hi: int) -> list:
-    sieve = bytearray([1]) * (hi + 1)
-    out = []
-    for p in range(2, hi + 1):
-        if sieve[p]:
-            if p >= lo:
-                out.append(p)
-            for k in range(p * p, hi + 1, p):
-                sieve[k] = 0
-    return out
-
-
 def _parse_primes(spec: str) -> tuple:
     """Accept a range like 3..100 or an explicit comma list like 5,13,17."""
     try:
         if ".." in spec:
             lo_text, hi_text = spec.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
-            primes = _primes_between(lo, hi)
+            primes = [p for p in primes_up_to(hi) if p >= lo]
         else:
             primes = [int(tok) for tok in spec.split(",")]
             for p in primes:
-                if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+                if not is_prime(p):
                     raise argparse.ArgumentTypeError(f"{p} is not prime")
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse prime range {spec!r}")
@@ -172,28 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=ns.subcommand,
-        input_path=getattr(ns, "input", None),
-        output_path=getattr(ns, "output", None),
-        bound=getattr(ns, "bound", 100),
-        n_max=getattr(ns, "n_max", None),
-        primes=getattr(ns, "primes", ()),
-        fmt=getattr(ns, "format", "text"),
-        cache_dir=getattr(ns, "cache_dir", None),
-        network=getattr(ns, "network", False),
-        budget=getattr(ns, "budget", DEFAULT_BUDGET),
-        seed=getattr(ns, "seed", 0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _load_input_system(cfg: RunConfig, ns):
-    text = Path(cfg.input_path).read_text()
+def _load_input_system(path: str):
+    text = Path(path).read_text()
     sys_ = load_system(json.loads(text))
     normalized_on_load = False
     if not sys_.is_normalized and sys_.n == 3:
@@ -221,8 +176,8 @@ def _partition_primes(sys_, primes):
     return usable, excluded
 
 
-def _print_doc(doc: dict, cfg: RunConfig, render, out) -> None:
-    if cfg.fmt == "json":
+def _print_doc(doc: dict, ns, render, out) -> None:
+    if ns.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True), file=out)
     else:
         for line in render(doc):
@@ -258,13 +213,13 @@ def _render_twists(doc) -> list:
     return lines
 
 
-def _cmd_twists(cfg: RunConfig, ns) -> int:
-    sys_, renormed = _load_input_system(cfg, ns)
-    result = detect(sys_, cfg.bound, n_max=cfg.n_max)
-    doc = {"command": "twists", "input": cfg.input_path,
+def _cmd_twists(ns) -> int:
+    sys_, renormed = _load_input_system(ns.input)
+    result = detect(sys_, ns.bound, n_max=ns.n_max)
+    doc = {"command": "twists", "input": ns.input,
            "normalized_on_load": renormed}
     doc.update(detection_to_json(result))
-    _print_doc(doc, cfg, _render_twists, _sys.stdout)
+    _print_doc(doc, ns, _render_twists, _sys.stdout)
     return 0
 
 
@@ -282,18 +237,18 @@ def _render_classify(doc) -> list:
     return lines
 
 
-def _cmd_classify(cfg: RunConfig, ns) -> int:
-    sys_, renormed = _load_input_system(cfg, ns)
-    result = detect(sys_, cfg.bound, n_max=cfg.n_max)
-    usable, excluded = _partition_primes(sys_, cfg.primes)
+def _cmd_classify(ns) -> int:
+    sys_, renormed = _load_input_system(ns.input)
+    result = detect(sys_, ns.bound, n_max=ns.n_max)
+    usable, excluded = _partition_primes(sys_, ns.primes)
     full = report_to_json(image_report(sys_, result, usable))
-    doc = {"command": "classify", "input": cfg.input_path,
-           "bound": cfg.bound, "normalized_on_load": renormed,
+    doc = {"command": "classify", "input": ns.input,
+           "bound": ns.bound, "normalized_on_load": renormed,
            "primes": full["primes"],
            "excluded": {str(p): reason for p, reason in excluded.items()},
            "predicted_dimension": full["predicted_dimension"],
            "mt_upper_bound_dimension": full["mt_upper_bound_dimension"]}
-    _print_doc(doc, cfg, _render_classify, _sys.stdout)
+    _print_doc(doc, ns, _render_classify, _sys.stdout)
     return 0
 
 
@@ -310,29 +265,29 @@ def _render_report(doc) -> list:
     return lines
 
 
-def _cmd_report(cfg: RunConfig, ns) -> int:
-    sys_, renormed = _load_input_system(cfg, ns)
-    result = detect(sys_, cfg.bound, n_max=cfg.n_max)
-    usable, excluded = _partition_primes(sys_, cfg.primes)
-    doc = {"command": "report", "input": cfg.input_path,
+def _cmd_report(ns) -> int:
+    sys_, renormed = _load_input_system(ns.input)
+    result = detect(sys_, ns.bound, n_max=ns.n_max)
+    usable, excluded = _partition_primes(sys_, ns.primes)
+    doc = {"command": "report", "input": ns.input,
            "normalized_on_load": renormed,
            "excluded": {str(p): reason for p, reason in excluded.items()}}
     doc.update(report_to_json(image_report(sys_, result, usable)))
-    _print_doc(doc, cfg, _render_report, _sys.stdout)
+    _print_doc(doc, ns, _render_report, _sys.stdout)
     return 0
 
 
-def _cmd_verify_cocycle(cfg: RunConfig, ns) -> int:
-    doc_in = json.loads(Path(cfg.input_path).read_text())
+def _cmd_verify_cocycle(ns) -> int:
+    doc_in = json.loads(Path(ns.input).read_text())
     cocycle = cocycle_from_json(doc_in)
     flips = sum(1 for _, flip in cocycle.assignments.values() if flip)
-    doc = {"command": "verify-cocycle", "input": cfg.input_path,
+    doc = {"command": "verify-cocycle", "input": ns.input,
            "valid": True,
            "kind": "finite-model" if cocycle.context.model else
                    "number-field",
            "group_order": len(cocycle.context.elements),
            "outer_assignments": flips}
-    _print_doc(doc, cfg, lambda d: [
+    _print_doc(doc, ns, lambda d: [
         f"cocycle over a group of order {d['group_order']} is valid "
         f"({d['kind']}, {d['outer_assignments']} flip assignments)"],
         _sys.stdout)
@@ -356,8 +311,8 @@ def _render_oracle(doc) -> list:
     return lines
 
 
-def _cmd_oracle(cfg: RunConfig, ns) -> int:
-    model = finite_model(ns.q, ns.m, ns.n, cfg.budget)
+def _cmd_oracle(ns) -> int:
+    model = finite_model(ns.q, ns.m, ns.n, ns.budget)
     if ns.flip:
         cocycle = unitary_cocycle(model)
     else:
@@ -374,7 +329,7 @@ def _cmd_oracle(cfg: RunConfig, ns) -> int:
            "closed_form": label, "expected": expected,
            "matches": None if expected is None else count == expected}
     if ns.check_projection:
-        proj = projection_iso_check(model, cocycle, seed=cfg.seed)
+        proj = projection_iso_check(model, cocycle, seed=ns.seed)
         doc["projection"] = {
             "source_order": proj.source_order,
             "tuple_order": proj.tuple_order,
@@ -382,12 +337,12 @@ def _cmd_oracle(cfg: RunConfig, ns) -> int:
         }
     else:
         doc["projection"] = None
-    _print_doc(doc, cfg, _render_oracle, _sys.stdout)
+    _print_doc(doc, ns, _render_oracle, _sys.stdout)
     return 0 if doc["matches"] in (True, None) else 1
 
 
-def _cmd_normalize(cfg: RunConfig, ns) -> int:
-    sys_ = load_system(json.loads(Path(cfg.input_path).read_text()))
+def _cmd_normalize(ns) -> int:
+    sys_ = load_system(json.loads(Path(ns.input).read_text()))
     scalings = None
     if ns.scalings:
         raw = json.loads(Path(ns.scalings).read_text())
@@ -395,17 +350,17 @@ def _cmd_normalize(cfg: RunConfig, ns) -> int:
                     for key, coords in raw.items()}
     doc = serialize(normalize(sys_, scalings))
     payload = json.dumps(doc, indent=2, sort_keys=True)
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(payload + "\n")
-        print(f"wrote {cfg.output_path}")
+    if ns.output:
+        Path(ns.output).write_text(payload + "\n")
+        print(f"wrote {ns.output}")
     else:
         print(payload)
     return 0
 
 
-def _cmd_lmfdb(cfg: RunConfig, ns) -> int:
-    record = lmfdb.fetch_newform(ns.label, cache_dir=cfg.cache_dir,
-                                 allow_network=cfg.network or None)
+def _cmd_lmfdb(ns) -> int:
+    record = lmfdb.fetch_newform(ns.label, cache_dir=ns.cache_dir,
+                                 allow_network=ns.network or None)
     if ns.lmfdb_action == "fetch":
         doc = {"command": "lmfdb fetch", "label": record.label,
                "level": record.level, "weight": record.weight,
@@ -414,7 +369,7 @@ def _cmd_lmfdb(cfg: RunConfig, ns) -> int:
                "recorded_inner_twists": [
                    {"character": lab, "order": order, "proved": proved}
                    for lab, order, proved in record.recorded_inner_twists]}
-        _print_doc(doc, cfg, lambda d: [
+        _print_doc(doc, ns, lambda d: [
             f"{d['label']}: level {d['level']}, weight {d['weight']}, "
             f"Hecke field degree {d['field_degree']}, "
             f"{d['stored_coefficients']} stored coefficients, "
@@ -424,15 +379,15 @@ def _cmd_lmfdb(cfg: RunConfig, ns) -> int:
 
     aut_images = json.loads(ns.aut_images) if ns.aut_images else None
     sys_ = lmfdb.to_eigensystem(record, aut_images=aut_images,
-                                bound=cfg.bound)
+                                bound=ns.bound)
     try:
-        result = detect(sys_, cfg.bound)
+        result = detect(sys_, ns.bound)
     except InsufficientData:
         result = None
-    cmp = lmfdb.compare_inner_twists(result, record, cfg.bound)
+    cmp = lmfdb.compare_inner_twists(result, record, ns.bound)
     doc = {"command": "lmfdb compare"}
     doc.update(lmfdb.comparison_to_json(cmp))
-    _print_doc(doc, cfg, lambda d: [
+    _print_doc(doc, ns, lambda d: [
         f"{d['label']} at bound {d['bound']}: {d['verdict']}",
         f"  detected: {d['detected']}",
         f"  recorded: {d['recorded']}"], _sys.stdout)
@@ -456,9 +411,8 @@ def run(argv) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = _config_from(ns)
     try:
-        return _HANDLERS[cfg.subcommand](cfg, ns)
+        return _HANDLERS[ns.subcommand](ns)
     except TwistctlError as exc:
         print(f"error[{exc.name}]: {exc}", file=_sys.stderr)
         return 1

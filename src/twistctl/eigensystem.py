@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
+from .arith import factorize, is_prime
 from .characters import Character, char_eval, char_from_json, char_to_json
 from .errors import (
     CoefficientDimensionMismatch,
@@ -63,25 +64,6 @@ class NormalizedSystem(EigenSystem):
     @property
     def is_normalized(self) -> bool:
         return True
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % k for k in range(2, int(n ** 0.5) + 1))
-
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True
 
 
 def _parse_coords(field: NumberField, raw, what: str) -> FieldElement:
@@ -147,10 +129,10 @@ def load_system(doc: dict) -> EigenSystem:
         if not isinstance(entry, dict) or "norm" not in entry or "a" not in entry:
             raise SchemaError(f"entry at {place} must carry norm and a")
         norm = entry["norm"]
-        if not isinstance(norm, int) or not _is_prime_power(norm):
+        if not isinstance(norm, int) or len(factorize(norm)) != 1:
             raise SchemaError(f"norm at {place} must be a prime power")
         if base == "Q":
-            if norm != place or not _is_prime(norm):
+            if norm != place or not is_prime(norm):
                 raise SchemaError(
                     f"over Q the place label must be the prime itself; got "
                     f"label {place}, norm {norm}")

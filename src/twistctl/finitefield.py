@@ -13,29 +13,15 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
+from .arith import factorize, prime_power
 from .polynomials import pmod_gcd, pmod_pow_mod
-
-
-def prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k, or ValueError."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    k, t = 0, q
-    while t % p == 0:
-        t //= p
-        k += 1
-    if t != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, k
 
 
 def _is_irreducible(f: list[int], p: int, k: int) -> bool:
     x = [0, 1]
     if pmod_pow_mod(x, p ** k, f, p) != x:
         return False
-    for r in {d for d in range(2, k + 1) if k % d == 0 and
-              all(d % e for e in range(2, d))}:
+    for r, _ in factorize(k):
         t = pmod_pow_mod(x, p ** (k // r), f, p)
         diff = [(a - b) % p for a, b in
                 zip(t + [0] * 2, x + [0] * len(t))][:max(len(t), 2)]
@@ -135,10 +121,6 @@ class FiniteField:
             base = self.mul_table[base][base]
             e >>= 1
         return result
-
-    def subfield_codes(self, q_sub: int) -> tuple[int, ...]:
-        """Codes of the subfield with q_sub elements (fixed by x -> x^q_sub)."""
-        return tuple(a for a in range(self.q) if self.pow(a, q_sub) == a)
 
 
 @lru_cache(maxsize=None)

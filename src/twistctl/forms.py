@@ -25,11 +25,13 @@ import random
 from dataclasses import dataclass, field as datafield
 from fractions import Fraction
 
+from .arith import prime_power
 from .errors import BudgetExceeded, CocycleViolation, NotInvertible, SchemaError
-from .finitefield import FiniteField, finite_field, prime_power, special_linear
+from .finitefield import FiniteField, finite_field, special_linear
 from .numberfield import (
     NumberField,
     Subgroup,
+    double_cosets,
     field_from_json,
     field_to_json,
     frobenius_at,
@@ -463,28 +465,6 @@ class PlaceVerdict:
     frobenius_ambiguous: bool
 
 
-def _double_cosets(field: NumberField, subgroup, sigma: int) -> list[tuple]:
-    """(representative, residue degree, members) for subgroup\\G/<sigma>."""
-    seen = set()
-    out = []
-    for g in range(field.degree):
-        if g in seen:
-            continue
-        right = frozenset(field.compose(s, g) for s in subgroup)
-        orbit = [right]
-        current = right
-        while True:
-            current = frozenset(field.compose(c, sigma) for c in current)
-            if current == right:
-                break
-            orbit.append(current)
-        members = frozenset().union(*orbit)
-        seen.update(members)
-        out.append((min(members), len(orbit), members))
-    out.sort()
-    return out
-
-
 def classify_place(field: NumberField, group: TwistGroup, p: int,
                    n: int) -> list[PlaceVerdict]:
     """Verdicts for the places of the twist group's fixed field above p.
@@ -494,9 +474,9 @@ def classify_place(field: NumberField, group: TwistGroup, p: int,
     under the inner subgroup; otherwise the form there is the special
     unitary group of the quadratic extension cut out by the inner twists."""
     frob = frobenius_at(field, p)
-    full_places = _double_cosets(field, group.full_subgroup, frob.index)
+    full_places = double_cosets(field, group.full_subgroup, frob.index)
     if group.has_outer():
-        inner_places = _double_cosets(field, group.inner_subgroup, frob.index)
+        inner_places = double_cosets(field, group.inner_subgroup, frob.index)
         inner_rep = {}
         for rep, _, members in inner_places:
             for g in members:

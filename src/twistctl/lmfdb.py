@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+from .arith import factorize, primes_up_to
 from .characters import Character, dirichlet_character, unit_group_structure
 from .eigensystem import EigenSystem, PlaceData
 from .errors import (
@@ -205,30 +206,6 @@ def _parse_record(label: str, doc: dict) -> NewformRecord:
 # conversion to a coefficient system
 # ---------------------------------------------------------------------------
 
-def _primes_up_to(limit: int) -> list:
-    sieve = bytearray([1]) * (limit + 1)
-    out = []
-    for p in range(2, limit + 1):
-        if sieve[p]:
-            out.append(p)
-            for k in range(p * p, limit + 1, p):
-                sieve[k] = 0
-    return out
-
-
-def _prime_factors(n: int) -> tuple:
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
 def _character_from_values(field, char_values) -> Character | None:
     """Nebentypus from (modulus, value order, generators, exponents); values
     are zeta^exponent for a root of unity zeta of the given order, which must
@@ -297,7 +274,7 @@ def to_eigensystem(record: NewformRecord, aut_images=None,
             f"record for {record.label} stores a_n up to n = {available}, "
             f"but the requested bound is {bound}")
     coeffs = {}
-    for p in _primes_up_to(bound):
+    for p in primes_up_to(bound):
         if record.level % p == 0:
             continue
         vec = record.an_exact.get(p)
@@ -310,7 +287,8 @@ def to_eigensystem(record: NewformRecord, aut_images=None,
             f"record for {record.label} has no usable prime coefficients")
     return EigenSystem(n=2, field=field, base_field_label="Q",
                        m=record.weight - 1, omega=omega,
-                       bad_places=_prime_factors(record.level), coeffs=coeffs)
+                       bad_places=tuple(p for p, _ in factorize(record.level)),
+                       coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------

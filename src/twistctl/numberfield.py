@@ -14,11 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
+from .arith import euler_phi, is_prime
 from .errors import (
+    BadReduction,
     NotAnAutomorphism,
     NotClosed,
     NotInvertible,
     NotIrreducible,
+    NotSeparableModP,
     Ramified,
 )
 from .polynomials import (
@@ -335,10 +338,6 @@ def field_make(min_poly: QPoly | Sequence, aut_images: Sequence[Sequence]) -> Nu
     return NumberField(min_poly, aut_images)
 
 
-def apply_aut(field: NumberField, index: int, x: FieldElement) -> FieldElement:
-    return field.apply_aut(index, x)
-
-
 # --------------------------------------------------------------------------
 # subgroups and fixed fields
 # --------------------------------------------------------------------------
@@ -544,74 +543,63 @@ class Place:
     residue_degree: int
 
 
-def place_decomposition(field: NumberField, subgroup: Subgroup, p: int) -> list[Place]:
-    """Places of E^subgroup above p: double cosets S\\G/<sigma_p>, with the
-    residue degree given by the orbit size of each right coset under sigma_p."""
-    sigma = frobenius_at(field, p).index
-    cosets = {}
+def double_cosets(field: NumberField, subgroup: Subgroup,
+                  sigma: int) -> list[tuple[int, int, frozenset]]:
+    """(representative, residue degree, members) for each double coset
+    subgroup\\G/<sigma>, sorted by representative.  The residue degree is
+    the orbit size of a right coset under sigma, and the representative is
+    the smallest member."""
+    seen = set()
+    out = []
     for g in range(field.degree):
-        coset = frozenset(field.compose(s, g) for s in subgroup)
-        cosets.setdefault(coset, g)
-    unseen = dict(cosets)
-    places = []
-    while unseen:
-        coset, rep = next(iter(unseen.items()))
-        orbit = [coset]
-        current = coset
+        if g in seen:
+            continue
+        right = frozenset(field.compose(s, g) for s in subgroup)
+        orbit = [right]
+        current = right
         while True:
             current = frozenset(field.compose(c, sigma) for c in current)
-            if current == coset:
+            if current == right:
                 break
             orbit.append(current)
-        for c in orbit:
-            unseen.pop(c, None)
-        places.append(Place(min(min(c) for c in orbit), len(orbit)))
-    places.sort(key=lambda pl: pl.representative)
-    total = sum(pl.residue_degree for pl in places)
-    assert total == field.degree // subgroup.order, "place degrees must sum to subfield degree"
-    return places
+        members = frozenset().union(*orbit)
+        seen.update(members)
+        out.append((min(members), len(orbit), members))
+    out.sort()
+    if sum(degree for _, degree, _ in out) != field.degree // subgroup.order:
+        raise NotClosed("place degrees must sum to the subfield degree; "
+                        f"{sorted(subgroup)} is not a subgroup")
+    return out
+
+
+def place_decomposition(field: NumberField, subgroup: Subgroup, p: int) -> list[Place]:
+    """Places of E^subgroup above p: the double cosets S\\G/<sigma_p>."""
+    sigma = frobenius_at(field, p).index
+    return [Place(rep, degree)
+            for rep, degree, _ in double_cosets(field, subgroup, sigma)]
 
 
 # --------------------------------------------------------------------------
 # roots of unity (sympy-backed search, exact in-house verification)
 # --------------------------------------------------------------------------
 
-def _phi(n: int) -> int:
-    result, k = 1, 2
-    m = n
-    while k * k <= m:
-        if m % k == 0:
-            e = 0
-            while m % k == 0:
-                m //= k
-                e += 1
-            result *= (k - 1) * k ** (e - 1)
-        k += 1
-    if m > 1:
-        result *= m - 1
-    return result
-
-
 def _split_primes(field: NumberField, how_many: int = 3) -> list[int]:
+    """The first how_many odd primes, up to 10007 (the first prime past
+    10^4), at which the minimal polynomial splits into distinct linear
+    factors."""
     found = []
-    p = 2
-    while len(found) < how_many and p < 10000:
-        p = _next_prime(p)
+    for p in range(3, 10008, 2):
+        if len(found) == how_many:
+            break
+        if not is_prime(p):
+            continue
         try:
             degs = ddf_mod_p(field.min_poly, p)
-        except Exception:
+        except (BadReduction, NotSeparableModP):
             continue
         if degs == [(1, field.degree)]:
             found.append(p)
     return found
-
-
-def _next_prime(p: int) -> int:
-    q = p + 1
-    while True:
-        if all(q % r for r in range(2, int(q ** 0.5) + 1)):
-            return q
-        q += 1
 
 
 def roots_of_unity(field: NumberField) -> list[FieldElement]:
@@ -625,7 +613,7 @@ def roots_of_unity(field: NumberField) -> list[FieldElement]:
         split = _split_primes(field)
         bound = 2 * (d + 1) ** 2
         for k in range(3, bound + 1):
-            if d % _phi(k) != 0:
+            if d % euler_phi(k) != 0:
                 continue
             if any(p % k != 1 for p in split):
                 continue

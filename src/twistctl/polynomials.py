@@ -11,9 +11,10 @@ back the distinct-degree factorization used for splitting behaviour of primes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isqrt
 from typing import Iterable, Sequence
 
+from .arith import divisors, primes_up_to
 from .errors import BadReduction, NotSeparableModP
 
 Q = Fraction
@@ -199,11 +200,6 @@ class QPoly:
         if a.is_zero():
             return a
         return a.monic()
-
-    def squarefree(self) -> bool:
-        if self.degree <= 1:
-            return True
-        return self.gcd(self.derivative()).degree == 0
 
 
 def poly_xgcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
@@ -432,8 +428,8 @@ def _rational_roots(f: QPoly) -> list[Fraction]:
     if const == 0:
         return [Q(0)] + _rational_roots(QPoly(f.coeffs[1:]))
     roots = []
-    for pnum in _divisors(abs(const)):
-        for qden in _divisors(abs(lead)):
+    for pnum in divisors(abs(const)):
+        for qden in divisors(abs(lead)):
             for s in (1, -1):
                 cand = Q(s * pnum, qden)
                 if f.evaluate(cand) == 0 and cand not in roots:
@@ -441,20 +437,7 @@ def _rational_roots(f: QPoly) -> list[Fraction]:
     return roots
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
+_SMALL_PRIMES = primes_up_to(113)
 
 
 def _monic_integer_model(f: QPoly) -> list[int]:
@@ -474,7 +457,7 @@ def _monic_quartic_splits_quadratic(ic: list[int]) -> bool:
     s0, s1, s2, s3 = ic[0], ic[1], ic[2], ic[3]
     if s0 == 0:
         return False  # has the root 0; handled elsewhere
-    for c in _divisors(abs(s0)):
+    for c in divisors(abs(s0)):
         for c1 in (c, -c):
             if s0 % c1 != 0:
                 continue
@@ -493,20 +476,15 @@ def _monic_quartic_splits_quadratic(ic: list[int]) -> bool:
                 if s1 != s3 * c1:
                     continue
                 disc = s3 * s3 - 4 * (s2 - 2 * c1)
-                if disc >= 0 and _is_square(disc) and (s3 + _isqrt(disc)) % 2 == 0:
+                if disc >= 0 and _is_square(disc) and (s3 + isqrt(disc)) % 2 == 0:
                     return True
     return False
-
-
-def _isqrt(n: int) -> int:
-    from math import isqrt
-    return isqrt(n)
 
 
 def _is_square(n: int) -> bool:
     if n < 0:
         return False
-    r = _isqrt(n)
+    r = isqrt(n)
     return r * r == n
 
 

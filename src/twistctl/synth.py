@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .arith import primes_up_to
 from .eigensystem import EigenSystem, NormalizedSystem, PlaceData
 from .numberfield import NumberField, field_make
 
@@ -87,18 +88,6 @@ def ck_zeta(field: NumberField):
 def ck_sqrt2(field: NumberField):
     f = Fraction
     return field.element([f(5, 11), f(9, 11), f(-3, 11), f(-2, 11)])
-
-
-def primes_up_to(bound: int, exclude=()) -> list[int]:
-    sieve = bytearray([1]) * (bound + 1)
-    out = []
-    for p in range(2, bound + 1):
-        if sieve[p]:
-            if p not in exclude:
-                out.append(p)
-            for k in range(p * p, bound + 1, p):
-                sieve[k] = 0
-    return out
 
 
 def _nonzero(rng: random.Random, lo: int = 1, hi: int = 9) -> int:

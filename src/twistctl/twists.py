@@ -164,89 +164,8 @@ def find_inner(sys: EigenSystem, bound: int, n_max: int | None = None,
     then re-checked against both coefficient relations everywhere.  Places
     where every relation degenerates to 0 = 0 are recorded on the twist."""
     _check_detection_input(sys)
-    if n_max is None:
-        n_max = default_n_max(sys)
-    ob = _order_bound(sys, order_bound)
-    field = sys.field
-    places = sys.places(bound)
-    a_support = [v for v in places if not sys.coeffs[v].a.is_zero()]
-    if len(a_support) < min_places:
-        raise InsufficientData(
-            f"{len(a_support)} places have a_v != 0; at least {min_places} "
-            f"are needed to pin down a character")
-    if sys.n == 3:
-        undetermined = tuple(v for v in places
-                             if sys.coeffs[v].a.is_zero()
-                             and sys.coeffs[v].b.is_zero())
-    else:
-        undetermined = tuple(v for v in places if sys.coeffs[v].a.is_zero())
-
-    out = []
-    for sigma in range(field.degree):
-        if sigma == 0:
-            # ratios are identically 1, so the minimal fit is the trivial
-            # character and both relations hold tautologically
-            chi = trivial_character(field)
-        elif sys.base_field_label == "Q":
-            chi = _inner_dirichlet(sys, sigma, places, a_support, n_max, ob)
-        else:
-            chi = _inner_table(sys, sigma, places, ob)
-        if chi is not None and _power_ok(sys, chi):
-            out.append(ExtraTwist("inner", sigma, chi, bound, undetermined))
-    return out
-
-
-def _inner_dirichlet(sys, sigma, places, a_support, n_max, ob):
-    field = sys.field
-    ratios = {}
-    for v in a_support:
-        a = sys.coeffs[v].a
-        ratios[v] = field.apply_aut(sigma, a) / a
-    try:
-        chi = char_fit(ratios, n_max, ob, field=field)
-    except NotRootOfUnity:
-        return None
-    if chi is None or not _verify_inner(sys, sigma, chi, places):
-        return None
-    return chi
-
-
-def _inner_table(sys, sigma, places, ob):
-    """Value-table character over a non-rational base: chi(v) is read off
-    whichever coefficient relation determines it, cross-checked when both do."""
-    field = sys.field
-    table = {}
-    for v in places:
-        pd = sys.coeffs[v]
-        val = None
-        if not pd.a.is_zero():
-            val = field.apply_aut(sigma, pd.a) / pd.a
-        if sys.n == 3 and not pd.b.is_zero():
-            from_b = pd.b / field.apply_aut(sigma, pd.b)
-            if val is None:
-                val = from_b
-            elif val != from_b:
-                return None
-        if val is not None:
-            table[v] = val
-    chi = table_character(field, table)
-    return chi if _values_ok(chi, ob) else None
-
-
-def _verify_inner(sys: EigenSystem, sigma: int, chi: Character, places) -> bool:
-    field = sys.field
-    for v in places:
-        pd = sys.coeffs[v]
-        try:
-            if not pd.a.is_zero():
-                if field.apply_aut(sigma, pd.a) != char_eval(chi, v) * pd.a:
-                    return False
-            if sys.n == 3 and not pd.b.is_zero():
-                if field.apply_aut(sigma, pd.b) * char_eval(chi, v) != pd.b:
-                    return False
-        except (NotCoprime, MissingValue):
-            return False
-    return True
+    return _scan(sys, "inner", bound, n_max, min_places, order_bound,
+                 range(sys.field.degree))
 
 
 def find_outer(sys: EigenSystem, bound: int, n_max: int | None = None,
@@ -264,76 +183,117 @@ def find_outer(sys: EigenSystem, bound: int, n_max: int | None = None,
         raise ValueError("outer twists are defined for n = 3 data only")
     if not sys.is_normalized:
         raise ValueError("outer detection expects a normalized system")
+    taus = range(sys.field.degree) if aut_indices is None else aut_indices
+    return _scan(sys, "outer", bound, n_max, min_places, order_bound, taus)
+
+
+def _relations(sys: EigenSystem, kind: str, v) -> tuple:
+    """The pairs (s, t) of the twist relations at place v: the first reads
+    sigma(s) = chi(v) t and the second, for n = 3, sigma(s) chi(v) = t.
+    Inner twists pair each coefficient with itself, outer twists pair a_v
+    with b_v, which is what relates the data to its dual."""
+    pd = sys.coeffs[v]
+    if sys.n == 2:
+        return ((pd.a, pd.a),)
+    if kind == "inner":
+        return ((pd.a, pd.a), (pd.b, pd.b))
+    return ((pd.a, pd.b), (pd.b, pd.a))
+
+
+def _scan(sys: EigenSystem, kind: str, bound: int, n_max, min_places: int,
+          order_bound, auts) -> list[ExtraTwist]:
+    """Twists of the given kind on the automorphisms auts.  Over Q the
+    character is fitted from the first relation at the places where its
+    target is nonzero; over other bases it is read off as a value table."""
     if n_max is None:
         n_max = default_n_max(sys)
     ob = _order_bound(sys, order_bound)
-    field = sys.field
     places = sys.places(bound)
-    b_support = [v for v in places if not sys.coeffs[v].b.is_zero()]
-    if len(b_support) < min_places:
+    support = [v for v in places
+               if not _relations(sys, kind, v)[0][1].is_zero()]
+    if len(support) < min_places:
+        coeff = "a_v" if kind == "inner" else "b_v"
         raise InsufficientData(
-            f"{len(b_support)} places have b_v != 0; at least {min_places} "
+            f"{len(support)} places have {coeff} != 0; at least {min_places} "
             f"are needed to pin down a character")
     undetermined = tuple(v for v in places
-                         if sys.coeffs[v].a.is_zero() and sys.coeffs[v].b.is_zero())
+                         if all(s.is_zero() and t.is_zero()
+                                for s, t in _relations(sys, kind, v)))
 
     out = []
-    taus = range(field.degree) if aut_indices is None else aut_indices
-    for tau in taus:
-        eta = (_outer_dirichlet(sys, tau, places, b_support, n_max, ob)
-               if sys.base_field_label == "Q"
-               else _outer_table(sys, tau, places, ob))
-        if eta is not None and _power_ok(sys, eta):
-            out.append(ExtraTwist("outer", tau, eta, bound, undetermined))
+    for sigma in auts:
+        if kind == "inner" and sigma == 0:
+            # ratios are identically 1, so the minimal fit is the trivial
+            # character and both relations hold tautologically
+            chi = trivial_character(sys.field)
+        elif sys.base_field_label == "Q":
+            chi = _fit_dirichlet(sys, kind, sigma, places, support, n_max, ob)
+        else:
+            chi = _fit_table(sys, kind, sigma, places, ob)
+        if chi is not None and _power_ok(sys, chi):
+            out.append(ExtraTwist(kind, sigma, chi, bound, undetermined))
     return out
 
 
-def _outer_dirichlet(sys, tau, places, b_support, n_max, ob):
+def _fit_dirichlet(sys, kind, sigma, places, support, n_max, ob):
     field = sys.field
     ratios = {}
-    for v in b_support:
-        pd = sys.coeffs[v]
-        ratios[v] = field.apply_aut(tau, pd.a) / pd.b
+    for v in support:
+        s, t = _relations(sys, kind, v)[0]
+        ratios[v] = field.apply_aut(sigma, s) / t
     try:
-        eta = char_fit(ratios, n_max, ob, field=field)
+        chi = char_fit(ratios, n_max, ob, field=field)
     except NotRootOfUnity:
         return None
-    if eta is None or not _verify_outer(sys, tau, eta, places):
+    if chi is None or not _verify(sys, kind, sigma, chi, places):
         return None
-    return eta
+    return chi
 
 
-def _outer_table(sys, tau, places, ob):
+def _fit_table(sys, kind, sigma, places, ob):
+    """Value-table character over a non-rational base: chi(v) is read off
+    whichever relation determines it first and checked against the other
+    by a product.  A relation with exactly one side zero admits no value."""
     field = sys.field
     table = {}
     for v in places:
-        pd = sys.coeffs[v]
-        if pd.a.is_zero() and pd.b.is_zero():
-            continue
-        if pd.a.is_zero() or pd.b.is_zero():
-            return None
-        val = field.apply_aut(tau, pd.a) / pd.b
-        if pd.a != val * field.apply_aut(tau, pd.b):
-            return None
-        table[v] = val
-    eta = table_character(field, table)
-    return eta if _values_ok(eta, ob) else None
+        val = None
+        for i, (s, t) in enumerate(_relations(sys, kind, v)):
+            if s.is_zero() and t.is_zero():
+                continue
+            if s.is_zero() or t.is_zero():
+                return None
+            image = field.apply_aut(sigma, s)
+            if i == 0:
+                val = image / t
+            elif val is None:
+                val = t / image
+            elif val * image != t:
+                return None
+        if val is not None:
+            table[v] = val
+    chi = table_character(field, table)
+    return chi if _values_ok(chi, ob) else None
 
 
-def _verify_outer(sys: EigenSystem, tau: int, eta: Character, places) -> bool:
+def _verify(sys: EigenSystem, kind: str, sigma: int, chi: Character,
+            places) -> bool:
+    """Whether (sigma, chi) satisfies every relation of the given kind at
+    the places; relations reading 0 = 0 hold for any chi(v)."""
     field = sys.field
     for v in places:
-        pd = sys.coeffs[v]
-        if pd.a.is_zero() and pd.b.is_zero():
-            continue
-        try:
-            ev = char_eval(eta, v)
-        except (NotCoprime, MissingValue):
-            return False
-        if field.apply_aut(tau, pd.a) != ev * pd.b:
-            return False
-        if field.apply_aut(tau, pd.b) * ev != pd.a:
-            return False
+        value = None
+        for i, (s, t) in enumerate(_relations(sys, kind, v)):
+            if s.is_zero() and t.is_zero():
+                continue
+            if value is None:
+                try:
+                    value = char_eval(chi, v)
+                except (NotCoprime, MissingValue):
+                    return False
+            image = field.apply_aut(sigma, s)
+            if not (image == value * t if i == 0 else image * value == t):
+                return False
     return True
 
 
@@ -387,7 +347,10 @@ def fixed_fields(group: TwistGroup,
     F = fixed_field(field, group.full_subgroup)
     F_inn = fixed_field(field, group.inner_subgroup)
     expected = 2 * F.degree if group.has_outer() else F.degree
-    assert F_inn.degree == expected
+    if F_inn.degree != expected:
+        raise NotClosed(
+            f"inner fixed field has degree {F_inn.degree}, not {expected}; it "
+            "must be quadratic over F exactly when outer twists are present")
     return F, F_inn
 
 
@@ -486,7 +449,7 @@ def general_type_verdict(sys: EigenSystem, bound: int,
                 continue
             if not _witnessed_by_zeros(cand, zeros):
                 continue
-            if _verify_inner(sys, 0, cand, places):
+            if _verify(sys, "inner", 0, cand, places):
                 return GeneralTypeVerdict("self-twist", cand, bound)
 
     if sys.n == 2:

@@ -1,0 +1,60 @@
+"""The shared integer helpers against their brute-force definitions."""
+
+from math import gcd, prod
+
+import pytest
+
+from twistctl.arith import (
+    divisors,
+    euler_phi,
+    factorize,
+    is_prime,
+    prime_power,
+    primes_up_to,
+)
+
+LIMIT = 3000
+PRIMES = [n for n in range(LIMIT) if n >= 2
+          and all(n % d for d in range(2, n))]
+
+
+def test_is_prime():
+    assert [n for n in range(-5, LIMIT) if is_prime(n)] == PRIMES
+
+
+def test_primes_up_to():
+    for bound in (-1, 0, 1, 2, 3, 100, 2999):
+        assert primes_up_to(bound) == [p for p in PRIMES if p <= bound]
+    assert primes_up_to(100, exclude=(2, 3, 7)) \
+        == [p for p in PRIMES if p <= 100 and p not in (2, 3, 7)]
+
+
+def test_factorize():
+    assert factorize(1) == []
+    for n in range(2, LIMIT):
+        factors = factorize(n)
+        assert [p for p, _ in factors] == [p for p in PRIMES if n % p == 0]
+        assert all(e >= 1 for _, e in factors)
+        assert prod(p ** e for p, e in factors) == n
+
+
+def test_divisors():
+    for n in range(1, LIMIT):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_euler_phi():
+    for n in range(1, LIMIT):
+        assert euler_phi(n) == sum(1 for k in range(1, n + 1)
+                                   if gcd(k, n) == 1)
+
+
+def test_prime_power():
+    powers = {p ** k: (p, k) for p in PRIMES for k in range(1, 12)
+              if p ** k < LIMIT}
+    for q in range(-2, LIMIT):
+        if q in powers:
+            assert prime_power(q) == powers[q]
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                prime_power(q)

@@ -12,10 +12,14 @@ After a deliberate output change, re-record the digests with
     PYTHONPATH=src python3 tests/test_golden_cli.py --record
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -164,11 +168,6 @@ def test_cli_output_matches_the_recorded_digest(name, golden, workdir, capsys):
 
 
 def _record() -> None:
-    import contextlib
-    import io
-    import os
-    import tempfile
-
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)

@@ -31,6 +31,7 @@ from twistctl.numberfield import (
     element_order,
     place_decomposition,
     roots_of_unity,
+    _split_primes,
     stabilizer,
     subgroup_make,
 )
@@ -370,6 +371,11 @@ class TestFrobenius:
         assert [pl.residue_degree
                 for pl in place_decomposition(K, full, 7)] == [1]
 
+    def test_place_degrees_of_a_non_subgroup_do_not_close(self):
+        K = biquadratic_field()
+        with pytest.raises(NotClosed, match="sum"):
+            place_decomposition(K, Subgroup((0, 1, 2)), 7)
+
 
 # ---------------------------------------------------------------------------
 # roots of unity
@@ -387,6 +393,14 @@ class TestRootsOfUnity:
         K = gaussian_field()
         got = {mu.coords for mu in roots_of_unity(K)}
         assert got == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+
+    def test_split_primes_skip_bad_reductions(self):
+        # x^2 + 1/4 has a denominator at 2, and Q(i) splits exactly at the
+        # primes 1 mod 4
+        K = field_make([Q(1, 4), 0, 1], [[0, 1], [0, -1]])
+        split = _split_primes(K)
+        assert split and 2 not in split
+        assert all(p % 4 == 1 for p in split)
 
     def test_all_verified(self):
         K = biquadratic_field()

@@ -10,6 +10,7 @@ dual inverts the character.
 """
 
 import json
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -24,18 +25,20 @@ from twistctl.characters import (
 )
 from twistctl.eigensystem import normalize
 from twistctl.errors import DuplicateAutomorphism, InsufficientData, NotClosed
+from twistctl.numberfield import subgroup_make
 from twistctl.twists import (
     ExtraTwist,
+    TwistGroup,
     assemble_group,
     compose_twists,
     detect,
     detection_to_json,
     find_inner,
     find_outer,
+    fixed_fields,
     general_type_verdict,
     inverse_twist,
-    _verify_inner,
-    _verify_outer,
+    _verify,
 )
 
 
@@ -85,10 +88,7 @@ class TestCompositionLaw:
         for left in group.twists:
             for right in group.twists:
                 kind, index, char = compose_twists(group.field, left, right)
-                if kind == "inner":
-                    assert _verify_inner(sys_, index, char, places)
-                else:
-                    assert _verify_outer(sys_, index, char, places)
+                assert _verify(sys_, kind, index, char, places)
 
     def test_passing_a_dual_inverts_the_left_character(self):
         # composing the two outer twists: without the inversion the character
@@ -108,8 +108,8 @@ class TestCompositionLaw:
                          char_transform(field, left.aut_index, right.character))
         assert naive != char
         places = sys_.places(100)
-        assert _verify_inner(sys_, index, char, places)
-        assert not _verify_inner(sys_, index, naive, places)
+        assert _verify(sys_, "inner", index, char, places)
+        assert not _verify(sys_, "inner", index, naive, places)
 
     def test_associativity_over_the_whole_group(self):
         group = cubic_klein_result().group
@@ -411,6 +411,60 @@ class TestGroupAssembly:
         outers = [_as_twist("outer", 1, triv)]
         with pytest.raises(NotClosed, match="kind parity"):
             assemble_group(inners, outers, field)
+
+    def test_fixed_fields_need_an_index_two_inner_field_beside_outers(self):
+        # an outer twist whose inner subgroup is the whole group leaves
+        # F_inn = F, which is not a quadratic extension
+        field = synth.gaussian_field()
+        whole = subgroup_make(field, range(field.degree))
+        dual = _as_twist("outer", 1, trivial_character(field))
+        group = TwistGroup(field, (dual,), whole, whole)
+        with pytest.raises(NotClosed, match="quadratic"):
+            fixed_fields(group, field)
+
+
+# ---------------------------------------------------------------------------
+# value-table characters over a non-rational base
+# ---------------------------------------------------------------------------
+
+def _cubic_twist_with_vanishing_a():
+    """The cubic-twist system with a_v = 0 at every fifth place: there the
+    inner character is read off b_v alone, and no outer twist fits."""
+    sys_ = synth.cubic_twist_system()
+    zero = sys_.field.zero()
+    coeffs = {v: pd._replace(a=zero) if i % 5 == 0 else pd
+              for i, (v, pd) in enumerate(sorted(sys_.coeffs.items()))}
+    return replace(sys_, coeffs=coeffs)
+
+
+class TestTableCharacters:
+    """Relabelling the base field sends both scans down the value-table path,
+    which reads each character off the data place by place.  The planted
+    systems are over Q, so the Dirichlet scan is the reference: the same
+    automorphisms must carry twists, with the same character values."""
+
+    @pytest.mark.parametrize("make,bound", [
+        (lambda: normalize(synth.vantop_system()), 100),
+        (synth.klein_system, 100),
+        (lambda: synth.cubic_klein_system(bound=60), 60),
+        (synth.rational_inner_system, 100),
+        (synth.generic_system, 100),
+        (synth.selfdual_system, 100),
+        (_cubic_twist_with_vanishing_a, 100),
+    ])
+    def test_table_scan_agrees_with_the_dirichlet_scan(self, make, bound):
+        sys_ = make()
+        relabelled = replace(sys_, base_field_label="K")
+        for scan in (find_inner, find_outer):
+            reference = {t.aut_index: t.character for t in scan(sys_, bound)}
+            found = scan(relabelled, bound)
+            assert [t.aut_index for t in found] == sorted(reference)
+            for t in found:
+                if t.character.kind != "table":
+                    continue
+                chi = reference[t.aut_index]
+                for v, value in t.character.table.items():
+                    assert value == char_eval(chi, v), (scan, t.aut_index, v)
 
 
 # ---------------------------------------------------------------------------
