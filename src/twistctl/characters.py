@@ -1,11 +1,16 @@
 """Finite-order characters with values in the roots of unity of a number field.
 
-Two kinds.  Dirichlet characters mod N (base field Q) are stored by their
-values on canonical generators of (Z/N)^x and expanded to a full value table;
-value-table characters are bare place -> value maps for data over other base
-fields.  On top: Galois transforms, pointwise products, conductor reduction,
-and a fitting search that recovers the unique smallest-conductor Dirichlet
-character matching an observed table of twist ratios.
+Every value is held as its exponent k mod w of the generator zeta of mu(E)
+that numberfield.unit_roots fixes once per field: products add exponents,
+inverses negate them, an automorphism sigma multiplies them by c_sigma, and
+zeta^k has order w/gcd(w, k).  Field elements appear only at the edges: the
+builders take them, char_eval and the JSON give zeta^k.  The value 1 is the
+exponent 0 and never builds mu(E).  Dirichlet characters mod N (base field
+Q) are given by their exponents on canonical generators of (Z/N)^x and
+expanded to a residue table; value-table characters are bare place ->
+exponent maps for other base fields.  On top: Galois transforms, products,
+conductors, and a fitting search that recovers the smallest-conductor
+Dirichlet character matching observed twist ratios.
 """
 
 from __future__ import annotations
@@ -21,14 +26,7 @@ from .errors import (
     NotCoprime,
     NotRootOfUnity,
 )
-from .numberfield import (
-    FieldElement,
-    NumberField,
-    element_order,
-    roots_of_unity,
-)
-
-
+from .numberfield import FieldElement, NumberField, unit_roots
 # ---------------------------------------------------------------------------
 # unit group structure
 # ---------------------------------------------------------------------------
@@ -77,76 +75,81 @@ def unit_group_structure(N: int) -> list[tuple[int, int]]:
 # the Character type
 # ---------------------------------------------------------------------------
 
-class Character:
-    """Immutable finite-order character with values in a number field."""
+def _log(field: NumberField, x: FieldElement) -> int:
+    """The exponent k with x = zeta^k; NotRootOfUnity if there is none."""
+    return 0 if x == 1 else unit_roots(field).exponent(x)
 
-    __slots__ = ("field", "kind", "modulus", "generator_images", "table",
+
+def _value(field: NumberField, k: int) -> FieldElement:
+    """zeta^k as a field element."""
+    return field.one() if k == 0 else unit_roots(field).powers[k]
+
+
+class Character:
+    """Immutable finite-order character: gen_exps holds the exponents of the
+    values on the canonical generators (Dirichlet kind only), exps the
+    exponent at each residue (Dirichlet) or place (value table)."""
+
+    __slots__ = ("field", "kind", "modulus", "gen_exps", "exps",
                  "_canonical", "_conductor")
 
     def __init__(self, field: NumberField, kind: str, modulus: int = 1,
-                 generator_images: tuple = (), table: dict | None = None):
+                 gen_exps: tuple = (), exps: dict | None = None):
+        if kind not in ("dirichlet", "table"):
+            raise ValueError(f"unknown character kind {kind!r}")
         self.field = field
         self.kind = kind
         self.modulus = modulus
-        self.generator_images = generator_images
+        self.gen_exps = tuple(gen_exps)
+        self.exps = dict(exps or {})
         self._canonical = None
         self._conductor = None
-        if kind == "dirichlet":
-            self.table = self._expand_table()
-        elif kind == "table":
-            self.table = dict(table or {})
-        else:
-            raise ValueError(f"unknown character kind {kind!r}")
 
-    def _expand_table(self) -> dict[int, FieldElement]:
-        gens = unit_group_structure(self.modulus)
-        one = self.field.one()
-        pow_tables = []
-        for (g, d), img in zip(gens, self.generator_images):
-            if img ** d != one:
+    @classmethod
+    def dirichlet(cls, field: NumberField, modulus: int,
+                  gen_exps) -> "Character":
+        """The character mod N sending the i-th canonical generator, of
+        order d_i, to zeta^gen_exps[i]; d_i gen_exps[i] must be 0 mod w."""
+        gens = unit_group_structure(modulus)
+        gen_exps = tuple(gen_exps)
+        # an all-zero character never needs w, nor mu(E)
+        w = unit_roots(field).order if any(gen_exps) else 1
+        gen_exps = tuple(k % w for k in gen_exps)
+        for (g, d), k in zip(gens, gen_exps):
+            if d * k % w:
                 raise NotRootOfUnity(
                     f"image of generator {g} is not a root of unity of order dividing {d}")
-            row = [one]
-            for _ in range(d - 1):
-                row.append(row[-1] * img)
-            pow_tables.append(row)
-        table = {}
-        ranges = [range(d) for _, d in gens]
-        for exps in iter_product(*ranges):
-            r = 1 % self.modulus
-            val = one
-            for (g, _), e, row in zip(gens, exps, pow_tables):
-                r = r * pow(g, e, self.modulus) % self.modulus
-                val = val * row[e]
-            table[r] = val
-        return table
+        exps = {}
+        for es in iter_product(*(range(d) for _, d in gens)):
+            r = 1 % modulus
+            for (g, _), e in zip(gens, es):
+                r = r * pow(g, e, modulus) % modulus
+            exps[r] = sum(e * k for e, k in zip(es, gen_exps)) % w
+        return cls(field, "dirichlet", modulus, gen_exps, exps)
+
+    def _mapped(self, f) -> "Character":
+        """The character with every exponent k replaced by f(k)."""
+        return Character(self.field, self.kind, self.modulus,
+                         tuple(map(f, self.gen_exps)),
+                         {p: f(k) for p, k in self.exps.items()})
 
     # -- basics -------------------------------------------------------------
 
     def is_trivial(self) -> bool:
-        one = self.field.one()
-        return all(v == one for v in self.table.values())
+        return not any(self.exps.values())
 
     def order(self) -> int:
-        bound = len(roots_of_unity(self.field))
-        result = 1
-        for v in self.table.values():
-            k = element_order(v, bound)
-            if k is None:
-                raise NotRootOfUnity("character value is not a root of unity")
-            result = lcm(result, k)
-        return result
+        w = unit_roots(self.field).order
+        return w // gcd(w, *self.exps.values())
 
     def conductor(self) -> int:
         """Smallest modulus M such that values depend only on v mod M."""
         if self.kind != "dirichlet":
             raise ValueError("conductor is defined for Dirichlet characters only")
         if self._conductor is None:
-            one = self.field.one()
-            for M in divisors(self.modulus):
-                if all(v == one for r, v in self.table.items() if r % M == 1 % M):
-                    self._conductor = M
-                    break
+            self._conductor = next(
+                M for M in divisors(self.modulus)
+                if not any(k for r, k in self.exps.items() if r % M == 1 % M))
         return self._conductor
 
     def primitive(self) -> "Character":
@@ -154,34 +157,26 @@ class Character:
         M = self.conductor()
         if M == self.modulus:
             return self
-        N = self.modulus
-        images = []
-        for g, _ in unit_group_structure(M):
-            lifted = next(g + k * M for k in range(N // M + 1)
-                          if gcd(g + k * M, N) == 1)
-            images.append(self.table[lifted % N])
-        return Character(self.field, "dirichlet", M, tuple(images))
+        # every unit mod M lifts to one mod N, and the value depends on r mod M
+        on_M = {r % M: k for r, k in self.exps.items()}
+        return Character.dirichlet(
+            self.field, M, [on_M[g] for g, _ in unit_group_structure(M)])
 
     def inverse(self) -> "Character":
-        if self.kind == "dirichlet":
-            return Character(self.field, "dirichlet", self.modulus,
-                             tuple(img.inverse() for img in self.generator_images))
-        return Character(self.field, "table",
-                         table={k: v.inverse() for k, v in self.table.items()})
+        w = unit_roots(self.field).order
+        return self._mapped(lambda k: -k % w)
 
     # -- identity -----------------------------------------------------------
 
     def canonical_key(self):
+        """The value table as (label, coordinates of the value) pairs,
+        Dirichlet characters taken primitive; fit_all sorts by it."""
         if self._canonical is None:
-            if self.kind == "dirichlet":
-                prim = self.primitive()
-                self._canonical = ("dirichlet", prim.modulus,
-                                   tuple(sorted((r, v.coords)
-                                                for r, v in prim.table.items())))
-            else:
-                self._canonical = ("table",
-                                   tuple(sorted((str(k), v.coords)
-                                                for k, v in self.table.items())))
+            chi = self.primitive() if self.kind == "dirichlet" else self
+            label = int if self.kind == "dirichlet" else str
+            self._canonical = (self.kind, chi.modulus, tuple(sorted(
+                (label(p), _value(self.field, k).coords)
+                for p, k in chi.exps.items())))
         return self._canonical
 
     def __eq__(self, other):
@@ -196,11 +191,11 @@ class Character:
     def __repr__(self):
         if self.kind == "dirichlet":
             return f"Character(dirichlet mod {self.modulus}, order {self.order()})"
-        return f"Character(table on {len(self.table)} places)"
+        return f"Character(table on {len(self.exps)} places)"
 
 
 def trivial_character(field: NumberField) -> Character:
-    return Character(field, "dirichlet", 1, ())
+    return Character.dirichlet(field, 1, ())
 
 
 def dirichlet_character(field: NumberField, modulus: int,
@@ -216,69 +211,58 @@ def dirichlet_character(field: NumberField, modulus: int,
     images = tuple(generator_images)
     if len(images) != len(gens):
         raise ValueError(f"expected {len(gens)} generator images for modulus {modulus}")
-    return Character(field, "dirichlet", modulus, images)
+    return Character.dirichlet(field, modulus,
+                               [_log(field, img) for img in images])
 
 
 def table_character(field: NumberField, values: dict) -> Character:
-    return Character(field, "table", table=dict(values))
+    """Value-table character; every value must be a root of unity."""
+    return Character(field, "table",
+                     exps={p: _log(field, v) for p, v in values.items()})
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
-def char_eval(chi: Character, v) -> FieldElement:
+def _exponent_at(chi: Character, v) -> int:
     if chi.kind == "dirichlet":
         if gcd(int(v), chi.modulus) != 1:
             raise NotCoprime(f"{v} shares a factor with the modulus {chi.modulus}")
-        return chi.table[int(v) % chi.modulus]
-    if v not in chi.table:
+        return chi.exps[int(v) % chi.modulus]
+    if v not in chi.exps:
         raise MissingValue(f"no stored value at place {v!r}")
-    return chi.table[v]
+    return chi.exps[v]
+
+
+def char_eval(chi: Character, v) -> FieldElement:
+    return _value(chi.field, _exponent_at(chi, v))
 
 
 def char_transform(field: NumberField, aut_index: int, chi: Character) -> Character:
     """The character sigma(chi): values pushed through the automorphism."""
     if field.min_poly != chi.field.min_poly:
         raise IncompatibleSupports("character values live in a different field")
-    if chi.kind == "dirichlet":
-        images = tuple(field.apply_aut(aut_index, img)
-                       for img in chi.generator_images)
-        return Character(chi.field, "dirichlet", chi.modulus, images)
-    return Character(chi.field, "table",
-                     table={k: field.apply_aut(aut_index, v)
-                            for k, v in chi.table.items()})
+    mu = unit_roots(field)
+    c = mu.aut_mult[aut_index]
+    return chi._mapped(lambda k: c * k % mu.order)
 
 
 def char_mul(a: Character, b: Character) -> Character:
     if a.field.min_poly != b.field.min_poly:
         raise IncompatibleSupports("characters over different fields")
-    if a.kind == "dirichlet" and b.kind == "dirichlet":
+    if a.kind != b.kind:
+        raise IncompatibleSupports(f"cannot multiply kinds {a.kind} and {b.kind}")
+    w = unit_roots(a.field).order
+    if a.kind == "dirichlet":
         L = lcm(a.modulus, b.modulus)
-        images = tuple(char_eval(a, g) * char_eval(b, g)
-                       for g, _ in unit_group_structure(L))
-        return Character(a.field, "dirichlet", L, images)
-    if a.kind == "table" and b.kind == "table":
-        if set(a.table) != set(b.table):
-            raise IncompatibleSupports("value tables cover different place sets")
-        return Character(a.field, "table",
-                         table={k: a.table[k] * b.table[k] for k in a.table})
-    raise IncompatibleSupports(f"cannot multiply kinds {a.kind} and {b.kind}")
-
-
-def characters_mod(field: NumberField, modulus: int,
-                   order_bound: int | None = None):
-    """All Dirichlet characters mod N with values in the field's roots of
-    unity, optionally restricted to order <= order_bound."""
-    gens = unit_group_structure(modulus)
-    one = field.one()
-    mu = roots_of_unity(field)
-    candidates = [[z for z in mu if z ** d == one] for _, d in gens]
-    for combo in iter_product(*candidates):
-        chi = Character(field, "dirichlet", modulus, tuple(combo))
-        if order_bound is not None and chi.order() > order_bound:
-            continue
-        yield chi
+        return Character.dirichlet(
+            a.field, L, [_exponent_at(a, g) + _exponent_at(b, g)
+                         for g, _ in unit_group_structure(L)])
+    if set(a.exps) != set(b.exps):
+        raise IncompatibleSupports("value tables cover different place sets")
+    return Character(a.field, "table",
+                     exps={p: (k + b.exps[p]) % w for p, k in a.exps.items()})
 
 
 def fit_all(value_map: dict, N_max: int, order_bound: int,
@@ -287,9 +271,13 @@ def fit_all(value_map: dict, N_max: int, order_bound: int,
     every entry of value_map (place -> root of unity), deduplicated, sorted
     by conductor then value table.
 
-    Moduli sharing a factor with a determined place are skipped: the observed
-    ratio at such a place is a unit, which no character of that modulus can
-    produce.
+    Each value is logged once as zeta^k_v.  For each modulus N the generator
+    exponents x_i run over the multiples of w/gcd(w, d_i), the exponents of
+    the d_i-th roots of unity, and a candidate fits when sum_i e_i(v) x_i =
+    k_v (mod w) at every place, e_i(v) being the exponents of v mod N on the
+    canonical generators.  Moduli sharing a factor with a determined place
+    are skipped: the observed ratio at such a place is a unit, which no
+    character of that modulus can produce.
     """
     if field is None:
         for v in value_map.values():
@@ -298,60 +286,50 @@ def fit_all(value_map: dict, N_max: int, order_bound: int,
                 break
         else:
             raise ValueError("cannot infer the coefficient field; pass field=")
-    one = field.one()
+    mu = unit_roots(field)
+    w = mu.order
     entries = []
     for place, val in sorted(value_map.items(), key=lambda kv: int(kv[0])):
         if not isinstance(val, FieldElement):
             val = field.from_rational(val)
-        k = element_order(val, order_bound)
-        if k is None:
+        k = mu.log.get(val.coords)
+        if k is None or mu.order_of(k) > order_bound:
             raise NotRootOfUnity(
                 f"value at place {place} is not a root of unity of order <= {order_bound}")
-        entries.append((int(place), val))
+        entries.append((int(place), k))
 
-    mu = roots_of_unity(field)
-    mu_order = {z: element_order(z, len(mu)) for z in mu}
     found = {}
     # The trivial character fits iff every observed value is 1; handling it
-    # here lets the scan below skip the all-ones image combination, which
+    # here lets the scan below skip the all-zero exponent combination, which
     # would otherwise rebuild the trivial fit at every single modulus.
-    if all(val == one for _, val in entries):
-        triv = Character(field, "dirichlet", 1, ())
+    if not any(k for _, k in entries):
+        triv = trivial_character(field)
         found[triv.canonical_key()] = triv
     for N in range(1, N_max + 1):
         if any(gcd(v, N) != 1 for v, _ in entries):
             continue
+        # one equation per residue; two values at one residue fit nothing
+        wanted = {}
+        if any(wanted.setdefault(v % N, k) != k for v, k in entries):
+            continue
         gens = unit_group_structure(N)
-        candidates = [[z for z in mu if z ** (d % mu_order[z]) == one]
-                      for _, d in gens]
-        # generator exponents of each constrained residue, for early rejection
+        # generator exponents e_i(v) of each constrained residue
         exps_of = {}
-        ranges = [range(d) for _, d in gens]
-        wanted = {v % N for v, _ in entries}
-        for exps in iter_product(*ranges):
+        for es in iter_product(*(range(d) for _, d in gens)):
             r = 1 % N
-            for (g, _), e in zip(gens, exps):
+            for (g, _), e in zip(gens, es):
                 r = r * pow(g, e, N) % N
             if r in wanted and r not in exps_of:
-                exps_of[r] = exps
-        for combo in iter_product(*candidates):
-            if all(img == one for img in combo):
+                exps_of[r] = es
+        system = [(exps_of[r], k) for r, k in wanted.items()]
+        allowed = [range(0, w, w // gcd(w, d)) for _, d in gens]
+        for xs in iter_product(*allowed):
+            if not any(xs) or w // gcd(w, *xs) > order_bound:
                 continue
-            ok = True
-            for v, val in entries:
-                exps = exps_of[v % N]
-                acc = one
-                for img, e in zip(combo, exps):
-                    acc = acc * img ** (e % mu_order[img])
-                if acc != val:
-                    ok = False
-                    break
-            if not ok:
+            if any((sum(e * x for e, x in zip(es, xs)) - k) % w
+                   for es, k in system):
                 continue
-            chi = Character(field, "dirichlet", N, tuple(combo))
-            if chi.order() > order_bound:
-                continue
-            prim = chi.primitive()
+            prim = Character.dirichlet(field, N, xs).primitive()
             found.setdefault(prim.canonical_key(), prim)
     return sorted(found.values(), key=lambda c: (c.modulus, c.canonical_key()))
 
@@ -382,15 +360,19 @@ def char_to_json(chi: Character) -> dict:
             "kind": "dirichlet",
             "modulus": chi.modulus,
             "values_on_generators": {
-                str(g): [str(c) for c in img.coords]
-                for (g, _), img in zip(gens, chi.generator_images)
+                str(g): _coords_json(chi.field, k)
+                for (g, _), k in zip(gens, chi.gen_exps)
             },
         }
     return {
         "kind": "table",
-        "values": {str(k): [str(c) for c in v.coords]
-                   for k, v in sorted(chi.table.items(), key=lambda kv: str(kv[0]))},
+        "values": {str(p): _coords_json(chi.field, k)
+                   for p, k in sorted(chi.exps.items(), key=lambda kv: str(kv[0]))},
     }
+
+
+def _coords_json(field: NumberField, k: int) -> list[str]:
+    return [str(c) for c in _value(field, k).coords]
 
 
 def char_from_json(field: NumberField, doc: dict) -> Character:

@@ -44,6 +44,10 @@ class NotInvertible(TwistctlError):
     pass
 
 
+class RootSearchFailed(TwistctlError):
+    """The search for the field's roots of unity could not be completed."""
+
+
 # ---------------------------------------------------------------- characters
 
 class NotCoprime(TwistctlError):

@@ -28,8 +28,8 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .arith import factorize, primes_up_to
-from .characters import Character, dirichlet_character, unit_group_structure
+from .arith import euler_phi, factorize, primes_up_to
+from .characters import Character, unit_group_structure
 from .eigensystem import EigenSystem, PlaceData
 from .errors import (
     MissingCoefficients,
@@ -39,7 +39,7 @@ from .errors import (
     SchemaDrift,
     TwistctlError,
 )
-from .numberfield import element_order, field_make, roots_of_unity
+from .numberfield import field_make, unit_roots
 from .polynomials import QPoly
 from .twists import DetectionResult
 
@@ -213,13 +213,16 @@ def _character_from_values(field, char_values) -> Character | None:
     modulus, value_order, gens, exps = char_values
     if modulus == 1 or value_order == 1:
         return None
-    zeta = next((z for z in roots_of_unity(field)
-                 if element_order(z, value_order) == value_order), None)
-    if zeta is None:
+    mu = unit_roots(field)
+    if mu.order % value_order:
         raise SchemaDrift(
             f"nebentypus values require a root of unity of order "
             f"{value_order}, which the Hecke field lacks", body=char_values)
-    units = [u for u in range(1, modulus) if gcd(u, modulus) == 1]
+    # the record's root of unity is zeta^t, the primitive value_order-th
+    # root of unity that comes first by coordinates
+    step = mu.order // value_order
+    t = min((j * step for j in range(1, value_order) if gcd(j, value_order) == 1),
+            key=lambda k: mu.powers[k].coords)
     exponents = {1: 0}
     frontier = [1]
     while frontier:
@@ -234,12 +237,12 @@ def _character_from_values(field, char_values) -> Character | None:
             else:
                 exponents[v] = k
                 frontier.append(v)
-    if len(exponents) != len(units):
+    if len(exponents) != euler_phi(modulus):
         raise SchemaDrift("nebentypus generators do not generate the unit "
                           "group", body=char_values)
-    images = [zeta ** exponents[g % modulus]
-              for g, _ in unit_group_structure(modulus)]
-    return dirichlet_character(field, modulus, images)
+    return Character.dirichlet(
+        field, modulus, [exponents[g % modulus] * t
+                         for g, _ in unit_group_structure(modulus)])
 
 
 def to_eigensystem(record: NewformRecord, aut_images=None,

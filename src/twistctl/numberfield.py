@@ -5,13 +5,15 @@ coordinate vectors in the power basis 1, alpha, ..., alpha^(d-1), and the
 automorphism group is supplied as the d images of alpha and then validated
 (annihilation, distinctness, closure).  On top of that sit the Galois-theory
 workhorses: stabilizers, fixed subfields with primitive elements, Frobenius
-elements at unramified primes, and place decompositions via double cosets.
+elements at unramified primes, place decompositions via double cosets, and
+the roots of unity mu(E) as powers of one generator, built once per field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import euler_phi, is_prime
@@ -21,14 +23,17 @@ from .errors import (
     NotClosed,
     NotInvertible,
     NotIrreducible,
+    NotRootOfUnity,
     NotSeparableModP,
     Ramified,
+    RootSearchFailed,
 )
 from .polynomials import (
     QPoly,
+    _monic_integer_model,
+    cyclotomic,
     ddf_mod_p,
     discriminant,
-    cyclotomic,
     irreducibility_over_q,
     pmod_gcd,
     pmod_pow_mod,
@@ -192,8 +197,7 @@ class NumberField:
         if len(aut_images) != d:
             raise NotClosed(f"expected {d} automorphism images, got {len(aut_images)}")
         self.aut_images = tuple(self.element(c) for c in aut_images)
-        self._mu_cache = None
-        self._sympy_field = None
+        self._unit_roots = None
 
         if _validate:
             self._validate_automorphisms()
@@ -580,7 +584,8 @@ def place_decomposition(field: NumberField, subgroup: Subgroup, p: int) -> list[
 
 
 # --------------------------------------------------------------------------
-# roots of unity (sympy-backed search, exact in-house verification)
+# roots of unity (sympy-backed search, exact in-house verification) and
+# mu(E) as the powers of one generator
 # --------------------------------------------------------------------------
 
 def _split_primes(field: NumberField, how_many: int = 3) -> list[int]:
@@ -603,85 +608,94 @@ def _split_primes(field: NumberField, how_many: int = 3) -> list[int]:
 
 
 def roots_of_unity(field: NumberField) -> list[FieldElement]:
-    """All roots of unity in the field, verified by exact exponentiation."""
-    if field._mu_cache is not None:
-        return list(field._mu_cache)
+    """All roots of unity in the field, sorted by coordinates and verified
+    by exact exponentiation.  Not cached: unit_roots keeps the result."""
     d = field.degree
-    mu = {field.one().coords, (-field.one()).coords}
-    integral = all(c.denominator == 1 for c in field.min_poly.coeffs)
-    if integral and d > 1:
+    one = field.one()
+    mu = {one.coords, (-one).coords}
+    if d > 1:
         split = _split_primes(field)
-        bound = 2 * (d + 1) ** 2
-        for k in range(3, bound + 1):
-            if d % euler_phi(k) != 0:
-                continue
-            if any(p % k != 1 for p in split):
-                continue
-            for root in _roots_in_field_sympy(field, cyclotomic(k)):
-                if (root ** k) == field.one():
-                    mu.add(root.coords)
-    elems = sorted(mu)
-    field._mu_cache = tuple(field.element(c) for c in elems)
-    return list(field._mu_cache)
+        orders = [k for k in range(3, 2 * (d + 1) ** 2 + 1)
+                  if d % euler_phi(k) == 0 and all(p % k == 1 for p in split)]
+        for k, root in _cyclotomic_roots_sympy(field, orders):
+            if root ** k == one:
+                mu.add(root.coords)
+    return [field.element(c) for c in sorted(mu)]
 
 
-def element_order(x: FieldElement, bound: int) -> int | None:
-    """Multiplicative order of x if it is at most bound, else None."""
-    acc = x
-    for k in range(1, bound + 1):
-        if acc == x.field.one():
-            return k
-        acc = acc * x
-    return None
+class UnitRoots(NamedTuple):
+    """mu(E) as the powers of a generator zeta, the first element of
+    roots_of_unity of maximal order.  A root of unity is held as its
+    exponent k mod order; zeta^k has order order/gcd(order, k)."""
+
+    order: int
+    powers: tuple          # zeta^0 .. zeta^(order-1)
+    log: dict              # coords -> exponent
+    aut_mult: tuple        # sigma_i(zeta) = zeta^aut_mult[i]
+
+    def exponent(self, x: FieldElement) -> int:
+        k = self.log.get(x.coords)
+        if k is None:
+            raise NotRootOfUnity(f"{x!r} is not a root of unity of the field")
+        return k
+
+    def order_of(self, k: int) -> int:
+        return self.order // gcd(self.order, k)
 
 
-def _sympy_field(field: NumberField):
-    if field._sympy_field is not None:
-        return field._sympy_field
+def unit_roots(field: NumberField) -> UnitRoots:
+    """The field's UnitRoots, built on first use and kept on the field."""
+    if field._unit_roots is None:
+        mu = roots_of_unity(field)
+        one = field.one()
+        for zeta in mu:
+            powers = [one]
+            while (x := powers[-1] * zeta) != one:
+                powers.append(x)
+            if len(powers) == len(mu):
+                break
+        else:
+            raise RootSearchFailed("the roots of unity found are not cyclic")
+        log = {z.coords: k for k, z in enumerate(powers)}
+        mult = tuple(log[field.apply_aut(i, zeta).coords]
+                     for i in range(field.degree))
+        field._unit_roots = UnitRoots(len(mu), tuple(powers), log, mult)
+    return field._unit_roots
+
+
+def _cyclotomic_roots_sympy(field: NumberField, orders):
+    """(k, root) for the roots in the field of the k-th cyclotomic
+    polynomials, found by sympy in the monic integral model lam^d Phi(y/lam),
+    lam the lcm of the denominators of Phi, and mapped back by y = lam alpha.
+    The caller verifies each root; sympy is imported only for some order."""
+    if not orders:
+        return
     import sympy
     from sympy import QQ as SQQ
 
+    model = _monic_integer_model(field.min_poly)
+    lam = lcm(*(c.denominator for c in field.min_poly.coeffs))
     x = sympy.symbols("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-               for i, c in enumerate(field.min_poly.coeffs))
-    root = sympy.CRootOf(sympy.Poly(expr, x), 0)
-    K = SQQ.algebraic_field(root)
-    mod = K.mod.to_list()  # descending
-    mine = list(reversed([c for c in field.min_poly.coeffs]))
-    if len(mod) != len(mine) or any(Q(int(a.numerator), int(a.denominator)) != b
-                                    for a, b in zip(mod, mine)):
-        field._sympy_field = (None, None)
-        return field._sympy_field
-    field._sympy_field = (K, x)
-    return field._sympy_field
-
-
-def _roots_in_field_sympy(field: NumberField, poly: QPoly) -> list[FieldElement]:
-    """Roots of a rational polynomial inside the field, via factorization
-    over the algebraic field; each root is re-verified by the caller."""
-    import sympy
-
-    K, x = _sympy_field(field)
-    if K is None:
-        return []
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-               for i, c in enumerate(poly.coeffs))
-    try:
-        _, factors = sympy.Poly(expr, x, domain=K).factor_list()
-    except Exception:
-        return []
-    out = []
-    d = field.degree
-    for fac, _ in factors:
-        if fac.degree() != 1:
-            continue
-        lead, const = fac.rep.to_list()
-        root_anp = -const / lead
-        coeffs = list(reversed(root_anp.to_list()))  # ascending now
-        coords = [Q(int(c.numerator), int(c.denominator)) for c in coeffs]
-        coords += [Q(0)] * (d - len(coords))
-        out.append(field.element(coords))
-    return out
+    expr = sum(c * x ** i for i, c in enumerate(model))
+    K = SQQ.algebraic_field(sympy.CRootOf(sympy.Poly(expr, x), 0))
+    if K.mod.to_list() != list(reversed(model)):
+        raise RootSearchFailed(f"sympy chose the modulus {K.mod.to_list()} "
+                               f"for the integral model {model[::-1]}")
+    for k in orders:
+        try:
+            phi = sum(int(c) * x ** i for i, c in enumerate(cyclotomic(k).coeffs))
+            _, factors = sympy.Poly(phi, x, domain=K).factor_list()
+        except Exception as exc:
+            raise RootSearchFailed(f"sympy failed to factor the {k}-th "
+                                   f"cyclotomic polynomial: {exc}") from exc
+        for fac, _ in factors:
+            if fac.degree() == 1:
+                lead, const = fac.rep.to_list()
+                coeffs = (-const / lead).to_list()[::-1]  # ascending in y
+                coords = [Q(int(c.numerator), int(c.denominator)) * lam ** i
+                          for i, c in enumerate(coeffs)]
+                yield k, field.element(
+                    coords + [Q(0)] * (field.degree - len(coords)))
 
 
 # --------------------------------------------------------------------------

@@ -45,11 +45,10 @@ from .numberfield import (
     NumberField,
     SubfieldDescriptor,
     Subgroup,
-    element_order,
     fixed_field,
-    roots_of_unity,
     stabilizer,
     subgroup_make,
+    unit_roots,
 )
 
 DEFAULT_MIN_PLACES = 10
@@ -117,16 +116,7 @@ def _check_detection_input(sys: EigenSystem):
 
 def _power_ok(sys: EigenSystem, chi: Character) -> bool:
     """Unit-determinant systems force chi^n = 1 on every twist character."""
-    if not sys.is_normalized:
-        return True
-    one = chi.field.one()
-    return all(v ** sys.n == one for v in chi.table.values())
-
-
-def _values_ok(chi: Character, order_bound: int) -> bool:
-    mu = len(roots_of_unity(chi.field))
-    bound = min(order_bound, mu)
-    return all(element_order(v, bound) is not None for v in chi.table.values())
+    return not sys.is_normalized or sys.n % chi.order() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +262,12 @@ def _fit_table(sys, kind, sigma, places, ob):
                 return None
         if val is not None:
             table[v] = val
-    chi = table_character(field, table)
-    return chi if _values_ok(chi, ob) else None
+    try:
+        chi = table_character(field, table)
+    except NotRootOfUnity:
+        return None
+    mu = unit_roots(field)
+    return chi if all(mu.order_of(k) <= ob for k in chi.exps.values()) else None
 
 
 def _verify(sys: EigenSystem, kind: str, sigma: int, chi: Character,

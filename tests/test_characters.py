@@ -25,7 +25,6 @@ from twistctl.characters import (
     char_mul,
     char_to_json,
     char_transform,
-    characters_mod,
     dirichlet_character,
     fit_all,
     table_character,
@@ -114,7 +113,7 @@ class TestEvalAndAlgebra:
         K = gaussian_field()
         i = K.element([0, 1])
         chi = dirichlet_character(K, 5, [i])
-        got = {r: v.coords for r, v in sorted(chi.table.items())}
+        got = {r: char_eval(chi, r).coords for r in range(1, 5)}
         assert got == {1: (1, 0), 2: (0, 1), 3: (0, -1), 4: (-1, 0)}
         assert chi.order() == 4
 
@@ -124,6 +123,11 @@ class TestEvalAndAlgebra:
         assert char_eval(chi, 3) == K.element([0, 1])
         with pytest.raises(MissingValue):
             char_eval(chi, 11)
+
+    def test_value_table_rejects_values_off_the_roots_of_unity(self):
+        K = gaussian_field()
+        with pytest.raises(NotRootOfUnity):
+            table_character(K, {3: K.element([0, Q(1, 2)])})
 
     def test_rejects_bad_generator_image(self):
         K = gaussian_field()
@@ -209,8 +213,9 @@ class TestEvalAndAlgebra:
                     dirichlet_character(K, 8, [K.from_rational(-1), K.one()]),
                     trivial_character(K)]:
             n = chi.order()
-            for v in chi.table.values():
-                assert v ** n == 1
+            for r in range(chi.modulus):
+                if gcd(r, chi.modulus) == 1:
+                    assert char_eval(chi, r) ** n == 1
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +289,6 @@ class TestFitting:
         for p, v in vals.items():
             assert char_eval(got, p) == v
 
-    def test_character_count_mod_five(self):
-        K = gaussian_field()
-        assert len(list(characters_mod(K, 5))) == 4
-        assert len(list(characters_mod(K, 5, order_bound=2))) == 2
-        assert len(list(characters_mod(K, 8))) == 4
-
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -306,9 +305,12 @@ class TestJson:
         assert back == chi and char_to_json(back) == doc
 
     def test_table_round_trip(self):
-        K = gaussian_field()
-        chi = table_character(K, {3: K.element([0, Q(1, 2)]), 7: K.one()})
+        # i = (theta + theta^3)/6 has fractional coordinates
+        K = biquadratic_field()
+        chi = table_character(K, {3: K.element([0, Q(1, 6), 0, Q(1, 6)]),
+                                  7: K.one()})
         doc = char_to_json(chi)
+        assert doc["values"]["3"] == ["0", "1/6", "0", "1/6"]
         back = char_from_json(K, doc)
         assert char_to_json(back) == doc
-        assert back.table == chi.table
+        assert all(char_eval(back, v) == char_eval(chi, v) for v in (3, 7))

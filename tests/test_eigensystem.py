@@ -1,6 +1,11 @@
 """Coefficient-system layer: loading, validation, normalization, duality."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -134,7 +139,37 @@ class TestLoad:
             load_system(doc)
 
 
+LAZY_MU_SCRIPT = """
+import json, sys
+from twistctl import numberfield
+from twistctl.eigensystem import load_system, normalize
+
+def fail(field):
+    raise AssertionError("roots_of_unity was called")
+
+numberfield.roots_of_unity = fail
+doc = json.loads(sys.stdin.read())
+for omega in ("trivial", {"kind": "dirichlet", "modulus": 4,
+                          "values_on_generators": {"3": ["1", "0"]}}):
+    doc["central_character"]["omega"] = omega
+    raw = load_system(doc)
+    normalize(raw)
+    normalize(raw, {3: 3, 7: 7, 13: 13})
+assert "sympy" not in sys.modules, "sympy was imported"
+"""
+
+
 class TestNormalize:
+    def test_trivial_omega_builds_no_roots_of_unity(self):
+        # mu(E) is built on first use only; a fresh interpreter is needed,
+        # since other tests import sympy
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", LAZY_MU_SCRIPT],
+                              input=json.dumps(vantop_doc()), env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_vantop_scaling(self):
         nsys = normalize(load_system(vantop_doc()))
         assert isinstance(nsys, NormalizedSystem) and nsys.is_normalized

@@ -5,7 +5,11 @@ Composition tables are cross-checked against an independent sympy oracle
 decompositions against distinct-degree factorization of the modulus.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 import sympy
@@ -16,7 +20,9 @@ from twistctl.errors import (
     NotClosed,
     NotInvertible,
     NotIrreducible,
+    NotRootOfUnity,
     Ramified,
+    RootSearchFailed,
 )
 from twistctl.polynomials import QPoly, ddf_mod_p
 from twistctl.numberfield import (
@@ -28,12 +34,12 @@ from twistctl.numberfield import (
     fixed_field,
     frobenius_at,
     generated_subgroup,
-    element_order,
     place_decomposition,
     roots_of_unity,
     _split_primes,
     stabilizer,
     subgroup_make,
+    unit_roots,
 )
 
 
@@ -405,13 +411,57 @@ class TestRootsOfUnity:
     def test_all_verified(self):
         K = biquadratic_field()
         for mu in roots_of_unity(K):
-            assert element_order(mu, 8) is not None
+            assert mu ** 8 == K.one()
 
-    def test_element_order(self):
-        K = gaussian_field()
-        i = K.element([0, 1])
-        assert element_order(i, 10) == 4
-        assert element_order(K.from_rational(-1), 10) == 2
-        assert element_order(K.one(), 10) == 1
-        assert element_order(K.from_rational(2), 10) is None
-        assert element_order(K.element([1, 1]), 10) is None
+    def test_denominators_in_the_minimal_polynomial(self):
+        # alpha = i/2 is a root of x^2 + 1/4, so i has coordinates (0, 2)
+        K = field_make([Q(1, 4), 0, 1], [[0, 1], [0, -1]])
+        got = {mu.coords for mu in roots_of_unity(K)}
+        assert got == {(1, 0), (-1, 0), (0, 2), (0, -2)}
+
+    def test_sympy_stays_unloaded_when_no_order_can_occur(self):
+        # Q(sqrt 5) splits at primes +-1 mod 5 only, so no k >= 3 divides
+        # p - 1 at every split prime and the search has nothing to factor
+        script = ("import sys\n"
+                  "from twistctl.numberfield import field_make, unit_roots\n"
+                  "K = field_make([-1, -1, 1], [[0, 1], [1, -1]])\n"
+                  "assert unit_roots(K).order == 2\n"
+                  "assert 'sympy' not in sys.modules\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_sympy_failure_surfaces(self, monkeypatch):
+        factor_list = sympy.Poly.factor_list
+
+        def fail_over_number_fields(poly, *args, **kwargs):
+            if poly.domain.is_AlgebraicField:
+                raise RuntimeError("factorization failed")
+            return factor_list(poly, *args, **kwargs)
+
+        monkeypatch.setattr(sympy.Poly, "factor_list", fail_over_number_fields)
+        with pytest.raises(RootSearchFailed, match="factorization failed"):
+            roots_of_unity(gaussian_field())
+
+    @pytest.mark.parametrize("make", [gaussian_field, eisenstein_field,
+                                      sqrt2_field, biquadratic_field,
+                                      rational_field])
+    def test_unit_roots_are_the_powers_of_one_generator(self, make):
+        K = make()
+        mu = unit_roots(K)
+        assert unit_roots(K) is mu
+        assert mu.order == len(roots_of_unity(K))
+        zeta = mu.powers[1 % mu.order]
+        assert sorted(z.coords for z in mu.powers) == sorted(
+            z.coords for z in roots_of_unity(K))
+        for k, z in enumerate(mu.powers):
+            assert z == zeta ** k
+            assert mu.exponent(z) == k
+            assert mu.order_of(k) == min(j for j in range(1, mu.order + 1)
+                                         if z ** j == K.one())
+        for i in range(K.degree):
+            assert K.apply_aut(i, zeta) == zeta ** mu.aut_mult[i]
+        with pytest.raises(NotRootOfUnity):
+            mu.exponent(K.from_rational(2))

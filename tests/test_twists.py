@@ -11,7 +11,9 @@ dual inverts the character.
 
 import json
 from dataclasses import replace
+from fractions import Fraction as Q
 from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -23,9 +25,10 @@ from twistctl.characters import (
     dirichlet_character,
     trivial_character,
 )
-from twistctl.eigensystem import normalize
+from twistctl.arith import primes_up_to
+from twistctl.eigensystem import EigenSystem, PlaceData, normalize
 from twistctl.errors import DuplicateAutomorphism, InsufficientData, NotClosed
-from twistctl.numberfield import subgroup_make
+from twistctl.numberfield import field_make, subgroup_make
 from twistctl.twists import (
     ExtraTwist,
     TwistGroup,
@@ -315,7 +318,9 @@ class TestPlantedSystems:
         for t in group.twists:
             assert t.verified_bound == bound
             # unit determinant forces every character to the n-th roots
-            assert all(v ** sys_.n == one for v in t.character.table.values())
+            chi = t.character
+            assert all(char_eval(chi, r) ** sys_.n == one
+                       for r in range(chi.modulus) if gcd(r, chi.modulus) == 1)
             for v in t.undetermined_places:
                 assert sys_.coeffs[v].a.is_zero()
         assert group.inner_order in (group.order, group.order // 2)
@@ -463,8 +468,35 @@ class TestTableCharacters:
                 if t.character.kind != "table":
                     continue
                 chi = reference[t.aut_index]
-                for v, value in t.character.table.items():
-                    assert value == char_eval(chi, v), (scan, t.aut_index, v)
+                for v in t.character.exps:
+                    assert char_eval(t.character, v) == char_eval(chi, v), (
+                        scan, t.aut_index, v)
+
+
+def _order_four_mod_five_system(field, one_minus_i):
+    """Raw rank-2 data over Q(i) with a_v = c_v (1 - i)^k(v), c_v rational
+    and 2^k(v) = v mod 5: conjugation multiplies (1 - i)^k by i^k, so it
+    carries the order-4 character mod 5 sending 2 to i."""
+    log2 = {1: 0, 2: 1, 4: 2, 3: 3}
+    coeffs = {p: PlaceData(p, one_minus_i ** log2[p % 5] * (p % 7 + 1), None)
+              for p in primes_up_to(100) if p not in (2, 5)}
+    return EigenSystem(n=2, field=field, base_field_label="Q", m=1,
+                       omega=None, bad_places=(2, 5), coeffs=coeffs)
+
+
+class TestPresentation:
+    def test_order_four_twist_survives_a_scaled_generator(self):
+        # x^2 + 1 has alpha = i; x^2 + 1/4 has alpha = i/2, so 1 - i = 1 - 2 alpha
+        found = []
+        for poly, one_minus_i in (([1, 0, 1], [1, -1]),
+                                  ([Q(1, 4), 0, 1], [1, -2])):
+            K = field_make(poly, [[0, 1], [0, -1]])
+            sys_ = _order_four_mod_five_system(K, K.element(one_minus_i))
+            found.append([(t.aut_index, t.character.modulus,
+                           t.character.order())
+                          for t in find_inner(sys_, 100)])
+        assert found[0] == [(0, 1, 1), (1, 5, 4)]
+        assert found[1] == found[0]
 
 
 # ---------------------------------------------------------------------------
