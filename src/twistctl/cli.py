@@ -20,7 +20,7 @@ from pathlib import Path
 from . import lmfdb
 from .arith import is_prime, primes_up_to
 from .eigensystem import load_system, normalize, serialize
-from .errors import InsufficientData, Ramified, TwistctlError
+from .errors import InsufficientData, TwistctlError
 from .finitefield import split_order, unitary_order
 from .forms import (
     DEFAULT_BUDGET,
@@ -34,7 +34,6 @@ from .forms import (
     twisted_fixed_points,
     unitary_cocycle,
 )
-from .numberfield import frobenius_at
 from .twists import detect, detection_to_json
 
 
@@ -80,27 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True,
                            help="input document (JSON)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("twists", help="detect extra-twists and fixed fields")
-    add_common(p)
-    p.add_argument("--bound", type=_positive_int, default=100)
-    p.add_argument("--n-max", type=_positive_int, default=None,
-                   help="largest character modulus to scan")
-
-    p = sub.add_parser("classify", help="per-prime image verdicts")
-    add_common(p)
-    p.add_argument("--bound", type=_positive_int, default=100)
-    p.add_argument("--n-max", type=_positive_int, default=None)
-    p.add_argument("--primes", type=_parse_primes, required=True,
-                   help="range like 3..100 or comma list like 5,13,17")
-
-    p = sub.add_parser("report", help="full detection and classification "
-                                      "report")
-    add_common(p)
-    p.add_argument("--bound", type=_positive_int, default=100)
-    p.add_argument("--n-max", type=_positive_int, default=None)
-    p.add_argument("--primes", type=_parse_primes, required=True)
+    for name, text in (
+            ("twists", "detect extra-twists and fixed fields"),
+            ("classify", "per-prime image verdicts"),
+            ("report", "full detection and classification report")):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.add_argument("--bound", type=_positive_int, default=100)
+        p.add_argument("--n-max", type=_positive_int, default=None,
+                       help="largest character modulus to scan")
+        if name != "twists":
+            p.add_argument("--primes", type=_parse_primes, required=True,
+                           help="range like 3..100 or comma list like 5,13,17")
 
     p = sub.add_parser("verify-cocycle", help="validate a cocycle document")
     add_common(p)
@@ -116,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--check-projection", action="store_true",
                    help="also verify the group-law-preserving bijection")
+    p.add_argument("--seed", type=int, default=0, help="projection sample seed")
 
     p = sub.add_parser("normalize", help="rescale determinant data away")
     add_common(p)
@@ -134,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         lp.add_argument("--network", action="store_true",
                         help="allow live requests on a cache miss")
         lp.add_argument("--format", choices=("text", "json"), default="text")
-        lp.add_argument("--seed", type=int, default=0)
         if action == "compare":
             lp.add_argument("--bound", type=_positive_int, default=500)
             lp.add_argument("--aut-images", default=None,
@@ -156,24 +147,6 @@ def _load_input_system(path: str):
         sys_ = normalize(sys_)
         normalized_on_load = True
     return sys_, normalized_on_load
-
-
-def _partition_primes(sys_, primes):
-    """Split requested primes into usable ones and exclusions with reasons;
-    bad places and primes ramified in the coefficient field never reach the
-    classifier."""
-    usable, excluded = [], {}
-    for p in primes:
-        if p in sys_.bad_places:
-            excluded[p] = "bad place of the input data"
-            continue
-        try:
-            frobenius_at(sys_.field, p)
-        except Ramified:
-            excluded[p] = "ramified in the coefficient field"
-            continue
-        usable.append(p)
-    return usable, excluded
 
 
 def _print_doc(doc: dict, ns, render, out) -> None:
@@ -237,21 +210,6 @@ def _render_classify(doc) -> list:
     return lines
 
 
-def _cmd_classify(ns) -> int:
-    sys_, renormed = _load_input_system(ns.input)
-    result = detect(sys_, ns.bound, n_max=ns.n_max)
-    usable, excluded = _partition_primes(sys_, ns.primes)
-    full = report_to_json(image_report(sys_, result, usable))
-    doc = {"command": "classify", "input": ns.input,
-           "bound": ns.bound, "normalized_on_load": renormed,
-           "primes": full["primes"],
-           "excluded": {str(p): reason for p, reason in excluded.items()},
-           "predicted_dimension": full["predicted_dimension"],
-           "mt_upper_bound_dimension": full["mt_upper_bound_dimension"]}
-    _print_doc(doc, ns, _render_classify, _sys.stdout)
-    return 0
-
-
 def _render_report(doc) -> list:
     lines = [f"twist group order {doc['group_order']} "
              f"(inner subgroup order {doc['inner_order']})",
@@ -265,15 +223,21 @@ def _render_report(doc) -> list:
     return lines
 
 
-def _cmd_report(ns) -> int:
+_CLASSIFY_KEYS = ("bound", "primes", "excluded", "predicted_dimension",
+                  "mt_upper_bound_dimension")
+
+
+def _cmd_image(ns) -> int:
+    """classify and report: the image report, or its per-prime part."""
     sys_, renormed = _load_input_system(ns.input)
     result = detect(sys_, ns.bound, n_max=ns.n_max)
-    usable, excluded = _partition_primes(sys_, ns.primes)
-    doc = {"command": "report", "input": ns.input,
-           "normalized_on_load": renormed,
-           "excluded": {str(p): reason for p, reason in excluded.items()}}
-    doc.update(report_to_json(image_report(sys_, result, usable)))
-    _print_doc(doc, ns, _render_report, _sys.stdout)
+    full = report_to_json(image_report(sys_, result, ns.primes))
+    if ns.subcommand == "classify":
+        full = {key: full[key] for key in _CLASSIFY_KEYS}
+    doc = {"command": ns.subcommand, "input": ns.input,
+           "normalized_on_load": renormed, **full}
+    render = _render_report if ns.subcommand == "report" else _render_classify
+    _print_doc(doc, ns, render, _sys.stdout)
     return 0
 
 
@@ -396,8 +360,8 @@ def _cmd_lmfdb(ns) -> int:
 
 _HANDLERS = {
     "twists": _cmd_twists,
-    "classify": _cmd_classify,
-    "report": _cmd_report,
+    "classify": _cmd_image,
+    "report": _cmd_image,
     "verify-cocycle": _cmd_verify_cocycle,
     "oracle": _cmd_oracle,
     "normalize": _cmd_normalize,

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field as datafield
 from fractions import Fraction
 
 from .arith import prime_power
-from .errors import BudgetExceeded, CocycleViolation, NotInvertible, SchemaError
+from .errors import (BudgetExceeded, CocycleViolation, NotInvertible,
+                     Ramified, SchemaError)
 from .finitefield import FiniteField, finite_field, special_linear
 from .numberfield import (
     NumberField,
@@ -370,12 +371,31 @@ def _check_model_cocycle(model: FiniteModel, cocycle: Cocycle):
 def twisted_fixed_elements(model: FiniteModel, cocycle: Cocycle) -> tuple:
     """Elements of SL_n(F_{q^m}) fixed by the twisted action of the Frobenius
     generator; for a validated cocycle over a cyclic group this is the whole
-    twisted-fixed group."""
+    twisted-fixed group.  twisted_image(cocycle, 1, g) == g is tested as
+    alpha F(g) = g alpha, or g alpha F(g)^T = alpha under a flip (F the
+    entrywise Frobenius), so no candidate is inverted; a scalar alpha
+    cancels from both sides."""
     _check_model_cocycle(model, cocycle)
     sl = special_linear(model.q ** model.m, model.n)
     if model.m == 1:
         return sl
-    return tuple(g for g in sl if twisted_image(cocycle, 1, g) == g)
+    ctx = cocycle.context
+    ring = ctx.ring
+    alpha, flip = cocycle.assignments[1]
+    scalar = mat_is_scalar(ring, alpha)
+    frob = lambda g: mat_apply(lambda x: ctx.apply(1, x), g)
+    if flip and scalar:
+        ident = mat_identity(ring, model.n)
+        fixed = lambda g: mat_mul(ring, g, mat_transpose(frob(g))) == ident
+    elif flip:
+        fixed = lambda g: mat_mul(
+            ring, mat_mul(ring, g, alpha), mat_transpose(frob(g))) == alpha
+    elif scalar:
+        fixed = lambda g: frob(g) == g
+    else:
+        fixed = lambda g: (mat_mul(ring, alpha, frob(g))
+                           == mat_mul(ring, g, alpha))
+    return tuple(g for g in sl if fixed(g))
 
 
 def twisted_fixed_points(model: FiniteModel, cocycle: Cocycle) -> int:
@@ -516,13 +536,16 @@ class ImageReport:
     inner_fixed_degree: int
     inner_fixed_min_poly: tuple
     places: tuple                 # ((p, (PlaceVerdict, ...)), ...) sorted by p
+    excluded: tuple               # ((p, reason), ...) sorted by p
     predicted_dimension: int
     mt_upper_bound_dimension: int
     bound: int
 
 
 def image_report(sys, result: DetectionResult, primes) -> ImageReport:
-    """Aggregate the detection output and the per-prime form verdicts.
+    """Aggregate the detection output and the per-prime form verdicts; a
+    requested prime that is a bad place of the data, or where the
+    coefficient field ramifies, is excluded with that reason instead.
 
     The dimension prediction is [F:Q] (n^2 - 1) + 1: the derived group
     contributes one copy of SL_n per embedding of the fixed field, and the
@@ -530,9 +553,16 @@ def image_report(sys, result: DetectionResult, primes) -> ImageReport:
     from the same data coincides with it."""
     n = sys.n
     dim = result.fixed.degree * (n * n - 1) + 1
-    places = tuple(
-        (p, tuple(classify_place(sys.field, result.group, p, n)))
-        for p in sorted(primes))
+    places, excluded = [], []
+    for p in sorted(primes):
+        if p in sys.bad_places:
+            excluded.append((p, "bad place of the input data"))
+            continue
+        try:
+            places.append(
+                (p, tuple(classify_place(sys.field, result.group, p, n))))
+        except Ramified:
+            excluded.append((p, "ramified in the coefficient field"))
     return ImageReport(
         verdict_kind=result.verdict.kind,
         group_order=result.group.order,
@@ -541,7 +571,8 @@ def image_report(sys, result: DetectionResult, primes) -> ImageReport:
         fixed_min_poly=result.fixed.min_poly.coeffs,
         inner_fixed_degree=result.fixed_inner.degree,
         inner_fixed_min_poly=result.fixed_inner.min_poly.coeffs,
-        places=places,
+        places=tuple(places),
+        excluded=tuple(excluded),
         predicted_dimension=dim,
         mt_upper_bound_dimension=dim,
         bound=result.bound,
@@ -574,6 +605,7 @@ def report_to_json(report: ImageReport) -> dict:
             } for v in verdicts]
             for p, verdicts in report.places
         },
+        "excluded": {str(p): reason for p, reason in report.excluded},
         "bound": report.bound,
     }
 

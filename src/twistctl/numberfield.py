@@ -37,7 +37,8 @@ from .polynomials import (
     irreducibility_over_q,
     pmod_gcd,
     pmod_pow_mod,
-    pmod_reduce,
+    pmod_squarefree,
+    pmod_sub,
     poly_from_strings,
     poly_to_strings,
     poly_xgcd,
@@ -510,33 +511,26 @@ def frobenius_at(field: NumberField, p: int) -> FrobeniusResult:
     the primes corresponding to irreducible factors of gcd(Phi, e_i - x^p).
     For abelian groups the answer is independent of that choice; otherwise
     the smallest matching index is returned with the ambiguous flag set.
+    Ramified is read off the same reduction: Phi does not reduce mod p, or
+    Phi mod p has a repeated factor (for p-integral Phi, p | disc(Phi)).
     """
-    disc = field.discriminant()
-    if disc == 0 or disc.numerator % p == 0 or disc.denominator % p == 0:
-        raise Ramified(f"prime {p} is ramified (or bad) for this field")
-    phi_p = pmod_reduce(field.min_poly, p)
+    try:
+        phi_p = pmod_squarefree(field.min_poly, p)
+    except (BadReduction, NotSeparableModP) as exc:
+        raise Ramified(f"prime {p} is ramified for this field") from exc
     xp = pmod_pow_mod([0, 1], p, phi_p, p)
     matches = []
     for i, img in enumerate(field.aut_images):
         if any(c.denominator % p == 0 for c in img.coords):
             raise Ramified(f"prime {p} divides an automorphism-image denominator")
         img_p = [c.numerator * pow(c.denominator, -1, p) % p for c in img.coords]
-        width = max(len(img_p), len(xp), 1)
-        diff = [( (img_p[k] if k < len(img_p) else 0)
-                 - (xp[k] if k < len(xp) else 0)) % p for k in range(width)]
-        while diff and diff[-1] == 0:
-            diff.pop()
-        if not diff:
-            matches.append(i)
-            continue
-        g = pmod_gcd(phi_p, diff, p)
-        if len(g) - 1 > 0:
+        diff = pmod_sub(img_p, xp, p)
+        if not diff or len(pmod_gcd(phi_p, diff, p)) > 1:
             matches.append(i)
     if not matches:
         raise Ramified(f"no Frobenius found at {p}; data inconsistent")
-    index = min(matches)
-    ambiguous = not field.is_abelian and len(matches) > 1
-    return FrobeniusResult(index, ambiguous)
+    return FrobeniusResult(min(matches),
+                           not field.is_abelian and len(matches) > 1)
 
 
 @dataclass(frozen=True)

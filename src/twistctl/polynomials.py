@@ -11,6 +11,7 @@ back the distinct-degree factorization used for splitting behaviour of primes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as int_gcd, isqrt
 from typing import Iterable, Sequence
 
@@ -310,6 +311,10 @@ def pmod_reduce(f: QPoly, p: int) -> list[int]:
     return out
 
 
+def pmod_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    return _ptrim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
 def pmod_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     if not a or not b:
         return []
@@ -359,6 +364,16 @@ def pmod_pow_mod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> lis
     return result
 
 
+def pmod_squarefree(f: QPoly, p: int) -> list[int]:
+    """pmod_reduce(f, p), or NotSeparableModP if it has a repeated factor,
+    which for monic p-integral f is exactly when p divides disc(f)."""
+    fp = pmod_reduce(f, p)
+    deriv = _ptrim([i * c % p for i, c in enumerate(fp)][1:])
+    if len(pmod_gcd(fp, deriv, p)) > 1:
+        raise NotSeparableModP(f"polynomial is not separable mod {p}")
+    return fp
+
+
 def ddf_mod_p(f: QPoly, p: int) -> list[tuple[int, int]]:
     """Distinct-degree factorization degrees of f mod p.
 
@@ -366,12 +381,9 @@ def ddf_mod_p(f: QPoly, p: int) -> list[tuple[int, int]]:
     sum(degree * count) == deg f.  Requires f to be p-integral with p-unit
     leading coefficient and separable mod p.
     """
-    fp = pmod_reduce(f, p)
+    fp = pmod_squarefree(f, p)
     if len(fp) - 1 < 1:
         return []
-    deriv = _ptrim([i * c % p for i, c in enumerate(fp)][1:])
-    if len(pmod_gcd(fp, deriv, p)) - 1 != 0:
-        raise NotSeparableModP(f"polynomial is not separable mod {p}")
     # make monic
     inv = pow(fp[-1], -1, p)
     work = [c * inv % p for c in fp]
@@ -386,11 +398,7 @@ def ddf_mod_p(f: QPoly, p: int) -> list[tuple[int, int]]:
             out.append((len(work) - 1, 1))
             break
         xq = pmod_pow_mod(xq, p, work, p)
-        width = max(len(xq), len(x))
-        pad_xq = list(xq) + [0] * (width - len(xq))
-        pad_x = list(x) + [0] * (width - len(x))
-        diff = _ptrim([(a - b) % p for a, b in zip(pad_xq, pad_x)])
-        g = pmod_gcd(work, diff, p)
+        g = pmod_gcd(work, pmod_sub(xq, x, p), p)
         if len(g) - 1 > 0:
             deg_total = len(g) - 1
             out.append((d, deg_total // d))

@@ -5,12 +5,14 @@ facts it reports, the text/JSON parity, the documented exit codes (0 ok,
 1 domain error, 2 usage error), and byte-level determinism of JSON output.
 """
 
+import copy
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from twistctl.cli import run, _parse_primes
+from twistctl.cli import build_parser, run, _parse_primes
 from twistctl.forms import cocycle_to_json, finite_model, unitary_cocycle
 
 DATA = Path(__file__).parent / "data"
@@ -47,6 +49,15 @@ class TestUsageErrors:
                               "--primes", "5,6,7")
         assert code == 2
         assert "6" in err
+
+    def test_seed_belongs_to_the_oracle_alone(self, capsys):
+        code, _, err = invoke(capsys, "twists", "--input", VANTOP,
+                              "--seed", "1")
+        assert code == 2
+        assert "--seed" in err
+        ns = build_parser().parse_args(["oracle", "--n", "2", "--q", "2",
+                                        "--m", "2", "--seed", "3"])
+        assert ns.seed == 3
 
     def test_prime_range_parsing(self):
         assert _parse_primes("3..12") == (3, 5, 7, 11)
@@ -124,6 +135,31 @@ class TestClassifyCommand:
         assert parsed["excluded"] == {
             "2": "ramified in the coefficient field"}
         assert set(parsed["primes"]) == {"5"}
+
+    def test_exclusions_do_not_depend_on_the_presentation(self, capsys,
+                                                         tmp_path):
+        """The same data over x^2 + 1/4 (alpha = i/2, so the coordinate of
+        alpha doubles): 2 is ramified there too, not a reduction error."""
+        doc = json.loads(Path(VANTOP).read_text())
+        doc["bad_places"] = []
+        quarter = copy.deepcopy(doc)
+        quarter["field"]["min_poly"] = ["1/4", "0", "1"]
+        for entry in quarter["coefficients"].values():
+            for key in ("a", "b"):
+                entry[key][1] = str(2 * Fraction(entry[key][1]))
+        verdicts = []
+        for name, data in (("plain", doc), ("quarter", quarter)):
+            target = tmp_path / f"{name}.json"
+            target.write_text(json.dumps(data))
+            code, out, err = invoke(capsys, "classify", "--input",
+                                    str(target), "--primes", "2,5",
+                                    "--format", "json")
+            assert code == 0, err
+            parsed = json.loads(out)
+            assert parsed["excluded"] == {
+                "2": "ramified in the coefficient field"}, name
+            verdicts.append(parsed["primes"]["5"])
+        assert verdicts[0] == verdicts[1]
 
     def test_text_table_lists_exclusions(self, capsys):
         code, out, _ = invoke(capsys, "classify", "--input", KLEIN,

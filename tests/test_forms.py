@@ -8,6 +8,7 @@ dichotomies are quadratic reciprocity applied to the planted fixed fields
 too are fixed in advance of the code under test.
 """
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -291,6 +292,42 @@ class TestFixedPointOracles:
                     for h in fixed}
 
 
+def reference_fixed_elements(model, cocycle):
+    """The generator's condition through twisted_image, which inverts each
+    candidate under a flip."""
+    return tuple(g for g in special_linear(model.q ** model.m, model.n)
+                 if forms.twisted_image(cocycle, 1, g) == g)
+
+
+def moved(cocycle, seed):
+    """A cohomologous cocycle whose generator carries a non-scalar alpha."""
+    ctx = cocycle.context
+    ring = ctx.ring
+    n = len(cocycle.alpha(1))
+    rng = random.Random(seed)
+    while True:
+        g = tuple(tuple(rng.randrange(ctx.model.extension().q)
+                        for _ in range(n)) for _ in range(n))
+        if forms.mat_det(ring, g) == 0:
+            continue
+        fresh = forms.conjugate_cocycle(cocycle, g)
+        if not forms.mat_is_scalar(ring, fresh.alpha(1)):
+            return fresh
+
+
+class TestFixedElementsAgainstTheInverseTest:
+
+    @pytest.mark.parametrize("q,m,n", [(2, 2, 2), (3, 2, 2), (4, 2, 2),
+                                       (2, 2, 3), (2, 4, 2)])
+    def test_product_equations_match_the_twisted_image(self, q, m, n):
+        _, trivial = plain_cocycle(q, m, n)
+        model, unitary = flip_cocycle(q, m, n)
+        for cocycle in (trivial, unitary, moved(trivial, q * n),
+                        moved(unitary, q * n)):
+            assert forms.twisted_fixed_elements(model, cocycle) == \
+                reference_fixed_elements(model, cocycle)
+
+
 # ---------------------------------------------------------------------------
 # projection onto the identity component
 # ---------------------------------------------------------------------------
@@ -426,6 +463,18 @@ class TestImageReport:
         big = forms.image_report(gsys, gres, [5])
         small = forms.image_report(vsys, vres, [5])
         assert small.predicted_dimension < big.predicted_dimension
+
+    def test_every_requested_prime_is_classified_or_excluded(self):
+        sys, result = vantop_result()
+        report = forms.image_report(sys, result, [13, 2, 5])
+        assert [p for p, _ in report.places] == [5, 13]
+        assert report.excluded == ((2, "bad place of the input data"),)
+        clean = dataclasses.replace(sys, bad_places=())
+        report = forms.image_report(clean, result, [13, 2, 5])
+        assert [p for p, _ in report.places] == [5, 13]
+        assert report.excluded == ((2, "ramified in the coefficient field"),)
+        assert forms.report_to_json(report)["excluded"] == {
+            "2": "ramified in the coefficient field"}
 
     def test_report_serializes_deterministically(self):
         sys, result = vantop_result()

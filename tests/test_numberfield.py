@@ -343,6 +343,14 @@ class TestFrobenius:
         with pytest.raises(Ramified):
             frobenius_at(K, 3)   # 3 divides the model discriminant
 
+    def test_a_model_that_does_not_reduce_is_ramified(self):
+        """disc(x^2 + 1/4) = -1, yet the model has no reduction mod 2."""
+        K = field_make([Q(1, 4), 0, 1], [[0, 1], [0, -1]])
+        with pytest.raises(Ramified):
+            frobenius_at(K, 2)
+        assert frobenius_at(K, 5) == (0, False)
+        assert frobenius_at(K, 3) == (1, False)
+
     @pytest.mark.parametrize("make", [gaussian_field, eisenstein_field,
                                       sqrt2_field, biquadratic_field])
     def test_places_match_factorization(self, make):
