@@ -72,6 +72,9 @@ def _commands() -> dict:
         "oracle.sl3_2": (
             ["oracle", "--n", "3", "--q", "2", "--m", "2",
              "--format", "json"], ()),
+        "oracle.su3_2": (
+            ["oracle", "--n", "3", "--q", "2", "--m", "2", "--flip",
+             "--format", "json"], ()),
         "oracle.not-a-prime-power": (
             ["oracle", "--n", "2", "--q", "6", "--m", "1"], ()),
         "verify-cocycle.finite": (
