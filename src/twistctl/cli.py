@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-cocycle", help="validate a cocycle document")
     add_common(p)
 
-    p = sub.add_parser("oracle", help="finite-field fixed-point enumeration "
+    p = sub.add_parser("oracle", help="finite-field fixed-point search "
                                       "against closed-form orders")
     add_common(p, with_input=False)
     p.add_argument("--n", type=_positive_int, required=True)
@@ -260,9 +260,7 @@ def _cmd_verify_cocycle(ns) -> int:
 
 def _render_oracle(doc) -> list:
     lines = [str(doc["fixed_points"])]
-    if doc["closed_form"] is None:
-        lines.append("no closed-form order for this shape")
-    elif doc["matches"]:
+    if doc["matches"]:
         lines.append(f"matches {doc['closed_form']}")
     else:
         lines.append(f"differs from {doc['closed_form']} "
@@ -282,16 +280,14 @@ def _cmd_oracle(ns) -> int:
     else:
         cocycle = trivial_cocycle(finite_model_context(model), ns.n)
     count = twisted_fixed_points(model, cocycle)
-    if ns.flip and ns.m == 2:
+    if ns.flip:
         expected, label = unitary_order(ns.q, ns.n), f"SU_{ns.n}({ns.q})"
-    elif not ns.flip:
-        expected, label = split_order(ns.q, ns.n), f"SL_{ns.n}(F_{ns.q})"
     else:
-        expected, label = None, None
+        expected, label = split_order(ns.q, ns.n), f"SL_{ns.n}(F_{ns.q})"
     doc = {"command": "oracle", "q": ns.q, "m": ns.m, "n": ns.n,
            "flip": ns.flip, "fixed_points": count,
            "closed_form": label, "expected": expected,
-           "matches": None if expected is None else count == expected}
+           "matches": count == expected}
     if ns.check_projection:
         proj = projection_iso_check(model, cocycle, seed=ns.seed)
         doc["projection"] = {
@@ -302,7 +298,7 @@ def _cmd_oracle(ns) -> int:
     else:
         doc["projection"] = None
     _print_doc(doc, ns, _render_oracle, _sys.stdout)
-    return 0 if doc["matches"] in (True, None) else 1
+    return 0 if doc["matches"] else 1
 
 
 def _cmd_normalize(ns) -> int:

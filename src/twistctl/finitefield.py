@@ -1,7 +1,8 @@
 """Small finite fields with table-based arithmetic.
 
-The descent oracles enumerate matrix spaces of size (q^m)^(n^2), so the
-fields involved never hold more than a few dozen elements.  Elements are
+The descent oracles search matrices over these fields row by row, under a
+budget on the (q^m)^(n^2) matrices of the full space, so the fields
+involved never hold more than a few dozen elements.  Elements are
 integer codes 0..q-1 whose base-p digits are the coordinates in F_p[x]/(f)
 for a monic irreducible f found by search; all products and sums are
 precomputed into q x q tables at construction.  Code 0 is zero and code 1 is
@@ -130,7 +131,10 @@ def finite_field(q: int) -> FiniteField:
 
 @lru_cache(maxsize=None)
 def special_linear(q: int, n: int) -> tuple:
-    """All of SL_n(F_q) as tuples of rows of codes, in lexicographic order."""
+    """All of SL_n(F_q) as tuples of rows of codes, in lexicographic order,
+    by full enumeration for n = 2, 3: the reference that the tests compare
+    the descent oracles' row search with, and the benchmark's candidate
+    count."""
     ff = finite_field(q)
     add, mul, neg = ff.add_table, ff.mul_table, ff.neg_table
     codes = range(q)

@@ -6,11 +6,11 @@ alpha and a flip flag; the associated automorphism of SL_n is conjugation by
 alpha, preceded by transpose-inverse when the flag is set.  Validation checks
 the cocycle identity on every ordered pair up to scalars, since conjugation
 kills the center.  Over a finite-field model (E, F) = (F_{q^m}, F_q) the
-fixed points of the twisted Galois action are enumerated by brute force,
-which gives an independent oracle: trivial cocycles descend to the split
-SL_n(F_q) and flip cocycles to special unitary groups, with orders matched
-against closed forms.  Over number fields the same validation runs
-symbolically on exact coordinates.
+fixed points of the twisted Galois action are found by a depth-first search
+over the rows of the matrix, which gives an independent oracle: trivial
+cocycles descend to the split SL_n(F_q) and flip cocycles to special unitary
+groups, with orders matched against closed forms.  Over number fields the
+same validation runs symbolically on exact coordinates.
 
 Classification at a prime p is purely combinatorial: a place of the fixed
 field F of the twist group is split (inner form) when its double coset under
@@ -24,11 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as datafield
 from fractions import Fraction
+from itertools import combinations, product
 
 from .arith import prime_power
 from .errors import (BudgetExceeded, CocycleViolation, NotInvertible,
                      Ramified, SchemaError)
-from .finitefield import FiniteField, finite_field, special_linear
+from .finitefield import FiniteField, finite_field
 from .numberfield import (
     NumberField,
     Subgroup,
@@ -196,7 +197,7 @@ def number_field_context(field: NumberField, subgroup: Subgroup) -> GaloisContex
 class FiniteModel:
     """E = F_{q^m} over F = F_q with cyclic Galois group generated by the
     q-power map; n is the matrix size.  Build via finite_model, which
-    enforces the enumeration budget."""
+    enforces the search budget."""
     q: int
     m: int
     n: int
@@ -207,6 +208,9 @@ class FiniteModel:
 
 
 def finite_model(q: int, m: int, n: int, budget: int = DEFAULT_BUDGET) -> FiniteModel:
+    """The model (F_{q^m}, F_q) for n x n matrices.  The budget bounds the
+    (q^m)^(n^2) matrices of the full space, far more than the fixed-point
+    search visits; shapes past the default need an explicit budget."""
     prime_power(q)
     if m < 1:
         raise ValueError("extension degree m must be at least 1")
@@ -370,32 +374,122 @@ def _check_model_cocycle(model: FiniteModel, cocycle: Cocycle):
 
 def twisted_fixed_elements(model: FiniteModel, cocycle: Cocycle) -> tuple:
     """Elements of SL_n(F_{q^m}) fixed by the twisted action of the Frobenius
-    generator; for a validated cocycle over a cyclic group this is the whole
-    twisted-fixed group.  twisted_image(cocycle, 1, g) == g is tested as
-    alpha F(g) = g alpha, or g alpha F(g)^T = alpha under a flip (F the
-    entrywise Frobenius), so no candidate is inverted; a scalar alpha
-    cancels from both sides."""
+    generator, in lexicographic order; for a validated cocycle over a cyclic
+    group this is the whole twisted-fixed group.
+
+    twisted_image(cocycle, generator, g) == g is the equation
+    g alpha F(g)^T = alpha under a flip, whose entry (i, j) reads rows i and
+    j of g, and alpha F(g) = g alpha without one, whose row i reads row i and
+    the rows k with alpha_ik != 0 (F the entrywise Frobenius).  A depth-first
+    search places the rows of g in order, each one drawn from F_{q^m}^n in
+    lexicographic order.  An equation narrows the candidates of the last row
+    it reads as soon as every other row it reads is placed, or up front when
+    it reads one row only.  At the last row det g is linear in the row and
+    is tested against the cofactor vector of the rows above, so nothing is
+    inverted."""
     _check_model_cocycle(model, cocycle)
-    sl = special_linear(model.q ** model.m, model.n)
-    if model.m == 1:
-        return sl
-    ctx = cocycle.context
-    ring = ctx.ring
-    alpha, flip = cocycle.assignments[1]
-    scalar = mat_is_scalar(ring, alpha)
-    frob = lambda g: mat_apply(lambda x: ctx.apply(1, x), g)
-    if flip and scalar:
-        ident = mat_identity(ring, model.n)
-        fixed = lambda g: mat_mul(ring, g, mat_transpose(frob(g))) == ident
-    elif flip:
-        fixed = lambda g: mat_mul(
-            ring, mat_mul(ring, g, alpha), mat_transpose(frob(g))) == alpha
-    elif scalar:
-        fixed = lambda g: frob(g) == g
+    ff = model.extension()
+    add, mul, neg = ff.add_table, ff.mul_table, ff.neg_table
+    n, gen = model.n, 1 % model.m
+    alpha, flip = cocycle.assignments[gen]
+    frob = [cocycle.context.apply(gen, a) for a in range(ff.q)]
+
+    def dot(u, v):
+        acc = 0
+        for x, y in zip(u, v):
+            acc = add[acc][mul[x][y]]
+        return acc
+
+    def wedge(minors, d, r):
+        """The (d+1) x (d+1) minors of the d rows placed, with r appended
+        below them, from their d x d minors by Laplace expansion along r;
+        both keyed by column tuple."""
+        out = {}
+        for cs in combinations(range(n), d + 1):
+            acc = 0
+            for pos, j in enumerate(cs):
+                term = mul[r[j]][minors[cs[:pos] + cs[pos + 1:]]]
+                acc = add[acc][neg[term] if (d + pos) % 2 else term]
+            out[cs] = acc
+        return out
+
+    # candidates are indices k into rows; times[k] = rows[k] alpha and
+    # conj[k] = F(rows[k])
+    rows = list(product(range(ff.q), repeat=n))
+    cols = list(zip(*alpha))
+    times = [tuple(dot(r, c) for c in cols) for r in rows]
+    conj = [tuple(frob[x] for x in r) for r in rows]
+
+    # each equation: (rows it reads, narrow(g, candidates) -> those kept
+    # for the last row it reads, the other rows being placed in g)
+    if flip:
+        def entries(i, j):
+            """Entries (i, j) and (j, i) of g alpha F(g)^T = alpha, j <= i."""
+            a, b = alpha[i][j], alpha[j][i]
+            if i == j:
+                return {i}, lambda g, ks: [k for k in ks
+                                           if dot(times[k], conj[k]) == a]
+
+            def narrow(g, ks):
+                tj, cj = times[g[j]], conj[g[j]]
+                return [k for k in ks
+                        if dot(times[k], cj) == a and dot(tj, conj[k]) == b]
+            return {i, j}, narrow
+        equations = [entries(i, j) for i in range(n) for j in range(i + 1)]
     else:
-        fixed = lambda g: (mat_mul(ring, alpha, frob(g))
-                           == mat_mul(ring, g, alpha))
-    return tuple(g for g in sl if fixed(g))
+        def row(i):
+            """Row i of alpha F(g) = g alpha."""
+            terms = [(a, k) for k, a in enumerate(alpha[i]) if a]
+            reads = {i} | {k for _, k in terms}
+            last = max(reads)
+
+            def narrow(g, ks):
+                kept = []
+                for g[last] in ks:
+                    acc = (0,) * n
+                    for a, k in terms:
+                        acc = tuple(add[x][mul[a][y]]
+                                    for x, y in zip(acc, conj[g[k]]))
+                    if acc == times[g[i]]:
+                        kept.append(g[last])
+                return kept
+            return reads, narrow
+        equations = [row(i) for i in range(n)]
+
+    up_front = [[] for _ in range(n)]
+    ahead = [[[] for _ in range(n)] for _ in range(n)]
+    for reads, narrow in equations:
+        last, *before = sorted(reads, reverse=True)
+        (ahead[before[0]][last] if before else up_front[last]).append(narrow)
+
+    g = [0] * n
+    fixed = []
+
+    def narrowed(narrows, ks):
+        for narrow in narrows:
+            ks = narrow(g, ks)
+        return ks
+
+    def place(d, candidates, minors):
+        """candidates[i - d]: the rows still possible at position i >= d;
+        minors: the d x d minors of the rows placed above."""
+        if d == n - 1:
+            # det g = sum_j cof_j g_dj, cof_j the signed minor without column j
+            cof = [minors[cs] for cs in combinations(range(n), d)][::-1]
+            cof = [neg[c] if (d + j) % 2 else c for j, c in enumerate(cof)]
+            above = tuple(rows[k] for k in g[:d])
+            fixed.extend(above + (rows[k],) for k in candidates[0]
+                         if dot(cof, rows[k]) == 1)
+            return
+        for g[d] in candidates[0]:
+            rest = [narrowed(ahead[d][i], ks)
+                    for i, ks in enumerate(candidates[1:], d + 1)]
+            if all(rest):
+                place(d + 1, rest, wedge(minors, d, rows[g[d]]))
+
+    place(0, [narrowed(up_front[i], range(len(rows))) for i in range(n)],
+          {(): 1})
+    return tuple(fixed)
 
 
 def twisted_fixed_points(model: FiniteModel, cocycle: Cocycle) -> int:

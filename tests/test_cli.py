@@ -248,6 +248,26 @@ class TestOracleCommand:
         assert doc["projection"]["passed"] is True
         assert doc["projection"]["source_order"] == doc["fixed_points"] == 6
 
+    def test_flip_over_a_quartic_tower_meets_the_unitary_order(self, capsys):
+        # a fixed g satisfies g = F^2(g), so every even m gives SU_n(q)
+        code, out, _ = invoke(capsys, "oracle", "--n", "2", "--q", "2",
+                              "--m", "4", "--flip", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["fixed_points"] == 6
+        assert doc["closed_form"] == "SU_2(2)"
+        assert doc["matches"] is True
+
+    def test_four_by_four_shape_runs_under_an_explicit_budget(self, capsys):
+        code, out, _ = invoke(capsys, "oracle", "--n", "4", "--q", "2",
+                              "--m", "2", "--budget", "4294967296",
+                              "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["fixed_points"] == 20160
+        assert doc["closed_form"] == "SL_4(F_2)"
+        assert doc["matches"] is True
+
     def test_budget_overrun_is_a_domain_error(self, capsys):
         code, _, err = invoke(capsys, "oracle", "--n", "2", "--q", "7",
                               "--m", "2", "--budget", "1000")

@@ -1,8 +1,9 @@
 """Cocycle validation, finite-field descent oracles, and form classification.
 
 Every expected order below comes from a closed formula evaluated separately
-from the enumeration code: |SL_n(F_q)| = q^{n(n-1)/2} prod_{k=2..n}(q^k - 1)
-and the unitary orders q(q^2-1) and q^3(q^2-1)(q^3+1).  The classification
+from the fixed-point search: |SL_n(F_q)| = q^{n(n-1)/2} prod_{k=2..n}(q^k - 1)
+and |SU_n(q)| = q^{n(n-1)/2} prod_{k=2..n}(q^k - (-1)^k), which gives
+q(q^2-1), q^3(q^2-1)(q^3+1) and q^6(q^2-1)(q^3+1)(q^4-1).  The classification
 dichotomies are quadratic reciprocity applied to the planted fixed fields
 (p mod 4 over the Gaussian field, p mod 8 over the biquadratic one), so they
 too are fixed in advance of the code under test.
@@ -271,6 +272,36 @@ class TestFixedPointOracles:
         with pytest.raises(ValueError, match="divide"):
             forms.base_change(model, cocycle, 3)
 
+    @pytest.mark.parametrize("q,m,n,flip,want", [
+        (3, 2, 3, True, 6048), (2, 1, 4, False, 20160),
+        (2, 2, 4, False, 20160), (2, 2, 4, True, 25920),
+        (4, 2, 3, True, 62400)])
+    def test_larger_shapes_meet_their_closed_forms(self, q, m, n, flip,
+                                                   want):
+        # n = 4 and the larger fields, each under a budget of exactly its
+        # (q^m)^(n^2) candidates
+        model = forms.finite_model(q, m, n, budget=(q ** m) ** (n * n))
+        if flip:
+            cocycle = forms.unitary_cocycle(model)
+            assert want == unitary_order(q, n)
+        else:
+            cocycle = forms.trivial_cocycle(
+                forms.finite_model_context(model), n)
+            assert want == split_order(q, n)
+        assert forms.twisted_fixed_points(model, cocycle) == want
+
+    def test_base_change_walks_the_cubic_quartic_tower(self):
+        # the 3 x 3 analogue of the quartic tower above: SU_3(F_4 / F_2)
+        # inside SL_3(F_4), both with entries in F_4 inside F_16
+        model = forms.finite_model(2, 4, 3, budget=16 ** 9)
+        cocycle = forms.unitary_cocycle(model)
+        full = forms.twisted_fixed_elements(model, cocycle)
+        assert len(full) == 216 == unitary_order(2, 3)
+        sub_model, sub_cocycle = forms.base_change(model, cocycle, 2)
+        sub = forms.twisted_fixed_elements(sub_model, sub_cocycle)
+        assert len(sub) == 60480 == split_order(4, 3)
+        assert set(full) <= set(sub)
+
     def test_conjugated_cocycles_give_conjugate_fixed_groups(self):
         rng = random.Random(7)
         for q in (2, 3):
@@ -326,6 +357,37 @@ class TestFixedElementsAgainstTheInverseTest:
                         moved(unitary, q * n)):
             assert forms.twisted_fixed_elements(model, cocycle) == \
                 reference_fixed_elements(model, cocycle)
+
+    @pytest.mark.parametrize("q,m,n", [(2, 2, 2), (3, 2, 2), (4, 2, 2),
+                                       (2, 2, 3), (2, 4, 2)])
+    def test_more_conjugates_match_the_twisted_image(self, q, m, n):
+        _, trivial = plain_cocycle(q, m, n)
+        model, unitary = flip_cocycle(q, m, n)
+        for seed in (q * n + 100, q * n + 200):
+            for cocycle in (moved(trivial, seed), moved(unitary, seed)):
+                assert forms.twisted_fixed_elements(model, cocycle) == \
+                    reference_fixed_elements(model, cocycle)
+
+    def test_base_changed_tower_matches_the_twisted_image(self):
+        model, cocycle = forms.base_change(*flip_cocycle(2, 4, 2), 2)
+        assert (model.q, model.m, model.n) == (4, 2, 2)
+        for case in (cocycle, moved(cocycle, 4), moved(cocycle, 104),
+                     moved(cocycle, 204)):
+            assert forms.twisted_fixed_elements(model, case) == \
+                reference_fixed_elements(model, case)
+
+    @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3),
+                                     (3, 3)])
+    def test_the_base_field_fixes_all_of_sl_n(self, q, n):
+        # over m = 1 the generator is the identity and its alpha a scalar,
+        # so the whole enumeration is the reference, order included
+        model, trivial = plain_cocycle(q, 1, n)
+        scalar = tuple(tuple(q - 1 if i == j else 0 for j in range(n))
+                       for i in range(n))
+        scaled = forms.cocycle_make(trivial.context, {0: (scalar, False)})
+        for cocycle in (trivial, scaled):
+            assert forms.twisted_fixed_elements(model, cocycle) == \
+                special_linear(q, n)
 
 
 # ---------------------------------------------------------------------------
