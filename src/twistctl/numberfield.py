@@ -6,13 +6,16 @@ automorphism group is supplied as the d images of alpha and then validated
 (annihilation, distinctness, closure).  On top of that sit the Galois-theory
 workhorses: stabilizers, fixed subfields with primitive elements, Frobenius
 elements at unramified primes, place decompositions via double cosets, and
-the roots of unity mu(E) as powers of one generator, built once per field.
+the roots of unity mu(E) as powers of one generator, built once per field by
+a p-adic search at a prime where the minimal polynomial splits (Hensel
+lifting, Cohen GTM 138 section 3.5) and verified by exact exponentiation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
@@ -31,12 +34,15 @@ from .errors import (
 from .polynomials import (
     QPoly,
     _monic_integer_model,
+    _peval,
     cyclotomic,
     ddf_mod_p,
     discriminant,
     irreducibility_over_q,
     pmod_gcd,
+    pmod_hensel_root,
     pmod_pow_mod,
+    pmod_roots,
     pmod_squarefree,
     pmod_sub,
     poly_from_strings,
@@ -199,6 +205,7 @@ class NumberField:
             raise NotClosed(f"expected {d} automorphism images, got {len(aut_images)}")
         self.aut_images = tuple(self.element(c) for c in aut_images)
         self._unit_roots = None
+        self._aut_mult = None     # left by roots_of_unity for unit_roots
 
         if _validate:
             self._validate_automorphisms()
@@ -578,7 +585,7 @@ def place_decomposition(field: NumberField, subgroup: Subgroup, p: int) -> list[
 
 
 # --------------------------------------------------------------------------
-# roots of unity (sympy-backed search, exact in-house verification) and
+# roots of unity (p-adic search at a split prime, exact verification) and
 # mu(E) as the powers of one generator
 # --------------------------------------------------------------------------
 
@@ -602,19 +609,124 @@ def _split_primes(field: NumberField, how_many: int = 3) -> list[int]:
 
 
 def roots_of_unity(field: NumberField) -> list[FieldElement]:
-    """All roots of unity in the field, sorted by coordinates and verified
-    by exact exponentiation.  Not cached: unit_roots keeps the result."""
+    """All roots of unity in the field, sorted by coordinates: the powers of
+    a root of the largest order the field holds, verified by exact
+    exponentiation.  Not cached: unit_roots keeps the result, and reads the
+    exponents sigma_i(zeta) = zeta^c_i that the search leaves on the field.
+
+    An order k >= 3 needs phi(k) | d, and p = 1 (mod k) at every prime p
+    where the field splits completely, since such a p splits in Q(zeta_k);
+    the orders left are searched from the largest down.  The first order
+    found is |mu(E)|, since every order the field holds divides it."""
     d = field.degree
     one = field.one()
-    mu = {one.coords, (-one).coords}
+    zeta, mult = -one, (1,) * d
     if d > 1:
         split = _split_primes(field)
-        orders = [k for k in range(3, 2 * (d + 1) ** 2 + 1)
+        orders = [k for k in range(2 * (d + 1) ** 2, 2, -1)
                   if d % euler_phi(k) == 0 and all(p % k == 1 for p in split)]
-        for k, root in _cyclotomic_roots_sympy(field, orders):
-            if root ** k == one:
-                mu.add(root.coords)
-    return [field.element(c) for c in sorted(mu)]
+        if orders:
+            if not split:
+                raise RootSearchFailed(
+                    "no prime up to 10007 splits the minimal polynomial into "
+                    "distinct linear factors, so roots of unity of orders "
+                    f"{orders[::-1]} cannot be searched for")
+            found = _root_of_largest_order(field, split[0], orders)
+            if found is not None:
+                zeta, mult = found
+    powers = [one]
+    while (x := powers[-1] * zeta) != one:
+        powers.append(x)
+    field._aut_mult = mult
+    return [field.element(c) for c in sorted(z.coords for z in powers)]
+
+
+def _root_of_largest_order(field: NumberField, p: int, orders):
+    """(zeta, c) with zeta a root of unity of the first order k in orders
+    that the field holds and sigma_i(zeta) = zeta^c[i]; None if none.
+
+    At the split prime p the embeddings iota_j: E -> Q_p send y = lam*alpha
+    to the roots Y_j of the monic integral model F, and iota_0 o sigma_i =
+    iota_perm[i].  Fix a primitive k-th root of unity Omega in Z_p: a zeta
+    of order k with iota_0(zeta) = Omega (the other choices of Omega give
+    its primitive powers) has the images iota_perm[i](zeta) = Omega^c[i] for
+    a homomorphism c of G onto (Z/k)^x.  The traces t_m = Tr(zeta y^m) =
+    sum_j iota_j(zeta) Y_j^m are integers with |t_m| <= d M^m, M = 1 +
+    max |F_i| the Cauchy bound on the roots of F, so their residues mod
+    p^N > 2 d M^(d-1) give them exactly, and a c whose residues break those
+    bounds has no zeta.  zeta is rebuilt from its traces with the dual
+    basis beta_m / F'(y) of the powers of y, where F(X) / (X - y) =
+    sum_m beta_m X^m, and kept only if zeta^k = 1 exactly."""
+    d = field.degree
+    model = _monic_integer_model(field.min_poly)
+    lam = lcm(*(c.denominator for c in field.min_poly.coeffs))
+    cauchy = 1 + max(abs(c) for c in model[:-1])
+    limits = [d * cauchy ** m for m in range(d)]
+    n = 1
+    while p ** n <= 2 * limits[-1]:
+        n += 1
+    big = p ** n
+
+    roots = pmod_roots(field.min_poly, p)
+    position = {r: j for j, r in enumerate(roots)}
+    perm = [position[_peval([c.numerator * pow(c.denominator, -1, p) % p
+                             for c in img.coords], roots[0], p)]
+            for img in field.aut_images]
+    lifted = [pmod_hensel_root(model, lam * r % p, p, n) for r in roots]
+    y_powers = [[pow(y, m, big) for y in lifted] for m in range(d)]
+
+    y = field.gen() * lam
+    beta = [field.one()]
+    for f in reversed(model[1:-1]):
+        beta.insert(0, beta[0] * y + f)
+    fprime = QPoly(model).derivative().evaluate(y)
+
+    for k in orders:
+        phi_k = [int(c) for c in cyclotomic(k).coeffs]
+        omega = next(w for w in (pow(g, (p - 1) // k, p) for g in range(2, p))
+                     if _peval(phi_k, w, p) == 0)
+        omega = pmod_hensel_root(phi_k, omega, p, n)
+        for c in _surjections_onto_units(field, k):
+            images = [0] * d
+            for i, j in enumerate(perm):
+                images[j] = pow(omega, c[i], big)
+            traces = [(sum(z * w for z, w in zip(images, row)) + big // 2) % big
+                      - big // 2 for row in y_powers]
+            if all(abs(t) <= limit for t, limit in zip(traces, limits)):
+                zeta = sum((t * b for t, b in zip(traces, beta)),
+                           field.zero()) / fprime
+                if zeta ** k == field.one():
+                    return zeta, c
+    return None
+
+
+def _surjections_onto_units(field: NumberField, k: int):
+    """Every homomorphism c of the automorphism group onto (Z/k)^x, as the
+    tuple (c(sigma_0), .., c(sigma_(d-1))): each choice of values on a
+    generating set, extended along the composition table, that no product
+    contradicts and that reaches every unit."""
+    gens, span = [], {0}
+    for i in range(field.degree):
+        if i not in span:
+            gens.append(i)
+            span = set(generated_subgroup(field, gens))
+    units = [u for u in range(1, k) if gcd(u, k) == 1]
+    choices = [[u for u in units if pow(u, field.aut_order(s), k) == 1]
+               for s in gens]
+    for values in product(*choices):
+        c, frontier, consistent = {0: 1}, [0], True
+        while frontier and consistent:
+            g = frontier.pop()
+            for s, u in zip(gens, values):
+                h, v = field.compose(g, s), c[g] * u % k
+                if h not in c:
+                    c[h] = v
+                    frontier.append(h)
+                consistent = consistent and c[h] == v
+        # c(g o s) = c(g) c(s) for every g and generator s makes c a
+        # homomorphism
+        if consistent and len(set(c.values())) == len(units):
+            yield tuple(c[i] for i in range(field.degree))
 
 
 class UnitRoots(NamedTuple):
@@ -638,7 +750,8 @@ class UnitRoots(NamedTuple):
 
 
 def unit_roots(field: NumberField) -> UnitRoots:
-    """The field's UnitRoots, built on first use and kept on the field."""
+    """The field's UnitRoots, built on first use and kept on the field.
+    aut_mult is the search's c, the same for every generator of mu(E)."""
     if field._unit_roots is None:
         mu = roots_of_unity(field)
         one = field.one()
@@ -651,45 +764,9 @@ def unit_roots(field: NumberField) -> UnitRoots:
         else:
             raise RootSearchFailed("the roots of unity found are not cyclic")
         log = {z.coords: k for k, z in enumerate(powers)}
-        mult = tuple(log[field.apply_aut(i, zeta).coords]
-                     for i in range(field.degree))
-        field._unit_roots = UnitRoots(len(mu), tuple(powers), log, mult)
+        field._unit_roots = UnitRoots(len(mu), tuple(powers), log,
+                                      field._aut_mult)
     return field._unit_roots
-
-
-def _cyclotomic_roots_sympy(field: NumberField, orders):
-    """(k, root) for the roots in the field of the k-th cyclotomic
-    polynomials, found by sympy in the monic integral model lam^d Phi(y/lam),
-    lam the lcm of the denominators of Phi, and mapped back by y = lam alpha.
-    The caller verifies each root; sympy is imported only for some order."""
-    if not orders:
-        return
-    import sympy
-    from sympy import QQ as SQQ
-
-    model = _monic_integer_model(field.min_poly)
-    lam = lcm(*(c.denominator for c in field.min_poly.coeffs))
-    x = sympy.symbols("x")
-    expr = sum(c * x ** i for i, c in enumerate(model))
-    K = SQQ.algebraic_field(sympy.CRootOf(sympy.Poly(expr, x), 0))
-    if K.mod.to_list() != list(reversed(model)):
-        raise RootSearchFailed(f"sympy chose the modulus {K.mod.to_list()} "
-                               f"for the integral model {model[::-1]}")
-    for k in orders:
-        try:
-            phi = sum(int(c) * x ** i for i, c in enumerate(cyclotomic(k).coeffs))
-            _, factors = sympy.Poly(phi, x, domain=K).factor_list()
-        except Exception as exc:
-            raise RootSearchFailed(f"sympy failed to factor the {k}-th "
-                                   f"cyclotomic polynomial: {exc}") from exc
-        for fac, _ in factors:
-            if fac.degree() == 1:
-                lead, const = fac.rep.to_list()
-                coeffs = (-const / lead).to_list()[::-1]  # ascending in y
-                coords = [Q(int(c.numerator), int(c.denominator)) * lam ** i
-                          for i, c in enumerate(coeffs)]
-                yield k, field.element(
-                    coords + [Q(0)] * (field.degree - len(coords)))
 
 
 # --------------------------------------------------------------------------

@@ -420,6 +420,19 @@ def _peval(f: Sequence[int], x: int, p: int) -> int:
     return acc
 
 
+def pmod_hensel_root(f: Sequence[int], r: int, p: int, n: int) -> int:
+    """The root of the integer polynomial f modulo p^n above r, a root of f
+    mod p where f' does not vanish, by Newton steps that double the
+    precision (Cohen, GTM 138, section 3.5)."""
+    deriv = [i * c for i, c in enumerate(f)][1:]
+    e = 1
+    while e < n:
+        e = min(2 * e, n)
+        q = p ** e
+        r = (r - _peval(f, r, q) * pow(_peval(deriv, r, q), -1, q)) % q
+    return r
+
+
 # --------------------------------------------------------------------------
 # irreducibility over Q (rational roots + mod-p degree patterns)
 # --------------------------------------------------------------------------

@@ -7,6 +7,9 @@ facts it reports, the text/JSON parity, the documented exit codes (0 ok,
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -342,3 +345,52 @@ class TestLmfdbCommands:
                               "99.2.a.a", "--cache-dir", str(tmp_path))
         assert code == 1
         assert "error[NetworkError]" in err
+
+
+NO_SYMPY_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+from twistctl import synth
+from twistctl.cli import run
+from twistctl.eigensystem import serialize
+
+data, cache, work = Path(sys.argv[1]), sys.argv[2], Path(sys.argv[3])
+inputs = [p for p in sorted(data.glob("*.json")) if p.name != "golden_cli.json"]
+commands = []
+for path in inputs:
+    src = str(path)
+    commands += [
+        ["twists", "--input", src, "--bound", "200", "--format", "json"],
+        ["classify", "--input", src, "--primes", "2..100", "--format", "json"],
+        ["report", "--input", src, "--bound", "200", "--primes", "3..50",
+         "--format", "json"]]
+for name, bound, system in (("cubic_klein", 100, synth.cubic_klein_system),
+                            ("cm", 200, synth.cm_system)):
+    path = work / f"{name}.json"
+    path.write_text(json.dumps(serialize(system(bound, 1))))
+    commands.append(["twists", "--input", str(path), "--bound", str(bound),
+                     "--format", "json"])
+for label, auts in (("11.2.a.a", None), ("16.3.c.a", None),
+                    ("47.1.b.a", "[[0,1],[1,-1]]")):
+    argv = ["lmfdb", "compare", "--label", label, "--cache-dir", cache,
+            "--format", "json"]
+    commands.append(argv + ["--aut-images", auts] if auts else argv)
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0, argv
+assert len(inputs) >= 5, inputs
+assert "sympy" not in sys.modules, "sympy was imported"
+"""
+
+
+class TestNoSympy:
+    def test_readme_commands_never_import_sympy(self, tmp_path):
+        # a fresh interpreter, since other tests import sympy; the
+        # cubic-Klein and CM data need mu(E) of order 6
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", NO_SYMPY_SCRIPT, str(DATA), CACHE,
+             str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

@@ -24,6 +24,7 @@ from twistctl.errors import (
     Ramified,
     RootSearchFailed,
 )
+from twistctl import numberfield
 from twistctl.polynomials import QPoly, ddf_mod_p
 from twistctl.numberfield import (
     FieldElement,
@@ -429,7 +430,7 @@ class TestRootsOfUnity:
 
     def test_sympy_stays_unloaded_when_no_order_can_occur(self):
         # Q(sqrt 5) splits at primes +-1 mod 5 only, so no k >= 3 divides
-        # p - 1 at every split prime and the search has nothing to factor
+        # p - 1 at every split prime and there is nothing to search for
         script = ("import sys\n"
                   "from twistctl.numberfield import field_make, unit_roots\n"
                   "K = field_make([-1, -1, 1], [[0, 1], [1, -1]])\n"
@@ -441,17 +442,25 @@ class TestRootsOfUnity:
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
-    def test_sympy_failure_surfaces(self, monkeypatch):
-        factor_list = sympy.Poly.factor_list
-
-        def fail_over_number_fields(poly, *args, **kwargs):
-            if poly.domain.is_AlgebraicField:
-                raise RuntimeError("factorization failed")
-            return factor_list(poly, *args, **kwargs)
-
-        monkeypatch.setattr(sympy.Poly, "factor_list", fail_over_number_fields)
-        with pytest.raises(RootSearchFailed, match="factorization failed"):
+    def test_a_search_without_a_split_prime_raises(self, monkeypatch):
+        # with no split prime nothing bounds the orders or carries the
+        # p-adic search, so Q(i) must not quietly come out as +-1
+        monkeypatch.setattr(numberfield, "_split_primes", lambda field: [])
+        with pytest.raises(RootSearchFailed, match="split"):
             roots_of_unity(gaussian_field())
+
+    def test_a_candidate_inside_the_trace_bounds_is_still_verified(self):
+        # Q(sqrt 2) at p = 17 > 2 * 2 * 3 needs no lifting, and the one
+        # homomorphism onto (Z/4)^x gives the traces (0, 3), inside the
+        # bounds (2, 6); they rebuild 3 sqrt2 / 4, which zeta^4 = 1 rejects
+        assert numberfield._root_of_largest_order(sqrt2_field(), 17, [4]) is None
+
+    def test_odd_degree_needs_no_split_prime(self, monkeypatch):
+        # phi(k) is even for k >= 3, so an odd degree leaves no order to
+        # search and the answer +-1 stands without one
+        monkeypatch.setattr(numberfield, "_split_primes", lambda field: [])
+        K = field_make([-1, -2, 1, 1], [[0, 1, 0], [-2, 0, 1], [1, -1, -1]])
+        assert [mu.coords for mu in roots_of_unity(K)] == [(-1, 0, 0), (1, 0, 0)]
 
     @pytest.mark.parametrize("make", [gaussian_field, eisenstein_field,
                                       sqrt2_field, biquadratic_field,

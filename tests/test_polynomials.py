@@ -19,6 +19,7 @@ from twistctl.polynomials import (
     ddf_mod_p,
     discriminant,
     irreducibility_over_q,
+    pmod_hensel_root,
     pmod_roots,
     poly_from_strings,
     poly_to_strings,
@@ -104,6 +105,20 @@ def test_ddf_frozen_examples():
     # x^2-2 at 7: 3^2 = 2 mod 7
     assert (3 * 3) % 7 == 2
     assert ddf_mod_p(QPoly([-2, 0, 1]), 7) == [(1, 2)]
+
+
+@pytest.mark.parametrize("f, p", [([1, 0, 1], 5), ([-2, 0, 1], 7),
+                                  ([1, 1, 1, 1, 1], 11),
+                                  ([-1] + [0] * 11 + [1], 13),
+                                  ([7, -2, -1, 2, 1], 73)])
+def test_hensel_lifts_each_simple_root(f, p):
+    roots = pmod_roots(QPoly(f), p)
+    assert roots
+    for r in roots:
+        for n in (1, 2, 3, 5, 8, 21):
+            lifted = pmod_hensel_root(f, r, p, n)
+            assert 0 <= lifted < p ** n and lifted % p == r
+            assert sum(c * lifted ** i for i, c in enumerate(f)) % p ** n == 0
 
 
 def test_ddf_errors():
