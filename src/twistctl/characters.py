@@ -4,11 +4,11 @@ Every value is held as its exponent k mod w of the generator zeta of mu(E)
 that numberfield.unit_roots fixes once per field: products add exponents,
 inverses negate them, an automorphism sigma multiplies them by c_sigma, and
 zeta^k has order w/gcd(w, k).  Field elements appear only at the edges: the
-builders take them, char_eval and the JSON give zeta^k.  The value 1 is the
-exponent 0 and never builds mu(E).  Dirichlet characters mod N (base field
-Q) are given by their exponents on canonical generators of (Z/N)^x and
-expanded to a residue table; value-table characters are bare place ->
-exponent maps for other base fields.  On top: Galois transforms, products,
+builders take them, char_eval and the JSON give zeta^k; char_exponent gives
+k itself.  The value 1 is the exponent 0 and never builds mu(E).  Dirichlet
+characters mod N (base field Q) are given by their exponents on canonical
+generators of (Z/N)^x and expanded to a residue table; value-table
+characters are bare place -> exponent maps for other base fields.  On top: Galois transforms, products,
 conductors, and a fitting search that recovers the smallest-conductor
 Dirichlet character matching observed twist ratios.
 """
@@ -225,7 +225,8 @@ def table_character(field: NumberField, values: dict) -> Character:
 # operations
 # ---------------------------------------------------------------------------
 
-def _exponent_at(chi: Character, v) -> int:
+def char_exponent(chi: Character, v) -> int:
+    """The exponent k with chi(v) = zeta^k."""
     if chi.kind == "dirichlet":
         if gcd(int(v), chi.modulus) != 1:
             raise NotCoprime(f"{v} shares a factor with the modulus {chi.modulus}")
@@ -236,7 +237,7 @@ def _exponent_at(chi: Character, v) -> int:
 
 
 def char_eval(chi: Character, v) -> FieldElement:
-    return _value(chi.field, _exponent_at(chi, v))
+    return _value(chi.field, char_exponent(chi, v))
 
 
 def char_transform(field: NumberField, aut_index: int, chi: Character) -> Character:
@@ -257,7 +258,7 @@ def char_mul(a: Character, b: Character) -> Character:
     if a.kind == "dirichlet":
         L = lcm(a.modulus, b.modulus)
         return Character.dirichlet(
-            a.field, L, [_exponent_at(a, g) + _exponent_at(b, g)
+            a.field, L, [char_exponent(a, g) + char_exponent(b, g)
                          for g, _ in unit_group_structure(L)])
     if set(a.exps) != set(b.exps):
         raise IncompatibleSupports("value tables cover different place sets")

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from .arith import factorize, prime_power
-from .polynomials import pmod_gcd, pmod_pow_mod
+from .polynomials import pmod_gcd, pmod_pow_mod, pmod_sub
 
 
 def _is_irreducible(f: list[int], p: int, k: int) -> bool:
@@ -24,11 +24,7 @@ def _is_irreducible(f: list[int], p: int, k: int) -> bool:
         return False
     for r, _ in factorize(k):
         t = pmod_pow_mod(x, p ** (k // r), f, p)
-        diff = [(a - b) % p for a, b in
-                zip(t + [0] * 2, x + [0] * len(t))][:max(len(t), 2)]
-        while diff and diff[-1] == 0:
-            diff.pop()
-        if len(pmod_gcd(f, diff, p)) - 1 > 0:
+        if len(pmod_gcd(f, pmod_sub(t, x, p), p)) - 1 > 0:
             return False
     return True
 

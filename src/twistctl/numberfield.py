@@ -174,8 +174,7 @@ class FieldElement:
 class NumberField:
     """Q[x]/(min_poly) with an explicit, validated automorphism table."""
 
-    def __init__(self, min_poly: QPoly, aut_images: Sequence[Sequence[Fraction]],
-                 _validate: bool = True):
+    def __init__(self, min_poly: QPoly, aut_images: Sequence[Sequence[Fraction]]):
         if not min_poly.is_monic():
             raise NotIrreducible("minimal polynomial must be monic")
         d = min_poly.degree
@@ -207,8 +206,7 @@ class NumberField:
         self._unit_roots = None
         self._aut_mult = None     # left by roots_of_unity for unit_roots
 
-        if _validate:
-            self._validate_automorphisms()
+        self._validate_automorphisms()
         self.composition_table = self._build_composition_table()
         self.inverse_table = self._build_inverse_table()
         self.is_abelian = all(
@@ -589,13 +587,12 @@ def place_decomposition(field: NumberField, subgroup: Subgroup, p: int) -> list[
 # mu(E) as the powers of one generator
 # --------------------------------------------------------------------------
 
-def _split_primes(field: NumberField, how_many: int = 3) -> list[int]:
-    """The first how_many odd primes, up to 10007 (the first prime past
-    10^4), at which the minimal polynomial splits into distinct linear
-    factors."""
+def _split_primes(field: NumberField) -> list[int]:
+    """The first three odd primes, up to 10007 (the first prime past 10^4),
+    at which the minimal polynomial splits into distinct linear factors."""
     found = []
     for p in range(3, 10008, 2):
-        if len(found) == how_many:
+        if len(found) == 3:
             break
         if not is_prime(p):
             continue

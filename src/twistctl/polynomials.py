@@ -509,12 +509,12 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
-def irreducibility_over_q(f: QPoly, max_primes: int = 12) -> str:
+def irreducibility_over_q(f: QPoly) -> str:
     """Returns "irreducible", "reducible", or "unknown".
 
     Strategy: rational-root test (decisive through degree 3), an exact
     quadratic-split test for quartics, then degree patterns of factorizations
-    mod several good primes.  The possible degrees of a rational factor must
+    mod up to 12 good primes.  The possible degrees of a rational factor must
     be subset sums of every mod-p pattern; an empty intersection certifies
     irreducibility.  A surviving pattern after the prime budget yields
     "unknown" rather than an expensive certificate.
@@ -533,7 +533,7 @@ def irreducibility_over_q(f: QPoly, max_primes: int = 12) -> str:
     possible = set(range(1, d))  # proper factor degrees still in play
     tried = 0
     for p in _SMALL_PRIMES:
-        if tried >= max_primes:
+        if tried >= 12:
             break
         try:
             degs = ddf_mod_p(f, p)

@@ -4,7 +4,10 @@ An inner twist is a pair (sigma, chi) with sigma(a_v) = chi(v) a_v (and, for
 n = 3, sigma(b_v) = chi(v)^{-1} b_v) at every good place; an outer twist
 (tau, eta) relates the data to its dual: tau(a_v) = eta(v) b_v and
 tau(b_v) = eta(v)^{-1} a_v.  Detection is certified only up to a norm bound
-and each twist records the bound it was verified at.
+and each twist records the bound it was verified at.  Each scan reads every
+relation once, as the exponent k with sigma(s) = zeta^k t for the generator
+zeta of mu(E), by lookup among the products zeta^k t; no field element is
+inverted.  The general-type verdict owns the outer row tau = 0.
 
 Composition: applying (tau, eta) first and (sigma, chi) second yields
 (sigma tau, chi^s * sigma(eta)) where s = -1 when the second factor of the
@@ -22,18 +25,16 @@ from math import prod
 
 from .characters import (
     Character,
-    char_eval,
+    char_exponent,
     char_fit,
     char_mul,
     char_to_json,
     char_transform,
     fit_all,
-    table_character,
     trivial_character,
 )
 from .eigensystem import EigenSystem
 from .errors import (
-    Ambiguous,
     DuplicateAutomorphism,
     InsufficientData,
     MissingValue,
@@ -98,9 +99,7 @@ def default_n_max(sys: EigenSystem) -> int:
     return 16 * prod(norms) if norms else 16
 
 
-def _order_bound(sys: EigenSystem, override: int | None) -> int:
-    if override is not None:
-        return override
+def _max_order(sys: EigenSystem) -> int:
     if sys.is_normalized:
         return sys.n
     if sys.omega is not None and not sys.omega.is_trivial():
@@ -146,35 +145,33 @@ def inverse_twist(field: NumberField, t: ExtraTwist) -> tuple[str, int, Characte
 # ---------------------------------------------------------------------------
 
 def find_inner(sys: EigenSystem, bound: int, n_max: int | None = None,
-               min_places: int = DEFAULT_MIN_PLACES,
-               order_bound: int | None = None) -> list[ExtraTwist]:
+               min_places: int = DEFAULT_MIN_PLACES) -> list[ExtraTwist]:
     """Inner twists (sigma, chi) verified at all good places of norm <= bound.
 
-    chi is fitted from the ratios sigma(a_v)/a_v at places with a_v != 0 and
-    then re-checked against both coefficient relations everywhere.  Places
-    where every relation degenerates to 0 = 0 are recorded on the twist."""
+    chi is fitted from the exponents k with sigma(a_v) = zeta^k a_v at
+    places with a_v != 0 and then re-checked against both coefficient
+    relations everywhere.  Places where every relation degenerates to 0 = 0
+    are recorded on the twist."""
     _check_detection_input(sys)
-    return _scan(sys, "inner", bound, n_max, min_places, order_bound,
-                 range(sys.field.degree))
+    return _scan(sys, "inner", bound, n_max, min_places, range(sys.field.degree))
 
 
 def find_outer(sys: EigenSystem, bound: int, n_max: int | None = None,
                min_places: int = DEFAULT_MIN_PLACES,
-               order_bound: int | None = None,
                aut_indices: tuple[int, ...] | None = None) -> list[ExtraTwist]:
     """Outer twists (tau, eta) with tau(a_v) = eta(v) b_v at good v <= bound.
 
-    eta is fitted from tau(a_v)/b_v at places with b_v != 0; the mirrored
-    relation tau(b_v) = eta(v)^{-1} a_v is then checked everywhere, which in
-    particular rejects any tau when exactly one of a_v, b_v vanishes.  By
-    default every automorphism of the coefficient field is tried; pass
-    aut_indices to restrict the scan."""
+    eta is fitted from the exponents k with tau(a_v) = zeta^k b_v at places
+    with b_v != 0; the mirrored relation tau(b_v) = eta(v)^{-1} a_v is then
+    checked everywhere, which in particular rejects any tau when exactly one
+    of a_v, b_v vanishes.  By default every automorphism of the coefficient
+    field is tried; pass aut_indices to restrict the scan."""
     if sys.n != 3:
         raise ValueError("outer twists are defined for n = 3 data only")
     if not sys.is_normalized:
         raise ValueError("outer detection expects a normalized system")
     taus = range(sys.field.degree) if aut_indices is None else aut_indices
-    return _scan(sys, "outer", bound, n_max, min_places, order_bound, taus)
+    return _scan(sys, "outer", bound, n_max, min_places, taus)
 
 
 def _relations(sys: EigenSystem, kind: str, v) -> tuple:
@@ -191,13 +188,13 @@ def _relations(sys: EigenSystem, kind: str, v) -> tuple:
 
 
 def _scan(sys: EigenSystem, kind: str, bound: int, n_max, min_places: int,
-          order_bound, auts) -> list[ExtraTwist]:
-    """Twists of the given kind on the automorphisms auts.  Over Q the
-    character is fitted from the first relation at the places where its
-    target is nonzero; over other bases it is read off as a value table."""
+          auts) -> list[ExtraTwist]:
+    """Twists of the given kind on the automorphisms auts, read off each
+    one's exponent table: over Q a Dirichlet character fitted from the first
+    relation where its target is nonzero, over other bases the table."""
     if n_max is None:
         n_max = default_n_max(sys)
-    ob = _order_bound(sys, order_bound)
+    ob = _max_order(sys)
     places = sys.places(bound)
     support = [v for v in places
                if not _relations(sys, kind, v)[0][1].is_zero()]
@@ -210,85 +207,104 @@ def _scan(sys: EigenSystem, kind: str, bound: int, n_max, min_places: int,
                          if all(s.is_zero() and t.is_zero()
                                 for s, t in _relations(sys, kind, v)))
 
+    products = _products(sys, kind, places)
     out = []
     for sigma in auts:
         if kind == "inner" and sigma == 0:
-            # ratios are identically 1, so the minimal fit is the trivial
+            # every exponent is 0, so the minimal fit is the trivial
             # character and both relations hold tautologically
             chi = trivial_character(sys.field)
-        elif sys.base_field_label == "Q":
-            chi = _fit_dirichlet(sys, kind, sigma, places, support, n_max, ob)
         else:
-            chi = _fit_table(sys, kind, sigma, places, ob)
+            table = _exponents(sys, kind, sigma, places, products)
+            if sys.base_field_label == "Q":
+                chi = _fit_dirichlet(sys.field, table, support, n_max, ob)
+            else:
+                chi = _fit_table(sys.field, table, ob)
         if chi is not None and _power_ok(sys, chi):
             out.append(ExtraTwist(kind, sigma, chi, bound, undetermined))
     return out
 
 
-def _fit_dirichlet(sys, kind, sigma, places, support, n_max, ob):
-    field = sys.field
-    ratios = {}
-    for v in support:
-        s, t = _relations(sys, kind, v)[0]
-        ratios[v] = field.apply_aut(sigma, s) / t
-    try:
-        chi = char_fit(ratios, n_max, ob, field=field)
-    except NotRootOfUnity:
-        return None
-    if chi is None or not _verify(sys, kind, sigma, chi, places):
-        return None
-    return chi
+def _products(sys: EigenSystem, kind: str, places) -> dict:
+    """For each nonzero target t of the relations at the places, the map
+    from the coordinates of zeta^k t to k, for k mod w = |mu(E)|."""
+    powers = unit_roots(sys.field).powers
+    out = {}
+    for v in places:
+        for _, t in _relations(sys, kind, v):
+            if not t.is_zero() and t.coords not in out:
+                out[t.coords] = {(z * t if k else t).coords: k
+                                 for k, z in enumerate(powers)}
+    return out
 
 
-def _fit_table(sys, kind, sigma, places, ob):
-    """Value-table character over a non-rational base: chi(v) is read off
-    whichever relation determines it first and checked against the other
-    by a product.  A relation with exactly one side zero admits no value."""
+def _exponents(sys: EigenSystem, kind: str, sigma: int, places,
+               products: dict) -> dict:
+    """Each place's exponents k with sigma(s) = zeta^k t on the first
+    relation and sigma(s) = zeta^-k t on the second: one per relation not
+    reading 0 = 0, None where no root of unity fits (as when one side is 0)."""
     field = sys.field
+    w = unit_roots(field).order
     table = {}
     for v in places:
-        val = None
+        ks = []
         for i, (s, t) in enumerate(_relations(sys, kind, v)):
             if s.is_zero() and t.is_zero():
                 continue
-            if s.is_zero() or t.is_zero():
-                return None
-            image = field.apply_aut(sigma, s)
-            if i == 0:
-                val = image / t
-            elif val is None:
-                val = t / image
-            elif val * image != t:
-                return None
-        if val is not None:
-            table[v] = val
+            k = products.get(t.coords, {}).get(field.apply_aut(sigma, s).coords)
+            ks.append(k if k is None or i == 0 else -k % w)
+        table[v] = tuple(ks)
+    return table
+
+
+def _fit_dirichlet(field: NumberField, table: dict, support, n_max: int,
+                   ob: int) -> Character | None:
+    """The smallest-conductor Dirichlet character with the first
+    relation's exponents on the support, if it agrees with the whole table."""
+    first = [table[v][0] for v in support]
+    if None in first:
+        return None
+    powers = unit_roots(field).powers
     try:
-        chi = table_character(field, table)
+        chi = char_fit({v: powers[k] for v, k in zip(support, first)},
+                       n_max, ob, field=field)
     except NotRootOfUnity:
         return None
-    mu = unit_roots(field)
-    return chi if all(mu.order_of(k) <= ob for k in chi.exps.values()) else None
+    return chi if chi is not None and _agrees(chi, table) else None
+
+
+def _fit_table(field: NumberField, table: dict, ob: int) -> Character | None:
+    """Value-table character over a non-rational base: chi(v) is the
+    exponent every relation at v agrees on."""
+    if any(None in ks or len(set(ks)) > 1 for ks in table.values()):
+        return None
+    exps = {v: ks[0] for v, ks in table.items() if ks}
+    order_of = unit_roots(field).order_of
+    if any(order_of(k) > ob for k in exps.values()):
+        return None
+    return Character(field, "table", exps=exps)
+
+
+def _exponent(chi: Character, v) -> int | None:
+    """char_exponent(chi, v), or None where chi has no value at v."""
+    try:
+        return char_exponent(chi, v)
+    except (NotCoprime, MissingValue):
+        return None
+
+
+def _agrees(chi: Character, table: dict) -> bool:
+    """Whether chi(v) = zeta^k for every exponent k in the table."""
+    return all((k := _exponent(chi, v)) is not None and all(j == k for j in ks)
+               for v, ks in table.items() if ks)
 
 
 def _verify(sys: EigenSystem, kind: str, sigma: int, chi: Character,
             places) -> bool:
     """Whether (sigma, chi) satisfies every relation of the given kind at
     the places; relations reading 0 = 0 hold for any chi(v)."""
-    field = sys.field
-    for v in places:
-        value = None
-        for i, (s, t) in enumerate(_relations(sys, kind, v)):
-            if s.is_zero() and t.is_zero():
-                continue
-            if value is None:
-                try:
-                    value = char_eval(chi, v)
-                except (NotCoprime, MissingValue):
-                    return False
-            image = field.apply_aut(sigma, s)
-            if not (image == value * t if i == 0 else image * value == t):
-                return False
-    return True
+    return _agrees(chi, _exponents(sys, kind, sigma, places,
+                                   _products(sys, kind, places)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +391,8 @@ def coefficient_field_check(sys: EigenSystem, group: TwistGroup, bound: int) -> 
     inclusion with no contradiction is flagged as possible bound
     insufficiency.  For n = 2 both stabilizers read the a_v."""
     field = sys.field
-    kernel = []
-    for v in sys.places(bound):
-        try:
-            if all(char_eval(t.character, v) == 1 for t in group.twists):
-                kernel.append(v)
-        except (NotCoprime, MissingValue):
-            continue
+    kernel = [v for v in sys.places(bound)
+              if all(_exponent(t.character, v) == 0 for t in group.twists)]
     a_vals = [sys.coeffs[v].a for v in kernel]
     if sys.n == 3:
         sum_vals = [sys.coeffs[v].a + sys.coeffs[v].b for v in kernel]
@@ -423,11 +434,12 @@ def general_type_verdict(sys: EigenSystem, bound: int,
     that are trivial at all recorded zero places are discarded.  Self-twist
     wins when both degeneracies hold.  Rank-2 systems are always essentially
     self-dual after determinant normalization, and the self-twist scan runs
-    over the rational base field only."""
+    over the rational base field only.  The outer fit on tau = 0 raises
+    InsufficientData or Ambiguous as find_outer does."""
     _check_detection_input(sys)
     if n_max is None:
         n_max = default_n_max(sys)
-    ob = _order_bound(sys, None)
+    ob = _max_order(sys)
     places = sys.places(bound)
     determined = [v for v in places if not sys.coeffs[v].a.is_zero()]
     if len(determined) < min_places:
@@ -441,7 +453,7 @@ def general_type_verdict(sys: EigenSystem, bound: int,
         for cand in fit_all(ones, n_max, ob, field=sys.field):
             if cand.is_trivial() or not _power_ok(sys, cand):
                 continue
-            if not _witnessed_by_zeros(cand, zeros):
+            if all(_exponent(cand, v) in (0, None) for v in zeros):
                 continue
             if _verify(sys, "inner", 0, cand, places):
                 return GeneralTypeVerdict("self-twist", cand, bound)
@@ -449,23 +461,9 @@ def general_type_verdict(sys: EigenSystem, bound: int,
     if sys.n == 2:
         return GeneralTypeVerdict("essentially-self-dual",
                                   trivial_character(sys.field), bound)
-    try:
-        for t in find_outer(sys, bound, n_max, min_places, aut_indices=(0,)):
-            return GeneralTypeVerdict("essentially-self-dual",
-                                      t.character, bound)
-    except (InsufficientData, Ambiguous):
-        pass
+    for t in find_outer(sys, bound, n_max, min_places, aut_indices=(0,)):
+        return GeneralTypeVerdict("essentially-self-dual", t.character, bound)
     return GeneralTypeVerdict("general-type", None, bound)
-
-
-def _witnessed_by_zeros(chi: Character, zeros) -> bool:
-    for v in zeros:
-        try:
-            if char_eval(chi, v) != 1:
-                return True
-        except (NotCoprime, MissingValue):
-            continue
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +481,18 @@ class DetectionResult:
 
 
 def detect(sys: EigenSystem, bound: int, n_max: int | None = None,
-           min_places: int = DEFAULT_MIN_PLACES,
-           order_bound: int | None = None) -> DetectionResult:
+           min_places: int = DEFAULT_MIN_PLACES) -> DetectionResult:
     """Full pipeline: find twists, assemble the group, compute fixed fields
     and the coefficient-field report.
 
     Outer twists enter the group only for general-type data; a degenerate
     system keeps its inner-twist group and the verdict carries the witness."""
-    inners = find_inner(sys, bound, n_max, min_places, order_bound)
+    inners = find_inner(sys, bound, n_max, min_places)
     verdict = general_type_verdict(sys, bound, n_max, min_places)
     if sys.n == 3 and verdict.kind == "general-type":
-        outers = find_outer(sys, bound, n_max, min_places, order_bound)
+        # the verdict found no outer twist on tau = 0
+        outers = find_outer(sys, bound, n_max, min_places,
+                            aut_indices=tuple(range(1, sys.field.degree)))
     else:
         outers = []
     group = assemble_group(inners, outers, sys.field)

@@ -1,0 +1,240 @@
+"""Differential test: the exponent-table twist scan against the ratio scan
+it replaced.
+
+The reference below is the earlier implementation: over Q each character
+is fitted from the ratios sigma(s)/t, one field inverse per place, and then
+checked by rebuilding chi(v) as a field element and multiplying; over other
+bases the value table is read off by division and checked by a product.
+find_inner and find_outer must return the same twists (automorphism, kind,
+character, undetermined places) or raise the same exception with the same
+message, on every synthetic system, relabelled to a non-rational base,
+with coefficients zeroed at some places and with one coefficient perturbed.
+"""
+
+from dataclasses import replace
+from functools import lru_cache
+
+from hypothesis import example, given, settings, strategies as st
+
+from twistctl import synth
+from twistctl.characters import (
+    char_eval,
+    char_fit,
+    char_to_json,
+    table_character,
+    trivial_character,
+)
+from twistctl.eigensystem import normalize
+from twistctl.errors import (
+    InsufficientData,
+    MissingValue,
+    NotCoprime,
+    NotRootOfUnity,
+    TwistctlError,
+)
+from twistctl.numberfield import unit_roots
+from twistctl.twists import (
+    DEFAULT_RAW_ORDER_BOUND,
+    ExtraTwist,
+    _check_detection_input,
+    _power_ok,
+    default_n_max,
+    find_inner,
+    find_outer,
+)
+
+BUILDERS = ("vantop_system", "generic_system", "rational_inner_system",
+            "klein_system", "chi4_system", "cubic_twist_system",
+            "selfdual_system", "cubic_klein_system",
+            "drifting_coefficient_system", "rational_rank2_system",
+            "quadratic_rank2_system", "cm_system")
+
+
+@lru_cache(maxsize=None)
+def _system(name):
+    sys_ = getattr(synth, name)()
+    return normalize(sys_) if sys_.n == 3 else sys_
+
+
+# ---------------------------------------------------------------------------
+# the reference: ratios and products of field elements
+# ---------------------------------------------------------------------------
+
+def ref_order_bound(sys):
+    if sys.is_normalized:
+        return sys.n
+    if sys.omega is not None and not sys.omega.is_trivial():
+        return sys.n * sys.omega.order()
+    return DEFAULT_RAW_ORDER_BOUND
+
+
+def ref_relations(sys, kind, v):
+    pd = sys.coeffs[v]
+    if sys.n == 2:
+        return ((pd.a, pd.a),)
+    if kind == "inner":
+        return ((pd.a, pd.a), (pd.b, pd.b))
+    return ((pd.a, pd.b), (pd.b, pd.a))
+
+
+def ref_scan(sys, kind, bound, n_max, min_places, auts):
+    if n_max is None:
+        n_max = default_n_max(sys)
+    ob = ref_order_bound(sys)
+    places = sys.places(bound)
+    support = [v for v in places
+               if not ref_relations(sys, kind, v)[0][1].is_zero()]
+    if len(support) < min_places:
+        coeff = "a_v" if kind == "inner" else "b_v"
+        raise InsufficientData(
+            f"{len(support)} places have {coeff} != 0; at least {min_places} "
+            f"are needed to pin down a character")
+    undetermined = tuple(v for v in places
+                         if all(s.is_zero() and t.is_zero()
+                                for s, t in ref_relations(sys, kind, v)))
+    out = []
+    for sigma in auts:
+        if kind == "inner" and sigma == 0:
+            chi = trivial_character(sys.field)
+        elif sys.base_field_label == "Q":
+            chi = ref_fit_dirichlet(sys, kind, sigma, places, support, n_max, ob)
+        else:
+            chi = ref_fit_table(sys, kind, sigma, places, ob)
+        if chi is not None and _power_ok(sys, chi):
+            out.append(ExtraTwist(kind, sigma, chi, bound, undetermined))
+    return out
+
+
+def ref_fit_dirichlet(sys, kind, sigma, places, support, n_max, ob):
+    field = sys.field
+    ratios = {}
+    for v in support:
+        s, t = ref_relations(sys, kind, v)[0]
+        ratios[v] = field.apply_aut(sigma, s) / t
+    try:
+        chi = char_fit(ratios, n_max, ob, field=field)
+    except NotRootOfUnity:
+        return None
+    if chi is None or not ref_verify(sys, kind, sigma, chi, places):
+        return None
+    return chi
+
+
+def ref_fit_table(sys, kind, sigma, places, ob):
+    field = sys.field
+    table = {}
+    for v in places:
+        val = None
+        for i, (s, t) in enumerate(ref_relations(sys, kind, v)):
+            if s.is_zero() and t.is_zero():
+                continue
+            if s.is_zero() or t.is_zero():
+                return None
+            image = field.apply_aut(sigma, s)
+            if i == 0:
+                val = image / t
+            elif val is None:
+                val = t / image
+            elif val * image != t:
+                return None
+        if val is not None:
+            table[v] = val
+    try:
+        chi = table_character(field, table)
+    except NotRootOfUnity:
+        return None
+    mu = unit_roots(field)
+    return chi if all(mu.order_of(k) <= ob for k in chi.exps.values()) else None
+
+
+def ref_verify(sys, kind, sigma, chi, places):
+    field = sys.field
+    for v in places:
+        value = None
+        for i, (s, t) in enumerate(ref_relations(sys, kind, v)):
+            if s.is_zero() and t.is_zero():
+                continue
+            if value is None:
+                try:
+                    value = char_eval(chi, v)
+                except (NotCoprime, MissingValue):
+                    return False
+            image = field.apply_aut(sigma, s)
+            if not (image == value * t if i == 0 else image * value == t):
+                return False
+    return True
+
+
+def ref_find_inner(sys, bound, n_max, min_places):
+    _check_detection_input(sys)
+    return ref_scan(sys, "inner", bound, n_max, min_places,
+                    range(sys.field.degree))
+
+
+def ref_find_outer(sys, bound, n_max, min_places):
+    return ref_scan(sys, "outer", bound, n_max, min_places,
+                    range(sys.field.degree))
+
+
+# ---------------------------------------------------------------------------
+# the property
+# ---------------------------------------------------------------------------
+
+@st.composite
+def scan_problems(draw):
+    """A synthetic system, maybe relabelled to base K, with a_v, b_v or both
+    zeroed at a few drawn places and maybe one coefficient moved off its
+    twist relations, by adding 1 or by a factor of a root of unity."""
+    sys_ = _system(draw(st.sampled_from(BUILDERS)))
+    if draw(st.booleans()):
+        sys_ = replace(sys_, base_field_label="K")
+    field = sys_.field
+    zero = field.zero()
+    places = sys_.places()
+    coeffs = dict(sys_.coeffs)
+    sides = ["a"] if sys_.n == 2 else ["a", "b", "ab"]
+    for v in draw(st.lists(st.sampled_from(places), max_size=6, unique=True)):
+        side = draw(st.sampled_from(sides))
+        pd = coeffs[v]
+        coeffs[v] = pd._replace(**{c: zero for c in side})
+    change = draw(st.sampled_from(["none", "plus_one", "root"]))
+    if change != "none":
+        v = draw(st.sampled_from(places))
+        c = draw(st.sampled_from(sides[:-1] if sys_.n == 3 else sides))
+        old = getattr(coeffs[v], c)
+        if change == "plus_one":
+            new = old + 1
+        else:
+            powers = unit_roots(field).powers
+            new = old * powers[draw(st.integers(1, len(powers) - 1))]
+        coeffs[v] = coeffs[v]._replace(**{c: new})
+    sys_ = replace(sys_, coeffs=coeffs)
+    bound = draw(st.integers(15, 60))
+    n_max = draw(st.integers(1, 40))
+    min_places = draw(st.integers(1, 12))
+    return sys_, bound, n_max, min_places
+
+
+def _outcome(scan):
+    try:
+        return [(t.aut_index, t.kind, char_to_json(t.character),
+                 t.undetermined_places) for t in scan()]
+    except (TwistctlError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scan_problems())
+# characters of order 3 tell the two relations' signs apart
+@example((_system("cubic_klein_system"), 60, 30, 10))
+@example((replace(_system("cubic_twist_system"), base_field_label="K"),
+          60, 30, 10))
+def test_scans_match_the_ratio_reference(problem):
+    sys_, bound, n_max, min_places = problem
+    got = _outcome(lambda: find_inner(sys_, bound, n_max, min_places))
+    want = _outcome(lambda: ref_find_inner(sys_, bound, n_max, min_places))
+    assert got == want
+    if sys_.n == 3:
+        got = _outcome(lambda: find_outer(sys_, bound, n_max, min_places))
+        want = _outcome(lambda: ref_find_outer(sys_, bound, n_max, min_places))
+        assert got == want

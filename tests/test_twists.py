@@ -353,6 +353,20 @@ class TestDetectionGuards:
         with pytest.raises(InsufficientData):
             detect(small, 20)
 
+    def test_verdict_raises_when_too_few_b_v_fit_the_dual(self):
+        # b_v zeroed at three places in four leaves 6 of 23; the verdict's
+        # outer fit on tau = 0 must refuse them as detect does, not call the
+        # system general-type
+        sys_ = synth.klein_system()
+        zero = sys_.field.zero()
+        thin = replace(sys_, coeffs={
+            v: pd if i % 4 == 0 else pd._replace(b=zero)
+            for i, (v, pd) in enumerate(sorted(sys_.coeffs.items()))})
+        for run in (general_type_verdict, detect):
+            with pytest.raises(InsufficientData,
+                               match=r"^6 places have b_v != 0; "):
+                run(thin, 100)
+
     def test_min_places_is_tunable(self):
         small = synth.generic_system(bound=20)
         res = detect(small, 20, min_places=5)
