@@ -7,16 +7,18 @@ zeta^k has order w/gcd(w, k).  Field elements appear only at the edges: the
 builders take them, char_eval and the JSON give zeta^k; char_exponent gives
 k itself.  The value 1 is the exponent 0 and never builds mu(E).  Dirichlet
 characters mod N (base field Q) are given by their exponents on canonical
-generators of (Z/N)^x and expanded to a residue table; value-table
-characters are bare place -> exponent maps for other base fields.  On top: Galois transforms, products,
-conductors, and a fitting search that recovers the smallest-conductor
-Dirichlet character matching observed twist ratios.
+generators of (Z/N)^x and expanded to a residue table by walking the
+generators' powers; value-table characters are bare place -> exponent maps
+for other base fields.  On top: Galois transforms, products, conductors, and
+a fitting search that recovers the smallest-conductor Dirichlet character
+matching observed twist ratios, reading residues' generator exponents from
+one discrete-log table per prime power.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .arith import divisors, factorize
 from .errors import (
@@ -71,6 +73,21 @@ def unit_group_structure(N: int) -> list[tuple[int, int]]:
     return gens
 
 
+def _unit_exponents(N: int) -> dict:
+    """Each unit r mod N mapped to its exponents on the canonical generators
+    of (Z/N)^x, in the order of itertools.product over them: one walk along
+    the powers of each generator in turn."""
+    table = {1 % N: ()}
+    for g, d in unit_group_structure(N):
+        step = {}
+        for r, es in table.items():
+            for j in range(d):
+                step[r] = es + (j,)
+                r = r * g % N
+        table = step
+    return table
+
+
 # ---------------------------------------------------------------------------
 # the Character type
 # ---------------------------------------------------------------------------
@@ -119,12 +136,8 @@ class Character:
             if d * k % w:
                 raise NotRootOfUnity(
                     f"image of generator {g} is not a root of unity of order dividing {d}")
-        exps = {}
-        for es in iter_product(*(range(d) for _, d in gens)):
-            r = 1 % modulus
-            for (g, _), e in zip(gens, es):
-                r = r * pow(g, e, modulus) % modulus
-            exps[r] = sum(e * k for e, k in zip(es, gen_exps)) % w
+        exps = {r: sum(e * k for e, k in zip(es, gen_exps)) % w
+                for r, es in _unit_exponents(modulus).items()}
         return cls(field, "dirichlet", modulus, gen_exps, exps)
 
     def _mapped(self, f) -> "Character":
@@ -276,9 +289,10 @@ def fit_all(value_map: dict, N_max: int, order_bound: int,
     exponents x_i run over the multiples of w/gcd(w, d_i), the exponents of
     the d_i-th roots of unity, and a candidate fits when sum_i e_i(v) x_i =
     k_v (mod w) at every place, e_i(v) being the exponents of v mod N on the
-    canonical generators.  Moduli sharing a factor with a determined place
-    are skipped: the observed ratio at such a place is a unit, which no
-    character of that modulus can produce.
+    canonical generators, which lift those of each (Z/q^e)^x, q^e || N: one
+    table per prime power and call gives e_i(v) from v mod q^e.  Moduli
+    sharing a factor with a determined place are skipped: the observed ratio
+    at such a place is a unit, which no character of that modulus can produce.
     """
     if field is None:
         for v in value_map.values():
@@ -293,7 +307,7 @@ def fit_all(value_map: dict, N_max: int, order_bound: int,
     for place, val in sorted(value_map.items(), key=lambda kv: int(kv[0])):
         if not isinstance(val, FieldElement):
             val = field.from_rational(val)
-        k = mu.log.get(val.coords)
+        k = mu.log.get(val.key)
         if k is None or mu.order_of(k) > order_bound:
             raise NotRootOfUnity(
                 f"value at place {place} is not a root of unity of order <= {order_bound}")
@@ -306,24 +320,25 @@ def fit_all(value_map: dict, N_max: int, order_bound: int,
     if not any(k for _, k in entries):
         triv = trivial_character(field)
         found[triv.canonical_key()] = triv
+    places = prod(v for v, _ in entries)
+    # prime power q^e -> (generator orders, _unit_exponents(q^e))
+    logs = {}
     for N in range(1, N_max + 1):
-        if any(gcd(v, N) != 1 for v, _ in entries):
+        if gcd(places, N) != 1:
             continue
         # one equation per residue; two values at one residue fit nothing
         wanted = {}
         if any(wanted.setdefault(v % N, k) != k for v, k in entries):
             continue
-        gens = unit_group_structure(N)
-        # generator exponents e_i(v) of each constrained residue
-        exps_of = {}
-        for es in iter_product(*(range(d) for _, d in gens)):
-            r = 1 % N
-            for (g, _), e in zip(gens, es):
-                r = r * pow(g, e, N) % N
-            if r in wanted and r not in exps_of:
-                exps_of[r] = es
-        system = [(exps_of[r], k) for r, k in wanted.items()]
-        allowed = [range(0, w, w // gcd(w, d)) for _, d in gens]
+        parts = [q ** e for q, e in factorize(N)]
+        for m in parts:
+            if m not in logs:
+                logs[m] = ([d for _, d in unit_group_structure(m)],
+                           _unit_exponents(m))
+        system = [(sum((logs[m][1][r % m] for m in parts), ()), k)
+                  for r, k in wanted.items()]
+        allowed = [range(0, w, w // gcd(w, d))
+                   for m in parts for d in logs[m][0]]
         for xs in iter_product(*allowed):
             if not any(xs) or w // gcd(w, *xs) > order_bound:
                 continue

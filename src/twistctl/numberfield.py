@@ -1,9 +1,12 @@
 """Explicit Galois number fields with a validated automorphism table.
 
 A field is Q[x]/(Phi) for a monic irreducible Phi of degree d, elements are
-coordinate vectors in the power basis 1, alpha, ..., alpha^(d-1), and the
-automorphism group is supplied as the d images of alpha and then validated
-(annihilation, distinctness, closure).  On top of that sit the Galois-theory
+integer vectors over one denominator in the power basis 1, alpha, ...,
+alpha^(d-1), and the automorphism group is supplied as the d images of alpha
+and then validated (annihilation, distinctness, closure).  All element
+arithmetic is on integers: a product is a convolution reduced by integer
+rows, each automorphism is one integer matrix, and an inverse is the product
+of the other conjugates over the norm.  On top of that sit the Galois-theory
 workhorses: stabilizers, fixed subfields with primitive elements, Frobenius
 elements at unramified primes, place decompositions via double cosets, and
 the roots of unity mu(E) as powers of one generator, built once per field by
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import euler_phi, is_prime
@@ -33,6 +37,7 @@ from .errors import (
 )
 from .polynomials import (
     QPoly,
+    _as_fraction,
     _monic_integer_model,
     _peval,
     cyclotomic,
@@ -47,40 +52,46 @@ from .polynomials import (
     pmod_sub,
     poly_from_strings,
     poly_to_strings,
-    poly_xgcd,
 )
 
 Q = Fraction
 
 
 class FieldElement:
-    """Element of a NumberField in power-basis coordinates."""
+    """Integer numerators num over a denominator den > 0, in lowest terms
+    (Cohen GTM 138, 4.2); coords gives the Fraction coordinates, key the
+    integer vector.  A rational element equals and hashes as its Fraction."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: "NumberField", coords: Sequence[Fraction]):
-        coords = tuple(Q(c) for c in coords)
-        if len(coords) != field.degree:
-            raise ValueError(
-                f"expected {field.degree} coordinates, got {len(coords)}")
+    def __init__(self, field: "NumberField", num: tuple[int, ...], den: int):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldElement is immutable")
 
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Q(n, self.den) for n in self.num)
+
+    @property
+    def key(self) -> tuple:
+        return self.num, self.den
+
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
+        return Q(self.num[0], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -97,13 +108,14 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            [a + b for a, b in zip(self.coords, o.coords)])
+        a, b = self.den, o.den
+        return _reduced(self.field, [x * b + y * a for x, y in zip(self.num, o.num)],
+                        a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coords])
+        return _reduced(self.field, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -116,7 +128,9 @@ class FieldElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, [a * other for a in self.coords])
+            c = Q(other)
+            return _reduced(self.field, [x * c.numerator for x in self.num],
+                            self.den * c.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -149,26 +163,44 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
+        """1/x as the product of the other conjugates over the norm."""
         if self.is_zero():
             raise NotInvertible("division by zero in number field")
-        g, u, _ = poly_xgcd(QPoly(self.coords), self.field.min_poly)
-        if g.degree != 0:
+        if self.is_rational():
+            return self.field.from_rational(Q(self.den, self.num[0]))
+        field = self.field
+        others = field.one()
+        for i in range(1, field.degree):
+            others = others * field.apply_aut(i, self)
+        norm = self * others
+        if not norm.is_rational() or norm.is_zero():
             raise NotInvertible("element shares a factor with the modulus")
-        inv = u % self.field.min_poly
-        return self.field.element([inv[i] for i in range(self.field.degree)])
+        return others * Q(norm.den, norm.num[0])
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.coords == other.coords and self.field.min_poly == other.field.min_poly
+            return (self.num == other.num and self.den == other.den
+                    and self.field.min_poly == other.field.min_poly)
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
+            return self.is_rational() and self.num[0] == other * self.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coords)
+        if self.is_rational():
+            return hash(Q(self.num[0], self.den))
+        return hash(self.key)
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)})"
+
+
+def _reduced(field: "NumberField", num, den: int) -> FieldElement:
+    """The element num/den (den > 0) in lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [n // g for n in num]
+        den //= g
+    return FieldElement(field, tuple(num), den)
 
 
 class NumberField:
@@ -189,7 +221,8 @@ class NumberField:
         if verdict == "unknown":
             self.irreducibility_warning = True
 
-        # power-basis reduction rows for alpha^d .. alpha^(2d-2)
+        # power-basis reduction rows for alpha^d .. alpha^(2d-2), as
+        # integer numerators over the common denominator _row_den
         rows = []
         current = [-c for c in min_poly.coeffs[:-1]]  # alpha^d
         rows.append(tuple(current))
@@ -198,7 +231,9 @@ class NumberField:
             top = current[-1]
             current = [s + top * r for s, r in zip(shifted, rows[0])]
             rows.append(tuple(current))
-        self._reduction_rows = tuple(rows)
+        self._row_den = lcm(*(c.denominator for row in rows for c in row))
+        self._reduction_rows = tuple(
+            tuple(int(c * self._row_den) for c in row) for row in rows)
 
         if len(aut_images) != d:
             raise NotClosed(f"expected {d} automorphism images, got {len(aut_images)}")
@@ -207,6 +242,7 @@ class NumberField:
         self._aut_mult = None     # left by roots_of_unity for unit_roots
 
         self._validate_automorphisms()
+        self._aut_matrices = tuple(self._aut_matrix(img) for img in self.aut_images)
         self.composition_table = self._build_composition_table()
         self.inverse_table = self._build_inverse_table()
         self.is_abelian = all(
@@ -216,10 +252,20 @@ class NumberField:
     # -- construction helpers ---------------------------------------------
 
     def element(self, coords: Sequence[Fraction]) -> FieldElement:
-        return FieldElement(self, coords)
+        """The element with these power-basis coordinates (ints, Fractions
+        or their strings; a float raises TypeError)."""
+        coords = [_as_fraction(c) for c in coords]
+        if len(coords) != self.degree:
+            raise ValueError(
+                f"expected {self.degree} coordinates, got {len(coords)}")
+        den = lcm(*(c.denominator for c in coords))
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator)
+                                        for c in coords), den)
 
     def from_rational(self, c) -> FieldElement:
-        return self.element([Q(c)] + [Q(0)] * (self.degree - 1))
+        c = _as_fraction(c)
+        return _reduced(self, (c.numerator,) + (0,) * (self.degree - 1),
+                        c.denominator)
 
     def zero(self) -> FieldElement:
         return self.from_rational(0)
@@ -235,24 +281,32 @@ class NumberField:
     # -- core arithmetic ----------------------------------------------------
 
     def _mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
+        """Integer convolution of the numerators, reduced by the integer
+        rows over _row_den, then one gcd."""
         d = self.degree
-        prod = [Q(0)] * (2 * d - 1)
-        for i, a in enumerate(x.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(y.coords):
-                prod[i + j] += a * b
-        out = list(prod[:d])
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c == 0:
-                continue
-            row = self._reduction_rows[k - d]
-            for i in range(d):
-                out[i] += c * row[i]
-        return self.element(out)
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(x.num):
+            if a:
+                for j, b in enumerate(y.num):
+                    prod[i + j] += a * b
+        r = self._row_den
+        out = prod[:d] if r == 1 else [c * r for c in prod[:d]]
+        for c, row in zip(prod[d:], self._reduction_rows):
+            if c:
+                for i in range(d):
+                    out[i] += c * row[i]
+        return _reduced(self, out, x.den * y.den * r)
 
     # -- automorphisms -------------------------------------------------------
+
+    def _aut_matrix(self, image: FieldElement) -> tuple:
+        """(rows, den): sigma(alpha^j) = sum_i rows[i][j] alpha^i / den."""
+        powers = [self.one()]
+        for _ in range(self.degree - 1):
+            powers.append(powers[-1] * image)
+        den = lcm(*(p.den for p in powers))
+        columns = [[n * (den // p.den) for n in p.num] for p in powers]
+        return tuple(zip(*columns)), den
 
     def apply_aut(self, index: int, x: FieldElement) -> FieldElement:
         """Image of x under the automorphism with the given index."""
@@ -260,11 +314,9 @@ class NumberField:
             raise IndexError(f"automorphism index {index} out of range")
         if index == 0:
             return x
-        image = self.aut_images[index]
-        acc = self.from_rational(x.coords[-1])
-        for c in reversed(x.coords[:-1]):
-            acc = acc * image + c
-        return acc
+        rows, den = self._aut_matrices[index]
+        return _reduced(self, [sum(map(mul, row, x.num)) for row in rows],
+                        x.den * den)
 
     def compose(self, i: int, j: int) -> int:
         """Index of sigma_i o sigma_j (apply j first)."""
@@ -290,19 +342,19 @@ class NumberField:
             if not self.min_poly.evaluate(img).is_zero():
                 raise NotAnAutomorphism(
                     f"image {i} does not annihilate the minimal polynomial")
-            if img.coords in seen:
+            if img.key in seen:
                 raise NotClosed(f"automorphism image {i} repeats an earlier one")
-            seen.add(img.coords)
+            seen.add(img.key)
 
     def _build_composition_table(self) -> tuple[tuple[int, ...], ...]:
         d = self.degree
-        index_of = {img.coords: k for k, img in enumerate(self.aut_images)}
+        index_of = {img.key: k for k, img in enumerate(self.aut_images)}
         table = []
         for i in range(d):
             row = []
             for j in range(d):
                 composed = self.apply_aut(i, self.aut_images[j])
-                k = index_of.get(composed.coords)
+                k = index_of.get(composed.key)
                 if k is None:
                     raise NotClosed(
                         f"composition of automorphisms {i} and {j} leaves the given set")
@@ -331,11 +383,11 @@ class NumberField:
         if not isinstance(other, NumberField):
             return NotImplemented
         return (self.min_poly == other.min_poly
-                and all(a.coords == b.coords
+                and all(a.key == b.key
                         for a, b in zip(self.aut_images, other.aut_images)))
 
     def __hash__(self):
-        return hash((self.min_poly, tuple(img.coords for img in self.aut_images)))
+        return hash((self.min_poly, tuple(img.key for img in self.aut_images)))
 
     def __repr__(self):
         return f"NumberField({self.min_poly!r}, degree={self.degree})"
@@ -526,9 +578,9 @@ def frobenius_at(field: NumberField, p: int) -> FrobeniusResult:
     xp = pmod_pow_mod([0, 1], p, phi_p, p)
     matches = []
     for i, img in enumerate(field.aut_images):
-        if any(c.denominator % p == 0 for c in img.coords):
+        if img.den % p == 0:
             raise Ramified(f"prime {p} divides an automorphism-image denominator")
-        img_p = [c.numerator * pow(c.denominator, -1, p) % p for c in img.coords]
+        img_p = [n * pow(img.den, -1, p) % p for n in img.num]
         diff = pmod_sub(img_p, xp, p)
         if not diff or len(pmod_gcd(phi_p, diff, p)) > 1:
             matches.append(i)
@@ -635,7 +687,7 @@ def roots_of_unity(field: NumberField) -> list[FieldElement]:
     while (x := powers[-1] * zeta) != one:
         powers.append(x)
     field._aut_mult = mult
-    return [field.element(c) for c in sorted(z.coords for z in powers)]
+    return sorted(powers, key=lambda z: z.coords)
 
 
 def _root_of_largest_order(field: NumberField, p: int, orders):
@@ -666,8 +718,8 @@ def _root_of_largest_order(field: NumberField, p: int, orders):
 
     roots = pmod_roots(field.min_poly, p)
     position = {r: j for j, r in enumerate(roots)}
-    perm = [position[_peval([c.numerator * pow(c.denominator, -1, p) % p
-                             for c in img.coords], roots[0], p)]
+    perm = [position[_peval([n * pow(img.den, -1, p) % p for n in img.num],
+                            roots[0], p)]
             for img in field.aut_images]
     lifted = [pmod_hensel_root(model, lam * r % p, p, n) for r in roots]
     y_powers = [[pow(y, m, big) for y in lifted] for m in range(d)]
@@ -733,11 +785,11 @@ class UnitRoots(NamedTuple):
 
     order: int
     powers: tuple          # zeta^0 .. zeta^(order-1)
-    log: dict              # coords -> exponent
+    log: dict              # FieldElement.key -> exponent
     aut_mult: tuple        # sigma_i(zeta) = zeta^aut_mult[i]
 
     def exponent(self, x: FieldElement) -> int:
-        k = self.log.get(x.coords)
+        k = self.log.get(x.key)
         if k is None:
             raise NotRootOfUnity(f"{x!r} is not a root of unity of the field")
         return k
@@ -760,7 +812,7 @@ def unit_roots(field: NumberField) -> UnitRoots:
                 break
         else:
             raise RootSearchFailed("the roots of unity found are not cyclic")
-        log = {z.coords: k for k, z in enumerate(powers)}
+        log = {z.key: k for k, z in enumerate(powers)}
         field._unit_roots = UnitRoots(len(mu), tuple(powers), log,
                                       field._aut_mult)
     return field._unit_roots

@@ -203,23 +203,6 @@ class QPoly:
         return a.monic()
 
 
-def poly_xgcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
-    """Extended Euclid over Q: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    u0, u1 = QPoly([1]), QPoly()
-    v0, v1 = QPoly(), QPoly([1])
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    lead = r0.leading()
-    inv = Q(1) / lead
-    return r0.monic(), u0 * inv, v0 * inv
-
-
 def poly_from_strings(items: Sequence[str | int]) -> QPoly:
     return QPoly([_as_fraction(s) for s in items])
 

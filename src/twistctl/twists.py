@@ -227,14 +227,14 @@ def _scan(sys: EigenSystem, kind: str, bound: int, n_max, min_places: int,
 
 def _products(sys: EigenSystem, kind: str, places) -> dict:
     """For each nonzero target t of the relations at the places, the map
-    from the coordinates of zeta^k t to k, for k mod w = |mu(E)|."""
+    from the key of zeta^k t to k, for k mod w = |mu(E)|."""
     powers = unit_roots(sys.field).powers
     out = {}
     for v in places:
         for _, t in _relations(sys, kind, v):
-            if not t.is_zero() and t.coords not in out:
-                out[t.coords] = {(z * t if k else t).coords: k
-                                 for k, z in enumerate(powers)}
+            if not t.is_zero() and t.key not in out:
+                out[t.key] = {(z * t if k else t).key: k
+                              for k, z in enumerate(powers)}
     return out
 
 
@@ -251,7 +251,7 @@ def _exponents(sys: EigenSystem, kind: str, sigma: int, places,
         for i, (s, t) in enumerate(_relations(sys, kind, v)):
             if s.is_zero() and t.is_zero():
                 continue
-            k = products.get(t.coords, {}).get(field.apply_aut(sigma, s).coords)
+            k = products.get(t.key, {}).get(field.apply_aut(sigma, s).key)
             ks.append(k if k is None or i == 0 else -k % w)
         table[v] = tuple(ks)
     return table

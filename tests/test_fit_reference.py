@@ -1,11 +1,13 @@
-"""Differential test: fit_all on integer exponents against the field-element
-fit it replaced.
+"""Differential tests: fit_all against the two fits it replaced.
 
-The reference below is the earlier implementation: every character value is
-a FieldElement, orders are found by repeated multiplication, and each
-candidate is tested by products of generator images.  Both fits must return
-the same characters in the same order, and must refuse the same inputs with
-NotRootOfUnity.
+The first reference is the field-element fit: every character value is a
+FieldElement, orders are found by repeated multiplication, and each
+candidate is tested by products of generator images.  The second is the
+enumerating exponent fit: for every modulus N it walks all of (Z/N)^x with
+one pow per generator per residue to read the generator exponents of the
+wanted residues, where fit_all reads them from one discrete-log table per
+prime power.  Each fit must return the same characters in the same order,
+and must refuse the same inputs with NotRootOfUnity.
 """
 
 from functools import lru_cache
@@ -16,13 +18,23 @@ from hypothesis import given, settings, strategies as st
 
 from twistctl import synth
 from twistctl.arith import divisors, primes_up_to
-from twistctl.characters import char_to_json, fit_all, unit_group_structure
+import pytest
+
+from twistctl.characters import (
+    Character,
+    char_exponent,
+    char_to_json,
+    fit_all,
+    trivial_character,
+    unit_group_structure,
+)
 from twistctl.errors import NotRootOfUnity
-from twistctl.numberfield import FieldElement, roots_of_unity
+from twistctl.numberfield import FieldElement, roots_of_unity, unit_roots
 
 FIELDS = {"gaussian": synth.gaussian_field(),
           "eisenstein": synth.eisenstein_field(),
-          "cubic_klein": synth.cubic_klein_field()}
+          "cubic_klein": synth.cubic_klein_field(),
+          "biquadratic": synth.biquadratic_field()}
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +165,7 @@ def fitting_problems(draw):
     """A value map of a random Dirichlet character at random primes, now
     and then with one value replaced by another root of unity, by a field
     element of infinite order, or by a rational +-1."""
-    name = draw(st.sampled_from(sorted(FIELDS)))
+    name = draw(st.sampled_from(["cubic_klein", "eisenstein", "gaussian"]))
     field, mu = FIELDS[name], _mu(name)
     one = field.one()
     modulus = draw(st.integers(1, 21))
@@ -196,3 +208,97 @@ def test_fit_all_matches_the_field_element_reference(problem):
     want = _outcome(lambda: [c.to_json() for c in
                              ref_fit_all(values, n_max, order_bound, field, mu)])
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the second reference: exponents read by enumerating (Z/N)^x
+# ---------------------------------------------------------------------------
+
+def enum_unit_exponents(N):
+    """Each unit mod N with its generator exponents, in product order, by
+    one pow per generator per residue."""
+    gens = unit_group_structure(N)
+    out = []
+    for es in iter_product(*(range(d) for _, d in gens)):
+        r = 1 % N
+        for (g, _), e in zip(gens, es):
+            r = r * pow(g, e, N) % N
+        out.append((r, es))
+    return out
+
+
+def enum_fit_all(value_map, N_max, order_bound, field):
+    mu = unit_roots(field)
+    w = mu.order
+    entries = []
+    for place, val in sorted(value_map.items(), key=lambda kv: int(kv[0])):
+        if not isinstance(val, FieldElement):
+            val = field.from_rational(val)
+        k = mu.log.get(val.key)
+        if k is None or mu.order_of(k) > order_bound:
+            raise NotRootOfUnity(f"value at place {place}")
+        entries.append((int(place), k))
+    found = {}
+    if not any(k for _, k in entries):
+        triv = trivial_character(field)
+        found[triv.canonical_key()] = triv
+    for N in range(1, N_max + 1):
+        if any(gcd(v, N) != 1 for v, _ in entries):
+            continue
+        wanted = {}
+        if any(wanted.setdefault(v % N, k) != k for v, k in entries):
+            continue
+        gens = unit_group_structure(N)
+        exps_of = {}
+        for r, es in enum_unit_exponents(N):
+            if r in wanted and r not in exps_of:
+                exps_of[r] = es
+        system = [(exps_of[r], k) for r, k in wanted.items()]
+        allowed = [range(0, w, w // gcd(w, d)) for _, d in gens]
+        for xs in iter_product(*allowed):
+            if not any(xs) or w // gcd(w, *xs) > order_bound:
+                continue
+            if any((sum(e * x for e, x in zip(es, xs)) - k) % w
+                   for es, k in system):
+                continue
+            prim = Character.dirichlet(field, N, xs).primitive()
+            found.setdefault(prim.canonical_key(), prim)
+    return sorted(found.values(), key=lambda c: (c.modulus, c.canonical_key()))
+
+
+EXPLICIT_MODULI = (4, 8, 16, 32, 64, 9, 25, 49, 24, 72, 200)
+
+
+@pytest.mark.parametrize("modulus", EXPLICIT_MODULI)
+@pytest.mark.parametrize("name", ["biquadratic", "cubic_klein"])
+def test_fit_all_matches_the_enumerating_reference(name, modulus):
+    """Characters mod N sending the i-th generator to the (i+1)-th power
+    (or the first power) of a root of unity of the largest order it allows,
+    read at the first primes prime to N (which leaves the moduli built from
+    N's primes to scan) or at primes above 200 (which leaves every modulus
+    up to 200); fitted up to N and up to 200, under the full order bound
+    and under one too small, and once with a value that is no root of
+    unity."""
+    field = FIELDS[name]
+    w = unit_roots(field).order
+    powers = unit_roots(field).powers
+    gens = unit_group_structure(modulus)
+    near = [p for p in primes_up_to(90) if gcd(p, modulus) == 1][:10]
+    far = [p for p in primes_up_to(260) if p > 200][:6]
+    for step, places in iter_product((0, 1), (near, far)):
+        chi = Character.dirichlet(field, modulus, [
+            w // gcd(w, d) * (i * step + 1) for i, (_, d) in enumerate(gens)])
+        assert list(chi.exps.items()) == [
+            (r, sum(e * x for e, x in zip(es, chi.gen_exps)) % w)
+            for r, es in enum_unit_exponents(modulus)]
+        values = {p: powers[char_exponent(chi, p)] for p in places}
+        wild = {**values, places[0]: field.one() + field.gen()}
+        for vmap, n_max, order_bound in ((values, modulus, w),
+                                         (values, 200, w),
+                                         (values, 200, 2),
+                                         (wild, modulus, w)):
+            got = _outcome(lambda: [char_to_json(c) for c in fit_all(
+                vmap, n_max, order_bound, field=field)])
+            want = _outcome(lambda: [char_to_json(c) for c in enum_fit_all(
+                vmap, n_max, order_bound, field)])
+            assert got == want

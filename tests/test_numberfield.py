@@ -191,6 +191,22 @@ class TestConstruction:
         assert a.inverse().as_fraction() == Q(3, 7)
         assert frobenius_at(K, 5).index == 0
 
+    def test_a_rational_element_hashes_as_its_fraction(self):
+        K = gaussian_field()
+        assert K.one() == 1 and hash(K.one()) == hash(1)
+        assert len({K.one(), 1}) == 1
+        assert {1: "x"}.get(K.one()) == "x"
+        half = K.from_rational(Q(-1, 2))
+        assert {Q(-1, 2): "h"}[half] == "h"
+        assert hash(K.element([Q(1, 2), 3])) == hash(K.element(["1/2", 3]))
+
+    def test_a_float_coordinate_is_refused(self):
+        K = gaussian_field()
+        with pytest.raises(TypeError):
+            K.element([0.1, 0])
+        with pytest.raises(TypeError):
+            K.from_rational(0.5)
+
     def test_json_round_trip(self):
         K = biquadratic_field()
         K2 = field_from_json(field_to_json(K))
