@@ -2,7 +2,7 @@
 
 Every value is held as its exponent k mod w of the generator zeta of mu(E)
 that numberfield.unit_roots fixes once per field: products add exponents,
-inverses negate them, an automorphism sigma multiplies them by c_sigma, and
+inversion negates them, an automorphism sigma multiplies them by c_sigma, and
 zeta^k has order w/gcd(w, k).  Field elements appear only at the edges: the
 builders take them, char_eval and the JSON give zeta^k; char_exponent gives
 k itself.  The value 1 is the exponent 0 and never builds mu(E).  Dirichlet
@@ -28,7 +28,7 @@ from .errors import (
     NotCoprime,
     NotRootOfUnity,
 )
-from .numberfield import FieldElement, NumberField, unit_roots
+from .numberfield import FieldElement, NumberField, element_from_json, unit_roots
 # ---------------------------------------------------------------------------
 # unit group structure
 # ---------------------------------------------------------------------------
@@ -392,10 +392,9 @@ def _coords_json(field: NumberField, k: int) -> list[str]:
 
 
 def char_from_json(field: NumberField, doc: dict) -> Character:
-    from fractions import Fraction
     if doc["kind"] == "dirichlet":
         raw = doc["values_on_generators"]
-        images = {int(g): field.element([Fraction(c) for c in coords])
+        images = {int(g): element_from_json(field, coords)
                   for g, coords in raw.items()}
         return dirichlet_character(field, doc["modulus"], images)
     values = {}
@@ -404,5 +403,5 @@ def char_from_json(field: NumberField, doc: dict) -> Character:
             key = int(k)
         except ValueError:
             key = k
-        values[key] = field.element([Fraction(c) for c in coords])
+        values[key] = element_from_json(field, coords)
     return table_character(field, values)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import lmfdb
@@ -34,6 +33,8 @@ from .forms import (
     twisted_fixed_points,
     unitary_cocycle,
 )
+from .numberfield import element_from_json
+from .polynomials import rational_from_json
 from .twists import detect, detection_to_json
 
 
@@ -306,7 +307,7 @@ def _cmd_normalize(ns) -> int:
     scalings = None
     if ns.scalings:
         raw = json.loads(Path(ns.scalings).read_text())
-        scalings = {key: sys_.field.element([Fraction(c) for c in coords])
+        scalings = {key: element_from_json(sys_.field, coords)
                     for key, coords in raw.items()}
     doc = serialize(normalize(sys_, scalings))
     payload = json.dumps(doc, indent=2, sort_keys=True)
@@ -337,7 +338,8 @@ def _cmd_lmfdb(ns) -> int:
             _sys.stdout)
         return 0
 
-    aut_images = json.loads(ns.aut_images) if ns.aut_images else None
+    aut_images = [[rational_from_json(c) for c in img]
+                  for img in json.loads(ns.aut_images)] if ns.aut_images else None
     sys_ = lmfdb.to_eigensystem(record, aut_images=aut_images,
                                 bound=ns.bound)
     try:

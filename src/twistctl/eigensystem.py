@@ -25,7 +25,8 @@ from .errors import (
     NotDivisible,
     SchemaError,
 )
-from .numberfield import FieldElement, NumberField, field_from_json, field_to_json
+from .numberfield import (FieldElement, NumberField, element_from_json,
+                          field_from_json, field_to_json)
 
 
 class PlaceData(NamedTuple):
@@ -73,9 +74,9 @@ def _parse_coords(field: NumberField, raw, what: str) -> FieldElement:
         raise CoefficientDimensionMismatch(
             f"{what} has {len(raw)} coordinates, field degree is {field.degree}")
     try:
-        return field.element([Fraction(str(c)) for c in raw])
-    except (ValueError, ZeroDivisionError) as e:
-        raise SchemaError(f"bad rational in {what}: {e}")
+        return element_from_json(field, raw)
+    except SchemaError as e:
+        raise SchemaError(f"bad rational in {what}: {e}") from None
 
 
 def _parse_place_label(key, base_field: str):

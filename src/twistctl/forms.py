@@ -3,14 +3,16 @@ and the per-prime classification that feeds the image report.
 
 A cocycle assigns to each element of a Galois group an invertible matrix
 alpha and a flip flag; the associated automorphism of SL_n is conjugation by
-alpha, preceded by transpose-inverse when the flag is set.  Validation checks
-the cocycle identity on every ordered pair up to scalars, since conjugation
-kills the center.  Over a finite-field model (E, F) = (F_{q^m}, F_q) the
-fixed points of the twisted Galois action are found by a depth-first search
-over the rows of the matrix, which gives an independent oracle: trivial
-cocycles descend to the split SL_n(F_q) and flip cocycles to special unitary
-groups, with orders matched against closed forms.  Over number fields the
-same validation runs symbolically on exact coordinates.
+alpha, preceded by transpose-inverse when the flag is set; it is tested only
+through product equations, so no matrix is inverted: g is fixed by t when
+alpha t(g) = g alpha, or g alpha t(g)^T = alpha under a flip.  Validation
+checks the cocycle identity, in the same form, on every ordered pair up to
+scalars, since conjugation kills the center.  Over a finite-field model
+(E, F) = (F_{q^m}, F_q) the fixed points of the twisted Galois action are
+found by a depth-first search over the rows of the matrix, which gives an
+independent oracle: trivial cocycles descend to the split SL_n(F_q) and
+flip cocycles to special unitary groups, with orders matched against closed
+forms.  Over number fields the same validation runs on exact coordinates.
 
 Classification at a prime p is purely combinatorial: a place of the fixed
 field F of the twist group is split (inner form) when its double coset under
@@ -22,8 +24,7 @@ twists; otherwise the form is the unitary group of that quadratic extension.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as datafield
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from .arith import prime_power
@@ -34,6 +35,7 @@ from .numberfield import (
     NumberField,
     Subgroup,
     double_cosets,
+    element_from_json,
     field_from_json,
     field_to_json,
     frobenius_at,
@@ -78,7 +80,7 @@ def mat_identity(ring: Ring, n: int) -> tuple:
 
 
 def mat_mul(ring: Ring, a: tuple, b: tuple) -> tuple:
-    n = len(a)
+    add, mul = ring.add, ring.mul
     cols = list(zip(*b))
     out = []
     for row in a:
@@ -86,7 +88,7 @@ def mat_mul(ring: Ring, a: tuple, b: tuple) -> tuple:
         for col in cols:
             acc = ring.zero
             for x, y in zip(row, col):
-                acc = ring.add(acc, ring.mul(x, y))
+                acc = add(acc, mul(x, y))
             new.append(acc)
         out.append(tuple(new))
     return tuple(out)
@@ -96,44 +98,45 @@ def mat_transpose(a: tuple) -> tuple:
     return tuple(zip(*a))
 
 
-def _minor(a: tuple, i: int, j: int) -> tuple:
-    return tuple(tuple(x for jj, x in enumerate(row) if jj != j)
-                 for ii, row in enumerate(a) if ii != i)
+def _eliminate(ring: Ring, a: tuple, right: tuple = ()) -> tuple:
+    """Gaussian elimination of [a | right] over the ring: det a, and
+    a^-1 right once a is cleared to the identity (None when det a is zero).
+    With no right block only the rows below each pivot are cleared, which is
+    all the determinant needs."""
+    sub, mul, div, is_zero = ring.sub, ring.mul, ring.div, ring.is_zero
+    n = len(a)
+    rows = [list(x) + list(y) for x, y in zip(a, right or [()] * n)]
+    det = ring.one
+    for c in range(n):
+        p = next((r for r in range(c, n) if not is_zero(rows[r][c])), None)
+        if p is None:
+            return ring.zero, None
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = sub(ring.zero, det)
+        pivot = rows[c][c]
+        det = mul(det, pivot)
+        # row c over its pivot, past column c: columns up to c are not read again
+        lead = [div(x, pivot) for x in rows[c][c + 1:]]
+        if right:
+            rows[c][c + 1:] = lead
+        for r in range(0 if right else c + 1, n):
+            f = rows[r][c]
+            if r != c and not is_zero(f):
+                rows[r][c + 1:] = [sub(x, mul(f, y))
+                                   for x, y in zip(rows[r][c + 1:], lead)]
+    return det, tuple(tuple(row[n:]) for row in rows) if right else None
 
 
 def mat_det(ring: Ring, a: tuple):
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return ring.sub(ring.mul(a[0][0], a[1][1]), ring.mul(a[0][1], a[1][0]))
-    acc = ring.zero
-    for j in range(n):
-        term = ring.mul(a[0][j], mat_det(ring, _minor(a, 0, j)))
-        acc = ring.add(acc, term) if j % 2 == 0 else ring.sub(acc, term)
-    return acc
+    return _eliminate(ring, a)[0]
 
 
 def mat_inv(ring: Ring, a: tuple) -> tuple:
-    n = len(a)
-    det = mat_det(ring, a)
-    if ring.is_zero(det):
+    _, inv = _eliminate(ring, a, mat_identity(ring, len(a)))
+    if inv is None:
         raise NotInvertible("matrix determinant is zero")
-    if n == 1:
-        return ((ring.div(ring.one, det),),)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cof = mat_det(ring, _minor(a, i, j))
-            if (i + j) % 2:
-                cof = ring.sub(ring.zero, cof)
-            out[j][i] = ring.div(cof, det)
-    return tuple(tuple(row) for row in out)
-
-
-def mat_theta(ring: Ring, a: tuple) -> tuple:
-    """Transpose-inverse, the outer automorphism of SL_n."""
-    return mat_transpose(mat_inv(ring, a))
+    return inv
 
 
 def mat_apply(fn, a: tuple) -> tuple:
@@ -174,7 +177,6 @@ class GaloisContext:
     elements: tuple
     ring: Ring
     compose: callable
-    inverse: callable
     apply: callable               # apply(element, scalar)
     field: NumberField | None = None
     model: "FiniteModel | None" = None
@@ -189,7 +191,6 @@ def number_field_context(field: NumberField, subgroup: Subgroup) -> GaloisContex
         elements=tuple(subgroup),
         ring=number_field_ring(field),
         compose=field.compose,
-        inverse=field.inverse_index,
         apply=field.apply_aut,
         field=field,
     )
@@ -235,7 +236,6 @@ def finite_model_context(model: FiniteModel) -> GaloisContext:
         elements=tuple(range(m)),
         ring=finite_field_ring(ff),
         compose=lambda i, j: (i + j) % m,
-        inverse=lambda i: (-i) % m,
         apply=lambda j, a: frob[j % m][a],
         model=model,
     )
@@ -250,7 +250,6 @@ class Cocycle:
     """Validated assignment element -> (alpha, flip); build via cocycle_make."""
     context: GaloisContext
     assignments: dict
-    inverses: dict = datafield(repr=False, compare=False, default_factory=dict)
 
     def alpha(self, element) -> tuple:
         return self.assignments[element][0]
@@ -259,34 +258,35 @@ class Cocycle:
         return self.assignments[element][1]
 
 
-def twisted_image(cocycle: Cocycle, element, g: tuple) -> tuple:
-    """The twisted Galois action: conjugate the entrywise image of g,
-    flipping through transpose-inverse when the assignment says so."""
+def _fixed_by(cocycle: Cocycle, element, g: tuple) -> bool:
+    """Whether g is fixed by the twisted action of the element, as a product
+    equation: alpha t(g) = g alpha, or g alpha t(g)^T = alpha under a flip
+    (t the entrywise Galois action), so nothing is inverted."""
     ctx = cocycle.context
     ring = ctx.ring
     alpha, flip = cocycle.assignments[element]
     moved = mat_apply(lambda x: ctx.apply(element, x), g)
     if flip:
-        moved = mat_theta(ring, moved)
-    if mat_is_scalar(ring, alpha):
-        return moved
-    inv = cocycle.inverses.get(element)
-    if inv is None:
-        inv = mat_inv(ring, alpha)
-    return mat_mul(ring, mat_mul(ring, alpha, moved), inv)
+        return mat_mul(ring, mat_mul(ring, g, alpha),
+                       mat_transpose(moved)) == alpha
+    return mat_mul(ring, alpha, moved) == mat_mul(ring, g, alpha)
 
 
 def cocycle_make(context: GaloisContext, assignments: dict) -> Cocycle:
     """Validate the cocycle identity on every ordered pair and return the
     cocycle.  Matrix equalities hold up to nonzero scalars, the identity
-    must carry (scalar, no flip), and every group element needs an entry."""
+    must carry (scalar, no flip), and every group element needs an entry.
+
+    The identity a_st ~ a_s theta(s(a_t)) is checked without an inverse:
+    as a_st s(a_t)^T ~ a_s under a flip of s, and a_st ~ a_s s(a_t)
+    otherwise."""
     ring = context.ring
     elems = context.elements
     cleaned = {}
-    inverses = {}
     for element, (alpha, flip) in assignments.items():
         a = tuple(tuple(row) for row in alpha)
-        inverses[element] = mat_inv(ring, a)
+        if ring.is_zero(mat_det(ring, a)):
+            raise NotInvertible("matrix determinant is zero")
         cleaned[element] = (a, bool(flip))
     if set(cleaned) != set(elems):
         raise ValueError("assignments must cover the group exactly: "
@@ -308,12 +308,13 @@ def cocycle_make(context: GaloisContext, assignments: dict) -> Cocycle:
                 raise CocycleViolation(f"flip parity fails at pair ({s}, {t})")
             moved = mat_apply(lambda x: context.apply(s, x), a_t)
             if f_s:
-                moved = mat_theta(ring, moved)
-            expected = mat_mul(ring, a_s, moved)
-            if not mat_scalar_multiple(ring, a_st, expected):
+                lhs, rhs = mat_mul(ring, a_st, mat_transpose(moved)), a_s
+            else:
+                lhs, rhs = a_st, mat_mul(ring, a_s, moved)
+            if not mat_scalar_multiple(ring, lhs, rhs):
                 raise CocycleViolation(
                     f"cocycle identity fails at pair ({s}, {t})")
-    return Cocycle(context, cleaned, inverses)
+    return Cocycle(context, cleaned)
 
 
 def trivial_cocycle(context: GaloisContext, n: int) -> Cocycle:
@@ -334,17 +335,17 @@ def unitary_cocycle(model: FiniteModel) -> Cocycle:
 
 def conjugate_cocycle(cocycle: Cocycle, g) -> Cocycle:
     """The cohomologous cocycle obtained by composing with conjugation by g
-    on the left and by the Galois image of its inverse on the right.  The
-    fixed-point group changes by conjugation only, so orders are preserved."""
+    on the left and by the Galois image of its inverse on the right, which
+    under a flip is theta(s(g^-1)) = s(g)^T.  The fixed-point group changes
+    by conjugation only, so orders are preserved."""
     ctx = cocycle.context
     ring = ctx.ring
     gm = tuple(tuple(row) for row in g)
     g_inv = mat_inv(ring, gm)
     fresh = {}
     for element, (alpha, flip) in cocycle.assignments.items():
-        moved = mat_apply(lambda x: ctx.apply(element, x), g_inv)
-        if flip:
-            moved = mat_theta(ring, moved)
+        moved = mat_apply(lambda x: ctx.apply(element, x),
+                          mat_transpose(gm) if flip else g_inv)
         fresh[element] = (mat_mul(ring, mat_mul(ring, gm, alpha), moved), flip)
     return cocycle_make(ctx, fresh)
 
@@ -379,9 +380,9 @@ def twisted_fixed_elements(model: FiniteModel, cocycle: Cocycle) -> tuple:
     generator, in lexicographic order; for a validated cocycle over a cyclic
     group this is the whole twisted-fixed group.
 
-    twisted_image(cocycle, generator, g) == g is the equation
-    g alpha F(g)^T = alpha under a flip, whose entry (i, j) reads rows i and
-    j of g, and alpha F(g) = g alpha without one, whose row i reads row i and
+    g is fixed by the generator when g alpha F(g)^T = alpha under a flip,
+    an equation whose entry (i, j) reads rows i and j of g, and when
+    alpha F(g) = g alpha without one, whose row i reads row i and
     the rows k with alpha_ik != 0 (F the entrywise Frobenius).  A depth-first
     search places the rows of g in order, each one drawn from F_{q^m}^n in
     lexicographic order.  An equation narrows the candidates of the last row
@@ -501,10 +502,10 @@ def twisted_fixed_points(model: FiniteModel, cocycle: Cocycle) -> int:
 @dataclass(frozen=True)
 class ProjectionReport:
     source_order: int             # twisted-fixed elements, generator condition
-    tuple_order: int              # distinct image tuples that are twisted-fixed
+    tuple_order: int              # of those, fixed by every group element
     lands_in_fixed_subset: bool   # every image tuple is twisted-fixed
     projection_inverts: bool      # identity component recovers the element
-    homomorphism_ok: bool         # multiplicativity on sampled pairs
+    homomorphism_ok: bool         # products of sampled pairs stay fixed
     passed: bool
 
 
@@ -514,57 +515,34 @@ def projection_iso_check(model: FiniteModel, cocycle: Cocycle,
     onto twisted-fixed tuples in the product of one SL_n copy per group
     element, inverted by projection to the identity component.
 
-    A tuple x is twisted-fixed when x_s = f_g(^g x_{g^{-1}s}) for every pair;
-    that each image tuple satisfies this is exactly the cocycle identity, so
-    a corrupted assignment at a non-generator element produces image tuples
-    that fail it and the counts disagree.  Multiplicativity is checked on
-    100 pairs of fixed elements drawn with the seed."""
+    For a valid cocycle the image of g is the diagonal tuple (g, ..., g),
+    twisted-fixed exactly when g satisfies _fixed_by for every element: a
+    corrupted assignment at a non-generator element leaves elements fixed by
+    the generator but not by it, and the counts disagree.  Closure under
+    products is checked on 100 pairs of fixed elements drawn with the seed."""
     _check_model_cocycle(model, cocycle)
     ctx = cocycle.context
     ring = ctx.ring
     elems = ctx.elements
-    position = {e: i for i, e in enumerate(elems)}
-    ident = ctx.identity()
 
     fixed = twisted_fixed_elements(model, cocycle)
-    inverts = True
-    image = set()
-    invariant_image = set()
-    for g in fixed:
-        tup = tuple(twisted_image(cocycle, t, g) for t in elems)
-        image.add(tup)
-        if tup[position[ident]] != g:
-            inverts = False
-        invariant = all(
-            tup[i] == twisted_image(
-                cocycle, gamma,
-                tup[position[ctx.compose(ctx.inverse(gamma), tau)]])
-            for gamma in elems for i, tau in enumerate(elems))
-        if invariant:
-            invariant_image.add(tup)
+    fixed_by_all = lambda g: all(_fixed_by(cocycle, t, g) for t in elems)
+    tuple_order = sum(1 for g in fixed if fixed_by_all(g))
+    inverts = all(_fixed_by(cocycle, ctx.identity(), g) for g in fixed)
 
-    hom_ok = True
-    if fixed:
-        rng = random.Random(seed)
-        for _ in range(100):
-            g, h = rng.choice(fixed), rng.choice(fixed)
-            gh = mat_mul(ring, g, h)
-            for t in elems:
-                lhs = twisted_image(cocycle, t, gh)
-                rhs = mat_mul(ring, twisted_image(cocycle, t, g),
-                              twisted_image(cocycle, t, h))
-                if lhs != rhs:
-                    hom_ok = False
+    rng = random.Random(seed)
+    pairs = [(rng.choice(fixed), rng.choice(fixed))
+             for _ in range(100)] if fixed else []
+    hom_ok = all(fixed_by_all(mat_mul(ring, g, h)) for g, h in pairs)
 
-    lands = len(invariant_image) == len(image)
-    bijective = len(invariant_image) == len(fixed) and len(image) == len(fixed)
+    lands = tuple_order == len(fixed)
     return ProjectionReport(
         source_order=len(fixed),
-        tuple_order=len(invariant_image),
+        tuple_order=tuple_order,
         lands_in_fixed_subset=lands,
         projection_inverts=inverts,
         homomorphism_ok=hom_ok,
-        passed=lands and inverts and hom_ok and bijective,
+        passed=lands and inverts and hom_ok,
     )
 
 
@@ -742,7 +720,7 @@ def cocycle_from_json(doc: dict) -> Cocycle:
             field = field_from_json(doc["field"])
             subgroup = subgroup_make(field, [int(i) for i in doc["subgroup"]])
             context = number_field_context(field, subgroup)
-            cell = lambda x: field.element([Fraction(c) for c in x])
+            cell = lambda x: element_from_json(field, x)
         assignments = {
             int(key): (tuple(tuple(cell(x) for x in row)
                              for row in entry["alpha"]),

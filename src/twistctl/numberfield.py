@@ -52,6 +52,7 @@ from .polynomials import (
     pmod_sub,
     poly_from_strings,
     poly_to_strings,
+    rational_from_json,
 )
 
 Q = Fraction
@@ -831,5 +832,10 @@ def field_to_json(field: NumberField) -> dict:
 
 def field_from_json(doc: dict) -> NumberField:
     min_poly = poly_from_strings(doc["min_poly"])
-    images = [[Q(s) for s in img] for img in doc["aut_images"]]
+    images = [[rational_from_json(s) for s in img] for img in doc["aut_images"]]
     return field_make(min_poly, images)
+
+
+def element_from_json(field: NumberField, coords) -> FieldElement:
+    """The element with these document coordinates (see rational_from_json)."""
+    return field.element([rational_from_json(c) for c in coords])

@@ -16,7 +16,7 @@ from math import gcd as int_gcd, isqrt
 from typing import Iterable, Sequence
 
 from .arith import divisors, primes_up_to
-from .errors import BadReduction, NotSeparableModP
+from .errors import BadReduction, NotSeparableModP, SchemaError
 
 Q = Fraction
 
@@ -203,8 +203,20 @@ class QPoly:
         return a.monic()
 
 
+def rational_from_json(x) -> Fraction:
+    """A rational as a document holds it: an int, or an exact string such as
+    "-3/4" or "0.25".  A float (whose binary value is not the decimal it was
+    written as), a zero denominator or anything else raises SchemaError."""
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaError(f"{x!r} is not an int or an exact rational string")
+
+
 def poly_from_strings(items: Sequence[str | int]) -> QPoly:
-    return QPoly([_as_fraction(s) for s in items])
+    return QPoly([rational_from_json(s) for s in items])
 
 
 def poly_to_strings(p: QPoly) -> list[str]:

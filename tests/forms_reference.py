@@ -1,0 +1,178 @@
+"""The inverse-based formulation of the twisted action, kept as the reference
+that the product equations in twistctl.forms are compared with.
+
+Here the action of t on g is alpha theta(t(g)) alpha^-1, theta being
+transpose-inverse when t's flip is set; the cocycle identity is checked as
+a_st ~ a_s theta(s(a_t)); the projection check builds the image tuples and
+tests their invariance on every pair of group elements.  The determinant
+and inverse are recursive cofactor expansions, the reference for the
+Gaussian elimination in forms.
+"""
+
+import random
+
+from twistctl import forms
+from twistctl.errors import CocycleViolation, NotInvertible
+
+
+def _minor(a, i, j):
+    return tuple(tuple(x for jj, x in enumerate(row) if jj != j)
+                 for ii, row in enumerate(a) if ii != i)
+
+
+def cofactor_det(ring, a):
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return ring.sub(ring.mul(a[0][0], a[1][1]), ring.mul(a[0][1], a[1][0]))
+    acc = ring.zero
+    for j in range(n):
+        term = ring.mul(a[0][j], cofactor_det(ring, _minor(a, 0, j)))
+        acc = ring.add(acc, term) if j % 2 == 0 else ring.sub(acc, term)
+    return acc
+
+
+def cofactor_inv(ring, a):
+    n = len(a)
+    det = cofactor_det(ring, a)
+    if ring.is_zero(det):
+        raise NotInvertible("matrix determinant is zero")
+    if n == 1:
+        return ((ring.div(ring.one, det),),)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            cof = cofactor_det(ring, _minor(a, i, j))
+            if (i + j) % 2:
+                cof = ring.sub(ring.zero, cof)
+            out[j][i] = ring.div(cof, det)
+    return tuple(tuple(row) for row in out)
+
+
+def mat_theta(ring, a):
+    """Transpose-inverse, the outer automorphism of SL_n."""
+    return forms.mat_transpose(forms.mat_inv(ring, a))
+
+
+def twisted_action(cocycle, element):
+    """The twisted image g -> alpha theta(t(g)) alpha^-1 of the element t,
+    with alpha inverted once here rather than once per g."""
+    ctx = cocycle.context
+    ring = ctx.ring
+    alpha, flip = cocycle.assignments[element]
+    inv = None if forms.mat_is_scalar(ring, alpha) \
+        else forms.mat_inv(ring, alpha)
+
+    def image(g):
+        moved = forms.mat_apply(lambda x: ctx.apply(element, x), g)
+        if flip:
+            moved = mat_theta(ring, moved)
+        if inv is None:
+            return moved
+        return forms.mat_mul(ring, forms.mat_mul(ring, alpha, moved), inv)
+    return image
+
+
+def cocycle_make(context, assignments):
+    """The identity a_st ~ a_s theta(s(a_t)) on every ordered pair, each
+    alpha inverted up front."""
+    ring = context.ring
+    elems = context.elements
+    cleaned = {}
+    for element, (alpha, flip) in assignments.items():
+        a = tuple(tuple(row) for row in alpha)
+        forms.mat_inv(ring, a)
+        cleaned[element] = (a, bool(flip))
+    if set(cleaned) != set(elems):
+        raise ValueError("assignments must cover the group exactly: "
+                         f"got {sorted(cleaned)}, need {sorted(elems)}")
+
+    ident = context.identity()
+    alpha0, flip0 = cleaned[ident]
+    if flip0 or not forms.mat_is_scalar(ring, alpha0):
+        raise CocycleViolation(
+            "the identity element must map to (scalar matrix, no flip)")
+
+    for s in elems:
+        for t in elems:
+            st = context.compose(s, t)
+            a_s, f_s = cleaned[s]
+            a_t, f_t = cleaned[t]
+            a_st, f_st = cleaned[st]
+            if f_st != (f_s ^ f_t):
+                raise CocycleViolation(f"flip parity fails at pair ({s}, {t})")
+            moved = forms.mat_apply(lambda x: context.apply(s, x), a_t)
+            if f_s:
+                moved = mat_theta(ring, moved)
+            expected = forms.mat_mul(ring, a_s, moved)
+            if not forms.mat_scalar_multiple(ring, a_st, expected):
+                raise CocycleViolation(
+                    f"cocycle identity fails at pair ({s}, {t})")
+    return forms.Cocycle(context, cleaned)
+
+
+def conjugate_assignments(cocycle, g):
+    """The assignments of the cocycle conjugated by g: g alpha theta(s(g^-1))."""
+    ctx = cocycle.context
+    ring = ctx.ring
+    g_inv = forms.mat_inv(ring, g)
+    fresh = {}
+    for element, (alpha, flip) in cocycle.assignments.items():
+        moved = forms.mat_apply(lambda x: ctx.apply(element, x), g_inv)
+        if flip:
+            moved = mat_theta(ring, moved)
+        fresh[element] = (forms.mat_mul(ring, forms.mat_mul(ring, g, alpha),
+                                        moved), flip)
+    return fresh
+
+
+def projection_iso_check(model, cocycle, seed=0):
+    """The image tuples (f_t(^t g))_t of the fixed elements, their
+    invariance x_s = f_g(^g x_{g^-1 s}) on every pair, projection to the
+    identity component, and f_t(gh) = f_t(g) f_t(h) on 100 seeded pairs."""
+    ctx = cocycle.context
+    ring = ctx.ring
+    elems = ctx.elements
+    position = {e: i for i, e in enumerate(elems)}
+    ident = ctx.identity()
+    inverse = {e: next(f for f in elems if ctx.compose(e, f) == ident)
+               for e in elems}
+    act = {t: twisted_action(cocycle, t) for t in elems}
+
+    fixed = forms.twisted_fixed_elements(model, cocycle)
+    inverts = True
+    image = set()
+    invariant_image = set()
+    for g in fixed:
+        tup = tuple(act[t](g) for t in elems)
+        image.add(tup)
+        if tup[position[ident]] != g:
+            inverts = False
+        invariant = all(
+            tup[i] == act[gamma](
+                tup[position[ctx.compose(inverse[gamma], tau)]])
+            for gamma in elems for i, tau in enumerate(elems))
+        if invariant:
+            invariant_image.add(tup)
+
+    hom_ok = True
+    if fixed:
+        rng = random.Random(seed)
+        for _ in range(100):
+            g, h = rng.choice(fixed), rng.choice(fixed)
+            gh = forms.mat_mul(ring, g, h)
+            for t in elems:
+                if act[t](gh) != forms.mat_mul(ring, act[t](g), act[t](h)):
+                    hom_ok = False
+
+    lands = len(invariant_image) == len(image)
+    bijective = len(invariant_image) == len(fixed) and len(image) == len(fixed)
+    return forms.ProjectionReport(
+        source_order=len(fixed),
+        tuple_order=len(invariant_image),
+        lands_in_fixed_subset=lands,
+        projection_inverts=inverts,
+        homomorphism_ok=hom_ok,
+        passed=lands and inverts and hom_ok and bijective,
+    )

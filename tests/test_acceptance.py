@@ -84,7 +84,7 @@ def test_descent_projection_is_bijective_and_detects_sabotage(capsys):
     assert forms.projection_iso_check(tower, good).passed
     broken = dict(good.assignments)
     broken[2] = (((1, 1), (0, 1)), False)
-    sabotaged = forms.Cocycle(good.context, broken, {})
+    sabotaged = forms.Cocycle(good.context, broken)
     report = forms.projection_iso_check(tower, sabotaged)
     assert not report.passed
     assert report.tuple_order < report.source_order

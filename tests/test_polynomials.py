@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistctl.errors import BadReduction, NotSeparableModP
+from twistctl.errors import BadReduction, NotSeparableModP, SchemaError
 from twistctl.polynomials import (
     QPoly,
     cyclotomic,
@@ -23,6 +23,7 @@ from twistctl.polynomials import (
     pmod_roots,
     poly_from_strings,
     poly_to_strings,
+    rational_from_json,
     resultant,
 )
 
@@ -260,3 +261,12 @@ def test_json_string_round_trip():
     g = poly_from_strings(["1/2", "-3/4", "1"])
     assert g.coeffs == (Fraction(1, 2), Fraction(-3, 4), Fraction(1))
     assert poly_to_strings(g) == ["1/2", "-3/4", "1"]
+
+
+def test_document_rationals_are_ints_or_exact_strings():
+    assert rational_from_json(-3) == -3
+    assert rational_from_json("-3/4") == Fraction(-3, 4)
+    assert rational_from_json("0.1") == Fraction(1, 10)
+    for bad in (0.1, 2.0, True, None, [1], "1/0", "x", ""):
+        with pytest.raises(SchemaError):
+            rational_from_json(bad)
