@@ -11,8 +11,8 @@ generators of (Z/N)^x and expanded to a residue table by walking the
 generators' powers; value-table characters are bare place -> exponent maps
 for other base fields.  On top: Galois transforms, products, conductors, and
 a fitting search that recovers the smallest-conductor Dirichlet character
-matching observed twist ratios, reading residues' generator exponents from
-one discrete-log table per prime power.
+with given exponents at given places, reading residues' generator exponents
+from one discrete-log table per prime power.
 """
 
 from __future__ import annotations
@@ -279,39 +279,29 @@ def char_mul(a: Character, b: Character) -> Character:
                      exps={p: (k + b.exps[p]) % w for p, k in a.exps.items()})
 
 
-def fit_all(value_map: dict, N_max: int, order_bound: int,
-            field: NumberField | None = None) -> list[Character]:
-    """All primitive Dirichlet characters of modulus <= N_max consistent with
-    every entry of value_map (place -> root of unity), deduplicated, sorted
-    by conductor then value table.
+def fit_all(exponents: dict, N_max: int, order_bound: int,
+            field: NumberField) -> list[Character]:
+    """All primitive Dirichlet characters of modulus <= N_max with chi(v) =
+    zeta^k_v for every entry v -> k_v of exponents, deduplicated, sorted by
+    conductor then value table.
 
-    Each value is logged once as zeta^k_v.  For each modulus N the generator
-    exponents x_i run over the multiples of w/gcd(w, d_i), the exponents of
-    the d_i-th roots of unity, and a candidate fits when sum_i e_i(v) x_i =
-    k_v (mod w) at every place, e_i(v) being the exponents of v mod N on the
-    canonical generators, which lift those of each (Z/q^e)^x, q^e || N: one
-    table per prime power and call gives e_i(v) from v mod q^e.  Moduli
-    sharing a factor with a determined place are skipped: the observed ratio
-    at such a place is a unit, which no character of that modulus can produce.
+    For each modulus N the generator exponents x_i run over the multiples
+    of w/gcd(w, d_i), the exponents of the d_i-th roots of unity, and a
+    candidate fits when sum_i e_i(v) x_i = k_v (mod w) at every place,
+    e_i(v) being the exponents of v mod N on the canonical generators,
+    which lift those of each (Z/q^e)^x, q^e || N: one table per prime power
+    and call gives e_i(v) from v mod q^e.  Moduli sharing a factor with a
+    determined place are skipped: the observed ratio at such a place is a
+    unit, which no character of that modulus can produce.
     """
-    if field is None:
-        for v in value_map.values():
-            if isinstance(v, FieldElement):
-                field = v.field
-                break
-        else:
-            raise ValueError("cannot infer the coefficient field; pass field=")
     mu = unit_roots(field)
     w = mu.order
     entries = []
-    for place, val in sorted(value_map.items(), key=lambda kv: int(kv[0])):
-        if not isinstance(val, FieldElement):
-            val = field.from_rational(val)
-        k = mu.log.get(val.key)
-        if k is None or mu.order_of(k) > order_bound:
+    for place, k in sorted(exponents.items(), key=lambda kv: int(kv[0])):
+        if mu.order_of(k) > order_bound:
             raise NotRootOfUnity(
                 f"value at place {place} is not a root of unity of order <= {order_bound}")
-        entries.append((int(place), k))
+        entries.append((int(place), k % w))
 
     found = {}
     # The trivial character fits iff every observed value is 1; handling it
@@ -350,11 +340,15 @@ def fit_all(value_map: dict, N_max: int, order_bound: int,
     return sorted(found.values(), key=lambda c: (c.modulus, c.canonical_key()))
 
 
-def char_fit(value_map: dict, N_max: int, order_bound: int,
-             field: NumberField | None = None) -> Character | None:
+def char_fit(exponents: dict, N_max: int, order_bound: int,
+             field: NumberField) -> Character | None:
     """The unique smallest-conductor Dirichlet character of modulus <= N_max
-    matching the value map, None if nothing fits, Ambiguous on a tie."""
-    fits = fit_all(value_map, N_max, order_bound, field)
+    with chi(v) = zeta^k_v on the exponent map, None if nothing fits,
+    Ambiguous on a tie.  An all-zero map gives the trivial character, the
+    only fit of conductor 1, without scanning a modulus."""
+    if not any(exponents.values()):
+        return trivial_character(field)
+    fits = fit_all(exponents, N_max, order_bound, field)
     if not fits:
         return None
     best = fits[0].modulus

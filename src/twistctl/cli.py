@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import lmfdb
 from .arith import is_prime, primes_up_to
-from .eigensystem import load_system, normalize, serialize
+from .eigensystem import _parse_place_label, load_system, normalize, serialize
 from .errors import InsufficientData, TwistctlError
 from .finitefield import split_order, unitary_order
 from .forms import (
@@ -167,9 +167,10 @@ def _render_twists(doc) -> list:
              f"(inner subgroup order {doc['inner_order']})"]
     for t in doc["twists"]:
         chi = t["character"]
+        what = (f"modulus {chi['modulus']}" if chi["kind"] == "dirichlet"
+                else f"on {len(chi['values'])} places")
         lines.append(f"  {t['kind']} twist at automorphism "
-                     f"{t['aut_index']}: character modulus "
-                     f"{chi['modulus']}")
+                     f"{t['aut_index']}: character {what}")
     lines.append(f"fixed field degree {doc['fixed_field']['degree']}, "
                  f"min poly {doc['fixed_field']['min_poly']}")
     lines.append(f"inner fixed field degree "
@@ -307,8 +308,10 @@ def _cmd_normalize(ns) -> int:
     scalings = None
     if ns.scalings:
         raw = json.loads(Path(ns.scalings).read_text())
-        scalings = {key: element_from_json(sys_.field, coords)
-                    for key, coords in raw.items()}
+        scalings = {
+            _parse_place_label(key, sys_.base_field_label):
+                element_from_json(sys_.field, coords)
+            for key, coords in raw.items()}
     doc = serialize(normalize(sys_, scalings))
     payload = json.dumps(doc, indent=2, sort_keys=True)
     if ns.output:

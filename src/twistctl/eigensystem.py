@@ -9,9 +9,7 @@ place is X^n - a X^(n-1) + ... + (-1)^(n-1) b X + (-1)^n.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -177,45 +175,6 @@ def serialize(sys: EigenSystem) -> dict:
     }
 
 
-def load_csv(text: str, *, n: int, field: NumberField, base_field: str = "Q",
-             m: int = 0, omega: Character | None = None,
-             bad_places=()) -> EigenSystem:
-    """Ingest coefficient rows: place, norm, a_0..a_{d-1}[, b_0..b_{d-1}]."""
-    d = field.degree
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        raise SchemaError("empty CSV")
-    expected = ["place", "norm"] + [f"a_{i}" for i in range(d)]
-    if n == 3:
-        expected += [f"b_{i}" for i in range(d)]
-    if [h.strip() for h in header] != expected:
-        raise SchemaError(f"CSV header must be {','.join(expected)}")
-    coeff_doc = {}
-    for row in reader:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(expected):
-            raise SchemaError(f"row for place {row[0]!r} has {len(row)} columns")
-        place = row[0].strip()
-        if place in coeff_doc:
-            raise DuplicatePlace(f"place {place} appears twice")
-        entry = {"norm": int(row[1]), "a": [c.strip() for c in row[2:2 + d]]}
-        if n == 3:
-            entry["b"] = [c.strip() for c in row[2 + d:2 + 2 * d]]
-        coeff_doc[place] = entry
-    doc = {
-        "n": n,
-        "base_field": base_field,
-        "field": field_to_json(field),
-        "central_character": {"m": m, "omega": "trivial" if omega is None
-                              else char_to_json(omega)},
-        "bad_places": list(bad_places),
-        "coefficients": coeff_doc,
-    }
-    return load_system(doc)
-
-
 def normalize(sys: EigenSystem, scalings: dict | None = None) -> NormalizedSystem:
     """Rescale roots so the characteristic polynomials have determinant 1.
 
@@ -258,22 +217,3 @@ def normalize(sys: EigenSystem, scalings: dict | None = None) -> NormalizedSyste
                             base_field_label=sys.base_field_label,
                             m=None, omega=None, bad_places=sys.bad_places,
                             coeffs=new)
-
-
-def dualize(nsys: NormalizedSystem) -> NormalizedSystem:
-    """Coefficient data of the dual system: a and b trade places (n = 3)."""
-    if not isinstance(nsys, NormalizedSystem):
-        raise ValueError("dualize expects a normalized system")
-    if nsys.n == 2:
-        return nsys
-    swapped = {v: PlaceData(pd.norm, pd.b, pd.a) for v, pd in nsys.coeffs.items()}
-    return replace(nsys, coeffs=swapped)
-
-
-def charpoly_coeffs(nsys: NormalizedSystem, place) -> tuple:
-    """Ascending coefficients of the normalized characteristic polynomial."""
-    pd = nsys.coeffs[place]
-    one = nsys.field.one()
-    if nsys.n == 2:
-        return (one, -pd.a, one)
-    return (-one, pd.b, -pd.a, one)

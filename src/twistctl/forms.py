@@ -707,15 +707,26 @@ def cocycle_to_json(cocycle: Cocycle) -> dict:
     return doc
 
 
+def _json_int(x, what: str, size: int | None = None) -> int:
+    """x if it is a JSON int (not a bool), in range(size) when a size is
+    given; SchemaError otherwise."""
+    if type(x) is not int or (size is not None and not 0 <= x < size):
+        where = "" if size is None else f" in range({size})"
+        raise SchemaError(f"{what} must be an integer{where}, got {x!r}")
+    return x
+
+
 def cocycle_from_json(doc: dict) -> Cocycle:
     try:
         raw = doc["assignments"]
         if "model" in doc:
             spec = doc["model"]
-            model = finite_model(int(spec["q"]), int(spec["m"]), int(spec["n"]),
-                                 int(spec.get("budget", DEFAULT_BUDGET)))
+            model = finite_model(
+                *(_json_int(spec[key], f"model {key}") for key in "qmn"),
+                _json_int(spec.get("budget", DEFAULT_BUDGET), "model budget"))
             context = finite_model_context(model)
-            cell = lambda x: int(x)
+            size = model.q ** model.m
+            cell = lambda x: _json_int(x, "a finite-model alpha entry", size)
         else:
             field = field_from_json(doc["field"])
             subgroup = subgroup_make(field, [int(i) for i in doc["subgroup"]])

@@ -239,8 +239,7 @@ class NumberField:
         if len(aut_images) != d:
             raise NotClosed(f"expected {d} automorphism images, got {len(aut_images)}")
         self.aut_images = tuple(self.element(c) for c in aut_images)
-        self._unit_roots = None
-        self._aut_mult = None     # left by roots_of_unity for unit_roots
+        self._unit_roots = None   # left by roots_of_unity for unit_roots
 
         self._validate_automorphisms()
         self._aut_matrices = tuple(self._aut_matrix(img) for img in self.aut_images)
@@ -661,8 +660,8 @@ def _split_primes(field: NumberField) -> list[int]:
 def roots_of_unity(field: NumberField) -> list[FieldElement]:
     """All roots of unity in the field, sorted by coordinates: the powers of
     a root of the largest order the field holds, verified by exact
-    exponentiation.  Not cached: unit_roots keeps the result, and reads the
-    exponents sigma_i(zeta) = zeta^c_i that the search leaves on the field.
+    exponentiation.  Not cached: each call searches, and leaves mu(E) on the
+    field as the UnitRoots that unit_roots reads.
 
     An order k >= 3 needs phi(k) | d, and p = 1 (mod k) at every prime p
     where the field splits completely, since such a p splits in Q(zeta_k);
@@ -687,7 +686,15 @@ def roots_of_unity(field: NumberField) -> list[FieldElement]:
     powers = [one]
     while (x := powers[-1] * zeta) != one:
         powers.append(x)
-    field._aut_mult = mult
+    # the generator is the primitive power first by coordinates, zeta^j;
+    # its powers are those of zeta reindexed, and sigma_i(zeta^j) =
+    # (zeta^j)^c_i as for zeta
+    w = len(powers)
+    j = min((j for j in range(w) if gcd(j, w) == 1),
+            key=lambda j: powers[j].coords)
+    gen_powers = tuple(powers[j * k % w] for k in range(w))
+    field._unit_roots = UnitRoots(
+        w, gen_powers, {z.key: k for k, z in enumerate(gen_powers)}, mult)
     return sorted(powers, key=lambda z: z.coords)
 
 
@@ -800,22 +807,10 @@ class UnitRoots(NamedTuple):
 
 
 def unit_roots(field: NumberField) -> UnitRoots:
-    """The field's UnitRoots, built on first use and kept on the field.
+    """The field's UnitRoots, left on the field by its first roots_of_unity.
     aut_mult is the search's c, the same for every generator of mu(E)."""
     if field._unit_roots is None:
-        mu = roots_of_unity(field)
-        one = field.one()
-        for zeta in mu:
-            powers = [one]
-            while (x := powers[-1] * zeta) != one:
-                powers.append(x)
-            if len(powers) == len(mu):
-                break
-        else:
-            raise RootSearchFailed("the roots of unity found are not cyclic")
-        log = {z.key: k for k, z in enumerate(powers)}
-        field._unit_roots = UnitRoots(len(mu), tuple(powers), log,
-                                      field._aut_mult)
+        roots_of_unity(field)
     return field._unit_roots
 
 

@@ -189,9 +189,10 @@ def _relations(sys: EigenSystem, kind: str, v) -> tuple:
 
 def _scan(sys: EigenSystem, kind: str, bound: int, n_max, min_places: int,
           auts) -> list[ExtraTwist]:
-    """Twists of the given kind on the automorphisms auts, read off each
-    one's exponent table: over Q a Dirichlet character fitted from the first
-    relation where its target is nonzero, over other bases the table."""
+    """Twists of the given kind on the automorphisms auts, the identity
+    included, read off each one's exponent table: over Q a Dirichlet
+    character fitted from the first relation where its target is nonzero,
+    over other bases the table."""
     if n_max is None:
         n_max = default_n_max(sys)
     ob = _max_order(sys)
@@ -210,16 +211,11 @@ def _scan(sys: EigenSystem, kind: str, bound: int, n_max, min_places: int,
     products = _products(sys, kind, places)
     out = []
     for sigma in auts:
-        if kind == "inner" and sigma == 0:
-            # every exponent is 0, so the minimal fit is the trivial
-            # character and both relations hold tautologically
-            chi = trivial_character(sys.field)
+        table = _exponents(sys, kind, sigma, places, products)
+        if sys.base_field_label == "Q":
+            chi = _fit_dirichlet(sys.field, table, support, n_max, ob)
         else:
-            table = _exponents(sys, kind, sigma, places, products)
-            if sys.base_field_label == "Q":
-                chi = _fit_dirichlet(sys.field, table, support, n_max, ob)
-            else:
-                chi = _fit_table(sys.field, table, ob)
+            chi = _fit_table(sys.field, table, ob)
         if chi is not None and _power_ok(sys, chi):
             out.append(ExtraTwist(kind, sigma, chi, bound, undetermined))
     return out
@@ -261,13 +257,11 @@ def _fit_dirichlet(field: NumberField, table: dict, support, n_max: int,
                    ob: int) -> Character | None:
     """The smallest-conductor Dirichlet character with the first
     relation's exponents on the support, if it agrees with the whole table."""
-    first = [table[v][0] for v in support]
-    if None in first:
+    first = {v: table[v][0] for v in support}
+    if None in first.values():
         return None
-    powers = unit_roots(field).powers
     try:
-        chi = char_fit({v: powers[k] for v, k in zip(support, first)},
-                       n_max, ob, field=field)
+        chi = char_fit(first, n_max, ob, field)
     except NotRootOfUnity:
         return None
     return chi if chi is not None and _agrees(chi, table) else None
@@ -449,8 +443,8 @@ def general_type_verdict(sys: EigenSystem, bound: int,
     zeros = [v for v in places if sys.coeffs[v].a.is_zero()]
 
     if sys.base_field_label == "Q":
-        ones = {v: sys.field.one() for v in determined}
-        for cand in fit_all(ones, n_max, ob, field=sys.field):
+        for cand in fit_all(dict.fromkeys(determined, 0), n_max, ob,
+                            sys.field):
             if cand.is_trivial() or not _power_ok(sys, cand):
                 continue
             if all(_exponent(cand, v) in (0, None) for v in zeros):

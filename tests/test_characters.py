@@ -17,7 +17,7 @@ from twistctl.errors import (
     NotCoprime,
     NotRootOfUnity,
 )
-from twistctl.numberfield import field_make
+from twistctl.numberfield import field_make, unit_roots
 from twistctl.characters import (
     char_eval,
     char_fit,
@@ -222,12 +222,18 @@ class TestEvalAndAlgebra:
 # fitting
 # ---------------------------------------------------------------------------
 
+def exponents(K, values):
+    """The fit's input: each root of unity as its exponent of zeta."""
+    mu = unit_roots(K)
+    return {v: mu.exponent(x) for v, x in values.items()}
+
+
 class TestFitting:
     def test_legendre_mod_four(self):
         K = gaussian_field()
         vals = {p: K.from_rational(1 if p % 4 == 1 else -1)
                 for p in primes_upto(50) if p != 2}
-        chi = char_fit(vals, 12, 2)
+        chi = char_fit(exponents(K, vals), 12, 2, K)
         assert chi is not None
         assert chi.conductor() == 4 and chi.order() == 2
         assert char_eval(chi, 3) == -1
@@ -235,13 +241,14 @@ class TestFitting:
     def test_all_ones_gives_trivial(self):
         K = gaussian_field()
         vals = {p: K.one() for p in primes_upto(50) if p != 2}
-        chi = char_fit(vals, 12, 2)
+        chi = char_fit(exponents(K, vals), 12, 2, K)
         assert chi == trivial_character(K) and chi.conductor() == 1
 
     def test_no_character_fits(self):
         K = gaussian_field()
         one, mone = K.one(), K.from_rational(-1)
-        assert char_fit({3: one, 7: mone, 11: one, 17: mone}, 8, 2) is None
+        assert char_fit(exponents(K, {3: one, 7: mone, 11: one, 17: mone}),
+                        8, 2, K) is None
 
     def test_ambiguous_pair_of_quartic_characters(self):
         # 19 and 29 are 4 mod 5, where both order-4 characters mod 5 take the
@@ -249,12 +256,12 @@ class TestFitting:
         K = gaussian_field()
         mone = K.from_rational(-1)
         with pytest.raises(Ambiguous):
-            char_fit({19: mone, 29: mone}, 8, 4, field=K)
+            char_fit(exponents(K, {19: mone, 29: mone}), 8, 4, K)
 
     def test_order_bound_disambiguates(self):
         K = gaussian_field()
         mone = K.from_rational(-1)
-        chi = char_fit({19: mone, 29: mone}, 8, 2, field=K)
+        chi = char_fit(exponents(K, {19: mone, 29: mone}), 8, 2, K)
         assert chi.conductor() == 8 and chi.order() == 2
         assert char_eval(chi, 3) == -1
         assert char_eval(chi, 5) == -1
@@ -263,15 +270,16 @@ class TestFitting:
     def test_determined_place_excludes_modulus(self):
         # a nonzero ratio at v = 3 rules out every modulus divisible by 3
         K = gaussian_field()
-        fits = fit_all({3: K.from_rational(-1)}, 12, 2, field=K)
+        fits = fit_all(exponents(K, {3: K.from_rational(-1)}), 12, 2, K)
         assert all(f.modulus % 3 != 0 for f in fits)
 
     def test_not_root_of_unity(self):
         K = gaussian_field()
         with pytest.raises(NotRootOfUnity):
-            char_fit({3: K.from_rational(2)}, 8, 4)
+            char_fit(exponents(K, {3: K.from_rational(2)}), 8, 4, K)
         with pytest.raises(NotRootOfUnity):
-            char_fit({3: K.element([0, 1])}, 8, 2)   # order 4 above the bound
+            # order 4 above the bound
+            char_fit(exponents(K, {3: K.element([0, 1])}), 8, 2, K)
 
     @pytest.mark.parametrize("modulus,images_spec", [
         (4, [-1]), (3, [-1]), (8, [-1, 1]), (8, [1, -1]), (8, [-1, -1]),
@@ -284,7 +292,7 @@ class TestFitting:
         chi = dirichlet_character(K, modulus, images)
         vals = {p: char_eval(chi, p) for p in primes_upto(200)
                 if gcd(p, modulus) == 1}
-        got = char_fit(vals, max(modulus, 4), 4)
+        got = char_fit(exponents(K, vals), max(modulus, 4), 4, K)
         assert got == chi.primitive()
         for p, v in vals.items():
             assert char_eval(got, p) == v

@@ -107,6 +107,36 @@ class TestTwistsCommand:
         assert doc["verdict"]["kind"] == "essentially-self-dual"
         assert doc["normalized_on_load"] is False
 
+    def test_non_rational_base_gives_the_same_group(self, capsys, tmp_path):
+        """klein relabelled to base K: every twist carries a value table,
+        and the group, the fixed fields and the per-prime verdicts are
+        those over Q."""
+        doc = json.loads(Path(KLEIN).read_text())
+        doc["base_field"] = "K"
+        relabelled = tmp_path / "klein_K.json"
+        relabelled.write_text(json.dumps(doc))
+        docs = {}
+        for path in (KLEIN, str(relabelled)):
+            for command in (("twists",), ("classify", "--primes", "3..50"),
+                            ("report", "--primes", "3..50")):
+                code, out, err = invoke(capsys, *command, "--input", path,
+                                        "--bound", "200", "--format", "json")
+                assert code == 0, err
+                docs[path, command[0]] = json.loads(out)
+        over_q, over_k = docs[KLEIN, "twists"], docs[str(relabelled), "twists"]
+        assert {t["character"]["kind"] for t in over_k["twists"]} == {"table"}
+        for key in ("group_order", "inner_order", "fixed_field",
+                    "inner_fixed_field", "verdict"):
+            assert over_k[key] == over_q[key], key
+        assert over_k["group_order"] == 4
+        for command in ("classify", "report"):
+            assert dict(docs[str(relabelled), command], input=None) == dict(
+                docs[KLEIN, command], input=None), command
+        code, out, err = invoke(capsys, "twists", "--input", str(relabelled),
+                                "--bound", "200")
+        assert code == 0, err
+        assert "inner twist at automorphism 0: character on 44 places" in out
+
     def test_missing_file_is_a_domain_error(self, capsys):
         code, _, err = invoke(capsys, "twists", "--input", "/no/such.json")
         assert code == 1
@@ -226,6 +256,28 @@ class TestVerifyCocycleCommand:
         code, _, err = invoke(capsys, "verify-cocycle", "--input", str(path))
         assert code == 1
         assert "error[SchemaError]" in err
+
+    def _rejected(self, capsys, tmp_path, doc):
+        path = tmp_path / "cocycle.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = invoke(capsys, "verify-cocycle", "--input", str(path))
+        assert code == 1
+        assert err.startswith("error[SchemaError]")
+
+    # 1.9 and true are no codes at all; 7 lies past F_4 and -1 before it
+    @pytest.mark.parametrize("bad", [1.9, 7, -1, True])
+    def test_finite_model_alpha_entry_is_an_element_code(self, capsys,
+                                                         tmp_path, bad):
+        doc = cocycle_to_json(unitary_cocycle(finite_model(2, 2, 2)))
+        doc["assignments"]["1"]["alpha"][0][0] = bad
+        self._rejected(capsys, tmp_path, doc)
+
+    @pytest.mark.parametrize("key,bad", [("q", 2.5), ("m", True),
+                                         ("n", "2"), ("budget", 1e9)])
+    def test_finite_model_shape_is_integers(self, capsys, tmp_path, key, bad):
+        doc = cocycle_to_json(unitary_cocycle(finite_model(2, 2, 2)))
+        doc["model"][key] = bad
+        self._rejected(capsys, tmp_path, doc)
 
 
 class TestExactRationals:
@@ -410,6 +462,21 @@ class TestNormalizeCommand:
         code, out, _ = invoke(capsys, "normalize", "--input", VANTOP)
         assert code == 0
         assert json.loads(out)["central_character"] == "normalized"
+
+    def test_scalings_keyed_by_place_label(self, capsys, tmp_path):
+        """c_v = norm at every place is the default rescaling of vantop
+        (m = 3, omega trivial); the JSON keys name places as the
+        coefficient keys do."""
+        coeffs = json.loads(Path(VANTOP).read_text())["coefficients"]
+        scalings = tmp_path / "scalings.json"
+        scalings.write_text(json.dumps(
+            {key: [str(entry["norm"]), "0"] for key, entry in coeffs.items()}))
+        code, default, _ = invoke(capsys, "normalize", "--input", VANTOP)
+        assert code == 0
+        code, out, err = invoke(capsys, "normalize", "--input", VANTOP,
+                                "--scalings", str(scalings))
+        assert code == 0, err
+        assert out == default
 
 
 class TestLmfdbCommands:

@@ -1,4 +1,4 @@
-"""Coefficient-system layer: loading, validation, normalization, duality."""
+"""Coefficient-system layer: loading, validation, normalization, serialization."""
 
 import json
 import os
@@ -21,9 +21,6 @@ from twistctl.errors import (
 from twistctl.eigensystem import (
     EigenSystem,
     NormalizedSystem,
-    charpoly_coeffs,
-    dualize,
-    load_csv,
     load_system,
     normalize,
     serialize,
@@ -227,53 +224,6 @@ class TestNormalize:
         with pytest.raises(MissingValue):
             normalize(sys, scalings={5: K.one()})
 
-    def test_constant_term(self):
-        nsys = normalize(load_system(vantop_doc()))
-        for v in nsys.places():
-            coeffs = charpoly_coeffs(nsys, v)
-            assert coeffs[0] == -1          # (-1)^3
-            assert coeffs[-1] == 1
-            assert len(coeffs) == 4
-
-
-class TestDualize:
-    def test_swap_and_involution(self):
-        nsys = normalize(load_system(vantop_doc()))
-        dual = dualize(nsys)
-        for v in nsys.places():
-            assert dual.coeffs[v].a == nsys.coeffs[v].b
-            assert dual.coeffs[v].b == nsys.coeffs[v].a
-        assert dualize(dual) == nsys
-
-    def test_degree_two_is_self_dual(self):
-        doc = {
-            "n": 2, "base_field": "Q", "field": dict(GAUSS_JSON),
-            "central_character": "normalized",
-            "bad_places": [],
-            "coefficients": {"5": {"norm": 5, "a": ["1", "1"]}},
-        }
-        nsys = load_system(doc)
-        assert isinstance(nsys, NormalizedSystem)
-        assert dualize(nsys) is nsys
-
-    def test_commutes_with_galois_action(self):
-        nsys = normalize(load_system(vantop_doc()))
-        K = nsys.field
-
-        def conj_all(s):
-            from dataclasses import replace
-            from twistctl.eigensystem import PlaceData
-            new = {v: PlaceData(pd.norm, K.apply_aut(1, pd.a),
-                                K.apply_aut(1, pd.b))
-                   for v, pd in s.coeffs.items()}
-            return replace(s, coeffs=new)
-
-        assert dualize(conj_all(nsys)) == conj_all(dualize(nsys))
-
-    def test_rejects_raw_input(self):
-        with pytest.raises(ValueError):
-            dualize(load_system(vantop_doc()))
-
 
 class TestSerialization:
     def test_bit_exact_round_trip(self):
@@ -288,24 +238,3 @@ class TestSerialization:
         assert doc["central_character"] == "normalized"
         back = load_system(doc)
         assert back == nsys and serialize(back) == doc
-
-    def test_csv_ingestion(self):
-        text = (
-            "place,norm,a_0,a_1,b_0,b_1\n"
-            "3,3,1,1,3,-3\n"
-            "7,7,2,-1,14,7\n"
-            "13,13,3,2,39,-26\n"
-        )
-        sys = load_csv(text, n=3, field=gaussian_field(), m=3, bad_places=[2])
-        assert sys == load_system(vantop_doc())
-
-    def test_csv_duplicate_place(self):
-        text = ("place,norm,a_0,a_1,b_0,b_1\n"
-                "3,3,1,1,3,-3\n"
-                "3,3,1,1,3,-3\n")
-        with pytest.raises(DuplicatePlace):
-            load_csv(text, n=3, field=gaussian_field(), m=3)
-
-    def test_csv_bad_header(self):
-        with pytest.raises(SchemaError):
-            load_csv("place,norm,a_0\n3,3,1\n", n=2, field=gaussian_field(), m=1)

@@ -191,6 +191,15 @@ def fitting_problems(draw):
     return name, values, n_max, order_bound
 
 
+def exponents(field, values):
+    """fit_all's input: each value, rationals included, as its exponent of
+    zeta; NotRootOfUnity where it has none."""
+    mu = unit_roots(field)
+    return {v: mu.exponent(x if isinstance(x, FieldElement)
+                           else field.from_rational(x))
+            for v, x in values.items()}
+
+
 def _outcome(fit):
     try:
         return fit()
@@ -203,8 +212,8 @@ def _outcome(fit):
 def test_fit_all_matches_the_field_element_reference(problem):
     name, values, n_max, order_bound = problem
     field, mu = FIELDS[name], _mu(name)
-    got = _outcome(lambda: [char_to_json(c) for c in
-                            fit_all(values, n_max, order_bound, field=field)])
+    got = _outcome(lambda: [char_to_json(c) for c in fit_all(
+        exponents(field, values), n_max, order_bound, field)])
     want = _outcome(lambda: [c.to_json() for c in
                              ref_fit_all(values, n_max, order_bound, field, mu)])
     assert got == want
@@ -298,7 +307,7 @@ def test_fit_all_matches_the_enumerating_reference(name, modulus):
                                          (values, 200, 2),
                                          (wild, modulus, w)):
             got = _outcome(lambda: [char_to_json(c) for c in fit_all(
-                vmap, n_max, order_bound, field=field)])
+                exponents(field, vmap), n_max, order_bound, field)])
             want = _outcome(lambda: [char_to_json(c) for c in enum_fit_all(
                 vmap, n_max, order_bound, field)])
             assert got == want

@@ -20,11 +20,13 @@ import os
 import shutil
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from twistctl import synth
+from twistctl.characters import dirichlet_character
 from twistctl.cli import run
 from twistctl.eigensystem import serialize
 from twistctl.forms import (
@@ -86,6 +88,18 @@ def _commands() -> dict:
         "normalize.output": (
             ["normalize", "--input", "raw.json", "--output",
              "normalized.json"], ("normalized.json",)),
+        "twists.chi4_raw": (
+            ["twists", "--input", "chi4_raw.json", "--format", "json"], ()),
+        "twists.chi4_raw.text": (
+            ["twists", "--input", "chi4_raw.json"], ()),
+        "twists.klein_K": (
+            ["twists", "--input", "klein_K.json", "--bound", "200",
+             "--format", "json"], ()),
+        "twists.klein_K.text": (
+            ["twists", "--input", "klein_K.json", "--bound", "200"], ()),
+        "report.klein_K": (
+            ["report", "--input", "klein_K.json", "--bound", "200",
+             "--primes", "3..50", "--format", "json"], ()),
         "lmfdb.fetch.11.2.a.a": (
             ["lmfdb", "fetch", "--label", "11.2.a.a", "--cache-dir", CACHE,
              "--format", "json"], ()),
@@ -112,10 +126,18 @@ def _prepare(workdir: Path) -> None:
     gaussian = trivial_cocycle(
         number_field_context(field, subgroup_make(field, range(field.degree))),
         3)
+    klein_k = json.loads((DATA / "klein.json").read_text())
+    klein_k["base_field"] = "K"
     docs = {
+        "klein_K.json": klein_k,
         "cocycle_finite.json": cocycle_to_json(finite),
         "cocycle_gaussian.json": cocycle_to_json(gaussian),
         "raw.json": serialize(synth.vantop_system(100, seed=5)),
+        # raw rank-2 data over Q(i) whose omega is the quadratic
+        # character mod 4, a Dirichlet character read from the document
+        "chi4_raw.json": serialize(replace(
+            synth.chi4_system(),
+            omega=dirichlet_character(field, 4, [-field.one()]))),
     }
     for name, doc in docs.items():
         (workdir / name).write_text(json.dumps(doc, indent=2, sort_keys=True))

@@ -498,3 +498,16 @@ class TestRootsOfUnity:
             assert K.apply_aut(i, zeta) == zeta ** mu.aut_mult[i]
         with pytest.raises(NotRootOfUnity):
             mu.exponent(K.from_rational(2))
+
+    @pytest.mark.parametrize("make", [gaussian_field, eisenstein_field,
+                                      biquadratic_field, rational_field])
+    def test_unit_roots_reads_what_the_search_left(self, make, monkeypatch):
+        K = make()
+        roots_of_unity(K)
+
+        def refuse(self, x, y):
+            raise AssertionError("a field product was computed")
+
+        monkeypatch.setattr(numberfield.NumberField, "_mul", refuse)
+        mu = unit_roots(K)
+        assert mu.order == len(mu.powers) == len(mu.log)

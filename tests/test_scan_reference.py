@@ -5,6 +5,8 @@ The reference below is the earlier implementation: over Q each character
 is fitted from the ratios sigma(s)/t, one field inverse per place, and then
 checked by rebuilding chi(v) as a field element and multiplying; over other
 bases the value table is read off by division and checked by a product.
+Over Q the identity keeps the trivial character unfitted, as it did there;
+over other bases its table is read off like any other automorphism's.
 find_inner and find_outer must return the same twists (automorphism, kind,
 character, undetermined places) or raise the same exception with the same
 message, on every synthetic system, relabelled to a non-rational base,
@@ -94,7 +96,7 @@ def ref_scan(sys, kind, bound, n_max, min_places, auts):
                                 for s, t in ref_relations(sys, kind, v)))
     out = []
     for sigma in auts:
-        if kind == "inner" and sigma == 0:
+        if kind == "inner" and sigma == 0 and sys.base_field_label == "Q":
             chi = trivial_character(sys.field)
         elif sys.base_field_label == "Q":
             chi = ref_fit_dirichlet(sys, kind, sigma, places, support, n_max, ob)
@@ -111,8 +113,10 @@ def ref_fit_dirichlet(sys, kind, sigma, places, support, n_max, ob):
     for v in support:
         s, t = ref_relations(sys, kind, v)[0]
         ratios[v] = field.apply_aut(sigma, s) / t
+    mu = unit_roots(field)
     try:
-        chi = char_fit(ratios, n_max, ob, field=field)
+        chi = char_fit({v: mu.exponent(x) for v, x in ratios.items()},
+                       n_max, ob, field)
     except NotRootOfUnity:
         return None
     if chi is None or not ref_verify(sys, kind, sigma, chi, places):

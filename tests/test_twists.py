@@ -486,6 +486,29 @@ class TestTableCharacters:
                     assert char_eval(t.character, v) == char_eval(chi, v), (
                         scan, t.aut_index, v)
 
+    @pytest.mark.parametrize("make,bound", [
+        (synth.klein_system, 100),
+        (lambda: normalize(synth.vantop_system()), 100),
+        (lambda: synth.cubic_klein_system(bound=60), 60),
+        (synth.rational_inner_system, 100),
+    ])
+    def test_detect_over_a_non_rational_base(self, make, bound):
+        """Every twist, the identity included, carries a value table, so the
+        group closes as it does over Q."""
+        sys_ = make()
+        reference = detect(sys_, bound)
+        result = detect(replace(sys_, base_field_label="K"), bound)
+        g, ref = result.group, reference.group
+        assert [(t.kind, t.aut_index) for t in g.twists] == [
+            (t.kind, t.aut_index) for t in ref.twists]
+        assert (g.order, g.inner_order) == (ref.order, ref.inner_order)
+        assert g.order > 1
+        assert all(t.character.kind == "table" for t in g.twists)
+        assert g.twist_at(0).character.is_trivial()
+        assert (result.fixed.degree, result.fixed_inner.degree) == (
+            reference.fixed.degree, reference.fixed_inner.degree)
+        assert result.verdict.kind == reference.verdict.kind
+
 
 def _order_four_mod_five_system(field, one_minus_i):
     """Raw rank-2 data over Q(i) with a_v = c_v (1 - i)^k(v), c_v rational
