@@ -11,16 +11,17 @@ generators of (Z/N)^x and expanded to a residue table by walking the
 generators' powers; value-table characters are bare place -> exponent maps
 for other base fields.  On top: Galois transforms, products, conductors, and
 a fitting search that recovers the smallest-conductor Dirichlet character
-with given exponents at given places, reading residues' generator exponents
-from one discrete-log table per prime power.
+with given exponents at given places, scanning conductors: each primitive
+character is a product of primitive characters at prime powers, built once.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
-from math import gcd, lcm, prod
+from math import gcd, lcm
+from operator import mul
 
-from .arith import divisors, factorize
+from .arith import divisors, factorize, primes_up_to
 from .errors import (
     Ambiguous,
     IncompatibleSupports,
@@ -34,42 +35,31 @@ from .numberfield import FieldElement, NumberField, element_from_json, unit_root
 # ---------------------------------------------------------------------------
 
 def _primitive_root(p: int, e: int) -> int:
-    """A generator of (Z/p^e)^x for odd prime p."""
-    order = p - 1
-    factors = [q for q, _ in factorize(order)]
-    g = 2
-    while True:
-        if all(pow(g, order // q, p) != 1 for q in factors):
-            break
-        g += 1
-    if e == 1:
-        return g
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
+    """A generator of (Z/p^e)^x for odd prime p: the least one mod p, plus
+    p when e > 1 and it is 1 mod p^2 to the power p - 1."""
+    factors = [q for q, _ in factorize(p - 1)]
+    g = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+    return g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g
+
+
+def _local_generators(p: int, e: int) -> list[tuple[int, int]]:
+    """Canonical generators (g, order) of (Z/p^e)^x: those of -1 and 5 of
+    order > 1 for p = 2, else a primitive root."""
+    if p == 2:
+        return [(2 ** e - 1, 2), (5, 2 ** e // 4)][:e - 1]
+    return [(_primitive_root(p, e), p ** (e - 1) * (p - 1))]
 
 
 def unit_group_structure(N: int) -> list[tuple[int, int]]:
-    """Canonical generators (g, order) of (Z/N)^x via CRT of prime powers."""
-    if N <= 2:
-        return []
+    """Canonical generators (g, order) of (Z/N)^x: those of each (Z/p^e)^x,
+    p^e || N, lifted by CRT to g = 1 mod N/p^e."""
     gens = []
     for p, e in factorize(N):
         pe = p ** e
         rest = N // pe
-        def lift(r):
-            if rest == 1:
-                return r % N
-            # x = r mod pe, x = 1 mod rest
-            inv = pow(rest, -1, pe)
-            return (1 + rest * ((r - 1) * inv % pe)) % N
-        if p == 2:
-            if e >= 2:
-                gens.append((lift(pe - 1), 2))
-            if e >= 3:
-                gens.append((lift(5), 2 ** (e - 2)))
-        else:
-            gens.append((lift(_primitive_root(p, e)), p ** (e - 1) * (p - 1)))
+        gens += [((1 + rest * ((g - 1) * pow(rest, -1, pe) % pe)) % N, d)
+                 for g, d in _local_generators(p, e)]
     return gens
 
 
@@ -279,65 +269,75 @@ def char_mul(a: Character, b: Character) -> Character:
                      exps={p: (k + b.exps[p]) % w for p, k in a.exps.items()})
 
 
+def _local_characters(q: int, e: int, w: int, order_bound: int,
+                      places) -> list[tuple[tuple, tuple]]:
+    """The primitive characters mod q^e of order dividing w and at most
+    order_bound, as (exponents on the canonical generators (g_i, d_i),
+    exponents at the places).  Primitive means nontrivial on the units = 1
+    mod q^(e-1), generated by g^(d/c) for the last (g, d), c = d if e = 1
+    else q: none mod 2, and chi(5) of exact order 2^(e-2) mod 2^e, e >= 3.
+    Only e_i(v) mod h_i = gcd(w, d_i) counts at a place v: the index of
+    v^(d_i/h_i) among the powers of g_i^(d_i/h_i), after the exponent of -1
+    is read off v mod 4 when there are two generators (mod 2^e, e >= 3)."""
+    m = q ** e
+    gens = _local_generators(q, e)
+    if not gens:
+        return []
+    hs = [gcd(w, d) for _, d in gens]
+    (g, d), h = gens[-1], hs[-1]
+    kernel_step = d // (d if e == 1 else q)
+    chars = [xs for xs in iter_product(*(range(0, w, w // h) for h in hs))
+             if xs[-1] * kernel_step % w and w // gcd(w, *xs) <= order_bound]
+    if not chars:
+        return []
+    table = {pow(g, d // h * j, m): j for j in range(h)}
+    logs = []
+    for v in places:
+        log = []
+        if len(gens) == 2:
+            log.append(v % 4 // 2)
+            v = -v if log[0] else v
+        log.append(table[pow(v, d // h, m)])
+        logs.append(log)
+    return [(xs, tuple(sum(map(mul, xs, log)) % w for log in logs))
+            for xs in chars]
+
+
 def fit_all(exponents: dict, N_max: int, order_bound: int,
             field: NumberField) -> list[Character]:
-    """All primitive Dirichlet characters of modulus <= N_max with chi(v) =
-    zeta^k_v for every entry v -> k_v of exponents, deduplicated, sorted by
-    conductor then value table.
+    """All primitive Dirichlet characters of conductor <= N_max and order
+    <= order_bound with chi(v) = zeta^k_v for every entry v -> k_v of
+    exponents, sorted by conductor then value table.
 
-    For each modulus N the generator exponents x_i run over the multiples
-    of w/gcd(w, d_i), the exponents of the d_i-th roots of unity, and a
-    candidate fits when sum_i e_i(v) x_i = k_v (mod w) at every place,
-    e_i(v) being the exponents of v mod N on the canonical generators,
-    which lift those of each (Z/q^e)^x, q^e || N: one table per prime power
-    and call gives e_i(v) from v mod q^e.  Moduli sharing a factor with a
-    determined place are skipped: the observed ratio at such a place is a
-    unit, which no character of that modulus can produce.
+    Each is a product of primitive characters at the q^e || f, listed once
+    per call with their exponents at the places: a combination fits when
+    those sum to the k_v mod w.  Conductors sharing a factor with a place
+    are skipped: the observed ratio there is a unit, which they cannot give.
     """
     mu = unit_roots(field)
     w = mu.order
-    entries = []
+    places, target = [], []
     for place, k in sorted(exponents.items(), key=lambda kv: int(kv[0])):
         if mu.order_of(k) > order_bound:
             raise NotRootOfUnity(
                 f"value at place {place} is not a root of unity of order <= {order_bound}")
-        entries.append((int(place), k % w))
+        places.append(int(place))
+        target.append(k % w)
 
-    found = {}
-    # The trivial character fits iff every observed value is 1; handling it
-    # here lets the scan below skip the all-zero exponent combination, which
-    # would otherwise rebuild the trivial fit at every single modulus.
-    if not any(k for _, k in entries):
-        triv = trivial_character(field)
-        found[triv.canonical_key()] = triv
-    places = prod(v for v, _ in entries)
-    # prime power q^e -> (generator orders, _unit_exponents(q^e))
-    logs = {}
-    for N in range(1, N_max + 1):
-        if gcd(places, N) != 1:
-            continue
-        # one equation per residue; two values at one residue fit nothing
-        wanted = {}
-        if any(wanted.setdefault(v % N, k) != k for v, k in entries):
-            continue
-        parts = [q ** e for q, e in factorize(N)]
-        for m in parts:
-            if m not in logs:
-                logs[m] = ([d for _, d in unit_group_structure(m)],
-                           _unit_exponents(m))
-        system = [(sum((logs[m][1][r % m] for m in parts), ()), k)
-                  for r, k in wanted.items()]
-        allowed = [range(0, w, w // gcd(w, d))
-                   for m in parts for d in logs[m][0]]
-        for xs in iter_product(*allowed):
-            if not any(xs) or w // gcd(w, *xs) > order_bound:
-                continue
-            if any((sum(e * x for e, x in zip(es, xs)) - k) % w
-                   for es, k in system):
-                continue
-            prim = Character.dirichlet(field, N, xs).primitive()
-            found.setdefault(prim.canonical_key(), prim)
-    return sorted(found.values(), key=lambda c: (c.modulus, c.canonical_key()))
+    # no product of primitive local characters is trivial
+    found = [] if any(target) else [trivial_character(field)]
+    local = {q ** e: _local_characters(q, e, w, order_bound, places)
+             for q in primes_up_to(N_max) if all(v % q for v in places)
+             for e in range(1, N_max.bit_length()) if q ** e <= N_max}
+    for f in range(3, N_max + 1):
+        parts = [local.get(q ** e, ()) for q, e in factorize(f)]
+        for combo in iter_product(*parts):
+            if all((sum(col) - k) % w == 0 for col, k in
+                   zip(zip(*(vec for _, vec in combo)), target)):
+                gen_exps = [x for xs, _ in combo for x in xs]
+                if w // gcd(w, *gen_exps) <= order_bound:
+                    found.append(Character.dirichlet(field, f, gen_exps))
+    return sorted(found, key=lambda c: (c.modulus, c.canonical_key()))
 
 
 def char_fit(exponents: dict, N_max: int, order_bound: int,

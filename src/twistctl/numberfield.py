@@ -322,9 +322,6 @@ class NumberField:
         """Index of sigma_i o sigma_j (apply j first)."""
         return self.composition_table[i][j]
 
-    def inverse_index(self, i: int) -> int:
-        return self.inverse_table[i]
-
     def aut_order(self, i: int) -> int:
         k, cur = 1, i
         while cur != 0:
@@ -590,14 +587,6 @@ def frobenius_at(field: NumberField, p: int) -> FrobeniusResult:
                            not field.is_abelian and len(matches) > 1)
 
 
-@dataclass(frozen=True)
-class Place:
-    """A place of the fixed field E^S above p, as a double coset."""
-
-    representative: int
-    residue_degree: int
-
-
 def double_cosets(field: NumberField, subgroup: Subgroup,
                   sigma: int) -> list[tuple[int, int, frozenset]]:
     """(representative, residue degree, members) for each double coset
@@ -625,13 +614,6 @@ def double_cosets(field: NumberField, subgroup: Subgroup,
         raise NotClosed("place degrees must sum to the subfield degree; "
                         f"{sorted(subgroup)} is not a subgroup")
     return out
-
-
-def place_decomposition(field: NumberField, subgroup: Subgroup, p: int) -> list[Place]:
-    """Places of E^subgroup above p: the double cosets S\\G/<sigma_p>."""
-    sigma = frobenius_at(field, p).index
-    return [Place(rep, degree)
-            for rep, degree, _ in double_cosets(field, subgroup, sigma)]
 
 
 # --------------------------------------------------------------------------

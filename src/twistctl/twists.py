@@ -64,10 +64,6 @@ class ExtraTwist:
     verified_bound: int
     undetermined_places: tuple     # places where every defining relation is 0 = 0
 
-    def is_identity(self) -> bool:
-        return (self.kind == "inner" and self.aut_index == 0
-                and self.character.is_trivial())
-
 
 @dataclass(frozen=True)
 class TwistGroup:
@@ -83,12 +79,6 @@ class TwistGroup:
     @property
     def inner_order(self) -> int:
         return self.inner_subgroup.order
-
-    def twist_at(self, aut_index: int) -> ExtraTwist:
-        for t in self.twists:
-            if t.aut_index == aut_index:
-                return t
-        raise KeyError(aut_index)
 
     def has_outer(self) -> bool:
         return any(t.kind == "outer" for t in self.twists)
@@ -131,13 +121,6 @@ def compose_twists(field: NumberField, left: ExtraTwist,
     lchar = left.character if right.kind == "inner" else left.character.inverse()
     char = char_mul(lchar, char_transform(field, left.aut_index, right.character))
     return kind, index, char
-
-
-def inverse_twist(field: NumberField, t: ExtraTwist) -> tuple[str, int, Character]:
-    inv = field.inverse_index(t.aut_index)
-    moved = char_transform(field, inv, t.character)
-    char = moved.inverse() if t.kind == "inner" else moved
-    return t.kind, inv, char
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +436,11 @@ def general_type_verdict(sys: EigenSystem, bound: int,
                 return GeneralTypeVerdict("self-twist", cand, bound)
 
     if sys.n == 2:
-        return GeneralTypeVerdict("essentially-self-dual",
-                                  trivial_character(sys.field), bound)
+        # the identity twist's character, of the kind every twist here has
+        witness = (trivial_character(sys.field) if sys.base_field_label == "Q"
+                   else Character(sys.field, "table",
+                                  exps=dict.fromkeys(determined, 0)))
+        return GeneralTypeVerdict("essentially-self-dual", witness, bound)
     for t in find_outer(sys, bound, n_max, min_places, aut_indices=(0,)):
         return GeneralTypeVerdict("essentially-self-dual", t.character, bound)
     return GeneralTypeVerdict("general-type", None, bound)

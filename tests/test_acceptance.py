@@ -16,13 +16,13 @@ import os
 import time
 from pathlib import Path
 
+from detection_helpers import place_decomposition, twist_at
 from twistctl import forms, lmfdb, synth
 from twistctl.eigensystem import load_system, normalize
 from twistctl.errors import InsufficientData, NotSeparableModP
 from twistctl.finitefield import split_order, unitary_order
 from twistctl.numberfield import (
     frobenius_at,
-    place_decomposition,
     subgroup_make,
 )
 from twistctl.polynomials import QPoly, ddf_mod_p
@@ -97,7 +97,7 @@ def test_outer_twist_walkthrough_end_to_end(capsys):
     result = detect(sys_, 500)
     group = result.group
     assert group.order == 2
-    outer = group.twist_at(1)
+    outer = twist_at(group, 1)
     assert outer.kind == "outer"
     assert outer.character.is_trivial()
     assert result.fixed.degree == 1

@@ -5,6 +5,7 @@ and the fitting search against hand-computed tables (including one where no
 character of small modulus exists and one that is genuinely ambiguous).
 """
 
+import hashlib
 from fractions import Fraction as Q
 from math import gcd
 
@@ -65,6 +66,14 @@ class TestUnitGroup:
         assert unit_group_structure(4) == [(3, 2)]
         assert unit_group_structure(8) == [(7, 2), (5, 2)]
         assert unit_group_structure(15) == [(11, 2), (7, 4)]
+
+    def test_generators_are_frozen(self):
+        """The generators key every values_on_generators map in the JSON,
+        so they must not move: those for N <= 2000 hash to the recorded
+        digest."""
+        listing = repr([unit_group_structure(N) for N in range(1, 2001)])
+        assert hashlib.sha256(listing.encode()).hexdigest() == (
+            "b19d89f86ea6953f04314cdc14574f8d0821b7a9019c0e933cadd80f90111e8e")
 
     @pytest.mark.parametrize("N", range(1, 101))
     def test_generates_all_units_exactly_once(self, N):

@@ -107,6 +107,23 @@ class TestTwistsCommand:
         assert doc["verdict"]["kind"] == "essentially-self-dual"
         assert doc["normalized_on_load"] is False
 
+    def test_rank2_witness_over_a_non_rational_base(self, capsys, tmp_path):
+        """rational_rank2 relabelled to base K: the essentially-self-dual
+        witness is the identity twist's value table, not a Dirichlet
+        character beside table twists."""
+        doc = json.loads(Path(RATIONAL2).read_text())
+        doc["base_field"] = "K"
+        relabelled = tmp_path / "rank2_K.json"
+        relabelled.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "twists", "--input", str(relabelled),
+                                "--bound", "200", "--format", "json")
+        assert code == 0, err
+        out = json.loads(out)
+        identity, = out["twists"]
+        assert identity["character"]["kind"] == "table"
+        assert out["verdict"]["kind"] == "essentially-self-dual"
+        assert out["verdict"]["witness"] == identity["character"]
+
     def test_non_rational_base_gives_the_same_group(self, capsys, tmp_path):
         """klein relabelled to base K: every twist carries a value table,
         and the group, the fixed fields and the per-prime verdicts are

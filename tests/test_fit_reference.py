@@ -1,35 +1,44 @@
-"""Differential tests: fit_all against the two fits it replaced.
+"""Differential tests: fit_all against the three fits it replaced.
 
 The first reference is the field-element fit: every character value is a
 FieldElement, orders are found by repeated multiplication, and each
 candidate is tested by products of generator images.  The second is the
 enumerating exponent fit: for every modulus N it walks all of (Z/N)^x with
 one pow per generator per residue to read the generator exponents of the
-wanted residues, where fit_all reads them from one discrete-log table per
-prime power.  Each fit must return the same characters in the same order,
-and must refuse the same inputs with NotRootOfUnity.
+wanted residues.  The third is the table fit: for every modulus N it reads
+those exponents from one discrete-log table per prime power and call, then
+cuts each fit back to its conductor and deduplicates.  fit_all scans
+conductors instead, each primitive character built once from primitive
+characters at prime powers.  Each fit must return the same characters in
+the same order, and must refuse the same inputs with NotRootOfUnity.
 """
 
 from functools import lru_cache
 from itertools import product as iter_product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistctl import synth
-from twistctl.arith import divisors, primes_up_to
-import pytest
-
+from twistctl.arith import divisors, factorize, primes_up_to
 from twistctl.characters import (
     Character,
+    _unit_exponents,
     char_exponent,
+    char_fit,
     char_to_json,
     fit_all,
     trivial_character,
     unit_group_structure,
 )
-from twistctl.errors import NotRootOfUnity
-from twistctl.numberfield import FieldElement, roots_of_unity, unit_roots
+from twistctl.errors import Ambiguous, NotRootOfUnity
+from twistctl.numberfield import (
+    FieldElement,
+    field_make,
+    roots_of_unity,
+    unit_roots,
+)
 
 FIELDS = {"gaussian": synth.gaussian_field(),
           "eisenstein": synth.eisenstein_field(),
@@ -245,7 +254,8 @@ def enum_fit_all(value_map, N_max, order_bound, field):
             val = field.from_rational(val)
         k = mu.log.get(val.key)
         if k is None or mu.order_of(k) > order_bound:
-            raise NotRootOfUnity(f"value at place {place}")
+            raise NotRootOfUnity(
+                f"value at place {place} is not a root of unity of order <= {order_bound}")
         entries.append((int(place), k))
     found = {}
     if not any(k for _, k in entries):
@@ -311,3 +321,223 @@ def test_fit_all_matches_the_enumerating_reference(name, modulus):
             want = _outcome(lambda: [char_to_json(c) for c in enum_fit_all(
                 vmap, n_max, order_bound, field)])
             assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the third reference: one discrete-log table per prime power and call
+# ---------------------------------------------------------------------------
+
+def table_fit_all(exponents, N_max, order_bound, field):
+    """The fit by moduli: every N <= N_max prime to the places, generator
+    exponents of the wanted residues read from _unit_exponents(q^e) for
+    the q^e || N, every combination of generator exponents tried, and each
+    fit cut back to its conductor and deduplicated."""
+    mu = unit_roots(field)
+    w = mu.order
+    entries = []
+    for place, k in sorted(exponents.items(), key=lambda kv: int(kv[0])):
+        if mu.order_of(k) > order_bound:
+            raise NotRootOfUnity(
+                f"value at place {place} is not a root of unity of order <= {order_bound}")
+        entries.append((int(place), k % w))
+    found = {}
+    if not any(k for _, k in entries):
+        triv = trivial_character(field)
+        found[triv.canonical_key()] = triv
+    places = prod(v for v, _ in entries)
+    logs = {}
+    for N in range(1, N_max + 1):
+        if gcd(places, N) != 1:
+            continue
+        wanted = {}
+        if any(wanted.setdefault(v % N, k) != k for v, k in entries):
+            continue
+        parts = [q ** e for q, e in factorize(N)]
+        for m in parts:
+            if m not in logs:
+                logs[m] = ([d for _, d in unit_group_structure(m)],
+                           _unit_exponents(m))
+        system = [(sum((logs[m][1][r % m] for m in parts), ()), k)
+                  for r, k in wanted.items()]
+        allowed = [range(0, w, w // gcd(w, d))
+                   for m in parts for d in logs[m][0]]
+        for xs in iter_product(*allowed):
+            if not any(xs) or w // gcd(w, *xs) > order_bound:
+                continue
+            if any((sum(e * x for e, x in zip(es, xs)) - k) % w
+                   for es, k in system):
+                continue
+            prim = Character.dirichlet(field, N, xs).primitive()
+            found.setdefault(prim.canonical_key(), prim)
+    return sorted(found.values(), key=lambda c: (c.modulus, c.canonical_key()))
+
+
+def zeta12_field():
+    """Q(zeta_12), zeta^4 = zeta^2 - 1, with zeta -> zeta^k for k = 1, 5,
+    7, 11: zeta^5 = zeta^3 - zeta and zeta^7 = -zeta."""
+    return field_make([1, 0, -1, 0, 1], [[0, 1, 0, 0], [0, -1, 0, 1],
+                                         [0, -1, 0, 0], [0, 1, 0, -1]])
+
+
+# one field for each order w of mu(E) in 2, 4, 6, 8, 12
+BY_W = {2: synth.sqrt2_field(), 4: FIELDS["gaussian"],
+        6: FIELDS["eisenstein"], 8: FIELDS["biquadratic"], 12: zeta12_field()}
+
+
+def _all_outcomes(exps, n_max, order_bound, field):
+    """char_to_json lists of fit_all and both exponent references, or the
+    exception type and message each raised."""
+    powers = unit_roots(field).powers
+
+    def outcome(fit):
+        try:
+            return [char_to_json(c) for c in fit()]
+        except NotRootOfUnity as exc:
+            return ("NotRootOfUnity", str(exc))
+
+    return (outcome(lambda: fit_all(exps, n_max, order_bound, field)),
+            outcome(lambda: table_fit_all(exps, n_max, order_bound, field)),
+            outcome(lambda: enum_fit_all({v: powers[k] for v, k in exps.items()},
+                                         n_max, order_bound, field)))
+
+
+def test_the_fields_hold_the_roots_of_unity_they_stand_for():
+    assert {w: unit_roots(K).order for w, K in BY_W.items()} == {
+        w: w for w in BY_W}
+
+
+# (w, modulus, generator exponents, conductor of the planted character)
+PLANTED = [
+    (4, 4, [2], 4),              # the character mod 4
+    (4, 8, [0, 2], 8),           # chi(-1) = 1, chi(5) = -1
+    (4, 8, [2, 2], 8),           # chi(-1) = -1, chi(5) = -1
+    (4, 16, [0, 1], 16),         # chi(5) = i, of exact order 4
+    (4, 16, [2, 2], 8),          # chi(5) = -1: induced from conductor 8
+    (8, 32, [0, 1], 32),         # chi(5) of exact order 8
+    (8, 32, [4, 2], 16),         # chi(5) of order 4: induced from 16
+    (6, 9, [1], 9),              # 2 generates (Z/9)^x; order 6
+    (6, 9, [3], 3),              # order 2: induced from conductor 3
+    (4, 25, [5], 5),             # no primitive character mod 25 has order | 4
+    (4, 49, [2], 7),             # nor mod 49
+    (6, 27, [1], 9),             # nor mod 27 of order | 6
+    (6, 14, [1], 7),             # 2 || 14 contributes nothing
+    (12, 36, [6, 2], 36),        # conductor 4 * 9
+    (12, 63, [2, 4], 63),        # orders 6 mod 9 and 3 mod 7
+]
+
+
+@pytest.mark.parametrize("w,modulus,gen_exps,conductor", PLANTED)
+def test_planted_conductors_against_both_references(w, modulus, gen_exps,
+                                                     conductor):
+    """The planted character read at the primes up to 150 prime to its
+    modulus, fitted with N_max at conductor - 1 and at the conductor: the
+    planted character appears exactly when N_max reaches its conductor."""
+    field = BY_W[w]
+    chi = Character.dirichlet(field, modulus, gen_exps)
+    assert chi.conductor() == conductor
+    places = [p for p in primes_up_to(150) if gcd(p, modulus) == 1]
+    exps = {p: char_exponent(chi, p) for p in places}
+    for n_max in (conductor - 1, conductor):
+        got, table, enum = _all_outcomes(exps, n_max, w, field)
+        assert got == table == enum
+        assert (char_to_json(chi.primitive()) in got) == (n_max == conductor)
+
+
+def test_a_place_dividing_the_conductor_excludes_it():
+    """A value at 7 rules out conductor 7, whatever it is, and leaves the
+    characters of conductor 7 * 3 that agree elsewhere."""
+    field = BY_W[6]
+    chi = Character.dirichlet(field, 7, [1])
+    places = [p for p in primes_up_to(60) if p != 7]
+    exps = {p: char_exponent(chi, p) for p in places}
+    for at_seven in range(6):
+        got, table, enum = _all_outcomes({**exps, 7: at_seven}, 30, 6, field)
+        assert got == table == enum
+        assert all(c["modulus"] % 7 for c in got)
+
+
+def test_the_order_bound_applies_to_the_product():
+    """chi4 times a cubic character mod 7 has order 6 though each factor
+    has order at most 3: read where its values have order <= 3, it fits
+    under the bound 6 and not under 3."""
+    field = BY_W[6]
+    chi = Character.dirichlet(field, 28, [3, 2])
+    assert chi.conductor() == 28 and chi.order() == 6
+    mu = unit_roots(field)
+    places = [p for p in primes_up_to(400) if gcd(p, 28) == 1
+              and mu.order_of(char_exponent(chi, p)) <= 3]
+    exps = {p: char_exponent(chi, p) for p in places}
+    for order_bound in (3, 6):
+        got, table, enum = _all_outcomes(exps, 28, order_bound, field)
+        assert got == table == enum
+        assert (char_to_json(chi) in got) == (order_bound == 6)
+
+
+def test_an_all_zero_map_gives_every_character_trivial_there():
+    """The verdict's call: the trivial character and every character of
+    conductor <= N_max trivial at the places."""
+    for w, field in BY_W.items():
+        exps = dict.fromkeys([11, 13, 17], 0)
+        got, table, enum = _all_outcomes(exps, 60, w, field)
+        assert got == table == enum
+        assert got[0] == char_to_json(trivial_character(field))
+        assert len(got) > 1
+
+
+def test_the_ambiguous_tie_message():
+    """19 and 29 are 4 mod 5, where both characters of order 4 mod 5 read
+    -1: two fits of conductor 5, in both references too."""
+    field = BY_W[4]
+    exps = {19: 2, 29: 2}
+    got, table, enum = _all_outcomes(exps, 8, 4, field)
+    assert got == table == enum
+    assert [c["modulus"] for c in got] == [5, 5, 8]
+    with pytest.raises(Ambiguous,
+                       match="^2 characters of conductor 5 fit; more places needed$"):
+        char_fit(exps, 8, 4, field)
+
+
+# ---------------------------------------------------------------------------
+# the property across w
+# ---------------------------------------------------------------------------
+
+@st.composite
+def conductor_problems(draw):
+    """A random character of order dividing w on a modulus built from a
+    2-part 1, 4, 8 or 16, sometimes q^2 for an odd q | w, and up to two odd
+    primes; read at random primes, now and then with one exponent changed
+    or a place dividing the modulus; fitted with N_max on either side of
+    the modulus and an order bound that may cut below the planted order."""
+    w = draw(st.sampled_from(sorted(BY_W)))
+    field = BY_W[w]
+    modulus = draw(st.sampled_from([1, 4, 8, 16]))
+    odd_w = [q for q, _ in factorize(w) if q > 2]
+    if odd_w and draw(st.booleans()):
+        modulus *= odd_w[0] ** 2
+    for q in draw(st.lists(st.sampled_from([3, 5, 7, 11, 13]), max_size=2,
+                           unique=True)):
+        if modulus % q and modulus * q <= 160:
+            modulus *= q
+    gen_exps = [w // gcd(w, d) * draw(st.integers(0, gcd(w, d) - 1))
+                for _, d in unit_group_structure(modulus)]
+    chi = Character.dirichlet(field, modulus, gen_exps)
+    primes = [p for p in primes_up_to(200) if gcd(p, modulus) == 1]
+    places = draw(st.lists(st.sampled_from(primes), min_size=1, max_size=10,
+                           unique=True))
+    exps = {p: char_exponent(chi, p) for p in places}
+    change = draw(st.sampled_from(["none", "none", "value", "divisor"]))
+    if change == "value":
+        exps[draw(st.sampled_from(places))] = draw(st.integers(0, w - 1))
+    elif change == "divisor" and modulus > 1:
+        q = draw(st.sampled_from([q for q, _ in factorize(modulus)]))
+        exps[q] = draw(st.integers(0, w - 1))
+    n_max = draw(st.integers(max(1, modulus // 2), modulus + modulus // 2 + 2))
+    order_bound = draw(st.sampled_from(sorted({1, 2, w // 2, w})))
+    return exps, n_max, order_bound, field
+
+
+@settings(max_examples=120, deadline=None)
+@given(conductor_problems())
+def test_fit_all_matches_both_references_across_w(problem):
+    got, table, enum = _all_outcomes(*problem)
+    assert got == table == enum

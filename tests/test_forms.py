@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import forms_reference as ref
+from detection_helpers import place_decomposition
 from twistctl import forms, synth
 from twistctl.eigensystem import normalize
 from twistctl.errors import (
@@ -35,7 +36,7 @@ from twistctl.finitefield import (
     split_order,
     unitary_order,
 )
-from twistctl.numberfield import place_decomposition, subgroup_make
+from twistctl.numberfield import subgroup_make
 from twistctl.twists import detect
 
 

@@ -15,6 +15,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from detection_helpers import place_decomposition
 from twistctl.errors import (
     NotAnAutomorphism,
     NotClosed,
@@ -35,7 +36,6 @@ from twistctl.numberfield import (
     fixed_field,
     frobenius_at,
     generated_subgroup,
-    place_decomposition,
     roots_of_unity,
     _split_primes,
     stabilizer,
@@ -152,7 +152,7 @@ class TestConstruction:
         t = K.composition_table
         for i in range(d):
             assert t[0][i] == i and t[i][0] == i
-            assert t[i][K.inverse_index(i)] == 0
+            assert t[i][K.inverse_table[i]] == 0
         for i in range(d):
             for j in range(d):
                 for k in range(d):

@@ -17,6 +17,7 @@ from math import gcd
 
 import pytest
 
+from detection_helpers import twist_at
 from twistctl import synth
 from twistctl.characters import (
     char_eval,
@@ -40,13 +41,26 @@ from twistctl.twists import (
     find_outer,
     fixed_fields,
     general_type_verdict,
-    inverse_twist,
     _verify,
 )
 
 
 def _as_twist(kind, aut_index, character, bound=100):
     return ExtraTwist(kind, aut_index, character, bound, ())
+
+
+def is_identity(t):
+    return t.kind == "inner" and t.aut_index == 0 and t.character.is_trivial()
+
+
+def inverse_twist(field, t):
+    """Kind, automorphism index and character of the inverse of t: inner
+    (sigma, chi) has inverse (sigma^-1, sigma^-1(chi)^-1), outer (tau, eta)
+    has inverse (tau^-1, tau^-1(eta))."""
+    inv = field.inverse_table[t.aut_index]
+    moved = char_transform(field, inv, t.character)
+    char = moved.inverse() if t.kind == "inner" else moved
+    return t.kind, inv, char
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +94,7 @@ class TestCompositionLaw:
         for left in group.twists:
             for right in group.twists:
                 kind, index, char = compose_twists(field, left, right)
-                target = group.twist_at(index)
+                target = twist_at(group, index)
                 assert target.kind == kind
                 assert target.character == char
 
@@ -99,13 +113,13 @@ class TestCompositionLaw:
         sys_ = cubic_klein_system()
         group = cubic_klein_result().group
         field = group.field
-        left, right = group.twist_at(2), group.twist_at(3)
+        left, right = twist_at(group, 2), twist_at(group, 3)
         assert left.kind == right.kind == "outer"
         assert left.character.order() == 3 and right.character.is_trivial()
 
         kind, index, char = compose_twists(field, left, right)
         assert (kind, index) == ("inner", 1)
-        assert char == group.twist_at(1).character
+        assert char == twist_at(group, 1).character
 
         naive = char_mul(left.character,
                          char_transform(field, left.aut_index, right.character))
@@ -128,8 +142,8 @@ class TestCompositionLaw:
     def test_identity_is_neutral(self):
         group = cubic_klein_result().group
         field = group.field
-        ident = group.twist_at(0)
-        assert ident.is_identity()
+        ident = twist_at(group, 0)
+        assert is_identity(ident)
         for t in group.twists:
             assert compose_twists(field, ident, t) == (
                 t.kind, t.aut_index, t.character)
@@ -151,7 +165,7 @@ class TestCompositionLaw:
     def test_inverse_of_inner_moves_and_inverts_the_character(self):
         group = cubic_klein_result().group
         field = group.field
-        t = group.twist_at(1)
+        t = twist_at(group, 1)
         assert t.kind == "inner" and t.character.order() == 3
         kind, index, char = inverse_twist(field, t)
         # the automorphism is an involution that conjugates the cube roots,
@@ -161,7 +175,7 @@ class TestCompositionLaw:
     def test_inverse_of_outer_does_not_invert_the_character(self):
         group = cubic_klein_result().group
         field = group.field
-        t = group.twist_at(2)
+        t = twist_at(group, 2)
         assert t.kind == "outer" and t.character.order() == 3
         kind, index, char = inverse_twist(field, t)
         # this automorphism fixes the cube roots: eta must come back as is,
@@ -179,8 +193,8 @@ class TestPlantedSystems:
         res = detect(sys_, 100)
         group = res.group
         assert group.order == 2 and group.inner_order == 1
-        assert group.twist_at(0).is_identity()
-        conj = group.twist_at(1)
+        assert is_identity(twist_at(group, 0))
+        conj = twist_at(group, 1)
         assert conj.kind == "outer" and conj.character.is_trivial()
         assert group.has_outer()
         assert res.fixed.degree == 1
@@ -230,7 +244,7 @@ class TestPlantedSystems:
         res = detect(synth.chi4_system(), 100)
         group = res.group
         assert group.order == 2 and not group.has_outer()
-        chi = group.twist_at(1).character
+        chi = twist_at(group, 1).character
         assert chi.conductor() == 4 and chi.order() == 2
         assert char_eval(chi, 3) == -1 and char_eval(chi, 5) == 1
         assert res.verdict.kind == "essentially-self-dual"
@@ -238,7 +252,7 @@ class TestPlantedSystems:
     def test_planted_cubic_character(self):
         sys_ = synth.cubic_twist_system()
         res = detect(sys_, 100)
-        chi = res.group.twist_at(1).character
+        chi = twist_at(res.group, 1).character
         assert chi.conductor() == 7 and chi.order() == 3
         zeta = sys_.field.gen()
         assert char_eval(chi, 3) == zeta
@@ -256,8 +270,8 @@ class TestPlantedSystems:
         assert shape == {0: ("inner", 1), 1: ("inner", 3),
                          2: ("outer", 3), 3: ("outer", 1)}
         # the two order-3 characters are mutually inverse cubic characters
-        inner_chi = group.twist_at(1).character
-        outer_eta = group.twist_at(2).character
+        inner_chi = twist_at(group, 1).character
+        outer_eta = twist_at(group, 2).character
         assert inner_chi.conductor() == 7 and outer_eta.conductor() == 7
         assert char_mul(inner_chi, outer_eta).is_trivial()
         assert res.fixed.degree == 1 and res.fixed_inner.degree == 2
@@ -313,7 +327,7 @@ class TestPlantedSystems:
         sys_ = make()
         res = detect(sys_, bound)
         group = res.group
-        assert group.twist_at(0).is_identity()
+        assert is_identity(twist_at(group, 0))
         one = sys_.field.one()
         for t in group.twists:
             assert t.verified_bound == bound
@@ -384,7 +398,7 @@ class TestDetectionGuards:
     def test_twist_lookup_fails_cleanly(self):
         group = klein_result().group
         with pytest.raises(KeyError):
-            group.twist_at(7)
+            twist_at(group, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +518,7 @@ class TestTableCharacters:
         assert (g.order, g.inner_order) == (ref.order, ref.inner_order)
         assert g.order > 1
         assert all(t.character.kind == "table" for t in g.twists)
-        assert g.twist_at(0).character.is_trivial()
+        assert twist_at(g, 0).character.is_trivial()
         assert (result.fixed.degree, result.fixed_inner.degree) == (
             reference.fixed.degree, reference.fixed_inner.degree)
         assert result.verdict.kind == reference.verdict.kind
