@@ -43,12 +43,18 @@ def _primitive_root(p: int, e: int) -> int:
     return g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g
 
 
+def _local_orders(p: int, e: int) -> list[int]:
+    """The orders of the canonical generators of (Z/p^e)^x."""
+    if p == 2:
+        return [2, 2 ** e // 4][:e - 1]
+    return [p ** (e - 1) * (p - 1)]
+
+
 def _local_generators(p: int, e: int) -> list[tuple[int, int]]:
     """Canonical generators (g, order) of (Z/p^e)^x: those of -1 and 5 of
     order > 1 for p = 2, else a primitive root."""
-    if p == 2:
-        return [(2 ** e - 1, 2), (5, 2 ** e // 4)][:e - 1]
-    return [(_primitive_root(p, e), p ** (e - 1) * (p - 1))]
+    gens = [2 ** e - 1, 5] if p == 2 else [_primitive_root(p, e)]
+    return list(zip(gens, _local_orders(p, e)))
 
 
 def unit_group_structure(N: int) -> list[tuple[int, int]]:
@@ -279,22 +285,24 @@ def _local_characters(q: int, e: int, w: int, order_bound: int,
     Only e_i(v) mod h_i = gcd(w, d_i) counts at a place v: the index of
     v^(d_i/h_i) among the powers of g_i^(d_i/h_i), after the exponent of -1
     is read off v mod 4 when there are two generators (mod 2^e, e >= 3)."""
-    m = q ** e
-    gens = _local_generators(q, e)
-    if not gens:
+    orders = _local_orders(q, e)
+    if not orders:
         return []
-    hs = [gcd(w, d) for _, d in gens]
-    (g, d), h = gens[-1], hs[-1]
+    hs = [gcd(w, d) for d in orders]
+    d, h = orders[-1], hs[-1]
     kernel_step = d // (d if e == 1 else q)
     chars = [xs for xs in iter_product(*(range(0, w, w // h) for h in hs))
              if xs[-1] * kernel_step % w and w // gcd(w, *xs) <= order_bound]
     if not chars:
         return []
+    # a generator is searched for only once some character survives
+    m = q ** e
+    g = _local_generators(q, e)[-1][0]
     table = {pow(g, d // h * j, m): j for j in range(h)}
     logs = []
     for v in places:
         log = []
-        if len(gens) == 2:
+        if len(orders) == 2:
             log.append(v % 4 // 2)
             v = -v if log[0] else v
         log.append(table[pow(v, d // h, m)])

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from .arith import factorize, prime_power
-from .polynomials import pmod_gcd, pmod_pow_mod, pmod_sub
+from .polynomials import pmod_divmod, pmod_gcd, pmod_mul, pmod_pow_mod, pmod_sub
 
 
 def _is_irreducible(f: list[int], p: int, k: int) -> bool:
@@ -51,8 +51,9 @@ class FiniteField:
         self.add_table = [[self._encode([(a + b) % p for a, b in zip(u, v)])
                            for v in polys] for u in polys]
         self.neg_table = [self._encode([(-a) % p for a in u]) for u in polys]
-        self.mul_table = [[self._encode(self._polymul(u, v)) for v in polys]
-                          for u in polys]
+        self.mul_table = [
+            [self._encode(pmod_divmod(pmod_mul(u, v, p), self.modulus, p)[1])
+             for v in polys] for u in polys]
         inv = [0] * q
         for a in range(1, q):
             inv[a] = next(b for b in range(1, q) if self.mul_table[a][b] == 1)
@@ -70,21 +71,6 @@ class FiniteField:
         for d in reversed(list(digits)):
             code = code * self.p + d % self.p
         return code
-
-    def _polymul(self, u, v) -> list[int]:
-        p, k, f = self.p, self.k, self.modulus
-        prod_ = [0] * (2 * k - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    prod_[i + j] = (prod_[i + j] + a * b) % p
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod_[i]
-            if c:
-                prod_[i] = 0
-                for j in range(k):
-                    prod_[i - k + j] = (prod_[i - k + j] - c * f[j]) % p
-        return prod_[:k]
 
     # -- arithmetic on codes --------------------------------------------
 

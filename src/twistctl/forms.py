@@ -41,6 +41,7 @@ from .numberfield import (
     frobenius_at,
     subgroup_make,
 )
+from .polynomials import int_from_json
 from .twists import DetectionResult, TwistGroup
 
 DEFAULT_BUDGET = 2 ** 22
@@ -174,16 +175,14 @@ def mat_scalar_multiple(ring: Ring, a: tuple, b: tuple) -> bool:
 
 @dataclass(frozen=True)
 class GaloisContext:
+    """A group acting on matrix entries.  Element 0 is the identity: index
+    0 of a number field's automorphism table, 0 of Z/m for a finite model."""
     elements: tuple
     ring: Ring
     compose: callable
     apply: callable               # apply(element, scalar)
     field: NumberField | None = None
     model: "FiniteModel | None" = None
-
-    def identity(self):
-        return next(e for e in self.elements
-                    if all(self.compose(e, g) == g for g in self.elements))
 
 
 def number_field_context(field: NumberField, subgroup: Subgroup) -> GaloisContext:
@@ -292,8 +291,7 @@ def cocycle_make(context: GaloisContext, assignments: dict) -> Cocycle:
         raise ValueError("assignments must cover the group exactly: "
                          f"got {sorted(cleaned)}, need {sorted(elems)}")
 
-    ident = context.identity()
-    alpha0, flip0 = cleaned[ident]
+    alpha0, flip0 = cleaned[0]
     if flip0 or not mat_is_scalar(ring, alpha0):
         raise CocycleViolation(
             "the identity element must map to (scalar matrix, no flip)")
@@ -528,7 +526,7 @@ def projection_iso_check(model: FiniteModel, cocycle: Cocycle,
     fixed = twisted_fixed_elements(model, cocycle)
     fixed_by_all = lambda g: all(_fixed_by(cocycle, t, g) for t in elems)
     tuple_order = sum(1 for g in fixed if fixed_by_all(g))
-    inverts = all(_fixed_by(cocycle, ctx.identity(), g) for g in fixed)
+    inverts = all(_fixed_by(cocycle, 0, g) for g in fixed)
 
     rng = random.Random(seed)
     pairs = [(rng.choice(fixed), rng.choice(fixed))
@@ -707,26 +705,17 @@ def cocycle_to_json(cocycle: Cocycle) -> dict:
     return doc
 
 
-def _json_int(x, what: str, size: int | None = None) -> int:
-    """x if it is a JSON int (not a bool), in range(size) when a size is
-    given; SchemaError otherwise."""
-    if type(x) is not int or (size is not None and not 0 <= x < size):
-        where = "" if size is None else f" in range({size})"
-        raise SchemaError(f"{what} must be an integer{where}, got {x!r}")
-    return x
-
-
 def cocycle_from_json(doc: dict) -> Cocycle:
     try:
         raw = doc["assignments"]
         if "model" in doc:
             spec = doc["model"]
             model = finite_model(
-                *(_json_int(spec[key], f"model {key}") for key in "qmn"),
-                _json_int(spec.get("budget", DEFAULT_BUDGET), "model budget"))
+                *(int_from_json(spec[key], f"model {key}") for key in "qmn"),
+                int_from_json(spec.get("budget", DEFAULT_BUDGET), "model budget"))
             context = finite_model_context(model)
             size = model.q ** model.m
-            cell = lambda x: _json_int(x, "a finite-model alpha entry", size)
+            cell = lambda x: int_from_json(x, "a finite-model alpha entry", size)
         else:
             field = field_from_json(doc["field"])
             subgroup = subgroup_make(field, [int(i) for i in doc["subgroup"]])

@@ -24,7 +24,6 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -37,10 +36,11 @@ from .errors import (
     NotFound,
     NotGalois,
     SchemaDrift,
+    SchemaError,
     TwistctlError,
 )
 from .numberfield import field_make, unit_roots
-from .polynomials import QPoly
+from .polynomials import QPoly, int_from_json, rational_from_json
 from .twists import DetectionResult
 
 BASE_URL = "https://www.lmfdb.org/api"
@@ -54,13 +54,14 @@ _last_request = 0.0
 
 @dataclass(frozen=True)
 class NewformRecord:
-    """Parsed newform data; coefficients stay as raw coordinate strings."""
+    """Parsed newform data, every number read exactly (no floats);
+    coefficients are kept as coordinate strings."""
     label: str
     level: int
     weight: int
     hecke_field_poly: QPoly
     char_values: tuple            # (modulus, value order, generators, exponents)
-    an_exact: dict                # n -> coordinate vector (strings)
+    an_exact: dict                # n -> coordinate vector (exact strings)
     recorded_inner_twists: tuple  # (character orbit label, order, proved)
 
 
@@ -164,18 +165,22 @@ def _parse_record(label: str, doc: dict) -> NewformRecord:
     meta = _single_row(doc, "newform", label)
     eig = _single_row(doc, "eigenvalues", label)
     try:
-        level = int(meta["level"])
-        weight = int(meta["weight"])
-        poly = QPoly([Fraction(str(c)) for c in meta["field_poly"]])
+        level = int_from_json(meta["level"], "level")
+        weight = int_from_json(meta["weight"], "weight")
+        poly = QPoly([rational_from_json(c) for c in meta["field_poly"]])
         modulus, value_order, gens, exps = meta["char_values"]
-        char_values = (int(modulus), int(value_order),
-                       tuple(int(g) for g in gens),
-                       tuple(int(e) for e in exps))
-        twists = tuple((str(lab), int(order), bool(proved))
+        char_values = (int_from_json(modulus, "character modulus"),
+                       int_from_json(value_order, "character value order"),
+                       tuple(int_from_json(g, "character generator")
+                             for g in gens),
+                       tuple(int_from_json(e, "character exponent")
+                             for e in exps))
+        twists = tuple((str(lab), int_from_json(order, "inner twist order"),
+                        bool(proved))
                        for lab, order, proved in meta["inner_twists"])
         an = eig["an"]
         power_basis = eig.get("hecke_ring_power_basis", True)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
         raise SchemaDrift(f"unexpected record shape for {label}: {exc}",
                           body=doc)
     if meta.get("label", label) != label:
@@ -194,7 +199,10 @@ def _parse_record(label: str, doc: dict) -> NewformRecord:
             raise SchemaDrift(
                 f"a_{i + 1} of {label} is not a degree-{degree} coordinate "
                 "vector", body=doc)
-        an_exact[i + 1] = tuple(str(c) for c in vec)
+        try:
+            an_exact[i + 1] = tuple(str(rational_from_json(c)) for c in vec)
+        except SchemaError as exc:
+            raise SchemaDrift(f"a_{i + 1} of {label}: {exc}", body=doc)
     if not an_exact:
         raise SchemaDrift(f"record for {label} has no eigenvalues", body=doc)
     return NewformRecord(label=label, level=level, weight=weight,
@@ -283,7 +291,7 @@ def to_eigensystem(record: NewformRecord, aut_images=None,
         vec = record.an_exact.get(p)
         if vec is None:
             raise MissingCoefficients(f"no a_{p} stored for {record.label}")
-        a = field.element([Fraction(c) for c in vec])
+        a = field.element(vec)
         coeffs[p] = PlaceData(p, a, None)
     if not coeffs:
         raise MissingCoefficients(

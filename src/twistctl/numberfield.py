@@ -42,7 +42,6 @@ from .polynomials import (
     _peval,
     cyclotomic,
     ddf_mod_p,
-    discriminant,
     irreducibility_over_q,
     pmod_gcd,
     pmod_hensel_root,
@@ -163,16 +162,21 @@ class FieldElement:
             e >>= 1
         return result
 
+    def _other_conjugates(self) -> "FieldElement":
+        """The product of the d - 1 conjugates sigma_i(x), i > 0."""
+        field = self.field
+        others = field.one()
+        for i in range(1, field.degree):
+            others = others * field.apply_aut(i, self)
+        return others
+
     def inverse(self) -> "FieldElement":
         """1/x as the product of the other conjugates over the norm."""
         if self.is_zero():
             raise NotInvertible("division by zero in number field")
         if self.is_rational():
             return self.field.from_rational(Q(self.den, self.num[0]))
-        field = self.field
-        others = field.one()
-        for i in range(1, field.degree):
-            others = others * field.apply_aut(i, self)
+        others = self._other_conjugates()
         norm = self * others
         if not norm.is_rational() or norm.is_zero():
             raise NotInvertible("element shares a factor with the modulus")
@@ -374,7 +378,13 @@ class NumberField:
     # -- misc ---------------------------------------------------------------
 
     def discriminant(self) -> Fraction:
-        return discriminant(self.min_poly)
+        """disc(Phi) = (-1)^(d(d-1)/2) N(Phi'(alpha)) for the monic Phi with
+        root alpha (Cohen, GTM 138, 3.3), N the product of the d conjugates."""
+        d = self.degree
+        # zero() + keeps Phi'(alpha) a field element when d = 1 and it is 1
+        fprime = self.zero() + self.min_poly.derivative().evaluate(self.gen())
+        norm = (fprime * fprime._other_conjugates()).as_fraction()
+        return -norm if d * (d - 1) // 2 % 2 else norm
 
     def __eq__(self, other):
         if not isinstance(other, NumberField):
@@ -721,7 +731,7 @@ def _root_of_largest_order(field: NumberField, p: int, orders):
     fprime = QPoly(model).derivative().evaluate(y)
 
     for k in orders:
-        phi_k = [int(c) for c in cyclotomic(k).coeffs]
+        phi_k = cyclotomic(k)
         omega = next(w for w in (pow(g, (p - 1) // k, p) for g in range(2, p))
                      if _peval(phi_k, w, p) == 0)
         omega = pmod_hensel_root(phi_k, omega, p, n)

@@ -1,11 +1,15 @@
-"""Dense univariate polynomials over Q, plus mod-p kernels.
+"""Rational polynomials as coefficient tuples, plus mod-p kernels.
 
-Coefficients are `fractions.Fraction`, stored ascending with trailing zeros
-stripped, so equal polynomials compare equal structurally.  The zero
-polynomial has an empty coefficient tuple and degree -1.
+A QPoly is a value: its `fractions.Fraction` coefficients are stored
+ascending with trailing zeros stripped, so equal polynomials compare equal
+structurally, and the zero polynomial has an empty tuple and degree -1.  The
+program parses a minimal polynomial, evaluates it at field elements,
+differentiates it and reduces it mod p; it does no arithmetic in Q[x].
 
-The mod-p helpers at the bottom work on plain lists of ints (ascending) and
-back the distinct-degree factorization used for splitting behaviour of primes.
+The mod-p kernels work on plain lists of ints (ascending) and back the
+distinct-degree factorization used for splitting behaviour of primes.  The
+readers of document numbers (rationals and ints, never floats) live here
+too, as does the integer cyclotomic polynomial.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ def _as_fraction(x) -> Fraction:
 
 
 class QPoly:
-    """Polynomial over Q with exact arithmetic."""
+    """Immutable polynomial over Q: coefficients, evaluation, derivative."""
 
     __slots__ = ("coeffs",)
 
@@ -45,8 +49,6 @@ class QPoly:
     def __setattr__(self, *a):
         raise AttributeError("QPoly is immutable")
 
-    # -- basic structure ------------------------------------------------
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -56,11 +58,6 @@ class QPoly:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Q(0)
-        return self.coeffs[-1]
 
     def __getitem__(self, i: int) -> Fraction:
         if 0 <= i < len(self.coeffs):
@@ -90,95 +87,6 @@ class QPoly:
                 terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "QPoly(" + " + ".join(terms) + ")"
 
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly([other])
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly([self[i] + other[i] for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly([other])
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QPoly([c * other for c in self.coeffs])
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return QPoly()
-        out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = QPoly([1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = other.degree
-        lead_inv = Q(1) / dv[-1]
-        quot = [Q(0)] * max(0, len(rem) - dd)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            c = rem[i + dd] * lead_inv
-            if c == 0:
-                continue
-            quot[i] = c
-            for j, d in enumerate(dv):
-                rem[i + j] -= c * d
-        return QPoly(quot), QPoly(rem[:dd])
-
-    def __mod__(self, other: "QPoly") -> "QPoly":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "QPoly") -> "QPoly":
-        return self.divmod(other)[0]
-
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
-
-    def monic(self) -> "QPoly":
-        if self.is_zero():
-            return self
-        inv = Q(1) / self.coeffs[-1]
-        return QPoly([c * inv for c in self.coeffs])
-
     def derivative(self) -> "QPoly":
         return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -191,16 +99,6 @@ class QPoly:
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
         return acc
-
-    # -- gcd and friends --------------------------------------------------
-
-    def gcd(self, other: "QPoly") -> "QPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
 
 
 def rational_from_json(x) -> Fraction:
@@ -215,6 +113,15 @@ def rational_from_json(x) -> Fraction:
     raise SchemaError(f"{x!r} is not an int or an exact rational string")
 
 
+def int_from_json(x, what: str, size: int | None = None) -> int:
+    """x if it is a JSON int (not a bool), in range(size) when a size is
+    given; SchemaError otherwise."""
+    if type(x) is not int or (size is not None and not 0 <= x < size):
+        where = "" if size is None else f" in range({size})"
+        raise SchemaError(f"{what} must be an integer{where}, got {x!r}")
+    return x
+
+
 def poly_from_strings(items: Sequence[str | int]) -> QPoly:
     return QPoly([rational_from_json(s) for s in items])
 
@@ -223,63 +130,21 @@ def poly_to_strings(p: QPoly) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-def resultant(f: QPoly, g: QPoly) -> Fraction:
-    """Resultant over Q via fraction-exact Gaussian elimination of the
-    Sylvester matrix.  Degrees here are tiny, so no subresultant tricks."""
-    n, m = f.degree, g.degree
-    if n < 0 or m < 0:
-        return Q(0)
-    if n == 0:
-        return f.coeffs[0] ** m
-    if m == 0:
-        return g.coeffs[0] ** n
-    size = n + m
-    rows = []
-    fc = list(reversed(f.coeffs))  # descending
-    gc = list(reversed(g.coeffs))
-    for i in range(m):
-        rows.append([Q(0)] * i + fc + [Q(0)] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([Q(0)] * i + gc + [Q(0)] * (size - m - 1 - i))
-    det = Q(1)
-    for col in range(size):
-        pivot = None
-        for r in range(col, size):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Q(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = Q(1) / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col] == 0:
-                continue
-            factor = rows[r][col] * inv
-            for c in range(col, size):
-                rows[r][c] -= factor * rows[col][c]
-    return det
-
-
-def discriminant(f: QPoly) -> Fraction:
-    n = f.degree
-    if n < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.leading()
-
-
-def cyclotomic(n: int) -> QPoly:
-    """n-th cyclotomic polynomial by exact division of x^n - 1."""
+def cyclotomic(n: int) -> list[int]:
+    """The n-th cyclotomic polynomial, ascending integer coefficients: x^n - 1
+    divided exactly by the monic Phi_d of each proper divisor d of n."""
     if n < 1:
         raise ValueError("n must be positive")
-    num = QPoly([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            num = num.exact_div(cyclotomic(d))
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in divisors(n)[:-1]:
+        phi = cyclotomic(d)
+        k = len(phi) - 1
+        quot = [0] * (len(num) - k)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = num[i + k]
+            for j, b in enumerate(phi):
+                num[i + j] -= c * b
+        num = quot
     return num
 
 

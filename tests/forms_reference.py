@@ -88,8 +88,7 @@ def cocycle_make(context, assignments):
         raise ValueError("assignments must cover the group exactly: "
                          f"got {sorted(cleaned)}, need {sorted(elems)}")
 
-    ident = context.identity()
-    alpha0, flip0 = cleaned[ident]
+    alpha0, flip0 = cleaned[0]
     if flip0 or not forms.mat_is_scalar(ring, alpha0):
         raise CocycleViolation(
             "the identity element must map to (scalar matrix, no flip)")
@@ -135,8 +134,7 @@ def projection_iso_check(model, cocycle, seed=0):
     ring = ctx.ring
     elems = ctx.elements
     position = {e: i for i, e in enumerate(elems)}
-    ident = ctx.identity()
-    inverse = {e: next(f for f in elems if ctx.compose(e, f) == ident)
+    inverse = {e: next(f for f in elems if ctx.compose(e, f) == 0)
                for e in elems}
     act = {t: twisted_action(cocycle, t) for t in elems}
 
@@ -147,7 +145,7 @@ def projection_iso_check(model, cocycle, seed=0):
     for g in fixed:
         tup = tuple(act[t](g) for t in elems)
         image.add(tup)
-        if tup[position[ident]] != g:
+        if tup[position[0]] != g:
             inverts = False
         invariant = all(
             tup[i] == act[gamma](

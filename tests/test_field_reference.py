@@ -3,24 +3,23 @@ Fraction-coordinate arithmetic it replaced.
 
 The reference below is the earlier implementation: an element is a tuple of
 Fraction coordinates, a product reduces its convolution by Fraction rows,
-an automorphism is applied by Horner's rule in the image of alpha, and an
-inverse comes from the extended Euclidean algorithm against the minimal
-polynomial.  Every operation must give the same coordinates, equality must
-agree, and every result must be in lowest terms over a positive
-denominator.  The fields include presentations whose reduction rows carry
-denominators (x^2 + 1/4, x^2 + 1/9, Phi_8 at alpha = zeta_8/2, Q at
-alpha = 1/2), where a product that drops the rows' common denominator goes
-wrong.
+and an automorphism is applied by Horner's rule in the image of alpha; an
+inverse is sympy's inverse over QQ modulo the minimal polynomial.  Every
+operation must give the same coordinates, equality must agree, and every
+result must be in lowest terms over a positive denominator.  The fields
+include presentations whose reduction rows carry denominators (x^2 + 1/4,
+x^2 + 1/9, Phi_8 at alpha = zeta_8/2, Q at alpha = 1/2), where a product
+that drops the rows' common denominator goes wrong.
 """
 
 from fractions import Fraction as Q
 from math import gcd
 
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from twistctl import synth
 from twistctl.numberfield import field_make
-from twistctl.polynomials import QPoly
 
 FIELDS = {
     "Q": synth.rational_field(),
@@ -44,20 +43,20 @@ FIELDS = {
 # the reference: Fraction coordinates
 # ---------------------------------------------------------------------------
 
-def ref_xgcd(a: QPoly, b: QPoly):
-    """Extended Euclid over Q: (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    u0, u1 = QPoly([1]), QPoly()
-    v0, v1 = QPoly(), QPoly([1])
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    inv = Q(1) / r0.leading()
-    return r0.monic(), u0 * inv, v0 * inv
+X = sympy.symbols("x")
+
+
+def _sympy_poly(coeffs):
+    """The ascending Fraction coefficients as a sympy polynomial over QQ."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], X, domain=sympy.QQ)
+
+
+def ref_inverse(coords, min_poly):
+    """The inverse of the element with these coordinates: sympy's inverse
+    over QQ modulo the minimal polynomial, as ascending Fractions."""
+    inv = sympy.invert(_sympy_poly(coords), _sympy_poly(min_poly.coeffs))
+    return [Q(int(c.p), int(c.q)) for c in reversed(inv.all_coeffs())]
 
 
 class RefField:
@@ -141,10 +140,9 @@ class RefElement:
         return result
 
     def inverse(self):
-        g, u, _ = ref_xgcd(QPoly(self.coords), self.field.min_poly)
-        assert g.degree == 0
-        inv = u % self.field.min_poly
-        return RefElement(self.field, [inv[i] for i in range(self.field.degree)])
+        inv = ref_inverse(self.coords, self.field.min_poly)
+        return RefElement(self.field,
+                          inv + [Q(0)] * (self.field.degree - len(inv)))
 
     def __eq__(self, other):
         if isinstance(other, RefElement):

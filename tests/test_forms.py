@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import forms_reference as ref
@@ -79,6 +80,27 @@ def gaussian_context():
 def rational_matrix(field, rows):
     return tuple(tuple(field.from_rational(Fraction(x)) for x in row)
                  for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# finite-field tables
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64])
+def test_multiplication_table_is_the_product_mod_the_modulus(q):
+    """Code c holds the base-p digits of a polynomial over GF(p); its
+    products are sympy's product mod the field's modulus."""
+    ff = finite_field(q)
+    p, k = ff.p, ff.k
+    x = sympy.symbols("x")
+    modulus = sympy.Poly(ff.modulus[::-1], x, modulus=p)
+    polys = [sympy.Poly([c // p ** i % p for i in range(k)][::-1], x,
+                        modulus=p) for c in range(q)]
+    for a in range(q):
+        for b in range(q):
+            rem = (polys[a] * polys[b]).rem(modulus).all_coeffs()[::-1]
+            assert ff.mul_table[a][b] == sum(
+                c % p * p ** i for i, c in enumerate(rem)), (a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,27 @@ the prime as ramified."""
 
 from fractions import Fraction
 
+import sympy
+
 from twistctl import synth
 from twistctl.arith import primes_up_to
 from twistctl.errors import BadReduction, Ramified
 from twistctl.numberfield import FrobeniusResult, field_make, frobenius_at
-from twistctl.polynomials import (
-    discriminant,
-    pmod_gcd,
-    pmod_pow_mod,
-    pmod_reduce,
-)
+from twistctl.polynomials import pmod_gcd, pmod_pow_mod, pmod_reduce
+
+
+def sympy_discriminant(min_poly):
+    x = sympy.symbols("x")
+    disc = sympy.discriminant(
+        sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+            for i, c in enumerate(min_poly.coeffs)), x)
+    return Fraction(int(disc.p), int(disc.q))
 
 
 def reference_frobenius(field, p):
-    """Ramified iff disc(Phi) is 0 or p divides its numerator or
-    denominator; otherwise the same Frobenius search."""
-    disc = discriminant(field.min_poly)
+    """Ramified iff disc(Phi), computed by sympy, is 0 or p divides its
+    numerator or denominator; otherwise the same Frobenius search."""
+    disc = sympy_discriminant(field.min_poly)
     if disc == 0 or disc.numerator % p == 0 or disc.denominator % p == 0:
         raise Ramified(f"prime {p} is ramified (or bad) for this field")
     phi_p = pmod_reduce(field.min_poly, p)

@@ -16,6 +16,7 @@ import pytest
 
 from twistctl import lmfdb
 from twistctl.characters import char_eval
+from twistctl.cli import run
 from twistctl.eigensystem import load_system, serialize
 from twistctl.errors import (
     InsufficientData,
@@ -106,6 +107,39 @@ class TestFetchAndCache:
         with pytest.raises(SchemaDrift, match="coordinate"):
             lmfdb.fetch_newform("11.2.a.a", cache_dir=tmp_path,
                                 allow_network=False)
+
+
+FLOAT_MUTATIONS = {
+    "field_poly": lambda doc: doc["newform"]["data"][0].update(
+        field_poly=[-1, -1, 1.0]),
+    "a_2": lambda doc: doc["eigenvalues"]["data"][0]["an"].__setitem__(
+        1, [-1.0, 0.1]),
+    "level": lambda doc: doc["newform"]["data"][0].update(level=47.9),
+    "weight": lambda doc: doc["newform"]["data"][0].update(weight=True),
+}
+
+
+class TestRecordsAreReadExactly:
+    """A float (or a bool where an int belongs) anywhere in a record is
+    schema drift, as in every other input document: int(47.9) would read a
+    level of 47, and a_2 = [-1.0, 0.1] would be read as -1 + alpha/10."""
+
+    @pytest.mark.parametrize("what", sorted(FLOAT_MUTATIONS))
+    def test_inexact_number_is_drift(self, tmp_path, what):
+        tampered_cache(tmp_path, "47.1.b.a", FLOAT_MUTATIONS[what])
+        with pytest.raises(SchemaDrift) as exc:
+            lmfdb.fetch_newform("47.1.b.a", cache_dir=tmp_path,
+                                allow_network=False)
+        assert exc.value.body is not None
+
+    @pytest.mark.parametrize("what", sorted(FLOAT_MUTATIONS))
+    def test_inexact_number_fails_the_command(self, tmp_path, capsys, what):
+        tampered_cache(tmp_path, "47.1.b.a", FLOAT_MUTATIONS[what])
+        code = run(["lmfdb", "compare", "--label", "47.1.b.a",
+                    "--cache-dir", str(tmp_path),
+                    "--aut-images", "[[0,1],[1,-1]]"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error[SchemaDrift]")
 
 
 class TestRecordParsing:

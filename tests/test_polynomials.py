@@ -1,4 +1,5 @@
-"""Polynomial layer: ring axioms, mod-p factorization degrees, irreducibility.
+"""Polynomial layer: values, discriminants as norms, cyclotomic polynomials,
+mod-p factorization degrees, irreducibility.
 
 The mod-p oracle here is written independently of the library: root counting
 by direct scan plus a two-quadratic splitting test driven by a precomputed
@@ -9,22 +10,21 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from test_field_reference import FIELDS
+from twistctl import synth
 from twistctl.errors import BadReduction, NotSeparableModP, SchemaError
+from twistctl.numberfield import field_make
 from twistctl.polynomials import (
     QPoly,
     cyclotomic,
     ddf_mod_p,
-    discriminant,
     irreducibility_over_q,
     pmod_hensel_root,
     pmod_roots,
     poly_from_strings,
     poly_to_strings,
     rational_from_json,
-    resultant,
 )
 
 # ---------------------------------------------------------------- oracle
@@ -160,75 +160,39 @@ def test_ddf_degree_sum_property():
         assert sum(d * c for d, c in degs) == f.degree
 
 
-# ---------------------------------------------------------------- ring arithmetic
-
-small_fracs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
-polys = st.lists(small_fracs, max_size=6).map(QPoly)
-
-
-@given(polys, polys, polys)
-@settings(max_examples=60, deadline=None)
-def test_ring_axioms(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) * c == a * c + b * c
-    assert (a * b) * c == a * (b * c)
-    assert a + QPoly() == a
-    assert a * QPoly([1]) == a
-
-
-@given(polys, polys)
-@settings(max_examples=60, deadline=None)
-def test_divmod_identity(a, b):
-    if b.is_zero():
-        return
-    q, r = a.divmod(b)
-    assert q * b + r == a
-    assert r.degree < b.degree
-
-
-def test_gcd_basics():
-    a = QPoly([-1, 0, 1])   # x^2-1
-    b = QPoly([1, 1])       # x+1
-    assert a.gcd(b) == QPoly([1, 1])
-    assert a.gcd(QPoly([-2, 0, 1])).degree == 0
-
+# ---------------------------------------------------------------- values
 
 def test_evaluate_horner():
     f = QPoly([1, 2, 3])
     assert f.evaluate(Fraction(2)) == 1 + 4 + 12
 
 
-# ---------------------------------------------------------------- resultants, cyclotomics
-
-def test_resultant_against_sympy():
-    x = sympy.symbols("x")
-    cases = [
-        ([1, 0, 1], [-2, 0, 1]),
-        ([3, 1], [1, 2, 3]),
-        ([1, 1, 1, 1], [2, 0, 1]),
-    ]
-    for ac, bc in cases:
-        f, g = QPoly(ac), QPoly(bc)
-        fx = sum(int(c) * x**i for i, c in enumerate(ac))
-        gx = sum(int(c) * x**i for i, c in enumerate(bc))
-        assert resultant(f, g) == sympy.resultant(fx, gx, x)
-
+# ---------------------------------------------------------------- discriminants, cyclotomics
 
 def test_discriminant_against_sympy():
+    """NumberField.discriminant, a norm, against sympy on every synth field,
+    on x^2 - x - 1, and on the presentations with rational coefficients
+    from the arithmetic reference, whose norms carry denominators."""
+    fields = [synth.rational_field(), synth.gaussian_field(),
+              synth.sqrt2_field(), synth.sqrt5_field(),
+              synth.eisenstein_field(), synth.biquadratic_field(),
+              synth.cubic_klein_field(),
+              field_make([-1, -1, 1], [[0, 1], [1, -1]])]
+    fields += [field for field in FIELDS.values()
+               if any(c.denominator != 1 for c in field.min_poly.coeffs)]
+    assert len(fields) == 12
     x = sympy.symbols("x")
-    for coeffs in ([1, 0, 1], [9, 0, -2, 0, 1], [-1, -1, 1]):
-        f = QPoly(coeffs)
-        fx = sum(int(c) * x**i for i, c in enumerate(coeffs))
-        assert discriminant(f) == sympy.discriminant(fx, x)
+    for field in fields:
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                   for i, c in enumerate(field.min_poly.coeffs))
+        assert field.discriminant() == sympy.discriminant(expr, x), field
 
 
 def test_cyclotomic_polynomials():
     x = sympy.symbols("x")
-    for n in range(1, 13):
-        mine = cyclotomic(n)
+    for n in range(1, 121):
         theirs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
-        assert list(reversed([int(c) for c in theirs])) == [int(c) for c in mine.coeffs]
+        assert cyclotomic(n) == [int(c) for c in reversed(theirs)], n
 
 
 # ---------------------------------------------------------------- irreducibility

@@ -26,7 +26,7 @@ from twistctl.numberfield import (
     roots_of_unity,
     unit_roots,
 )
-from twistctl.polynomials import QPoly, _monic_integer_model, cyclotomic
+from twistctl.polynomials import _monic_integer_model
 
 CACHE = Path(__file__).parent / "data" / "lmfdb_cache"
 
@@ -55,7 +55,7 @@ def _cyclotomic_roots_sympy(field, orders):
     K = SQQ.algebraic_field(sympy.CRootOf(sympy.Poly(expr, x), 0))
     assert K.mod.to_list() == list(reversed(model))
     for k in orders:
-        phi = sum(int(c) * x ** i for i, c in enumerate(cyclotomic(k).coeffs))
+        phi = sympy.cyclotomic_poly(k, x)
         _, factors = sympy.Poly(phi, x, domain=K).factor_list()
         for fac, _ in factors:
             if fac.degree() == 1:
@@ -94,15 +94,26 @@ def quadratic(c):
 
 def cyclotomic_field(n, scale):
     """Q(zeta_n) on alpha = scale * zeta_n: sigma_a(alpha) =
-    scale^(1 - a) alpha^a, reduced by the minimal polynomial."""
-    phi = cyclotomic(n)
-    d = phi.degree
-    min_poly = QPoly([c * Q(scale) ** (d - i) for i, c in enumerate(phi.coeffs)])
+    scale^(1 - a) alpha^a, reduced by the minimal polynomial with sympy's
+    rem over QQ."""
+    x = sympy.symbols("x")
+    s = sympy.Rational(Q(scale).numerator, Q(scale).denominator)
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain=SQQ)
+    d = phi.degree()
+    min_poly = sympy.Poly(phi.as_expr().subs(x, x / s) * s ** d, x, domain=SQQ)
     images = []
     for a in [a for a in range(1, n) if lcm(a, n) == a * n]:
-        image = QPoly([0] * a + [Q(scale) ** (1 - a)]) % min_poly
-        images.append([image[i] for i in range(d)])
-    return field_make(min_poly, images)
+        image = sympy.rem(sympy.Poly(s ** (1 - a) * x ** a, x, domain=SQQ),
+                          min_poly)
+        images.append(_ascending(image, d))
+    return field_make(_ascending(min_poly, d + 1), images)
+
+
+def _ascending(poly, length):
+    """The coefficients of a sympy polynomial over QQ as `length` ascending
+    Fractions."""
+    cs = [Q(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return cs + [Q(0)] * (length - len(cs))
 
 
 def lmfdb_field(label, auts):
