@@ -97,6 +97,12 @@ def _commands() -> dict:
              "--format", "json"], ()),
         "twists.klein_K.text": (
             ["twists", "--input", "klein_K.json", "--bound", "200"], ()),
+        "report.vantop.text": (
+            ["report", "--input", "vantop.json", "--bound", "200",
+             "--primes", "3..50"], ()),
+        "report.klein.1000": (
+            ["report", "--input", "klein.json", "--primes", "2..1000",
+             "--format", "json"], ()),
         "report.klein_K": (
             ["report", "--input", "klein_K.json", "--bound", "200",
              "--primes", "3..50", "--format", "json"], ()),
