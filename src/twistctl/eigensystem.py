@@ -25,6 +25,7 @@ from .errors import (
 )
 from .numberfield import (FieldElement, NumberField, element_from_json,
                           field_from_json, field_to_json)
+from .polynomials import int_from_json
 
 
 class PlaceData(NamedTuple):
@@ -78,14 +79,14 @@ def _parse_coords(field: NumberField, raw, what: str) -> FieldElement:
 
 
 def _parse_place_label(key, base_field: str):
-    if isinstance(key, int):
-        return key
+    if type(key) is not int and not isinstance(key, str):
+        raise SchemaError(f"place label {key!r} must be an integer or a string")
     try:
         return int(key)
-    except (TypeError, ValueError):
+    except ValueError:
         if base_field == "Q":
             raise SchemaError(f"place label {key!r} must be a prime over Q")
-        return str(key)
+        return key
 
 
 def load_system(doc: dict) -> EigenSystem:
@@ -96,7 +97,7 @@ def load_system(doc: dict) -> EigenSystem:
                 "bad_places", "coefficients"):
         if key not in doc:
             raise SchemaError(f"missing key {key!r}")
-    n = doc["n"]
+    n = int_from_json(doc["n"], "n")
     if n not in (2, 3):
         raise SchemaError(f"n must be 2 or 3, got {n!r}")
     field = field_from_json(doc["field"])
@@ -107,9 +108,7 @@ def load_system(doc: dict) -> EigenSystem:
         normalized, m, omega = True, None, None
     elif isinstance(cc, dict) and "m" in cc and "omega" in cc:
         normalized = False
-        m = cc["m"]
-        if not isinstance(m, int):
-            raise SchemaError("central character exponent m must be an integer")
+        m = int_from_json(cc["m"], "central character exponent m")
         omega = None if cc["omega"] == "trivial" else char_from_json(field, cc["omega"])
     else:
         raise SchemaError("central_character must be 'normalized' or {m, omega}")
@@ -127,8 +126,8 @@ def load_system(doc: dict) -> EigenSystem:
             raise DuplicatePlace(f"place {place} appears twice")
         if not isinstance(entry, dict) or "norm" not in entry or "a" not in entry:
             raise SchemaError(f"entry at {place} must carry norm and a")
-        norm = entry["norm"]
-        if not isinstance(norm, int) or len(factorize(norm)) != 1:
+        norm = int_from_json(entry["norm"], f"norm at {place}")
+        if len(factorize(norm)) != 1:
             raise SchemaError(f"norm at {place} must be a prime power")
         if base == "Q":
             if norm != place or not is_prime(norm):

@@ -14,11 +14,11 @@ independent oracle: trivial cocycles descend to the split SL_n(F_q) and
 flip cocycles to special unitary groups, with orders matched against closed
 forms.  Over number fields the same validation runs on exact coordinates.
 
-Classification at a prime p is purely combinatorial: a place of the fixed
-field F of the twist group is split (inner form) when its double coset under
-the full group breaks into two double cosets under the inner subgroup,
-i.e. when the place splits in the quadratic extension fixed by the inner
-twists; otherwise the form is the unitary group of that quadratic extension.
+Classification at a prime p is purely combinatorial: the place of the fixed
+field F of the twist group H that belongs to the double coset H r <sigma_p>,
+of residue degree f, splits in the quadratic extension fixed by the inner
+twists exactly when r sigma_p^f r^-1 lies in the inner subgroup; there the
+form is inner (split), elsewhere the unitary group of that extension.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .numberfield import (
     frobenius_at,
     subgroup_make,
 )
-from .polynomials import int_from_json
-from .twists import DetectionResult, TwistGroup
+from .polynomials import bool_from_json, int_from_json
+from .twists import DetectionResult, TwistGroup, detection_to_json
 
 DEFAULT_BUDGET = 2 ** 22
 
@@ -562,24 +562,17 @@ def classify_place(field: NumberField, group: TwistGroup, p: int,
                    n: int) -> list[PlaceVerdict]:
     """Verdicts for the places of the twist group's fixed field above p.
 
-    A place is inner-split when the inner subgroup is everything, or when
-    its double coset under the full group falls apart into two double cosets
-    under the inner subgroup; otherwise the form there is the special
-    unitary group of the quadratic extension cut out by the inner twists."""
+    The place of the double coset H r <sigma>, of residue degree f, is
+    inner-split exactly when r sigma^f r^-1 (a generator of its
+    decomposition group) lies in the inner subgroup; otherwise the form is
+    the special unitary group of the extension cut out by the inner twists."""
     frob = frobenius_at(field, p)
-    full_places = double_cosets(field, group.full_subgroup, frob.index)
-    if group.has_outer():
-        inner_places = double_cosets(field, group.inner_subgroup, frob.index)
-        inner_rep = {}
-        for rep, _, members in inner_places:
-            for g in members:
-                inner_rep[g] = rep
     verdicts = []
-    for rep, degree, members in full_places:
-        if not group.has_outer():
-            split = True
-        else:
-            split = len({inner_rep[g] for g in members}) == 2
+    for rep, degree, _ in double_cosets(field, group.full_subgroup, frob.index):
+        g = rep
+        for _ in range(degree):
+            g = field.compose(g, frob.index)
+        split = field.compose(g, field.inverse_table[rep]) in group.inner_subgroup
         if split:
             form, label = "inner-split", f"SL_{n} (split)"
         else:
@@ -601,18 +594,11 @@ def classify_place(field: NumberField, group: TwistGroup, p: int,
 
 @dataclass(frozen=True)
 class ImageReport:
-    verdict_kind: str
-    group_order: int
-    inner_order: int
-    fixed_degree: int
-    fixed_min_poly: tuple
-    inner_fixed_degree: int
-    inner_fixed_min_poly: tuple
+    detection: DetectionResult
     places: tuple                 # ((p, (PlaceVerdict, ...)), ...) sorted by p
     excluded: tuple               # ((p, reason), ...) sorted by p
     predicted_dimension: int
     mt_upper_bound_dimension: int
-    bound: int
 
 
 def image_report(sys, result: DetectionResult, primes) -> ImageReport:
@@ -637,34 +623,20 @@ def image_report(sys, result: DetectionResult, primes) -> ImageReport:
         except Ramified:
             excluded.append((p, "ramified in the coefficient field"))
     return ImageReport(
-        verdict_kind=result.verdict.kind,
-        group_order=result.group.order,
-        inner_order=result.group.inner_order,
-        fixed_degree=result.fixed.degree,
-        fixed_min_poly=result.fixed.min_poly.coeffs,
-        inner_fixed_degree=result.fixed_inner.degree,
-        inner_fixed_min_poly=result.fixed_inner.min_poly.coeffs,
+        detection=result,
         places=tuple(places),
         excluded=tuple(excluded),
         predicted_dimension=dim,
         mt_upper_bound_dimension=dim,
-        bound=result.bound,
     )
 
 
 def report_to_json(report: ImageReport) -> dict:
+    det = detection_to_json(report.detection)
     return {
-        "verdict": report.verdict_kind,
-        "group_order": report.group_order,
-        "inner_order": report.inner_order,
-        "fixed_field": {
-            "min_poly": [str(c) for c in report.fixed_min_poly],
-            "degree": report.fixed_degree,
-        },
-        "inner_fixed_field": {
-            "min_poly": [str(c) for c in report.inner_fixed_min_poly],
-            "degree": report.inner_fixed_degree,
-        },
+        "verdict": det["verdict"]["kind"],
+        **{key: det[key] for key in ("group_order", "inner_order",
+                                     "fixed_field", "inner_fixed_field")},
         "predicted_dimension": report.predicted_dimension,
         "mt_upper_bound_dimension": report.mt_upper_bound_dimension,
         "primes": {
@@ -679,7 +651,7 @@ def report_to_json(report: ImageReport) -> dict:
             for p, verdicts in report.places
         },
         "excluded": {str(p): reason for p, reason in report.excluded},
-        "bound": report.bound,
+        "bound": det["bound"],
     }
 
 
@@ -718,13 +690,14 @@ def cocycle_from_json(doc: dict) -> Cocycle:
             cell = lambda x: int_from_json(x, "a finite-model alpha entry", size)
         else:
             field = field_from_json(doc["field"])
-            subgroup = subgroup_make(field, [int(i) for i in doc["subgroup"]])
+            subgroup = subgroup_make(field, [
+                int_from_json(i, "subgroup entry") for i in doc["subgroup"]])
             context = number_field_context(field, subgroup)
             cell = lambda x: element_from_json(field, x)
         assignments = {
             int(key): (tuple(tuple(cell(x) for x in row)
                              for row in entry["alpha"]),
-                       bool(entry["flip"]))
+                       bool_from_json(entry["flip"], "flip"))
             for key, entry in raw.items()
         }
     except (KeyError, TypeError, ValueError) as exc:

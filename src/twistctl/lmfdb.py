@@ -40,7 +40,8 @@ from .errors import (
     TwistctlError,
 )
 from .numberfield import field_make, unit_roots
-from .polynomials import QPoly, int_from_json, rational_from_json
+from .polynomials import (QPoly, bool_from_json, int_from_json,
+                          rational_from_json)
 from .twists import DetectionResult
 
 BASE_URL = "https://www.lmfdb.org/api"
@@ -176,7 +177,7 @@ def _parse_record(label: str, doc: dict) -> NewformRecord:
                        tuple(int_from_json(e, "character exponent")
                              for e in exps))
         twists = tuple((str(lab), int_from_json(order, "inner twist order"),
-                        bool(proved))
+                        bool_from_json(proved, "inner twist proved flag"))
                        for lab, order, proved in meta["inner_twists"])
         an = eig["an"]
         power_basis = eig.get("hecke_ring_power_basis", True)

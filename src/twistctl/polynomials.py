@@ -122,6 +122,13 @@ def int_from_json(x, what: str, size: int | None = None) -> int:
     return x
 
 
+def bool_from_json(x, what: str) -> bool:
+    """x if it is a JSON bool; SchemaError otherwise."""
+    if type(x) is not bool:
+        raise SchemaError(f"{what} must be true or false, got {x!r}")
+    return x
+
+
 def poly_from_strings(items: Sequence[str | int]) -> QPoly:
     return QPoly([rational_from_json(s) for s in items])
 

@@ -7,12 +7,18 @@ a_st ~ a_s theta(s(a_t)); the projection check builds the image tuples and
 tests their invariance on every pair of group elements.  The determinant
 and inverse are recursive cofactor expansions, the reference for the
 Gaussian elimination in forms.
+
+The place classification decomposes the places above p twice: a double
+coset of the full twist group is inner-split when it falls apart into two
+double cosets of the inner subgroup, the reference for the one coset test
+in forms.classify_place.
 """
 
 import random
 
 from twistctl import forms
 from twistctl.errors import CocycleViolation, NotInvertible
+from twistctl.numberfield import double_cosets, frobenius_at
 
 
 def _minor(a, i, j):
@@ -174,3 +180,35 @@ def projection_iso_check(model, cocycle, seed=0):
         homomorphism_ok=hom_ok,
         passed=lands and inverts and hom_ok and bijective,
     )
+
+
+def classify_place(field, group, p, n):
+    """Verdicts for the places of the twist group's fixed field above p, by
+    a second double-coset decomposition under the inner subgroup."""
+    frob = frobenius_at(field, p)
+    full_places = double_cosets(field, group.full_subgroup, frob.index)
+    if group.has_outer():
+        inner_places = double_cosets(field, group.inner_subgroup, frob.index)
+        inner_rep = {}
+        for rep, _, members in inner_places:
+            for g in members:
+                inner_rep[g] = rep
+    verdicts = []
+    for rep, degree, members in full_places:
+        if not group.has_outer():
+            split = True
+        else:
+            split = len({inner_rep[g] for g in members}) == 2
+        if split:
+            form, label = "inner-split", f"SL_{n} (split)"
+        else:
+            form, label = "outer-unitary", f"SU_{n} over quadratic extension"
+        verdicts.append(forms.PlaceVerdict(
+            representative=rep,
+            residue_degree=degree,
+            form=form,
+            group_label=label,
+            split_caveat=split,
+            frobenius_ambiguous=frob.ambiguous,
+        ))
+    return verdicts

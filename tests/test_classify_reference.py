@@ -1,0 +1,125 @@
+"""The one coset test of forms.classify_place against the two double-coset
+decompositions of forms_reference.classify_place.
+
+Every synth field and two non-abelian fields, an S3 sextic and a D4 octic,
+are tried with every pair of subgroups H_inn < H of index 1 or 2, each as a
+twist group built directly (outer twists on H minus H_inn, so the reference
+takes its second decomposition exactly when the index is 2), at every prime
+below 500 where the field is unramified.  Over an abelian field the
+conjugation by the double-coset representative changes nothing, so only the
+non-abelian fields see it: the sextic tells r sigma^f r^-1 from
+r^-1 sigma^f r, and both tell it from sigma^f alone.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import forms_reference as ref
+from twistctl import forms, synth
+from twistctl.arith import primes_up_to
+from twistctl.characters import trivial_character
+from twistctl.errors import NotClosed, Ramified
+from twistctl.numberfield import field_make, frobenius_at, subgroup_make
+from twistctl.twists import ExtraTwist, TwistGroup
+
+
+def _field(min_poly, images):
+    return field_make(min_poly,
+                      [[Fraction(c) for c in row] for row in images])
+
+
+def s3_sextic():
+    """Q(2^(1/3), zeta_3) on theta = 2^(1/3) + zeta_3, with minimal
+    polynomial x^6 + 3x^5 + 6x^4 + 3x^3 + 9x + 9.  The images send theta to
+    zeta^j 2^(1/3) + zeta^e for e = 1, 2 and j = 0, 1, 2, in that order;
+    sympy's QQ.algebraic_field(theta).from_sympy computed them."""
+    return _field([9, 9, 0, 3, 6, 3, 1], [
+        ["0", "1", "0", "0", "0", "0"],
+        ["-1", "0", "4/3", "0", "0", "-1/9"],
+        ["-5", "-1", "2/3", "-2", "-1", "-5/9"],
+        ["3", "1", "-4/3", "4/3", "2/3", "4/9"],
+        ["2", "0", "0", "4/3", "2/3", "1/3"],
+        ["-2", "-1", "-2/3", "-2/3", "-1/3", "-1/9"],
+    ])
+
+
+def d4_octic():
+    """Q(2^(1/4), i) on theta = 2^(1/4) + i, with minimal polynomial
+    x^8 + 4x^6 + 2x^4 + 28x^2 + 1.  The images send theta to
+    i^k 2^(1/4) + e for e = i, -i and k = 0, 1, 2, 3, in that order; sympy's
+    QQ.algebraic_field(theta).from_sympy computed them."""
+    return _field([1, 0, 28, 0, 2, 0, 4, 0, 1], [
+        ["0", "1", "0", "0", "0", "0", "0", "0"],
+        ["29/24", "-127/24", "13/24", "-5/24", "5/24", "-19/24", "1/24",
+         "-5/24"],
+        ["0", "-139/12", "0", "-5/12", "0", "-19/12", "0", "-5/12"],
+        ["-29/24", "-127/24", "-13/24", "-5/24", "-5/24", "-19/24", "-1/24",
+         "-5/24"],
+        ["0", "139/12", "0", "5/12", "0", "19/12", "0", "5/12"],
+        ["29/24", "127/24", "13/24", "5/24", "5/24", "19/24", "1/24", "5/24"],
+        ["0", "-1", "0", "0", "0", "0", "0", "0"],
+        ["-29/24", "127/24", "-13/24", "5/24", "-5/24", "19/24", "-1/24",
+         "5/24"],
+    ])
+
+
+FIELDS = {name: make for name, make in sorted(vars(synth).items())
+          if name.endswith("_field")}
+FIELDS.update({"s3_sextic": s3_sextic, "d4_octic": d4_octic})
+
+
+def subgroups(field):
+    out = []
+    for mask in range(1 << (field.degree - 1)):
+        members = [0] + [i for i in range(1, field.degree) if mask >> (i - 1) & 1]
+        try:
+            out.append(subgroup_make(field, members))
+        except NotClosed:
+            pass
+    return out
+
+
+def twist_groups(field):
+    """Every twist group H with inner subgroup H_inn of index 1 or 2."""
+    chi = trivial_character(field)
+    subs = subgroups(field)
+    for full in subs:
+        for inner in subs:
+            if full.order not in (inner.order, 2 * inner.order) \
+                    or not set(inner) <= set(full):
+                continue
+            twists = tuple(
+                ExtraTwist("inner" if i in inner else "outer", i, chi, 0, ())
+                for i in full)
+            yield TwistGroup(field, twists, inner, full)
+
+
+def unramified_primes(field):
+    out = []
+    for p in primes_up_to(500):
+        try:
+            frobenius_at(field, p)
+        except Ramified:
+            continue
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("make,degree,count", [(s3_sextic, 6, 6),
+                                                (d4_octic, 8, 10)])
+def test_the_non_abelian_fields_have_every_subgroup(make, degree, count):
+    field = make()
+    assert field.degree == degree and not field.is_abelian
+    assert len(subgroups(field)) == count
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_one_coset_test_matches_two_decompositions(name):
+    field = FIELDS[name]()
+    groups = list(twist_groups(field))
+    for p in unramified_primes(field):
+        for group in groups:
+            assert forms.classify_place(field, group, p, 3) == \
+                ref.classify_place(field, group, p, 3), \
+                (p, tuple(group.full_subgroup), tuple(group.inner_subgroup))

@@ -358,6 +358,43 @@ class TestExactRationals:
                     "--scalings", str(scalings))
 
 
+class TestExactIntegers:
+    """An integer in an input document is a JSON int and a flag a JSON bool:
+    int(2.9) would read bad place 2, n = 3.0 would print a dimension of 9.0,
+    and bool("false") would read a flip."""
+
+    def rejected(self, capsys, tmp_path, doc, *argv):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = invoke(capsys, *argv, "--input", str(path))
+        assert code == 1
+        assert err.startswith("error[SchemaError]")
+
+    @pytest.mark.parametrize("where,bad", [
+        ("bad_places", [2.9]), ("bad_places", [True]), ("n", 3.0),
+        ("m", 3.0), ("m", True), ("norm", 101.0)])
+    def test_coefficient_document(self, capsys, tmp_path, where, bad):
+        doc = json.loads(Path(VANTOP).read_text())
+        if where == "m":
+            doc["central_character"]["m"] = bad
+        elif where == "norm":
+            doc["coefficients"]["101"]["norm"] = bad
+        else:
+            doc[where] = bad
+        self.rejected(capsys, tmp_path, doc, "classify", "--primes", "3..20")
+
+    @pytest.mark.parametrize("where,bad", [
+        ("subgroup", 1.7), ("subgroup", True), ("flip", "false"),
+        ("flip", 0), ("flip", None)])
+    def test_number_field_cocycle(self, capsys, tmp_path, where, bad):
+        doc = gaussian_cocycle_doc(False)
+        if where == "subgroup":
+            doc["subgroup"][1] = bad
+        else:
+            doc["assignments"]["1"]["flip"] = bad
+        self.rejected(capsys, tmp_path, doc, "verify-cocycle")
+
+
 def gaussian_cocycle_doc(flip):
     """A 3 x 3 cocycle over Q(i): the identity, and at i -> -i a reflection
     with the transpose-inverse flip or the identity without it."""

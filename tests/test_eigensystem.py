@@ -109,6 +109,22 @@ class TestLoad:
         with pytest.raises(SchemaError):
             load_system(doc)
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(bad_places=[2.9]),
+        lambda doc: doc.update(bad_places=[False]),
+        lambda doc: doc.update(n=3.0),
+        lambda doc: doc["central_character"].update(m=3.0),
+        lambda doc: doc["central_character"].update(m=True),
+        lambda doc: doc["coefficients"]["7"].update(norm=7.0),
+        lambda doc: doc["coefficients"]["7"].update(norm=True),
+    ], ids=["float-place", "bool-place", "float-n", "float-m", "bool-m",
+            "float-norm", "bool-norm"])
+    def test_integers_must_be_json_ints(self, edit):
+        doc = vantop_doc()
+        edit(doc)
+        with pytest.raises(SchemaError):
+            load_system(doc)
+
     def test_n2_forbids_b(self):
         doc = {
             "n": 2, "base_field": "Q", "field": dict(GAUSS_JSON),

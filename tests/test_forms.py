@@ -38,7 +38,7 @@ from twistctl.finitefield import (
     unitary_order,
 )
 from twistctl.numberfield import subgroup_make
-from twistctl.twists import detect
+from twistctl.twists import detect, detection_to_json
 
 
 @lru_cache(maxsize=None)
@@ -326,6 +326,24 @@ class TestFixedPointOracles:
         assert len(sub) == 60480 == split_order(4, 3)
         assert set(full) <= set(sub)
 
+    def test_base_change_walks_the_sextic_tower(self):
+        # over F_64 / F_2 the alternating flip fixes SU_2(F_4 / F_2); base
+        # change by 2 leaves an odd degree m = 3 over F_4 on which every
+        # restricted flip is off, so the group is the split SL_2(F_4), and
+        # base change by 3 keeps the flip on the top quadratic step F_64 / F_8
+        model = forms.finite_model(2, 6, 2, budget=2 ** 30)
+        cocycle = forms.unitary_cocycle(model)
+        full = set(forms.twisted_fixed_elements(model, cocycle))
+        assert len(full) == 6 == unitary_order(2, 2)
+        for d, shape, want in ((2, (4, 3, 2), split_order(4, 2)),
+                               (3, (8, 2, 2), unitary_order(8, 2))):
+            sub_model, sub_cocycle = forms.base_change(model, cocycle, d)
+            assert (sub_model.q, sub_model.m, sub_model.n) == shape
+            sub = set(forms.twisted_fixed_elements(sub_model, sub_cocycle))
+            assert len(sub) == want
+            assert full <= sub
+        assert (split_order(4, 2), unitary_order(8, 2)) == (60, 504)
+
     def test_conjugated_cocycles_give_conjugate_fixed_groups(self):
         rng = random.Random(7)
         for q in (2, 3):
@@ -562,6 +580,16 @@ class TestImageReport:
         assert report.excluded == ((2, "ramified in the coefficient field"),)
         assert forms.report_to_json(report)["excluded"] == {
             "2": "ramified in the coefficient field"}
+
+    def test_report_writes_its_detection_as_the_twists_command_does(self):
+        sys, result = klein_result()
+        report = forms.image_report(sys, result, [5, 7])
+        assert report.detection is result
+        doc, det = forms.report_to_json(report), detection_to_json(result)
+        assert doc["verdict"] == det["verdict"]["kind"]
+        for key in ("group_order", "inner_order", "fixed_field",
+                    "inner_fixed_field", "bound"):
+            assert doc[key] == det[key], key
 
     def test_report_serializes_deterministically(self):
         sys, result = vantop_result()

@@ -116,13 +116,16 @@ FLOAT_MUTATIONS = {
         1, [-1.0, 0.1]),
     "level": lambda doc: doc["newform"]["data"][0].update(level=47.9),
     "weight": lambda doc: doc["newform"]["data"][0].update(weight=True),
+    "proved": lambda doc: doc["newform"]["data"][0].update(
+        inner_twists=[["47.b", 2, "false"]]),
 }
 
 
 class TestRecordsAreReadExactly:
-    """A float (or a bool where an int belongs) anywhere in a record is
-    schema drift, as in every other input document: int(47.9) would read a
-    level of 47, and a_2 = [-1.0, 0.1] would be read as -1 + alpha/10."""
+    """A float (or a bool where an int belongs, or a string where a bool
+    belongs) anywhere in a record is schema drift, as in every other input
+    document: int(47.9) would read a level of 47, a_2 = [-1.0, 0.1] would be
+    read as -1 + alpha/10, and bool("false") as a proved inner twist."""
 
     @pytest.mark.parametrize("what", sorted(FLOAT_MUTATIONS))
     def test_inexact_number_is_drift(self, tmp_path, what):
