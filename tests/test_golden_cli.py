@@ -103,6 +103,14 @@ def _commands() -> dict:
         "report.klein.1000": (
             ["report", "--input", "klein.json", "--primes", "2..1000",
              "--format", "json"], ()),
+        "twists.cm": (
+            ["twists", "--input", "cm.json", "--bound", "200",
+             "--format", "json"], ()),
+        "twists.cm.text": (
+            ["twists", "--input", "cm.json", "--bound", "200"], ()),
+        "twists.cubic_klein": (
+            ["twists", "--input", "cubic_klein.json", "--bound", "200",
+             "--format", "json"], ()),
         "report.klein_K": (
             ["report", "--input", "klein_K.json", "--bound", "200",
              "--primes", "3..50", "--format", "json"], ()),
@@ -144,6 +152,9 @@ def _prepare(workdir: Path) -> None:
         "chi4_raw.json": serialize(replace(
             synth.chi4_system(),
             omega=dirichlet_character(field, 4, [-field.one()]))),
+        # a self-twist verdict, and order-3 characters over a quartic field
+        "cm.json": serialize(synth.cm_system()),
+        "cubic_klein.json": serialize(synth.cubic_klein_system()),
     }
     for name, doc in docs.items():
         (workdir / name).write_text(json.dumps(doc, indent=2, sort_keys=True))
