@@ -40,14 +40,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def divisors(n: int) -> list[int]:
-    """The positive divisors of n >= 1, ascending."""
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    """The positive divisors of n >= 1, ascending, built from the
+    factorization: a smooth n, such as a power of a denominator, is quick."""
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def is_prime(n: int) -> bool:

@@ -28,8 +28,10 @@ from .errors import (
     MissingValue,
     NotCoprime,
     NotRootOfUnity,
+    SchemaError,
 )
 from .numberfield import FieldElement, NumberField, element_from_json, unit_roots
+from .polynomials import int_from_json
 # ---------------------------------------------------------------------------
 # unit group structure
 # ---------------------------------------------------------------------------
@@ -394,11 +396,25 @@ def _coords_json(field: NumberField, k: int) -> list[str]:
 
 
 def char_from_json(field: NumberField, doc: dict) -> Character:
-    if doc["kind"] == "dirichlet":
-        raw = doc["values_on_generators"]
-        images = {int(g): element_from_json(field, coords)
-                  for g, coords in raw.items()}
-        return dirichlet_character(field, doc["modulus"], images)
+    """The character of a document, read strictly: its kind is dirichlet or
+    table, a modulus is an int >= 1 whose canonical generators are exactly
+    the keys of values_on_generators, and SchemaError refuses the rest."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind == "dirichlet":
+        modulus = int_from_json(doc.get("modulus"), "character modulus")
+        if modulus < 1:
+            raise SchemaError(f"character modulus must be at least 1, got {modulus}")
+        gens = unit_group_structure(modulus)
+        raw = doc.get("values_on_generators")
+        if not isinstance(raw, dict) or set(raw) != {str(g) for g, _ in gens}:
+            raise SchemaError(
+                f"values_on_generators must be keyed by the generators "
+                f"{[g for g, _ in gens]} of (Z/{modulus})^x, got {raw!r}")
+        return dirichlet_character(field, modulus, [
+            element_from_json(field, raw[str(g)]) for g, _ in gens])
+    if kind != "table" or not isinstance(doc.get("values"), dict):
+        raise SchemaError("a character must be a dirichlet one with modulus "
+                          "and values_on_generators, or a table of values")
     values = {}
     for k, coords in doc["values"].items():
         try:

@@ -54,7 +54,7 @@ class EigenSystem:
         """Good places present in the data, sorted, optionally norm-capped."""
         out = [v for v, pd in self.coeffs.items()
                if bound is None or pd.norm <= bound]
-        return sorted(out, key=lambda v: (str(type(v)), v))
+        return sorted(out, key=_place_order)
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,11 @@ class NormalizedSystem(EigenSystem):
     @property
     def is_normalized(self) -> bool:
         return True
+
+
+def _place_order(v) -> tuple:
+    """Sort key of place labels: ints first, then strings."""
+    return str(type(v)), v
 
 
 def _parse_coords(field: NumberField, raw, what: str) -> FieldElement:
@@ -113,7 +118,12 @@ def load_system(doc: dict) -> EigenSystem:
     else:
         raise SchemaError("central_character must be 'normalized' or {m, omega}")
 
-    bad = tuple(sorted(_parse_place_label(v, base) for v in doc["bad_places"]))
+    if not isinstance(doc["bad_places"], list):
+        raise SchemaError("bad_places must be a list of place labels")
+    bad = tuple(sorted((_parse_place_label(v, base) for v in doc["bad_places"]),
+                       key=_place_order))
+    if base == "Q" and not all(map(is_prime, bad)):
+        raise SchemaError(f"over Q every bad place must be a prime, got {list(bad)}")
     if not isinstance(doc["coefficients"], dict):
         raise SchemaError("coefficients must be an object")
 

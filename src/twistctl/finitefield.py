@@ -14,26 +14,22 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .arith import factorize, prime_power
-from .polynomials import pmod_divmod, pmod_gcd, pmod_mul, pmod_pow_mod, pmod_sub
-
-
-def _is_irreducible(f: list[int], p: int, k: int) -> bool:
-    x = [0, 1]
-    if pmod_pow_mod(x, p ** k, f, p) != x:
-        return False
-    for r, _ in factorize(k):
-        t = pmod_pow_mod(x, p ** (k // r), f, p)
-        if len(pmod_gcd(f, pmod_sub(t, x, p), p)) - 1 > 0:
-            return False
-    return True
+from .arith import prime_power
+from .errors import NotSeparableModP
+from .polynomials import QPoly, ddf_mod_p, pmod_divmod, pmod_mul
 
 
 def _find_irreducible(p: int, k: int) -> list[int]:
+    """The first monic f of degree k over F_p, by its lower coefficients in
+    lexicographic order, whose distinct-degree factorization is one factor
+    of degree k; a repeated factor makes f reducible."""
     for tail in product(range(p), repeat=k):
         f = list(tail) + [1]
-        if _is_irreducible(f, p, k):
-            return f
+        try:
+            if ddf_mod_p(QPoly(f), p) == [(k, 1)]:
+                return f
+        except NotSeparableModP:
+            continue
     raise AssertionError("unreachable: irreducible polynomials exist")
 
 

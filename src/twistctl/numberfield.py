@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -41,8 +41,8 @@ from .polynomials import (
     _monic_integer_model,
     _peval,
     cyclotomic,
-    ddf_mod_p,
     irreducibility_over_q,
+    pmod_divmod,
     pmod_gcd,
     pmod_hensel_root,
     pmod_pow_mod,
@@ -326,13 +326,6 @@ class NumberField:
         """Index of sigma_i o sigma_j (apply j first)."""
         return self.composition_table[i][j]
 
-    def aut_order(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != 0:
-            cur = self.compose(cur, i)
-            k += 1
-        return k
-
     def _validate_automorphisms(self):
         d = self.degree
         alpha = self.gen()
@@ -447,17 +440,16 @@ def subgroup_make(field: NumberField, indices: Iterable[int]) -> Subgroup:
 
 
 def generated_subgroup(field: NumberField, generators: Iterable[int]) -> Subgroup:
-    members = {0}
-    frontier = set(generators) | {0}
+    """The orbit of the identity under right composition with the
+    generators; in a finite group it is closed under inverses too."""
+    generators = list(generators)
+    members, frontier = {0}, [0]
     while frontier:
-        new = set()
-        for i in frontier | members:
-            for j in frontier | members:
-                k = field.compose(i, j)
-                if k not in members and k not in frontier:
-                    new.add(k)
-        members |= frontier
-        frontier = new
+        g = frontier.pop()
+        for s in generators:
+            if (h := field.compose(g, s)) not in members:
+                members.add(h)
+                frontier.append(h)
     return Subgroup(tuple(members))
 
 
@@ -511,40 +503,25 @@ def _compositions(total: int, parts: int):
 
 
 def fixed_field(field: NumberField, subgroup: Subgroup) -> SubfieldDescriptor:
-    """Fixed subfield with a primitive element of exact stabilizer."""
-    d = field.degree
-    index = d // subgroup.order
+    """The subfield fixed by the subgroup S, of degree [G:S], with a
+    primitive element beta = sum over s in S of s(cand), for the first
+    candidate whose orbit {g(beta)} has [G:S] elements.  beta is fixed by S,
+    so its stabilizer contains S and has index the orbit size: it is S
+    exactly, and the orbit is the set of conjugates of beta, whose linear
+    factors multiply to its minimal polynomial, rational as a product over a
+    whole orbit of G.  Index 1 gives Q as x - 1."""
+    index = field.degree // subgroup.order
     if index == 1:
-        one = field.one()
-        return SubfieldDescriptor(subgroup, one, QPoly([-1, 1]), 1)
+        return SubfieldDescriptor(subgroup, field.one(), QPoly([-1, 1]), 1)
     for cand in _candidate_elements(field):
-        beta = field.zero()
-        for s in subgroup:
-            beta = beta + field.apply_aut(s, cand)
-        if stabilizer(field, [beta]) != subgroup:
-            continue
-        reps = _left_coset_reps(field, subgroup)
-        conjugates = [field.apply_aut(g, beta) for g in reps]
-        poly = _product_of_linear(field, conjugates)
-        coeffs = []
-        for c in poly:
-            if not c.is_rational():
-                raise NotClosed("minimal polynomial of fixed-field element "
-                                "has irrational coefficients; group data bad")
-            coeffs.append(c.as_fraction())
-        return SubfieldDescriptor(subgroup, beta, QPoly(coeffs), index)
+        beta = sum((field.apply_aut(s, cand) for s in subgroup), field.zero())
+        orbit = {x.key: x for x in (field.apply_aut(g, beta)
+                                    for g in range(field.degree))}
+        if len(orbit) == index:
+            poly = _product_of_linear(field, list(orbit.values()))
+            return SubfieldDescriptor(
+                subgroup, beta, QPoly(c.as_fraction() for c in poly), index)
     raise AssertionError("unreachable: primitive element search must terminate")
-
-
-def _left_coset_reps(field: NumberField, subgroup: Subgroup) -> list[int]:
-    seen = set()
-    reps = []
-    for g in range(field.degree):
-        coset = frozenset(field.compose(g, s) for s in subgroup)
-        if coset not in seen:
-            seen.add(coset)
-            reps.append(g)
-    return reps
 
 
 def _product_of_linear(field: NumberField, roots: list[FieldElement]):
@@ -634,19 +611,18 @@ def double_cosets(field: NumberField, subgroup: Subgroup,
 def _split_primes(field: NumberField) -> list[int]:
     """The first three odd primes, up to 10007 (the first prime past 10^4),
     at which the minimal polynomial splits into distinct linear factors."""
-    found = []
-    for p in range(3, 10008, 2):
-        if len(found) == 3:
-            break
-        if not is_prime(p):
-            continue
-        try:
-            degs = ddf_mod_p(field.min_poly, p)
-        except (BadReduction, NotSeparableModP):
-            continue
-        if degs == [(1, field.degree)]:
-            found.append(p)
-    return found
+    return list(islice((p for p in range(3, 10008, 2) if is_prime(p)
+                        and _splits_completely(field.min_poly, p)), 3))
+
+
+def _splits_completely(phi: QPoly, p: int) -> bool:
+    """Whether phi is squarefree mod p and x^p = x mod phi there, that is,
+    phi divides x^p - x, the product of the x - a over F_p."""
+    try:
+        phi_p = pmod_squarefree(phi, p)
+    except (BadReduction, NotSeparableModP):
+        return False
+    return pmod_pow_mod([0, 1], p, phi_p, p) == pmod_divmod([0, 1], phi_p, p)[1]
 
 
 def roots_of_unity(field: NumberField) -> list[FieldElement]:
@@ -760,7 +736,8 @@ def _surjections_onto_units(field: NumberField, k: int):
             gens.append(i)
             span = set(generated_subgroup(field, gens))
     units = [u for u in range(1, k) if gcd(u, k) == 1]
-    choices = [[u for u in units if pow(u, field.aut_order(s), k) == 1]
+    choices = [[u for u in units
+                if pow(u, generated_subgroup(field, [s]).order, k) == 1]
                for s in gens]
     for values in product(*choices):
         c, frontier, consistent = {0: 1}, [0], True

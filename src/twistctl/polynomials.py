@@ -6,8 +6,9 @@ structurally, and the zero polynomial has an empty tuple and degree -1.  The
 program parses a minimal polynomial, evaluates it at field elements,
 differentiates it and reduces it mod p; it does no arithmetic in Q[x].
 
-The mod-p kernels work on plain lists of ints (ascending) and back the
-distinct-degree factorization used for splitting behaviour of primes.  The
+The mod-p kernels work on plain lists of ints (ascending): they reduce and
+test squarefreeness for the Frobenius and split-prime searches, and back the
+distinct-degree factorization that tests irreducibility over Q and F_p.  The
 readers of document numbers (rationals and ints, never floats) live here
 too, as does the integer cyclotomic polynomial.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd as int_gcd, isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .arith import divisors, primes_up_to
@@ -53,9 +54,6 @@ class QPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -73,7 +71,7 @@ class QPoly:
         return hash(self.coeffs)
 
     def __repr__(self):
-        if self.is_zero():
+        if not self.coeffs:
             return "QPoly(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -301,28 +299,16 @@ def pmod_hensel_root(f: Sequence[int], r: int, p: int, n: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# irreducibility over Q (rational roots + mod-p degree patterns)
+# irreducibility over Q (integer roots of the monic model + mod-p patterns)
 # --------------------------------------------------------------------------
 
-def _rational_roots(f: QPoly) -> list[Fraction]:
-    """Candidate rational roots by the rational-root theorem, verified."""
-    if f.is_zero():
-        return []
-    lcm = 1
-    for c in f.coeffs:
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    ic = [int(c * lcm) for c in f.coeffs]
-    lead, const = ic[-1], ic[0]
-    if const == 0:
-        return [Q(0)] + _rational_roots(QPoly(f.coeffs[1:]))
-    roots = []
-    for pnum in divisors(abs(const)):
-        for qden in divisors(abs(lead)):
-            for s in (1, -1):
-                cand = Q(s * pnum, qden)
-                if f.evaluate(cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots
+def _integer_roots(ic: list[int]) -> list[int]:
+    """The integer roots of a monic integer polynomial (ascending
+    coefficients): 0 when the constant term vanishes, and the divisors of
+    the lowest nonzero coefficient, of either sign, that annihilate it."""
+    k = next(i for i, c in enumerate(ic) if c)
+    return [0] * (k > 0) + [r for c in divisors(abs(ic[k])) for r in (c, -c)
+                            if not sum(a * r ** i for i, a in enumerate(ic))]
 
 
 _SMALL_PRIMES = primes_up_to(113)
@@ -331,9 +317,7 @@ _SMALL_PRIMES = primes_up_to(113)
 def _monic_integer_model(f: QPoly) -> list[int]:
     """For monic f over Q, the integer coefficients of lam^d f(y/lam) with
     lam = lcm of denominators; irreducibility is preserved."""
-    lam = 1
-    for c in f.coeffs:
-        lam = lam * c.denominator // int_gcd(lam, c.denominator)
+    lam = lcm(*(c.denominator for c in f.coeffs))
     d = f.degree
     return [int(f.coeffs[i] * lam ** (d - i)) for i in range(d + 1)]
 
@@ -377,26 +361,28 @@ def _is_square(n: int) -> bool:
 
 
 def irreducibility_over_q(f: QPoly) -> str:
-    """Returns "irreducible", "reducible", or "unknown".
+    """Returns "irreducible", "reducible", or "unknown" for a monic f.
 
-    Strategy: rational-root test (decisive through degree 3), an exact
-    quadratic-split test for quartics, then degree patterns of factorizations
-    mod up to 12 good primes.  The possible degrees of a rational factor must
-    be subset sums of every mod-p pattern; an empty intersection certifies
-    irreducibility.  A surviving pattern after the prime budget yields
-    "unknown" rather than an expensive certificate.
+    Strategy: on the monic integer model, whose rational roots are integers
+    dividing its constant term, a root test (decisive through degree 3) and
+    an exact quadratic-split test for quartics; then degree patterns of
+    factorizations mod up to 12 good primes.  The possible degrees of a
+    rational factor must be subset sums of every mod-p pattern; an empty
+    intersection certifies irreducibility.  A surviving pattern after the
+    prime budget yields "unknown" rather than an expensive certificate.
     """
     d = f.degree
     if d <= 0:
         return "reducible"
     if d == 1:
         return "irreducible"
-    if _rational_roots(f):
+    model = _monic_integer_model(f)
+    if _integer_roots(model):
         return "reducible"
     if d <= 3:
         return "irreducible"  # no rational root and degree <= 3
-    if d == 4 and f.is_monic():
-        return "reducible" if _monic_quartic_splits_quadratic(_monic_integer_model(f)) else "irreducible"
+    if d == 4:
+        return "reducible" if _monic_quartic_splits_quadratic(model) else "irreducible"
     possible = set(range(1, d))  # proper factor degrees still in play
     tried = 0
     for p in _SMALL_PRIMES:

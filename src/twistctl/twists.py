@@ -276,14 +276,6 @@ def _agrees(chi: Character, table: dict) -> bool:
                for v, ks in table.items() if ks)
 
 
-def _verify(sys: EigenSystem, kind: str, sigma: int, chi: Character,
-            places) -> bool:
-    """Whether (sigma, chi) satisfies every relation of the given kind at
-    the places; relations reading 0 = 0 hold for any chi(v)."""
-    return _agrees(chi, _exponents(sys, kind, sigma, places,
-                                   _products(sys, kind, places)))
-
-
 # ---------------------------------------------------------------------------
 # group assembly
 # ---------------------------------------------------------------------------
@@ -406,13 +398,14 @@ def general_type_verdict(sys: EigenSystem, bound: int,
     character fixes it, essentially self-dual when it matches its own dual up
     to a character, general type otherwise.
 
-    A self-twist character is trivial at every place with a_v != 0, so only a
-    vanishing pattern in the data can witness a nontrivial one; candidates
-    that are trivial at all recorded zero places are discarded.  Self-twist
-    wins when both degeneracies hold.  Rank-2 systems are always essentially
-    self-dual after determinant normalization, and the self-twist scan runs
-    over the rational base field only.  The outer fit on tau = 0 raises
-    InsufficientData or Ambiguous as find_outer does."""
+    At sigma = 0 every inner relation reads s = t, so a self-twist character
+    is 1 at each place where some relation is not 0 = 0: the candidates are
+    fitted to 1 there, and one is kept when it is not 1 at some place where
+    every relation reads 0 = 0, the only places that can witness it.
+    Self-twist wins when both degeneracies hold.  Rank-2 systems are always
+    essentially self-dual after determinant normalization, and the
+    self-twist scan runs over the rational base field only.  The outer fit
+    on tau = 0 raises InsufficientData or Ambiguous as find_outer does."""
     _check_detection_input(sys)
     if n_max is None:
         n_max = default_n_max(sys)
@@ -423,16 +416,14 @@ def general_type_verdict(sys: EigenSystem, bound: int,
         raise InsufficientData(
             f"{len(determined)} places have a_v != 0; at least {min_places} "
             f"are needed for a verdict")
-    zeros = [v for v in places if sys.coeffs[v].a.is_zero()]
 
     if sys.base_field_label == "Q":
-        for cand in fit_all(dict.fromkeys(determined, 0), n_max, ob,
-                            sys.field):
-            if cand.is_trivial() or not _power_ok(sys, cand):
-                continue
-            if all(_exponent(cand, v) in (0, None) for v in zeros):
-                continue
-            if _verify(sys, "inner", 0, cand, places):
+        blank = [v for v in places if all(
+            s.is_zero() for s, _ in _relations(sys, "inner", v))]
+        for cand in fit_all(dict.fromkeys(set(places) - set(blank), 0),
+                            n_max, ob, sys.field):
+            if _power_ok(sys, cand) and any(
+                    _exponent(cand, v) not in (0, None) for v in blank):
                 return GeneralTypeVerdict("self-twist", cand, bound)
 
     if sys.n == 2:

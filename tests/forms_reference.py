@@ -61,23 +61,65 @@ def mat_theta(ring, a):
     return forms.mat_transpose(forms.mat_inv(ring, a))
 
 
+# field size -> {g: theta(g)} over a finite model
+_THETA = {}
+
+
 def twisted_action(cocycle, element):
     """The twisted image g -> alpha theta(t(g)) alpha^-1 of the element t,
-    with alpha inverted once here rather than once per g."""
+    with alpha inverted once here rather than once per g.  theta commutes
+    with the entrywise action of t, so the image is taken as t(theta(g)):
+    over a finite model theta(g) does not depend on the cocycle and is
+    computed once per candidate g and field size, whatever the cocycle, and
+    products are read off the field's tables."""
     ctx = cocycle.context
     ring = ctx.ring
     alpha, flip = cocycle.assignments[element]
     inv = None if forms.mat_is_scalar(ring, alpha) \
         else forms.mat_inv(ring, alpha)
+    if ctx.model is None:
+        theta = lambda g: mat_theta(ring, g)
+        act = lambda a: forms.mat_apply(lambda x: ctx.apply(element, x), a)
+        product = lambda a, b: forms.mat_mul(ring, a, b)
+    else:
+        ff = ctx.model.extension()
+        known = _THETA.setdefault(ff.q, {})
+
+        def theta(g):
+            if g not in known:
+                # theta is an involution: one inverse gives both values
+                h = mat_theta(ring, g)
+                known[g], known[h] = h, g
+            return known[g]
+        table = [ctx.apply(element, x) for x in range(ff.q)]
+        act = lambda a: tuple(tuple(table[x] for x in row) for row in a)
+        product = _table_product(ff)
 
     def image(g):
-        moved = forms.mat_apply(lambda x: ctx.apply(element, x), g)
-        if flip:
-            moved = mat_theta(ring, moved)
+        moved = act(theta(g) if flip else g)
         if inv is None:
             return moved
-        return forms.mat_mul(ring, forms.mat_mul(ring, alpha, moved), inv)
+        return product(product(alpha, moved), inv)
     return image
+
+
+def _table_product(ff):
+    """The matrix product over a finite field, read off its tables."""
+    add, mul = ff.add_table, ff.mul_table
+
+    def product(a, b):
+        cols = tuple(zip(*b))
+        out = []
+        for row in a:
+            new = []
+            for col in cols:
+                acc = 0
+                for x, y in zip(row, col):
+                    acc = add[acc][mul[x][y]]
+                new.append(acc)
+            out.append(tuple(new))
+        return tuple(out)
+    return product
 
 
 def cocycle_make(context, assignments):

@@ -10,13 +10,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from twistctl import forms, synth
+from twistctl.characters import dirichlet_character
 from twistctl.cli import build_parser, run, _parse_primes
+from twistctl.eigensystem import load_system, serialize
+from twistctl.errors import SchemaError
 from twistctl.forms import (cocycle_make, cocycle_to_json, finite_model,
                             mat_identity, number_field_context,
                             unitary_cocycle)
@@ -358,17 +362,19 @@ class TestExactRationals:
                     "--scalings", str(scalings))
 
 
+def rejected(capsys, tmp_path, doc, *argv):
+    """Run the command on doc and expect exit 1 with error[SchemaError]."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = invoke(capsys, *argv, "--input", str(path))
+    assert code == 1
+    assert err.startswith("error[SchemaError]")
+
+
 class TestExactIntegers:
     """An integer in an input document is a JSON int and a flag a JSON bool:
     int(2.9) would read bad place 2, n = 3.0 would print a dimension of 9.0,
     and bool("false") would read a flip."""
-
-    def rejected(self, capsys, tmp_path, doc, *argv):
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(doc))
-        code, _, err = invoke(capsys, *argv, "--input", str(path))
-        assert code == 1
-        assert err.startswith("error[SchemaError]")
 
     @pytest.mark.parametrize("where,bad", [
         ("bad_places", [2.9]), ("bad_places", [True]), ("n", 3.0),
@@ -381,7 +387,7 @@ class TestExactIntegers:
             doc["coefficients"]["101"]["norm"] = bad
         else:
             doc[where] = bad
-        self.rejected(capsys, tmp_path, doc, "classify", "--primes", "3..20")
+        rejected(capsys, tmp_path, doc, "classify", "--primes", "3..20")
 
     @pytest.mark.parametrize("where,bad", [
         ("subgroup", 1.7), ("subgroup", True), ("flip", "false"),
@@ -392,7 +398,51 @@ class TestExactIntegers:
             doc["subgroup"][1] = bad
         else:
             doc["assignments"]["1"]["flip"] = bad
-        self.rejected(capsys, tmp_path, doc, "verify-cocycle")
+        rejected(capsys, tmp_path, doc, "verify-cocycle")
+
+
+def chi4_omega_doc(**omega):
+    """The raw rank-2 data over Q(i) with m = 1 and omega the quadratic
+    character mod 4, its document entries replaced by the given ones."""
+    field = synth.gaussian_field()
+    doc = serialize(replace(synth.chi4_system(),
+                            omega=dirichlet_character(field, 4, [-field.one()])))
+    doc["central_character"]["omega"].update(omega)
+    return doc
+
+
+class TestStrictCharactersAndPlaces:
+    """bad_places is a list, of primes over Q: the string "23" was read as
+    places 2 and 3, and {"2": 1} as place 2.  A Dirichlet omega has kind
+    dirichlet, an int modulus >= 1 and exactly the canonical generators as
+    keys: modulus 4.0 and 0 ended in tracebacks, true was read as 1, and an
+    extra generator key was ignored."""
+
+    def refused(self, capsys, tmp_path, doc, *argv):
+        with pytest.raises(SchemaError):
+            load_system(doc)
+        rejected(capsys, tmp_path, doc, *argv)
+
+    @pytest.mark.parametrize("bad", ["2", {"2": 1}, "23", [9], [2, 4]])
+    def test_bad_places(self, capsys, tmp_path, bad):
+        doc = json.loads(Path(VANTOP).read_text())
+        doc["bad_places"] = bad
+        self.refused(capsys, tmp_path, doc, "classify", "--primes", "3..20")
+
+    @pytest.mark.parametrize("entries", [
+        {"modulus": 4.0}, {"modulus": 0}, {"modulus": True},
+        {"modulus": -4}, {"modulus": "4"}, {"values_on_generators": {}},
+        {"values_on_generators": {"3": ["-1", "0"], "7": ["1", "0"]}},
+        {"values_on_generators": {"3.0": ["-1", "0"]}},
+        {"values_on_generators": [["-1", "0"]]}, {"kind": "weird"}])
+    def test_central_character(self, capsys, tmp_path, entries):
+        self.refused(capsys, tmp_path, chi4_omega_doc(**entries), "twists")
+
+    def test_the_canonical_omega_is_read(self, capsys, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(chi4_omega_doc()))
+        code, out, _ = invoke(capsys, "twists", "--input", str(path))
+        assert code == 0 and "modulus 4" in out
 
 
 def gaussian_cocycle_doc(flip):

@@ -147,6 +147,9 @@ class TestLoad:
         }
         sys = load_system(doc)
         assert sys.coeffs["v2"].norm == 4
+        # labels of both types sort as the places do: ints first
+        doc["bad_places"] = ["v3", 5]
+        assert load_system(doc).bad_places == (5, "v3")
         doc["coefficients"]["v6"] = {"norm": 6, "a": ["1", "0"], "b": ["1", "0"]}
         with pytest.raises(SchemaError):
             load_system(doc)

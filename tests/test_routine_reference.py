@@ -1,0 +1,328 @@
+"""Differential tests: each routine against the second routine it replaced.
+
+The references below are the earlier implementations, kept as they were:
+
+* fixed_field kept beta only when its stabilizer, found by applying every
+  automorphism, was the subgroup, and took its conjugates over left coset
+  representatives; it is compared on every subgroup of every field of
+  test_classify_reference, the S3 sextic and the D4 octic included;
+* generated_subgroup closed the generators under all pairwise products,
+  round by round; it is compared on every set of generators of those fields;
+* the split primes of the roots-of-unity search were read off a
+  distinct-degree factorization; the predicate is compared at every odd
+  prime below 10^4 on those fields and on x^2 + 1/4;
+* the modulus of F_q was the first polynomial passing a Rabin test,
+  x^(p^k) = x and gcd(f, x^(p^(k/r)) - x) = 1 for each prime r | k; every
+  q = p^k <= 256 is compared;
+* the rational roots came from the rational-root theorem on any polynomial
+  over Q; on random monic integer polynomials of degree <= 6 they must be
+  the integer roots;
+* the self-twist scan fitted characters trivial at the places with a_v != 0
+  and then verified each against both inner relations at sigma = 0 (the
+  check is test_scan_reference.ref_verify); verdicts are compared on
+  cm_system and cubic_twist_system with a_v zeroed at drawn places and
+  b_v != 0 put at drawn places where a_v = 0.
+"""
+
+from dataclasses import replace
+from fractions import Fraction as Q
+from itertools import product
+from math import gcd
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from test_classify_reference import FIELDS, subgroups
+from test_scan_reference import ref_verify
+from twistctl import synth
+from twistctl.arith import divisors, factorize, is_prime, primes_up_to
+from twistctl.characters import char_to_json, fit_all
+from twistctl.errors import (
+    BadReduction,
+    InsufficientData,
+    NotSeparableModP,
+    TwistctlError,
+)
+from twistctl.finitefield import _find_irreducible
+from twistctl.numberfield import (
+    SubfieldDescriptor,
+    Subgroup,
+    _candidate_elements,
+    _product_of_linear,
+    _split_primes,
+    _splits_completely,
+    field_make,
+    fixed_field,
+    generated_subgroup,
+    stabilizer,
+)
+from twistctl.polynomials import (
+    QPoly,
+    _integer_roots,
+    ddf_mod_p,
+    pmod_gcd,
+    pmod_pow_mod,
+    pmod_sub,
+)
+from twistctl.twists import (
+    DEFAULT_MIN_PLACES,
+    GeneralTypeVerdict,
+    _check_detection_input,
+    _exponent,
+    _max_order,
+    _power_ok,
+    default_n_max,
+    find_outer,
+    general_type_verdict,
+)
+
+SPLIT_FIELDS = dict(FIELDS, **{"x^2+1/4": lambda: field_make(
+    [Q(1, 4), 0, 1], [[0, 1], [0, -1]])})
+
+
+# ---------------------------------------------------------------------------
+# the references
+# ---------------------------------------------------------------------------
+
+def ref_fixed_field(field, subgroup):
+    index = field.degree // subgroup.order
+    if index == 1:
+        return SubfieldDescriptor(subgroup, field.one(), QPoly([-1, 1]), 1)
+    for cand in _candidate_elements(field):
+        beta = field.zero()
+        for s in subgroup:
+            beta = beta + field.apply_aut(s, cand)
+        if stabilizer(field, [beta]) != subgroup:
+            continue
+        conjugates = [field.apply_aut(g, beta)
+                      for g in ref_left_coset_reps(field, subgroup)]
+        poly = _product_of_linear(field, conjugates)
+        return SubfieldDescriptor(subgroup, beta,
+                                  QPoly([c.as_fraction() for c in poly]), index)
+
+
+def ref_left_coset_reps(field, subgroup):
+    seen = set()
+    reps = []
+    for g in range(field.degree):
+        coset = frozenset(field.compose(g, s) for s in subgroup)
+        if coset not in seen:
+            seen.add(coset)
+            reps.append(g)
+    return reps
+
+
+def ref_generated_subgroup(field, generators):
+    members = {0}
+    frontier = set(generators) | {0}
+    while frontier:
+        new = set()
+        for i in frontier | members:
+            for j in frontier | members:
+                k = field.compose(i, j)
+                if k not in members and k not in frontier:
+                    new.add(k)
+        members |= frontier
+        frontier = new
+    return Subgroup(tuple(members))
+
+
+def ref_splits_completely(field, p):
+    try:
+        return ddf_mod_p(field.min_poly, p) == [(1, field.degree)]
+    except (BadReduction, NotSeparableModP):
+        return False
+
+
+def ref_is_irreducible(f, p, k):
+    x = [0, 1]
+    if pmod_pow_mod(x, p ** k, f, p) != x:
+        return False
+    for r, _ in factorize(k):
+        t = pmod_pow_mod(x, p ** (k // r), f, p)
+        if len(pmod_gcd(f, pmod_sub(t, x, p), p)) - 1 > 0:
+            return False
+    return True
+
+
+def ref_find_irreducible(p, k):
+    for tail in product(range(p), repeat=k):
+        f = list(tail) + [1]
+        if ref_is_irreducible(f, p, k):
+            return f
+
+
+def ref_rational_roots(f):
+    if not f.coeffs:
+        return []
+    lcm = 1
+    for c in f.coeffs:
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    ic = [int(c * lcm) for c in f.coeffs]
+    lead, const = ic[-1], ic[0]
+    if const == 0:
+        return [Q(0)] + ref_rational_roots(QPoly(f.coeffs[1:]))
+    roots = []
+    for pnum in divisors(abs(const)):
+        for qden in divisors(abs(lead)):
+            for s in (1, -1):
+                cand = Q(s * pnum, qden)
+                if f.evaluate(cand) == 0 and cand not in roots:
+                    roots.append(cand)
+    return roots
+
+
+def ref_general_type_verdict(sys, bound, n_max=None,
+                             min_places=DEFAULT_MIN_PLACES):
+    """The verdict on normalized rank-3 data over Q, the shapes compared."""
+    _check_detection_input(sys)
+    if n_max is None:
+        n_max = default_n_max(sys)
+    ob = _max_order(sys)
+    places = sys.places(bound)
+    determined = [v for v in places if not sys.coeffs[v].a.is_zero()]
+    if len(determined) < min_places:
+        raise InsufficientData(
+            f"{len(determined)} places have a_v != 0; at least {min_places} "
+            f"are needed for a verdict")
+    zeros = [v for v in places if sys.coeffs[v].a.is_zero()]
+    for cand in fit_all(dict.fromkeys(determined, 0), n_max, ob, sys.field):
+        if cand.is_trivial() or not _power_ok(sys, cand):
+            continue
+        if all(_exponent(cand, v) in (0, None) for v in zeros):
+            continue
+        if ref_verify(sys, "inner", 0, cand, places):
+            return GeneralTypeVerdict("self-twist", cand, bound)
+    for t in find_outer(sys, bound, n_max, min_places, aut_indices=(0,)):
+        return GeneralTypeVerdict("essentially-self-dual", t.character, bound)
+    return GeneralTypeVerdict("general-type", None, bound)
+
+
+# ---------------------------------------------------------------------------
+# number fields
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_fixed_fields_match_the_stabilizer_search(name):
+    field = FIELDS[name]()
+    for subgroup in subgroups(field):
+        assert fixed_field(field, subgroup) == ref_fixed_field(field, subgroup)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_generated_subgroups_match_the_pairwise_closure(name):
+    field = FIELDS[name]()
+    d = field.degree
+    for mask in range(1 << d):
+        gens = [i for i in range(d) if mask >> i & 1]
+        assert generated_subgroup(field, gens) == \
+            ref_generated_subgroup(field, gens)
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_FIELDS))
+def test_complete_splitting_matches_the_factorization(name):
+    field = SPLIT_FIELDS[name]()
+    for p in primes_up_to(10 ** 4)[1:]:
+        assert _splits_completely(field.min_poly, p) == \
+            ref_splits_completely(field, p), p
+    want = [p for p in range(3, 10008, 2)
+            if is_prime(p) and ref_splits_completely(field, p)][:3]
+    assert _split_primes(field) == want
+
+
+# ---------------------------------------------------------------------------
+# finite fields and polynomials
+# ---------------------------------------------------------------------------
+
+PRIME_POWERS = [(p, k) for p in primes_up_to(16) for k in range(2, 9)
+                if p ** k <= 256]
+
+
+@pytest.mark.parametrize("p,k", PRIME_POWERS)
+def test_moduli_match_the_rabin_test(p, k):
+    assert _find_irreducible(p, k) == ref_find_irreducible(p, k)
+
+
+@st.composite
+def monic_polynomials(draw):
+    """Monic integer polynomials of degree 1..6, often with integer roots:
+    a product of x - r over drawn roots r and a drawn monic cofactor."""
+    roots = draw(st.lists(st.integers(-6, 6), max_size=3))
+    tail = draw(st.lists(st.integers(-20, 20), max_size=6 - len(roots)))
+    poly = tail + [1]
+    for r in roots:
+        poly = [(poly[i - 1] if i else 0) - r * (poly[i] if i < len(poly) else 0)
+                for i in range(len(poly) + 1)]
+    return poly if len(poly) > 1 else [draw(st.integers(-20, 20)), 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(monic_polynomials())
+@example([0, 0, 1])
+@example([-36, 0, 1])
+def test_integer_roots_are_the_rational_roots(ic):
+    assert set(_integer_roots(ic)) == set(ref_rational_roots(QPoly(ic)))
+
+
+# ---------------------------------------------------------------------------
+# the self-twist verdict
+# ---------------------------------------------------------------------------
+
+SYSTEMS = {"cm": synth.cm_system(), "cubic_twist": synth.cubic_twist_system()}
+
+
+@st.composite
+def verdict_problems(draw):
+    """cm_system or cubic_twist_system with a_v zeroed at drawn places (b_v
+    kept or zeroed), then b_v set to a nonzero rational at drawn places
+    where a_v = 0, with a drawn bound, n_max and min_places."""
+    name = draw(st.sampled_from(sorted(SYSTEMS)))
+    sys_ = SYSTEMS[name]
+    field = sys_.field
+    zero = field.zero()
+    places = sys_.places()
+    coeffs = dict(sys_.coeffs)
+    for v in draw(st.lists(st.sampled_from(places), max_size=8, unique=True)):
+        b = coeffs[v].b if draw(st.booleans()) else zero
+        coeffs[v] = coeffs[v]._replace(a=zero, b=b)
+    blank = [v for v in places if coeffs[v].a.is_zero()]
+    if blank:
+        for v in draw(st.lists(st.sampled_from(blank), max_size=4, unique=True)):
+            b = field.from_rational(draw(st.sampled_from([-2, -1, 1, 3])))
+            coeffs[v] = coeffs[v]._replace(b=b)
+    bound = draw(st.integers(40, 200))
+    n_max = draw(st.sampled_from([None, 7, 21, 40]))
+    min_places = draw(st.integers(1, 12))
+    return name, coeffs, bound, n_max, min_places
+
+
+def _verdict(fn, sys_, bound, n_max, min_places):
+    try:
+        v = fn(sys_, bound, n_max, min_places)
+    except (TwistctlError, ValueError) as e:
+        return type(e).__name__, str(e)
+    return v.kind, v.witness and char_to_json(v.witness), v.bound
+
+
+def _cm_with_b(*places):
+    """cm_system with b_v = 1 at places outside the kernel mod 7."""
+    sys_ = SYSTEMS["cm"]
+    one = sys_.field.one()
+    coeffs = dict(sys_.coeffs)
+    for v in places:
+        assert coeffs[v].a.is_zero()
+        coeffs[v] = coeffs[v]._replace(b=one)
+    return "cm", coeffs, 200, None, 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(verdict_problems())
+# the cubic character mod 7 is not 1 at 2, where b_2 != 0 rejects it
+@example(_cm_with_b(2))
+@example(_cm_with_b(5, 17))
+@example(("cm", dict(SYSTEMS["cm"].coeffs), 200, None, 10))
+def test_verdicts_match_the_verified_scan(problem):
+    name, coeffs, bound, n_max, min_places = problem
+    sys_ = replace(SYSTEMS[name], coeffs=coeffs)
+    assert _verdict(general_type_verdict, sys_, bound, n_max, min_places) \
+        == _verdict(ref_general_type_verdict, sys_, bound, n_max, min_places)

@@ -41,8 +41,8 @@ from twistctl.twists import (
     find_outer,
     fixed_fields,
     general_type_verdict,
-    _verify,
 )
+from test_scan_reference import ref_verify
 
 
 def _as_twist(kind, aut_index, character, bound=100):
@@ -105,7 +105,7 @@ class TestCompositionLaw:
         for left in group.twists:
             for right in group.twists:
                 kind, index, char = compose_twists(group.field, left, right)
-                assert _verify(sys_, kind, index, char, places)
+                assert ref_verify(sys_, kind, index, char, places)
 
     def test_passing_a_dual_inverts_the_left_character(self):
         # composing the two outer twists: without the inversion the character
@@ -125,8 +125,8 @@ class TestCompositionLaw:
                          char_transform(field, left.aut_index, right.character))
         assert naive != char
         places = sys_.places(100)
-        assert _verify(sys_, "inner", index, char, places)
-        assert not _verify(sys_, "inner", index, naive, places)
+        assert ref_verify(sys_, "inner", index, char, places)
+        assert not ref_verify(sys_, "inner", index, naive, places)
 
     def test_associativity_over_the_whole_group(self):
         group = cubic_klein_result().group
