@@ -297,10 +297,12 @@ def _local_characters(q: int, e: int, w: int, order_bound: int,
              if xs[-1] * kernel_step % w and w // gcd(w, *xs) <= order_bound]
     if not chars:
         return []
-    # a generator is searched for only once some character survives
+    # a generator is searched for only once some character survives, and
+    # not for h = 2 at odd q, where g^(d/2) = -1 for every generator g
     m = q ** e
-    g = _local_generators(q, e)[-1][0]
-    table = {pow(g, d // h * j, m): j for j in range(h)}
+    root = m - 1 if q > 2 and h == 2 else pow(
+        _local_generators(q, e)[-1][0], d // h, m)
+    table = {pow(root, j, m): j for j in range(h)}
     logs = []
     for v in places:
         log = []

@@ -190,7 +190,8 @@ def normalize(sys: EigenSystem, scalings: dict | None = None) -> NormalizedSyste
     Without explicit scalings this requires n | m and trivial omega, and
     divides a_v by norm^(m/n) (and b_v by norm^(2m/3) for n = 3).  With a
     scalings map place -> c_v, each c_v must satisfy c_v^n = norm^m * omega(v)
-    exactly; a_v / c_v and b_v / c_v^2 are stored.
+    exactly, and a key naming no place is a SchemaError; a_v / c_v and
+    b_v / c_v^2 are stored.
     """
     if isinstance(sys, NormalizedSystem):
         return sys
@@ -207,6 +208,8 @@ def normalize(sys: EigenSystem, scalings: dict | None = None) -> NormalizedSyste
             b = None if pd.b is None else pd.b / Fraction(pd.norm ** (2 * k))
             new[v] = PlaceData(pd.norm, a, b)
     else:
+        if unknown := [str(v) for v in scalings if v not in sys.coeffs]:
+            raise SchemaError(f"scalings name no place of the system: {unknown}")
         for v, pd in sys.coeffs.items():
             if v not in scalings:
                 raise MissingValue(f"no scaling supplied for place {v}")

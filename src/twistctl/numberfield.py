@@ -25,13 +25,11 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .arith import euler_phi, is_prime
 from .errors import (
-    BadReduction,
     NotAnAutomorphism,
     NotClosed,
     NotInvertible,
     NotIrreducible,
     NotRootOfUnity,
-    NotSeparableModP,
     Ramified,
     RootSearchFailed,
 )
@@ -42,12 +40,10 @@ from .polynomials import (
     _peval,
     cyclotomic,
     irreducibility_over_q,
-    pmod_divmod,
     pmod_gcd,
     pmod_hensel_root,
-    pmod_pow_mod,
+    pmod_reduce,
     pmod_roots,
-    pmod_squarefree,
     pmod_sub,
     poly_from_strings,
     poly_to_strings,
@@ -247,6 +243,10 @@ class NumberField:
 
         self._validate_automorphisms()
         self._aut_matrices = tuple(self._aut_matrix(img) for img in self.aut_images)
+        # p | _bad_reduction: Phi mod p does not reduce or is not squarefree
+        disc = self.discriminant()
+        self._bad_reduction = disc.numerator * disc.denominator * self._row_den
+        self._image_den = lcm(*(img.den for img in self.aut_images))
         self.composition_table = self._build_composition_table()
         self.inverse_table = self._build_inverse_table()
         self.is_abelian = all(
@@ -548,30 +548,53 @@ class FrobeniusResult(NamedTuple):
 def frobenius_at(field: NumberField, p: int) -> FrobeniusResult:
     """The automorphism acting as x -> x^p modulo a prime above p.
 
-    Works inside F_p[x]/(Phi) without factoring: sigma_i is a Frobenius for
-    the primes corresponding to irreducible factors of gcd(Phi, e_i - x^p).
-    For abelian groups the answer is independent of that choice; otherwise
-    the smallest matching index is returned with the ambiguous flag set.
-    Ramified is read off the same reduction: Phi does not reduce mod p, or
-    Phi mod p has a repeated factor (for p-integral Phi, p | disc(Phi)).
-    """
-    try:
-        phi_p = pmod_squarefree(field.min_poly, p)
-    except (BadReduction, NotSeparableModP) as exc:
-        raise Ramified(f"prime {p} is ramified for this field") from exc
-    xp = pmod_pow_mod([0, 1], p, phi_p, p)
-    matches = []
-    for i, img in enumerate(field.aut_images):
-        if img.den % p == 0:
-            raise Ramified(f"prime {p} divides an automorphism-image denominator")
-        img_p = [n * pow(img.den, -1, p) % p for n in img.num]
-        diff = pmod_sub(img_p, xp, p)
-        if not diff or len(pmod_gcd(phi_p, diff, p)) > 1:
-            matches.append(i)
+    Ramified when Phi mod p does not reduce or is not squarefree, read off
+    the integers the field keeps, or when p divides an image denominator.
+    Otherwise sigma_i is a Frobenius for the primes of the irreducible
+    factors of gcd(Phi, sigma_i(x) - x^p) mod p.  Over an abelian field all
+    of them share one Frobenius, the one image equal to x^p, found with no
+    gcd; otherwise the smallest match is returned, ambiguous if not alone."""
+    if field._bad_reduction % p == 0:
+        raise Ramified(f"prime {p} is ramified for this field")
+    if field._image_den % p == 0:
+        raise Ramified(f"prime {p} divides an automorphism-image denominator")
+    xp = _x_power(field, p, p)
+    images = ([n * pow(img.den, -1, p) % p for n in img.num]
+              for img in field.aut_images)
+    if field.is_abelian:
+        matches = [i for i, img in enumerate(images) if img == xp]
+    else:
+        phi_p = pmod_reduce(field.min_poly, p)
+        matches = [i for i, img in enumerate(images)
+                   if len(pmod_gcd(phi_p, pmod_sub(img, xp, p), p)) > 1]
     if not matches:
         raise Ramified(f"no Frobenius found at {p}; data inconsistent")
-    return FrobeniusResult(min(matches),
-                           not field.is_abelian and len(matches) > 1)
+    return FrobeniusResult(matches[0], len(matches) > 1)
+
+
+def _x_power(field: NumberField, e: int, p: int) -> list[int]:
+    """x^e in F_p[x]/(Phi), p prime to _row_den, by left-to-right square and
+    multiply: a squaring is the d(d+1)/2 products r_i r_j, i <= j, reduced
+    by the rows taken mod p; a step by x is a shift plus the first row."""
+    d = field.degree
+    inv = pow(field._row_den, -1, p)
+    rows = [[c * inv % p for c in row] for row in field._reduction_rows]
+    r = [1] + [0] * (d - 1)
+    for bit in bin(e)[2:]:
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(r):
+            prod[2 * i] += a * a
+            for j in range(i + 1, d):
+                prod[i + j] += 2 * a * r[j]
+        r = prod[:d]
+        for c, row in zip(prod[d:], rows):
+            for i in range(d):
+                r[i] += c * row[i]
+        if bit == "1":
+            top = r.pop() % p
+            r = [s + top * t for s, t in zip([0] + r, rows[0])]
+        r = [c % p for c in r]
+    return r
 
 
 def double_cosets(field: NumberField, subgroup: Subgroup,
@@ -612,17 +635,14 @@ def _split_primes(field: NumberField) -> list[int]:
     """The first three odd primes, up to 10007 (the first prime past 10^4),
     at which the minimal polynomial splits into distinct linear factors."""
     return list(islice((p for p in range(3, 10008, 2) if is_prime(p)
-                        and _splits_completely(field.min_poly, p)), 3))
+                        and _splits_completely(field, p)), 3))
 
 
-def _splits_completely(phi: QPoly, p: int) -> bool:
-    """Whether phi is squarefree mod p and x^p = x mod phi there, that is,
-    phi divides x^p - x, the product of the x - a over F_p."""
-    try:
-        phi_p = pmod_squarefree(phi, p)
-    except (BadReduction, NotSeparableModP):
-        return False
-    return pmod_pow_mod([0, 1], p, phi_p, p) == pmod_divmod([0, 1], phi_p, p)[1]
+def _splits_completely(field: NumberField, p: int) -> bool:
+    """Whether Phi is squarefree mod p and x^p = x mod Phi there, that is,
+    Phi divides x^p - x, the product of the x - a over F_p."""
+    return (field._bad_reduction % p != 0
+            and _x_power(field, p, p) == _x_power(field, 1, p))
 
 
 def roots_of_unity(field: NumberField) -> list[FieldElement]:

@@ -582,6 +582,19 @@ class TestNormalizeCommand:
         assert code == 0, err
         assert out == default
 
+    def test_scalings_key_naming_no_place_is_rejected(self, capsys, tmp_path):
+        """The valid c_v = norm of vantop plus a key "9" that names no place
+        of the system: the extra key is an error, not dropped."""
+        coeffs = json.loads(Path(VANTOP).read_text())["coefficients"]
+        raw = {key: [str(entry["norm"]), "0"] for key, entry in coeffs.items()}
+        raw["9"] = ["9", "0"]
+        scalings = tmp_path / "scalings.json"
+        scalings.write_text(json.dumps(raw))
+        code, out, err = invoke(capsys, "normalize", "--input", VANTOP,
+                                "--scalings", str(scalings))
+        assert code == 1 and out == ""
+        assert err.startswith("error[SchemaError]")
+
 
 class TestLmfdbCommands:
     def test_fetch_from_committed_cache(self, capsys):

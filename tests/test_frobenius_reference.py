@@ -1,18 +1,39 @@
-"""frobenius_at reads ramification off Phi mod p; the earlier rule tested
-the discriminant of Phi.  That rule is kept here as the reference: for a
-monic p-integral Phi the two agree, and where Phi does not reduce mod p
-the reference stopped with BadReduction while frobenius_at now reports
-the prime as ramified."""
+"""frobenius_at against two references.
+
+frobenius_at decides ramification from integers the field keeps: p divides
+disc(Phi) or its denominator, or Phi is not p-integral, or p divides an
+automorphism-image denominator.  It then computes x^p once on integer lists
+and, over an abelian field, takes the one image equal to x^p.
+
+* reference_frobenius tests the discriminant of Phi computed by sympy and
+  runs the gcd search; where Phi does not reduce mod p it stopped with
+  BadReduction, while frobenius_at reports the prime as ramified.
+* gcd_frobenius is the earlier frobenius_at, kept as it was: Phi mod p
+  checked squarefree by a gcd with its derivative, x^p from the generic
+  pmod_pow_mod, and one gcd of Phi with sigma_i(x) - x^p per automorphism.
+  It is compared at every prime below 5000, result or exception type, on
+  every synth field, on x^2 + 1/4, x^2 + 1/9 and x^2 + 9, on the klein model
+  x^4 - 2x^2 + 9 whose images have denominator 3, and on the non-abelian
+  S3 sextic and D4 octic of test_classify_reference.
+"""
 
 from fractions import Fraction
 
+import pytest
 import sympy
 
-from twistctl import synth
+from test_classify_reference import FIELDS as CLASSIFY_FIELDS
+from twistctl import numberfield, synth
 from twistctl.arith import primes_up_to
-from twistctl.errors import BadReduction, Ramified
+from twistctl.errors import BadReduction, NotSeparableModP, Ramified
 from twistctl.numberfield import FrobeniusResult, field_make, frobenius_at
-from twistctl.polynomials import pmod_gcd, pmod_pow_mod, pmod_reduce
+from twistctl.polynomials import (
+    pmod_gcd,
+    pmod_pow_mod,
+    pmod_reduce,
+    pmod_squarefree,
+    pmod_sub,
+)
 
 
 def sympy_discriminant(min_poly):
@@ -49,6 +70,28 @@ def reference_frobenius(field, p):
                            not field.is_abelian and len(matches) > 1)
 
 
+def gcd_frobenius(field, p):
+    """The earlier frobenius_at: sigma_i is a Frobenius for the primes of
+    the irreducible factors of gcd(Phi, sigma_i(x) - x^p) mod p."""
+    try:
+        phi_p = pmod_squarefree(field.min_poly, p)
+    except (BadReduction, NotSeparableModP) as exc:
+        raise Ramified(f"prime {p} is ramified for this field") from exc
+    xp = pmod_pow_mod([0, 1], p, phi_p, p)
+    matches = []
+    for i, img in enumerate(field.aut_images):
+        if img.den % p == 0:
+            raise Ramified(f"prime {p} divides an automorphism-image denominator")
+        img_p = [n * pow(img.den, -1, p) % p for n in img.num]
+        diff = pmod_sub(img_p, xp, p)
+        if not diff or len(pmod_gcd(phi_p, diff, p)) > 1:
+            matches.append(i)
+    if not matches:
+        raise Ramified(f"no Frobenius found at {p}; data inconsistent")
+    return FrobeniusResult(min(matches),
+                           not field.is_abelian and len(matches) > 1)
+
+
 def outcome(fn, field, p):
     try:
         return fn(field, p)
@@ -56,22 +99,44 @@ def outcome(fn, field, p):
         return type(exc).__name__
 
 
+def quadratic(c):
+    return lambda: field_make([c, 0, 1], [[0, 1], [0, -1]])
+
+
+def klein_model():
+    """Q(zeta_8) on a root of x^4 - 2x^2 + 9, the model of the committed
+    klein fixture: 3 divides the index of Z[alpha], and two images have
+    denominator 3."""
+    third = Fraction(1, 3)
+    return field_make([9, 0, -2, 0, 1], [[0, 1, 0, 0], [0, -2 * third, 0, third],
+                                         [0, 2 * third, 0, -third],
+                                         [0, -1, 0, 0]])
+
+
 FIELDS = {
-    "rational": synth.rational_field(),
-    "gaussian": synth.gaussian_field(),
-    "sqrt2": synth.sqrt2_field(),
-    "sqrt5": synth.sqrt5_field(),
-    "eisenstein": synth.eisenstein_field(),
-    "biquadratic": synth.biquadratic_field(),
-    "cubic_klein": synth.cubic_klein_field(),
-    "x^2+1/4": field_make([Fraction(1, 4), 0, 1], [[0, 1], [0, -1]]),
-    "x^2+1/9": field_make([Fraction(1, 9), 0, 1], [[0, 1], [0, -1]]),
+    "rational": synth.rational_field,
+    "gaussian": synth.gaussian_field,
+    "sqrt2": synth.sqrt2_field,
+    "sqrt5": synth.sqrt5_field,
+    "eisenstein": synth.eisenstein_field,
+    "biquadratic": synth.biquadratic_field,
+    "cubic_klein": synth.cubic_klein_field,
+    "x^2+1/4": quadratic(Fraction(1, 4)),
+    "x^2+1/9": quadratic(Fraction(1, 9)),
 }
+
+GCD_FIELDS = dict(CLASSIFY_FIELDS, **{
+    "x^2+1/4": quadratic(Fraction(1, 4)),
+    "x^2+1/9": quadratic(Fraction(1, 9)),
+    "x^2+9": quadratic(9),
+    "klein_model": klein_model,
+})
 
 
 def test_reduction_rule_matches_the_discriminant_rule():
     changed = set()
-    for name, field in FIELDS.items():
+    for name, make in FIELDS.items():
+        field = make()
         for p in primes_up_to(2999):
             new = outcome(frobenius_at, field, p)
             ref = outcome(reference_frobenius, field, p)
@@ -81,3 +146,23 @@ def test_reduction_rule_matches_the_discriminant_rule():
             else:
                 assert new == ref, (name, p)
     assert changed == {("x^2+1/4", 2)}
+
+
+@pytest.mark.parametrize("name", sorted(GCD_FIELDS))
+def test_integer_power_matches_the_gcd_search(name):
+    field = GCD_FIELDS[name]()
+    for p in primes_up_to(4999):
+        assert outcome(frobenius_at, field, p) == \
+            outcome(gcd_frobenius, field, p), p
+
+
+
+def test_an_abelian_field_needs_no_gcd(monkeypatch):
+    def gcd(*args):
+        raise AssertionError("pmod_gcd called on an abelian field")
+
+    monkeypatch.setattr(numberfield, "pmod_gcd", gcd)
+    for make in (synth.biquadratic_field, synth.cubic_klein_field, klein_model):
+        field = make()
+        for p in primes_up_to(500):
+            outcome(frobenius_at, field, p)

@@ -223,7 +223,7 @@ def test_generated_subgroups_match_the_pairwise_closure(name):
 def test_complete_splitting_matches_the_factorization(name):
     field = SPLIT_FIELDS[name]()
     for p in primes_up_to(10 ** 4)[1:]:
-        assert _splits_completely(field.min_poly, p) == \
+        assert _splits_completely(field, p) == \
             ref_splits_completely(field, p), p
     want = [p for p in range(3, 10008, 2)
             if is_prime(p) and ref_splits_completely(field, p)][:3]
