@@ -1,29 +1,32 @@
 """Explicit Galois number fields with a validated automorphism table.
 
-A field is Q[x]/(Phi) for a monic irreducible Phi of degree d, elements are
-integer vectors over one denominator in the power basis 1, alpha, ...,
-alpha^(d-1), and the automorphism group is supplied as the d images of alpha
-and then validated (annihilation, distinctness, closure).  All element
-arithmetic is on integers: a product is a convolution reduced by integer
-rows, each automorphism is one integer matrix, and an inverse is the product
-of the other conjugates over the norm.  On top of that sit the Galois-theory
+A field is Q[x]/(Phi) for a monic Phi of degree d, certified irreducible
+over Q at construction (certify_irreducible: degree patterns mod p, then
+recombination at one prime; a reducible Phi is refused), which also yields
+the primes where Phi splits completely.  Elements are integer vectors over
+one denominator in the power basis 1, alpha, ..., alpha^(d-1), and the
+automorphism group is supplied as the d images of alpha and then validated
+(annihilation, distinctness, closure).  All element arithmetic is on
+integers: a product is a convolution reduced by integer rows, each
+automorphism is one integer matrix, and an inverse is the product of the
+other conjugates over the norm.  On top of that sit the Galois-theory
 workhorses: stabilizers, fixed subfields with primitive elements, Frobenius
 elements at unramified primes, place decompositions via double cosets, and
 the roots of unity mu(E) as powers of one generator, built once per field by
-a p-adic search at a prime where the minimal polynomial splits (Hensel
-lifting, Cohen GTM 138 section 3.5) and verified by exact exponentiation.
+a p-adic search at the first of those split primes (Hensel lifting, Cohen
+GTM 138 section 3.5) and verified by exact exponentiation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .arith import euler_phi, is_prime
+from .arith import euler_phi
 from .errors import (
     NotAnAutomorphism,
     NotClosed,
@@ -38,10 +41,10 @@ from .polynomials import (
     _as_fraction,
     _monic_integer_model,
     _peval,
+    certify_irreducible,
     cyclotomic,
-    irreducibility_over_q,
+    hensel_lift,
     pmod_gcd,
-    pmod_hensel_root,
     pmod_reduce,
     pmod_roots,
     pmod_sub,
@@ -166,6 +169,11 @@ class FieldElement:
             others = others * field.apply_aut(i, self)
         return others
 
+    def residues(self, p: int) -> list[int]:
+        """The coordinates mod p, for p prime to den: one inverse of den."""
+        inv = pow(self.den, -1, p)
+        return [n * inv % p for n in self.num]
+
     def inverse(self) -> "FieldElement":
         """1/x as the product of the other conjugates over the norm."""
         if self.is_zero():
@@ -211,16 +219,9 @@ class NumberField:
         if not min_poly.is_monic():
             raise NotIrreducible("minimal polynomial must be monic")
         d = min_poly.degree
-        if d < 1:
-            raise NotIrreducible("minimal polynomial must have degree >= 1")
         self.min_poly = min_poly
         self.degree = d
-        self.irreducibility_warning = False
-        verdict = irreducibility_over_q(min_poly)
-        if verdict == "reducible":
-            raise NotIrreducible(f"{min_poly!r} factors over Q")
-        if verdict == "unknown":
-            self.irreducibility_warning = True
+        self.split_primes = certify_irreducible(min_poly)
 
         # power-basis reduction rows for alpha^d .. alpha^(2d-2), as
         # integer numerators over the common denominator _row_den
@@ -559,8 +560,7 @@ def frobenius_at(field: NumberField, p: int) -> FrobeniusResult:
     if field._image_den % p == 0:
         raise Ramified(f"prime {p} divides an automorphism-image denominator")
     xp = _x_power(field, p, p)
-    images = ([n * pow(img.den, -1, p) % p for n in img.num]
-              for img in field.aut_images)
+    images = (img.residues(p) for img in field.aut_images)
     if field.is_abelian:
         matches = [i for i, img in enumerate(images) if img == xp]
     else:
@@ -631,20 +631,6 @@ def double_cosets(field: NumberField, subgroup: Subgroup,
 # mu(E) as the powers of one generator
 # --------------------------------------------------------------------------
 
-def _split_primes(field: NumberField) -> list[int]:
-    """The first three odd primes, up to 10007 (the first prime past 10^4),
-    at which the minimal polynomial splits into distinct linear factors."""
-    return list(islice((p for p in range(3, 10008, 2) if is_prime(p)
-                        and _splits_completely(field, p)), 3))
-
-
-def _splits_completely(field: NumberField, p: int) -> bool:
-    """Whether Phi is squarefree mod p and x^p = x mod Phi there, that is,
-    Phi divides x^p - x, the product of the x - a over F_p."""
-    return (field._bad_reduction % p != 0
-            and _x_power(field, p, p) == _x_power(field, 1, p))
-
-
 def roots_of_unity(field: NumberField) -> list[FieldElement]:
     """All roots of unity in the field, sorted by coordinates: the powers of
     a root of the largest order the field holds, verified by exact
@@ -659,7 +645,7 @@ def roots_of_unity(field: NumberField) -> list[FieldElement]:
     one = field.one()
     zeta, mult = -one, (1,) * d
     if d > 1:
-        split = _split_primes(field)
+        split = field.split_primes
         orders = [k for k in range(2 * (d + 1) ** 2, 2, -1)
                   if d % euler_phi(k) == 0 and all(p % k == 1 for p in split)]
         if orders:
@@ -714,10 +700,10 @@ def _root_of_largest_order(field: NumberField, p: int, orders):
 
     roots = pmod_roots(field.min_poly, p)
     position = {r: j for j, r in enumerate(roots)}
-    perm = [position[_peval([n * pow(img.den, -1, p) % p for n in img.num],
-                            roots[0], p)]
+    perm = [position[_peval(img.residues(p), roots[0], p)]
             for img in field.aut_images]
-    lifted = [pmod_hensel_root(model, lam * r % p, p, n) for r in roots]
+    lifted = [-hensel_lift(model, [-lam * r % p, 1], p, n)[0] % big
+              for r in roots]
     y_powers = [[pow(y, m, big) for y in lifted] for m in range(d)]
 
     y = field.gen() * lam
@@ -730,7 +716,7 @@ def _root_of_largest_order(field: NumberField, p: int, orders):
         phi_k = cyclotomic(k)
         omega = next(w for w in (pow(g, (p - 1) // k, p) for g in range(2, p))
                      if _peval(phi_k, w, p) == 0)
-        omega = pmod_hensel_root(phi_k, omega, p, n)
+        omega = -hensel_lift(phi_k, [-omega, 1], p, n)[0] % big
         for c in _surjections_onto_units(field, k):
             images = [0] * d
             for i, j in enumerate(perm):

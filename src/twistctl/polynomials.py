@@ -6,9 +6,12 @@ structurally, and the zero polynomial has an empty tuple and degree -1.  The
 program parses a minimal polynomial, evaluates it at field elements,
 differentiates it and reduces it mod p; it does no arithmetic in Q[x].
 
-The mod-p kernels work on plain lists of ints (ascending): they reduce and
-test squarefreeness for the Frobenius and split-prime searches, and back the
-distinct-degree factorization that tests irreducibility over Q and F_p.  The
+The mod-p kernels work on plain lists of ints (ascending): reduction,
+squarefreeness, distinct- and equal-degree factorization, and Hensel lifting
+of a factor.  On them rests certify_irreducible, the one test of a minimal
+polynomial: factor-degree patterns mod p, then recombination of the lifted
+factors at one prime, so a polynomial is certified irreducible or refused,
+and the primes where it splits completely come out of the same scan.  The
 readers of document numbers (rationals and ints, never floats) live here
 too, as does the integer cyclotomic polynomial.
 """
@@ -16,12 +19,13 @@ too, as does the integer cyclotomic polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
-from math import isqrt, lcm
+from itertools import combinations, zip_longest
+from math import lcm
+from random import Random
 from typing import Iterable, Sequence
 
-from .arith import divisors, primes_up_to
-from .errors import BadReduction, NotSeparableModP, SchemaError
+from .arith import divisors, is_prime
+from .errors import BadReduction, NotIrreducible, NotSeparableModP, SchemaError
 
 Q = Fraction
 
@@ -142,14 +146,7 @@ def cyclotomic(n: int) -> list[int]:
         raise ValueError("n must be positive")
     num = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n)[:-1]:
-        phi = cyclotomic(d)
-        k = len(phi) - 1
-        quot = [0] * (len(num) - k)
-        for i in range(len(quot) - 1, -1, -1):
-            c = quot[i] = num[i + k]
-            for j, b in enumerate(phi):
-                num[i + j] -= c * b
-        num = quot
+        num = exact_quotient(num, cyclotomic(d))
     return num
 
 
@@ -219,13 +216,13 @@ def pmod_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
 
 def pmod_pow_mod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    result = [1]
+    # left to right, so that a step by a sparse base such as x is cheap
     b = pmod_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = pmod_divmod(pmod_mul(result, result, p), mod, p)[1]
+        if bit == "1":
             result = pmod_divmod(pmod_mul(result, b, p), mod, p)[1]
-        b = pmod_divmod(pmod_mul(b, b, p), mod, p)[1]
-        e >>= 1
     return result
 
 
@@ -239,37 +236,51 @@ def pmod_squarefree(f: QPoly, p: int) -> list[int]:
     return fp
 
 
-def ddf_mod_p(f: QPoly, p: int) -> list[tuple[int, int]]:
-    """Distinct-degree factorization degrees of f mod p.
-
-    Returns a sorted list of (degree, count) pairs with
-    sum(degree * count) == deg f.  Requires f to be p-integral with p-unit
-    leading coefficient and separable mod p.
-    """
+def _distinct_degree_parts(f: QPoly, p: int) -> list[tuple[int, list[int]]]:
+    """(e, g_e) for each degree e of an irreducible factor of f mod p, with
+    g_e the monic product of those factors, e ascending.  Requires f to be
+    p-integral with p-unit leading coefficient and separable mod p."""
     fp = pmod_squarefree(f, p)
-    if len(fp) - 1 < 1:
-        return []
-    # make monic
     inv = pow(fp[-1], -1, p)
     work = [c * inv % p for c in fp]
-    out: list[tuple[int, int]] = []
-    x = [0, 1]
-    xq = x  # x^(p^i) mod work, updated each round
-    d = 0
-    while len(work) - 1 > 0:
-        d += 1
-        if 2 * d > len(work) - 1:
+    out = []
+    x = xq = [0, 1]  # xq is x^(p^e) mod work
+    e = 0
+    while len(work) > 1:
+        e += 1
+        if 2 * e > len(work) - 1:
             # what is left is a single irreducible factor
-            out.append((len(work) - 1, 1))
+            out.append((len(work) - 1, work))
             break
         xq = pmod_pow_mod(xq, p, work, p)
         g = pmod_gcd(work, pmod_sub(xq, x, p), p)
-        if len(g) - 1 > 0:
-            deg_total = len(g) - 1
-            out.append((d, deg_total // d))
+        if len(g) > 1:
+            out.append((e, g))
             work = pmod_divmod(work, g, p)[0]
             xq = pmod_divmod(xq, work, p)[1]
-    return sorted(out)
+    return out
+
+
+def ddf_mod_p(f: QPoly, p: int) -> list[tuple[int, int]]:
+    """The sorted (degree, count) pairs of the irreducible factors of f mod
+    p, under the requirements of _distinct_degree_parts."""
+    return [(e, (len(g) - 1) // e) for e, g in _distinct_degree_parts(f, p)]
+
+
+def _equal_degree_factors(g: list[int], e: int, p: int) -> list[list[int]]:
+    """The monic irreducible factors of g mod the odd prime p, a monic
+    squarefree product of factors of degree e: for a random a, drawn from a
+    fixed seed, the gcd of g and a^((p^e - 1)/2) - 1 is a proper factor
+    with probability about 1/2 (Cantor-Zassenhaus)."""
+    if len(g) - 1 == e:
+        return [g]
+    rng = Random(len(g))
+    while True:
+        a = [rng.randrange(p) for _ in range(len(g) - 1)]
+        h = pmod_gcd(g, pmod_sub(pmod_pow_mod(a, (p ** e - 1) // 2, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            return (_equal_degree_factors(h, e, p)
+                    + _equal_degree_factors(pmod_divmod(g, h, p)[0], e, p))
 
 
 def pmod_roots(f: QPoly, p: int) -> list[int]:
@@ -285,33 +296,29 @@ def _peval(f: Sequence[int], x: int, p: int) -> int:
     return acc
 
 
-def pmod_hensel_root(f: Sequence[int], r: int, p: int, n: int) -> int:
-    """The root of the integer polynomial f modulo p^n above r, a root of f
-    mod p where f' does not vanish, by Newton steps that double the
-    precision (Cohen, GTM 138, section 3.5)."""
-    deriv = [i * c for i, c in enumerate(f)][1:]
-    e = 1
-    while e < n:
-        e = min(2 * e, n)
-        q = p ** e
-        r = (r - _peval(f, r, q) * pow(_peval(deriv, r, q), -1, q)) % q
-    return r
+def hensel_lift(f: Sequence[int], g: Sequence[int], p: int, n: int) -> list[int]:
+    """The monic factor of the monic integer polynomial f modulo p^n above g,
+    a monic irreducible factor of f mod p prime to its cofactor h, one p-adic
+    digit per step: if G divides f mod p^k, the remainder of f by G is p^k e
+    mod p^(k+1), and G + p^k (e / h mod g) divides f mod p^(k+1) (Cohen,
+    GTM 138, section 3.5).  A simple root r lifts as g = x - r."""
+    h = pmod_divmod([c % p for c in f], g, p)[0]
+    h_inv = pmod_pow_mod(h, p ** (len(g) - 1) - 2, g, p)  # F_p[x]/(g) is a field
+    lifted = list(g)
+    for k in range(1, n):
+        e = [c // p ** k for c in pmod_divmod(f, lifted, p ** (k + 1))[1]]
+        step = pmod_divmod(pmod_mul(e, h_inv, p), g, p)[1]
+        lifted = [c + p ** k * s for c, s in zip_longest(lifted, step, fillvalue=0)]
+    return lifted
 
 
 # --------------------------------------------------------------------------
-# irreducibility over Q (integer roots of the monic model + mod-p patterns)
+# irreducibility over Q (mod-p degree patterns, then recombination of the
+# lifted factors at one prime)
 # --------------------------------------------------------------------------
 
-def _integer_roots(ic: list[int]) -> list[int]:
-    """The integer roots of a monic integer polynomial (ascending
-    coefficients): 0 when the constant term vanishes, and the divisors of
-    the lowest nonzero coefficient, of either sign, that annihilate it."""
-    k = next(i for i, c in enumerate(ic) if c)
-    return [0] * (k > 0) + [r for c in divisors(abs(ic[k])) for r in (c, -c)
-                            if not sum(a * r ** i for i, a in enumerate(ic))]
-
-
-_SMALL_PRIMES = primes_up_to(113)
+_SCAN_LIMIT = 10007  # the first prime past 10^4
+_PATTERN_PRIMES = 12  # odd good primes whose factor degrees are read
 
 
 def _monic_integer_model(f: QPoly) -> list[int]:
@@ -322,85 +329,89 @@ def _monic_integer_model(f: QPoly) -> list[int]:
     return [int(f.coeffs[i] * lam ** (d - i)) for i in range(d + 1)]
 
 
-def _monic_quartic_splits_quadratic(ic: list[int]) -> bool:
-    """Whether an integer monic quartic with no rational root factors as a
-    product of two monic integer quadratics (Gauss: rational factors of a
-    monic integer polynomial are integral)."""
-    s0, s1, s2, s3 = ic[0], ic[1], ic[2], ic[3]
-    if s0 == 0:
-        return False  # has the root 0; handled elsewhere
-    for c in divisors(abs(s0)):
-        for c1 in (c, -c):
-            if s0 % c1 != 0:
-                continue
-            c2 = s0 // c1
-            if c1 != c2:
-                num = s1 - s3 * c2
-                den = c1 - c2
-                if num % den != 0:
-                    continue
-                b1 = num // den
-                b2 = s3 - b1
-                if b1 * b2 + c1 + c2 == s2:
-                    return True
-            else:
-                # b1 + b2 = s3, b1 b2 = s2 - 2 c1, consistency s1 = s3 c1
-                if s1 != s3 * c1:
-                    continue
-                disc = s3 * s3 - 4 * (s2 - 2 * c1)
-                if disc >= 0 and _is_square(disc) and (s3 + isqrt(disc)) % 2 == 0:
-                    return True
-    return False
+def exact_quotient(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
+    """num / den for integer polynomials (ascending) and a monic den, or None
+    when den does not divide num exactly."""
+    rem = list(num)
+    k = len(den) - 1
+    quot = [0] * (len(rem) - k)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = rem[i + k]
+        for j, b in enumerate(den):
+            rem[i + j] -= c * b
+    return None if any(rem[:k]) else quot
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
+def certify_irreducible(f: QPoly) -> list[int]:
+    """The first three odd primes, up to 10007, at which the monic f splits
+    into distinct linear factors, once f is certified irreducible over Q;
+    NotIrreducible if f has a factor or no such prime exists (as for every f
+    with a repeated factor, which is squarefree mod no prime).
 
-
-def irreducibility_over_q(f: QPoly) -> str:
-    """Returns "irreducible", "reducible", or "unknown" for a monic f.
-
-    Strategy: on the monic integer model, whose rational roots are integers
-    dividing its constant term, a root test (decisive through degree 3) and
-    an exact quadratic-split test for quartics; then degree patterns of
-    factorizations mod up to 12 good primes.  The possible degrees of a
-    rational factor must be subset sums of every mod-p pattern; an empty
-    intersection certifies irreducibility.  A surviving pattern after the
-    prime budget yields "unknown" rather than an expensive certificate.
-    """
+    One pass over the primes.  At the first good ones the factor degrees mod
+    p are read: a rational factor's degree is a subset sum of each pattern.
+    If one is still possible after 12 odd good primes, _recombine decides at
+    the one of them with the fewest factors.  The rest of the pass only
+    tests complete splitting, x^p = x mod f."""
     d = f.degree
-    if d <= 0:
-        return "reducible"
-    if d == 1:
-        return "irreducible"
-    model = _monic_integer_model(f)
-    if _integer_roots(model):
-        return "reducible"
-    if d <= 3:
-        return "irreducible"  # no rational root and degree <= 3
-    if d == 4:
-        return "reducible" if _monic_quartic_splits_quadratic(model) else "irreducible"
-    possible = set(range(1, d))  # proper factor degrees still in play
-    tried = 0
-    for p in _SMALL_PRIMES:
-        if tried >= 12:
-            break
+    if d < 1:
+        raise NotIrreducible(f"{f!r} is constant")
+    primes = (p for p in range(2, _SCAN_LIMIT + 1) if is_prime(p))
+    possible, split, counts = set(range(1, d)), [], []
+    for p in primes:
         try:
             degs = ddf_mod_p(f, p)
         except (BadReduction, NotSeparableModP):
             continue
-        tried += 1
-        if degs == [(d, 1)]:
-            return "irreducible"
-        # subset sums of the multiset of factor degrees mod p
         sums = {0}
         for deg, count in degs:
-            for _ in range(count):
-                sums |= {s + deg for s in sums}
+            sums = {s + deg * j for s in sums for j in range(count + 1)}
         possible &= sums
-        if not possible:
-            return "irreducible"
-    return "unknown"
+        if p > 2:
+            counts.append((sum(count for _, count in degs), p))
+            split += [p] * (degs == [(1, d)])
+        if not possible or len(counts) == _PATTERN_PRIMES:
+            break
+    if possible and counts:
+        _recombine(_monic_integer_model(f), min(counts)[1], possible)
+    for p in primes:
+        if len(split) >= 3:
+            break
+        if all(c.denominator % p for c in f.coeffs):
+            fp = pmod_reduce(f, p)
+            x = pmod_divmod([0, 1], fp, p)[1]
+            split += [p] * (pmod_pow_mod(x, p, fp, p) == x)
+    if not split:
+        raise NotIrreducible(
+            f"no prime up to {_SCAN_LIMIT} splits {f!r} into distinct linear "
+            "factors, so it cannot be certified irreducible")
+    return split[:3]
+
+
+def _recombine(model: list[int], q: int, possible: set[int]) -> None:
+    """NotIrreducible if the monic integer polynomial model has a monic
+    factor of a degree k <= d/2 in possible.  Its factors mod the odd good
+    prime q are lifted, and each set of them of such a degree (at k = d/2
+    those holding factor 0, one of each complementary pair) is tried by
+    exact division: a factor's coefficients are at most (1 + M)^k, M the
+    Cauchy bound on the roots, so residues mod q^n > 2 (1 + M)^(d/2) give
+    them exactly (Berlekamp-Zassenhaus, Cohen GTM 138, section 3.5)."""
+    d = len(model) - 1
+    n = 1
+    while q ** n <= 2 * (2 + max(map(abs, model[:-1]))) ** (d // 2):
+        n += 1
+    big = q ** n
+    factors = [hensel_lift(model, h, q, n)
+               for e, g in _distinct_degree_parts(QPoly(model), q)
+               for h in _equal_degree_factors(g, e, q)]
+    for size in range(1, len(factors)):
+        for subset in combinations(range(len(factors)), size):
+            k = sum(len(factors[i]) - 1 for i in subset)
+            if k in possible and (2 * k < d or 2 * k == d and subset[0] == 0):
+                factor = [1]
+                for i in subset:
+                    factor = pmod_mul(factor, factors[i], big)
+                factor = [(c + big // 2) % big - big // 2 for c in factor]
+                if exact_quotient(model, factor) is not None:
+                    raise NotIrreducible(f"the monic integer model {model} "
+                                         f"has the factor {factor} over Q")

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from test_numberfield import SEXTIC_IMAGES, SEXTIC_PHI
 from twistctl import forms, synth
 from twistctl.characters import dirichlet_character
 from twistctl.cli import build_parser, run, _parse_primes
@@ -162,6 +163,24 @@ class TestTwistsCommand:
         code, _, err = invoke(capsys, "twists", "--input", "/no/such.json")
         assert code == 1
         assert "error[" in err
+
+    def test_a_reducible_coefficient_field_is_refused(self, capsys, tmp_path):
+        """klein's data over Q[x]/(f(x) f(x - 1)), f = x^3 - 3x + 1, whose
+        closed abelian table of order 6 makes it look like a field: each
+        coefficient padded with zero coordinates."""
+        doc = json.loads(Path(KLEIN).read_text())
+        doc["field"] = {
+            "min_poly": [str(c) for c in SEXTIC_PHI],
+            "aut_images": [[str(c) for c in img] for img in SEXTIC_IMAGES]}
+        for entry in doc["coefficients"].values():
+            for key in ("a", "b"):
+                entry[key] = entry[key] + ["0", "0"]
+        path = tmp_path / "reducible.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = invoke(capsys, "twists", "--input", str(path),
+                              "--bound", "100")
+        assert code == 1
+        assert err.startswith("error[NotIrreducible]")
 
 
 class TestClassifyCommand:

@@ -37,11 +37,18 @@ from twistctl.numberfield import (
     frobenius_at,
     generated_subgroup,
     roots_of_unity,
-    _split_primes,
     stabilizer,
     subgroup_make,
     unit_roots,
 )
+
+
+# the product of two copies of Q(zeta_9)^+ and its six images, over 17
+SEXTIC_PHI = [3, -9, -3, 13, -3, -3, 1]
+SEXTIC_IMAGES = [[Q(c, 17) for c in img] for img in (
+    [0, 17, 0, 0, 0, 0], [-6, -82, 5, 46, 2, -6],
+    [-60, 200, 220, -220, -65, 42], [61, -73, -150, 116, 42, -24],
+    [55, -172, -145, 162, 44, -30], [1, 110, 70, -104, -23, 18])]
 
 
 def gaussian_field():
@@ -166,6 +173,20 @@ class TestConstruction:
     def test_rejects_reducible(self):
         with pytest.raises(NotIrreducible):
             field_make([-1, 0, 1], [[0, 1], [0, -1]])
+
+    def test_rejects_a_reducible_quadratic_with_a_closed_table(self):
+        # x^2 - 3x + 2 = (x - 1)(x - 2), and alpha -> 3 - alpha permutes
+        # its roots, so the table is closed
+        with pytest.raises(NotIrreducible):
+            field_make([2, -3, 1], [[0, 1], [3, -1]])
+
+    def test_rejects_a_reducible_sextic_with_a_closed_abelian_table(self):
+        # Phi = f(x) f(x - 1) with f = x^3 - 3x + 1: Q[x]/(Phi) is
+        # Q(zeta_9)^+ twice over, and the six images, from (s^k, s^k) and
+        # swap o (s^k, s^k) with s(theta) = theta^2 - 2, form a closed
+        # abelian table of order 6
+        with pytest.raises(NotIrreducible, match="factor"):
+            field_make(SEXTIC_PHI, SEXTIC_IMAGES)
 
     def test_rejects_non_root_image(self):
         with pytest.raises(NotAnAutomorphism):
@@ -430,7 +451,7 @@ class TestRootsOfUnity:
         # x^2 + 1/4 has a denominator at 2, and Q(i) splits exactly at the
         # primes 1 mod 4
         K = field_make([Q(1, 4), 0, 1], [[0, 1], [0, -1]])
-        split = _split_primes(K)
+        split = K.split_primes
         assert split and 2 not in split
         assert all(p % 4 == 1 for p in split)
 
@@ -462,9 +483,10 @@ class TestRootsOfUnity:
     def test_a_search_without_a_split_prime_raises(self, monkeypatch):
         # with no split prime nothing bounds the orders or carries the
         # p-adic search, so Q(i) must not quietly come out as +-1
-        monkeypatch.setattr(numberfield, "_split_primes", lambda field: [])
+        K = gaussian_field()
+        monkeypatch.setattr(K, "split_primes", [])
         with pytest.raises(RootSearchFailed, match="split"):
-            roots_of_unity(gaussian_field())
+            roots_of_unity(K)
 
     def test_a_candidate_inside_the_trace_bounds_is_still_verified(self):
         # Q(sqrt 2) at p = 17 > 2 * 2 * 3 needs no lifting, and the one
@@ -475,8 +497,8 @@ class TestRootsOfUnity:
     def test_odd_degree_needs_no_split_prime(self, monkeypatch):
         # phi(k) is even for k >= 3, so an odd degree leaves no order to
         # search and the answer +-1 stands without one
-        monkeypatch.setattr(numberfield, "_split_primes", lambda field: [])
         K = field_make([-1, -2, 1, 1], [[0, 1, 0], [-2, 0, 1], [1, -1, -1]])
+        monkeypatch.setattr(K, "split_primes", [])
         assert [mu.coords for mu in roots_of_unity(K)] == [(-1, 0, 0), (1, 0, 0)]
 
     @pytest.mark.parametrize("make", [gaussian_field, eisenstein_field,

@@ -1,5 +1,5 @@
 """Polynomial layer: values, discriminants as norms, cyclotomic polynomials,
-mod-p factorization degrees, irreducibility.
+mod-p factorization degrees, Hensel lifting, irreducibility over Q.
 
 The mod-p oracle here is written independently of the library: root counting
 by direct scan plus a two-quadratic splitting test driven by a precomputed
@@ -10,17 +10,22 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from test_field_reference import FIELDS
 from twistctl import synth
-from twistctl.errors import BadReduction, NotSeparableModP, SchemaError
+from twistctl.errors import (BadReduction, NotIrreducible, NotSeparableModP,
+                             SchemaError)
 from twistctl.numberfield import field_make
 from twistctl.polynomials import (
     QPoly,
+    certify_irreducible,
     cyclotomic,
     ddf_mod_p,
-    irreducibility_over_q,
-    pmod_hensel_root,
+    hensel_lift,
+    pmod_divmod,
+    pmod_mul,
+    pmod_pow_mod,
     pmod_roots,
     poly_from_strings,
     poly_to_strings,
@@ -117,9 +122,42 @@ def test_hensel_lifts_each_simple_root(f, p):
     assert roots
     for r in roots:
         for n in (1, 2, 3, 5, 8, 21):
-            lifted = pmod_hensel_root(f, r, p, n)
-            assert 0 <= lifted < p ** n and lifted % p == r
+            factor = hensel_lift(f, [-r % p, 1], p, n)
+            lifted = -factor[0] % p ** n
+            assert factor[1:] == [1] and lifted % p == r
             assert sum(c * lifted ** i for i, c in enumerate(f)) % p ** n == 0
+
+
+def _schoolbook_mul(a, b, p):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-500, 500), max_size=9),
+       st.lists(st.integers(-500, 500), min_size=1, max_size=5),
+       st.integers(0, 40), st.sampled_from([2, 3, 7, 97, 10007]))
+def test_mod_p_kernels_match_schoolbook_arithmetic(a, b, e, p):
+    """pmod_mul and pmod_divmod on residues against a schoolbook product,
+    and pmod_pow_mod, which squares left to right, against e such products
+    each reduced by the modulus."""
+    a, b = [c % p for c in a], [c % p for c in b]
+    assume(b[-1])
+    assert pmod_mul(a, b, p) == _schoolbook_mul(a, b, p)
+    quot, rem = pmod_divmod(a, b, p)
+    assert len(rem) < len(b) and all(0 <= c < p for c in quot + rem)
+    back = _schoolbook_mul(quot, b, p) + [0] * len(a)
+    assert all((back[i] + (rem[i] if i < len(rem) else 0) - c) % p == 0
+               for i, c in enumerate(a))
+    want = pmod_divmod([1], b, p)[1]
+    for _ in range(e):
+        want = pmod_divmod(_schoolbook_mul(want, a, p), b, p)[1]
+    assert pmod_pow_mod(a, e, b, p) == want
 
 
 def test_ddf_errors():
@@ -197,26 +235,74 @@ def test_cyclotomic_polynomials():
 
 # ---------------------------------------------------------------- irreducibility
 
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+IRREDUCIBILITY_CASES = [
+    [1, 0, 1],          # x^2+1 irreducible
+    [-2, 0, 1],         # x^2-2 irreducible
+    [9, 0, -2, 0, 1],   # biquadratic, irreducible
+    [-1, 0, 0, 1],      # x^3-1 reducible
+    [1, 2, 1],          # (x+1)^2 reducible, squarefree mod no prime
+    [1, 0, 0, 0, 1],    # x^4+1 irreducible over Q though reducible mod all p
+    [-4, 0, 1],         # (x-2)(x+2)
+    [2, 3, 0, 0, 0, 1], # quintic, irreducible (Eisenstein-free check)
+    [576, 0, -960, 0, 352, 0, -40, 0, 1],  # Q(sqrt2, sqrt3, sqrt5)
+    cyclotomic(15), cyclotomic(16), cyclotomic(21), cyclotomic(24),
+    [1, 0, 28, 0, 2, 0, 4, 0, 1],          # the D4 octic Q(2^(1/4), i)
+    _times([1, 0, 0, 0, 1], [9, 0, -2, 0, 1]),  # two quartic fields
+    _times(_times([1, 0, 1], [2, 0, 1]), _times([3, 0, 1], [5, 0, 1])),
+    [1, 0, 2, 0, 1],    # (x^2+1)^2
+    _times([101, 0, 1], [103, 0, 1]),  # factor coefficients above q/2
+    [3, -9, -3, 13, -3, -3, 1],  # f(x) f(x-1), f = x^3-3x+1
+]
+
+
 def test_irreducibility_matches_sympy():
+    """certify_irreducible certifies exactly the polynomials sympy calls
+    irreducible, returning primes where they split completely, and raises
+    NotIrreducible on the others."""
     x = sympy.symbols("x")
-    cases = [
-        [1, 0, 1],          # x^2+1 irreducible
-        [-2, 0, 1],         # x^2-2 irreducible
-        [9, 0, -2, 0, 1],   # biquadratic, irreducible
-        [-1, 0, 0, 1],      # x^3-1 reducible
-        [1, 2, 1],          # (x+1)^2 reducible
-        [1, 0, 0, 0, 1],    # x^4+1 irreducible over Q though reducible mod all p
-        [-4, 0, 1],         # (x-2)(x+2)
-        [2, 3, 0, 0, 0, 1], # quintic, irreducible (Eisenstein-free check)
-    ]
-    for coeffs in cases:
-        verdict = irreducibility_over_q(QPoly(coeffs))
-        fx = sum(int(c) * x**i for i, c in enumerate(coeffs))
-        truth = sympy.Poly(fx, x).is_irreducible
-        if verdict == "unknown":
-            # allowed by contract, but flag if it happens on the frozen cases
-            pytest.fail(f"inconclusive verdict on {coeffs}")
-        assert (verdict == "irreducible") == bool(truth)
+    for coeffs in IRREDUCIBILITY_CASES:
+        f = QPoly(coeffs)
+        truth = sympy.Poly(sum(c * x ** i for i, c in enumerate(coeffs)), x)
+        if truth.is_irreducible:
+            split = certify_irreducible(f)
+            assert 1 <= len(split) <= 3, coeffs
+            assert all(ddf_mod_p(f, p) == [(1, f.degree)] for p in split)
+        else:
+            with pytest.raises(NotIrreducible):
+                certify_irreducible(f)
+
+
+def test_cyclotomic_polynomials_are_certified():
+    """Phi_n for every n <= 60; for 25 of them (Z/n)^x is not cyclic, so no
+    prime leaves Phi_n irreducible and the mod-p patterns alone never decide
+    it.  The split primes are the first three primes 1 mod n."""
+    for n in range(1, 61):
+        want = [p for p in range(3, 10008, 2) if sympy.isprime(p)
+                and p % n == 1 % n][:3]
+        assert certify_irreducible(QPoly(cyclotomic(n))) == want, n
+
+
+monic_factors = st.integers(1, 7).flatmap(
+    lambda d: st.lists(st.integers(-20, 20), min_size=d, max_size=d)).map(
+    lambda tail: tail + [1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(monic_factors, monic_factors)
+def test_a_product_is_never_certified(a, b):
+    """Recombination finds a factor, or, when the product has a repeated
+    factor, no prime splits it into distinct linear factors."""
+    assume(len(a) + len(b) - 2 <= 8)
+    with pytest.raises(NotIrreducible):
+        certify_irreducible(QPoly(_times(a, b)))
 
 
 def test_json_string_round_trip():

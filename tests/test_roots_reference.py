@@ -21,7 +21,6 @@ from twistctl import synth
 from twistctl.arith import euler_phi
 from twistctl.lmfdb import fetch_newform, to_eigensystem
 from twistctl.numberfield import (
-    _split_primes,
     field_make,
     roots_of_unity,
     unit_roots,
@@ -36,7 +35,7 @@ def reference_roots_of_unity(field):
     one = field.one()
     mu = {one.coords, (-one).coords}
     if d > 1:
-        split = _split_primes(field)
+        split = field.split_primes
         orders = [k for k in range(3, 2 * (d + 1) ** 2 + 1)
                   if d % euler_phi(k) == 0 and all(p % k == 1 for p in split)]
         for k, root in _cyclotomic_roots_sympy(field, orders):
