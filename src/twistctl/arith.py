@@ -1,4 +1,5 @@
-"""Integer helpers shared by the package: primes, factorizations, divisors.
+"""Integer helpers shared by the package: primes, factorizations, divisors,
+primitive roots.
 
 Everything here works by sieving or trial division, which is plenty for the
 moduli, norms, field sizes and prime ranges the package handles.
@@ -58,6 +59,15 @@ def prime_power(q: int) -> tuple[int, int]:
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
     return factors[0]
+
+
+def primitive_root(p: int, e: int = 1) -> int:
+    """A generator of (Z/p^e)^x for an odd prime p: the least one mod p,
+    plus p when e > 1 and it is 1 mod p^2 to the power p - 1."""
+    factors = [q for q, _ in factorize(p - 1)]
+    g = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+    return g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g
 
 
 def euler_phi(n: int) -> int:

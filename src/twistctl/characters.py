@@ -3,13 +3,13 @@
 Every value is held as its exponent k mod w of the generator zeta of mu(E)
 that numberfield.unit_roots fixes once per field: products add exponents,
 inversion negates them, an automorphism sigma multiplies them by c_sigma, and
-zeta^k has order w/gcd(w, k).  Field elements appear only at the edges: the
-builders take them, char_eval and the JSON give zeta^k; char_exponent gives
-k itself.  The value 1 is the exponent 0 and never builds mu(E).  Dirichlet
-characters mod N (base field Q) are given by their exponents on canonical
-generators of (Z/N)^x and expanded to a residue table by walking the
-generators' powers; value-table characters are bare place -> exponent maps
-for other base fields.  On top: Galois transforms, products, conductors, and
+zeta^k has order w/gcd(w, k); the trivial character reads mu(E) too.  Field
+elements appear only at the edges: the builders take them, char_eval and
+the JSON give zeta^k; char_exponent gives k itself.  Dirichlet characters
+mod N (base field Q) are given by their exponents on canonical generators
+of (Z/N)^x and expanded to a residue table by walking the generators'
+powers; value-table characters are bare place -> exponent maps for other
+base fields.  On top: Galois transforms, products, conductors, and
 a fitting search that recovers the smallest-conductor Dirichlet character
 with given exponents at given places, scanning conductors: each primitive
 character is a product of primitive characters at prime powers, built once.
@@ -21,7 +21,7 @@ from itertools import product as iter_product
 from math import gcd, lcm
 from operator import mul
 
-from .arith import divisors, factorize, primes_up_to
+from .arith import divisors, factorize, primes_up_to, primitive_root
 from .errors import (
     Ambiguous,
     IncompatibleSupports,
@@ -31,19 +31,10 @@ from .errors import (
     SchemaError,
 )
 from .numberfield import FieldElement, NumberField, element_from_json, unit_roots
-from .polynomials import int_from_json
+from .polynomials import int_from_json, label_from_json
 # ---------------------------------------------------------------------------
 # unit group structure
 # ---------------------------------------------------------------------------
-
-def _primitive_root(p: int, e: int) -> int:
-    """A generator of (Z/p^e)^x for odd prime p: the least one mod p, plus
-    p when e > 1 and it is 1 mod p^2 to the power p - 1."""
-    factors = [q for q, _ in factorize(p - 1)]
-    g = next(g for g in range(2, p)
-             if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
-    return g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g
-
 
 def _local_orders(p: int, e: int) -> list[int]:
     """The orders of the canonical generators of (Z/p^e)^x."""
@@ -55,7 +46,7 @@ def _local_orders(p: int, e: int) -> list[int]:
 def _local_generators(p: int, e: int) -> list[tuple[int, int]]:
     """Canonical generators (g, order) of (Z/p^e)^x: those of -1 and 5 of
     order > 1 for p = 2, else a primitive root."""
-    gens = [2 ** e - 1, 5] if p == 2 else [_primitive_root(p, e)]
+    gens = [2 ** e - 1, 5] if p == 2 else [primitive_root(p, e)]
     return list(zip(gens, _local_orders(p, e)))
 
 
@@ -90,16 +81,6 @@ def _unit_exponents(N: int) -> dict:
 # the Character type
 # ---------------------------------------------------------------------------
 
-def _log(field: NumberField, x: FieldElement) -> int:
-    """The exponent k with x = zeta^k; NotRootOfUnity if there is none."""
-    return 0 if x == 1 else unit_roots(field).exponent(x)
-
-
-def _value(field: NumberField, k: int) -> FieldElement:
-    """zeta^k as a field element."""
-    return field.one() if k == 0 else unit_roots(field).powers[k]
-
-
 class Character:
     """Immutable finite-order character: gen_exps holds the exponents of the
     values on the canonical generators (Dirichlet kind only), exps the
@@ -127,8 +108,7 @@ class Character:
         order d_i, to zeta^gen_exps[i]; d_i gen_exps[i] must be 0 mod w."""
         gens = unit_group_structure(modulus)
         gen_exps = tuple(gen_exps)
-        # an all-zero character never needs w, nor mu(E)
-        w = unit_roots(field).order if any(gen_exps) else 1
+        w = unit_roots(field).order
         gen_exps = tuple(k % w for k in gen_exps)
         for (g, d), k in zip(gens, gen_exps):
             if d * k % w:
@@ -186,7 +166,7 @@ class Character:
             chi = self.primitive() if self.kind == "dirichlet" else self
             label = int if self.kind == "dirichlet" else str
             self._canonical = (self.kind, chi.modulus, tuple(sorted(
-                (label(p), _value(self.field, k).coords)
+                (label(p), unit_roots(self.field).powers[k].coords)
                 for p, k in chi.exps.items())))
         return self._canonical
 
@@ -223,13 +203,13 @@ def dirichlet_character(field: NumberField, modulus: int,
     if len(images) != len(gens):
         raise ValueError(f"expected {len(gens)} generator images for modulus {modulus}")
     return Character.dirichlet(field, modulus,
-                               [_log(field, img) for img in images])
+                               [unit_roots(field).exponent(x) for x in images])
 
 
 def table_character(field: NumberField, values: dict) -> Character:
     """Value-table character; every value must be a root of unity."""
     return Character(field, "table",
-                     exps={p: _log(field, v) for p, v in values.items()})
+                     exps={p: unit_roots(field).exponent(v) for p, v in values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +228,7 @@ def char_exponent(chi: Character, v) -> int:
 
 
 def char_eval(chi: Character, v) -> FieldElement:
-    return _value(chi.field, char_exponent(chi, v))
+    return unit_roots(chi.field).powers[char_exponent(chi, v)]
 
 
 def char_transform(field: NumberField, aut_index: int, chi: Character) -> Character:
@@ -394,7 +374,7 @@ def char_to_json(chi: Character) -> dict:
 
 
 def _coords_json(field: NumberField, k: int) -> list[str]:
-    return [str(c) for c in _value(field, k).coords]
+    return [str(c) for c in unit_roots(field).powers[k].coords]
 
 
 def char_from_json(field: NumberField, doc: dict) -> Character:
@@ -417,11 +397,6 @@ def char_from_json(field: NumberField, doc: dict) -> Character:
     if kind != "table" or not isinstance(doc.get("values"), dict):
         raise SchemaError("a character must be a dirichlet one with modulus "
                           "and values_on_generators, or a table of values")
-    values = {}
-    for k, coords in doc["values"].items():
-        try:
-            key = int(k)
-        except ValueError:
-            key = k
-        values[key] = element_from_json(field, coords)
-    return table_character(field, values)
+    return table_character(field, {
+        label_from_json(k, "character place label"): element_from_json(field, c)
+        for k, c in doc["values"].items()})

@@ -188,16 +188,6 @@ def _render_twists(doc) -> list:
     return lines
 
 
-def _cmd_twists(ns) -> int:
-    sys_, renormed = _load_input_system(ns.input)
-    result = detect(sys_, ns.bound, n_max=ns.n_max)
-    doc = {"command": "twists", "input": ns.input,
-           "normalized_on_load": renormed}
-    doc.update(detection_to_json(result))
-    _print_doc(doc, ns, _render_twists, _sys.stdout)
-    return 0
-
-
 def _render_classify(doc) -> list:
     lines = [f"predicted dimension {doc['predicted_dimension']} "
              f"(upper bound {doc['mt_upper_bound_dimension']})"]
@@ -228,18 +218,24 @@ def _render_report(doc) -> list:
 _CLASSIFY_KEYS = ("bound", "primes", "excluded", "predicted_dimension",
                   "mt_upper_bound_dimension")
 
+_IMAGE_RENDERERS = {"twists": _render_twists, "classify": _render_classify,
+                    "report": _render_report}
+
 
 def _cmd_image(ns) -> int:
-    """classify and report: the image report, or its per-prime part."""
+    """twists, classify and report: the detection, the image report, or its
+    per-prime part."""
     sys_, renormed = _load_input_system(ns.input)
     result = detect(sys_, ns.bound, n_max=ns.n_max)
-    full = report_to_json(image_report(sys_, result, ns.primes))
-    if ns.subcommand == "classify":
-        full = {key: full[key] for key in _CLASSIFY_KEYS}
+    if ns.subcommand == "twists":
+        body = detection_to_json(result)
+    else:
+        body = report_to_json(image_report(sys_, result, ns.primes))
+        if ns.subcommand == "classify":
+            body = {key: body[key] for key in _CLASSIFY_KEYS}
     doc = {"command": ns.subcommand, "input": ns.input,
-           "normalized_on_load": renormed, **full}
-    render = _render_report if ns.subcommand == "report" else _render_classify
-    _print_doc(doc, ns, render, _sys.stdout)
+           "normalized_on_load": renormed, **body}
+    _print_doc(doc, ns, _IMAGE_RENDERERS[ns.subcommand], _sys.stdout)
     return 0
 
 
@@ -360,7 +356,7 @@ def _cmd_lmfdb(ns) -> int:
 
 
 _HANDLERS = {
-    "twists": _cmd_twists,
+    "twists": _cmd_image,
     "classify": _cmd_image,
     "report": _cmd_image,
     "verify-cocycle": _cmd_verify_cocycle,
@@ -381,7 +377,7 @@ def run(argv) -> int:
     except TwistctlError as exc:
         print(f"error[{exc.name}]: {exc}", file=_sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=_sys.stderr)
         return 1
 

@@ -4,7 +4,9 @@ An EigenSystem carries, for each good place, the coefficients (a_v, and b_v
 when n = 3) of the degree-n characteristic polynomial, together with the
 central-character data (m, omega) needed to trivialize the determinant.
 A NormalizedSystem is the determinant-1 version: the polynomial at every
-place is X^n - a X^(n-1) + ... + (-1)^(n-1) b X + (-1)^n.
+place is X^n - a X^(n-1) + ... + (-1)^(n-1) b X + (-1)^n.  normalize
+brings data there by one scaling c_v per place, c_v^n = norm^m omega(v):
+given, or norm^(m/n) when omega is trivial.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
 )
 from .numberfield import (FieldElement, NumberField, element_from_json,
                           field_from_json, field_to_json)
-from .polynomials import int_from_json
+from .polynomials import int_from_json, label_from_json
 
 
 class PlaceData(NamedTuple):
@@ -84,14 +86,10 @@ def _parse_coords(field: NumberField, raw, what: str) -> FieldElement:
 
 
 def _parse_place_label(key, base_field: str):
-    if type(key) is not int and not isinstance(key, str):
-        raise SchemaError(f"place label {key!r} must be an integer or a string")
-    try:
-        return int(key)
-    except ValueError:
-        if base_field == "Q":
-            raise SchemaError(f"place label {key!r} must be a prime over Q")
-        return key
+    label = label_from_json(key, "place label")
+    if base_field == "Q" and type(label) is not int:
+        raise SchemaError(f"place label {key!r} must be a prime over Q")
+    return label
 
 
 def load_system(doc: dict) -> EigenSystem:
@@ -187,44 +185,39 @@ def serialize(sys: EigenSystem) -> dict:
 def normalize(sys: EigenSystem, scalings: dict | None = None) -> NormalizedSystem:
     """Rescale roots so the characteristic polynomials have determinant 1.
 
-    Without explicit scalings this requires n | m and trivial omega, and
-    divides a_v by norm^(m/n) (and b_v by norm^(2m/3) for n = 3).  With a
-    scalings map place -> c_v, each c_v must satisfy c_v^n = norm^m * omega(v)
-    exactly, and a key naming no place is a SchemaError; a_v / c_v and
-    b_v / c_v^2 are stored.
+    Takes a scalings map place -> c_v, where each c_v must satisfy c_v^n =
+    norm^m * omega(v) exactly and a key naming no place is a SchemaError;
+    a_v / c_v and b_v / c_v^2 are stored.  Without one, omega must be
+    trivial and n | m, and the scalings are c_v = norm^(m/n).
     """
     if isinstance(sys, NormalizedSystem):
         return sys
-    new = {}
     if scalings is None:
         if sys.omega is not None and not sys.omega.is_trivial():
             raise NontrivialNebentypus(
                 "omega is nontrivial; supply per-place scalings")
         if sys.m % sys.n != 0:
             raise NotDivisible(f"n = {sys.n} does not divide m = {sys.m}")
-        k = sys.m // sys.n
-        for v, pd in sys.coeffs.items():
-            a = pd.a / Fraction(pd.norm ** k)
-            b = None if pd.b is None else pd.b / Fraction(pd.norm ** (2 * k))
-            new[v] = PlaceData(pd.norm, a, b)
-    else:
-        if unknown := [str(v) for v in scalings if v not in sys.coeffs]:
-            raise SchemaError(f"scalings name no place of the system: {unknown}")
-        for v, pd in sys.coeffs.items():
-            if v not in scalings:
-                raise MissingValue(f"no scaling supplied for place {v}")
-            c = scalings[v]
-            if not isinstance(c, FieldElement):
-                c = sys.field.from_rational(c)
-            det = sys.field.from_rational(Fraction(pd.norm) ** sys.m)
-            if sys.omega is not None:
-                det = det * char_eval(sys.omega, v)
-            if c ** sys.n != det:
-                raise SchemaError(
-                    f"scaling at place {v} does not satisfy c^n = norm^m * omega(v)")
-            a = pd.a / c
-            b = None if pd.b is None else pd.b / (c * c)
-            new[v] = PlaceData(pd.norm, a, b)
+        scalings = {v: pd.norm ** (sys.m // sys.n)
+                    for v, pd in sys.coeffs.items()}
+    if unknown := [str(v) for v in scalings if v not in sys.coeffs]:
+        raise SchemaError(f"scalings name no place of the system: {unknown}")
+    new = {}
+    for v, pd in sys.coeffs.items():
+        if v not in scalings:
+            raise MissingValue(f"no scaling supplied for place {v}")
+        c = scalings[v]
+        if not isinstance(c, FieldElement):
+            c = sys.field.from_rational(c)
+        det = sys.field.from_rational(Fraction(pd.norm) ** sys.m)
+        if sys.omega is not None:
+            det = det * char_eval(sys.omega, v)
+        if c ** sys.n != det:
+            raise SchemaError(
+                f"scaling at place {v} does not satisfy c^n = norm^m * omega(v)")
+        a = pd.a / c
+        b = None if pd.b is None else pd.b / (c * c)
+        new[v] = PlaceData(pd.norm, a, b)
     return NormalizedSystem(n=sys.n, field=sys.field,
                             base_field_label=sys.base_field_label,
                             m=None, omega=None, bad_places=sys.bad_places,

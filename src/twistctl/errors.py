@@ -44,10 +44,6 @@ class NotInvertible(TwistctlError):
     pass
 
 
-class RootSearchFailed(TwistctlError):
-    """The search for the field's roots of unity could not be completed."""
-
-
 # ---------------------------------------------------------------- characters
 
 class NotCoprime(TwistctlError):

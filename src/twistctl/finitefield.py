@@ -73,9 +73,6 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
     def sub(self, a: int, b: int) -> int:
         return self.add_table[a][self.neg_table[b]]
 

@@ -41,7 +41,7 @@ from .numberfield import (
     frobenius_at,
     subgroup_make,
 )
-from .polynomials import bool_from_json, int_from_json
+from .polynomials import bool_from_json, int_from_json, label_from_json
 from .twists import DetectionResult, TwistGroup, detection_to_json
 
 DEFAULT_BUDGET = 2 ** 22
@@ -695,9 +695,10 @@ def cocycle_from_json(doc: dict) -> Cocycle:
             context = number_field_context(field, subgroup)
             cell = lambda x: element_from_json(field, x)
         assignments = {
-            int(key): (tuple(tuple(cell(x) for x in row)
-                             for row in entry["alpha"]),
-                       bool_from_json(entry["flip"], "flip"))
+            int_from_json(label_from_json(key, "assignment key"),
+                          "assignment key"):
+                (tuple(tuple(cell(x) for x in row) for row in entry["alpha"]),
+                 bool_from_json(entry["flip"], "flip"))
             for key, entry in raw.items()
         }
     except (KeyError, TypeError, ValueError) as exc:

@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .arith import euler_phi
+from .arith import euler_phi, primitive_root
 from .errors import (
     NotAnAutomorphism,
     NotClosed,
@@ -34,7 +34,6 @@ from .errors import (
     NotIrreducible,
     NotRootOfUnity,
     Ramified,
-    RootSearchFailed,
 )
 from .polynomials import (
     QPoly,
@@ -247,7 +246,6 @@ class NumberField:
         # p | _bad_reduction: Phi mod p does not reduce or is not squarefree
         disc = self.discriminant()
         self._bad_reduction = disc.numerator * disc.denominator * self._row_den
-        self._image_den = lcm(*(img.den for img in self.aut_images))
         self.composition_table = self._build_composition_table()
         self.inverse_table = self._build_inverse_table()
         self.is_abelian = all(
@@ -550,15 +548,15 @@ def frobenius_at(field: NumberField, p: int) -> FrobeniusResult:
     """The automorphism acting as x -> x^p modulo a prime above p.
 
     Ramified when Phi mod p does not reduce or is not squarefree, read off
-    the integers the field keeps, or when p divides an image denominator.
-    Otherwise sigma_i is a Frobenius for the primes of the irreducible
-    factors of gcd(Phi, sigma_i(x) - x^p) mod p.  Over an abelian field all
-    of them share one Frobenius, the one image equal to x^p, found with no
-    gcd; otherwise the smallest match is returned, ambiguous if not alone."""
+    the one integer the field keeps.  Otherwise Z_(p)[alpha] is the maximal
+    order at p (Neukirch, ANT I section 8), so every image sigma_i(alpha),
+    an algebraic integer over Z_(p), has p-integral coordinates, and
+    sigma_i is a Frobenius for the primes of the irreducible factors of
+    gcd(Phi, sigma_i(x) - x^p) mod p.  Over an abelian field all of them
+    share one Frobenius, the one image equal to x^p, found with no gcd;
+    otherwise the smallest match is returned, ambiguous if not alone."""
     if field._bad_reduction % p == 0:
         raise Ramified(f"prime {p} is ramified for this field")
-    if field._image_den % p == 0:
-        raise Ramified(f"prime {p} divides an automorphism-image denominator")
     xp = _x_power(field, p, p)
     images = (img.residues(p) for img in field.aut_images)
     if field.is_abelian:
@@ -639,24 +637,19 @@ def roots_of_unity(field: NumberField) -> list[FieldElement]:
 
     An order k >= 3 needs phi(k) | d, and p = 1 (mod k) at every prime p
     where the field splits completely, since such a p splits in Q(zeta_k);
-    the orders left are searched from the largest down.  The first order
-    found is |mu(E)|, since every order the field holds divides it."""
+    the orders left are searched from the largest down, at the first split
+    prime, which certify_irreducible always returns.  The first order found
+    is |mu(E)|, since every order the field holds divides it."""
     d = field.degree
     one = field.one()
     zeta, mult = -one, (1,) * d
-    if d > 1:
-        split = field.split_primes
-        orders = [k for k in range(2 * (d + 1) ** 2, 2, -1)
-                  if d % euler_phi(k) == 0 and all(p % k == 1 for p in split)]
-        if orders:
-            if not split:
-                raise RootSearchFailed(
-                    "no prime up to 10007 splits the minimal polynomial into "
-                    "distinct linear factors, so roots of unity of orders "
-                    f"{orders[::-1]} cannot be searched for")
-            found = _root_of_largest_order(field, split[0], orders)
-            if found is not None:
-                zeta, mult = found
+    split = field.split_primes
+    orders = [k for k in range(2 * (d + 1) ** 2, 2, -1)
+              if d % euler_phi(k) == 0 and all(p % k == 1 for p in split)]
+    if orders:
+        found = _root_of_largest_order(field, split[0], orders)
+        if found is not None:
+            zeta, mult = found
     powers = [one]
     while (x := powers[-1] * zeta) != one:
         powers.append(x)
@@ -678,9 +671,10 @@ def _root_of_largest_order(field: NumberField, p: int, orders):
 
     At the split prime p the embeddings iota_j: E -> Q_p send y = lam*alpha
     to the roots Y_j of the monic integral model F, and iota_0 o sigma_i =
-    iota_perm[i].  Fix a primitive k-th root of unity Omega in Z_p: a zeta
-    of order k with iota_0(zeta) = Omega (the other choices of Omega give
-    its primitive powers) has the images iota_perm[i](zeta) = Omega^c[i] for
+    iota_perm[i].  Omega in Z_p is the lift along Phi_k of g^((p-1)/k), of
+    order k as p = 1 mod k, g = arith.primitive_root(p): a zeta of order k
+    with iota_0(zeta) = Omega (the other choices of Omega give its
+    primitive powers) has the images iota_perm[i](zeta) = Omega^c[i] for
     a homomorphism c of G onto (Z/k)^x.  The traces t_m = Tr(zeta y^m) =
     sum_j iota_j(zeta) Y_j^m are integers with |t_m| <= d M^m, M = 1 +
     max |F_i| the Cauchy bound on the roots of F, so their residues mod
@@ -712,11 +706,10 @@ def _root_of_largest_order(field: NumberField, p: int, orders):
         beta.insert(0, beta[0] * y + f)
     fprime = QPoly(model).derivative().evaluate(y)
 
+    g = primitive_root(p)
     for k in orders:
-        phi_k = cyclotomic(k)
-        omega = next(w for w in (pow(g, (p - 1) // k, p) for g in range(2, p))
-                     if _peval(phi_k, w, p) == 0)
-        omega = -hensel_lift(phi_k, [-omega, 1], p, n)[0] % big
+        omega = pow(g, (p - 1) // k, p)
+        omega = -hensel_lift(cyclotomic(k), [-omega, 1], p, n)[0] % big
         for c in _surjections_onto_units(field, k):
             images = [0] * d
             for i, j in enumerate(perm):

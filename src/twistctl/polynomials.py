@@ -12,8 +12,9 @@ of a factor.  On them rests certify_irreducible, the one test of a minimal
 polynomial: factor-degree patterns mod p, then recombination of the lifted
 factors at one prime, so a polynomial is certified irreducible or refused,
 and the primes where it splits completely come out of the same scan.  The
-readers of document numbers (rationals and ints, never floats) live here
-too, as does the integer cyclotomic polynomial.
+readers of document numbers (rationals and ints, never floats) and labels
+(one written form per int) live here too, as does the integer cyclotomic
+polynomial.
 """
 
 from __future__ import annotations
@@ -122,6 +123,21 @@ def int_from_json(x, what: str, size: int | None = None) -> int:
         where = "" if size is None else f" in range({size})"
         raise SchemaError(f"{what} must be an integer{where}, got {x!r}")
     return x
+
+
+def label_from_json(x, what: str) -> int | str:
+    """A JSON int, or a string in an int's canonical decimal form, as that
+    int; any other string as itself.  Another form of an int ("013", " 13",
+    "+13", "1_3") or a value neither int nor string is a SchemaError."""
+    if not isinstance(x, str):
+        return int_from_json(x, what)
+    try:
+        n = int(x)
+    except ValueError:
+        return x
+    if str(n) != x:
+        raise SchemaError(f"{what} {x!r} must be written {str(n)!r}")
+    return n
 
 
 def bool_from_json(x, what: str) -> bool:
@@ -345,23 +361,32 @@ def exact_quotient(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
 def certify_irreducible(f: QPoly) -> list[int]:
     """The first three odd primes, up to 10007, at which the monic f splits
     into distinct linear factors, once f is certified irreducible over Q;
-    NotIrreducible if f has a factor or no such prime exists (as for every f
-    with a repeated factor, which is squarefree mod no prime).
+    NotIrreducible if f has a factor, a repeated one included, or no such
+    prime exists.
 
     One pass over the primes.  At the first good ones the factor degrees mod
     p are read: a rational factor's degree is a subset sum of each pattern.
     If one is still possible after 12 odd good primes, _recombine decides at
     the one of them with the fewest factors.  The rest of the pass only
-    tests complete splitting, x^p = x mod f."""
+    tests complete splitting, x^p = x mod f.  A prime where f reduces but is
+    not squarefree divides disc F of the monic integer model F, which for a
+    squarefree F is not 0 and at most d^d ||F||_2^(2d-2) (Mahler)."""
     d = f.degree
     if d < 1:
         raise NotIrreducible(f"{f!r} is constant")
+    model = _monic_integer_model(f)
+    disc_bound = d ** d * sum(c * c for c in model) ** (d - 1)
     primes = (p for p in range(2, _SCAN_LIMIT + 1) if is_prime(p))
-    possible, split, counts = set(range(1, d)), [], []
+    possible, split, counts, inseparable = set(range(1, d)), [], [], 1
     for p in primes:
         try:
             degs = ddf_mod_p(f, p)
-        except (BadReduction, NotSeparableModP):
+        except BadReduction:
+            continue
+        except NotSeparableModP:
+            inseparable *= p
+            if inseparable > disc_bound:
+                raise NotIrreducible(f"{f!r} has a repeated factor")
             continue
         sums = {0}
         for deg, count in degs:
@@ -373,7 +398,7 @@ def certify_irreducible(f: QPoly) -> list[int]:
         if not possible or len(counts) == _PATTERN_PRIMES:
             break
     if possible and counts:
-        _recombine(_monic_integer_model(f), min(counts)[1], possible)
+        _recombine(model, min(counts)[1], possible)
     for p in primes:
         if len(split) >= 3:
             break

@@ -51,6 +51,7 @@ from .numberfield import (
     subgroup_make,
     unit_roots,
 )
+from .polynomials import poly_to_strings
 
 DEFAULT_MIN_PLACES = 10
 DEFAULT_RAW_ORDER_BOUND = 24
@@ -487,7 +488,6 @@ def twist_to_json(t: ExtraTwist) -> dict:
 
 
 def detection_to_json(result: DetectionResult) -> dict:
-    from .polynomials import poly_to_strings
     g = result.group
     return {
         "twists": [twist_to_json(t) for t in g.twists],

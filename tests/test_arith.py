@@ -11,6 +11,7 @@ from twistctl.arith import (
     is_prime,
     prime_power,
     primes_up_to,
+    primitive_root,
 )
 
 LIMIT = 3000
@@ -58,3 +59,27 @@ def test_prime_power():
         else:
             with pytest.raises(ValueError, match="not a prime power"):
                 prime_power(q)
+
+
+def brute_force_order(g, m):
+    """The order of g mod m: the least t >= 1 with g^t = 1, among the
+    divisors of phi(m), which every order divides."""
+    return next(t for t in divisors(euler_phi(m)) if pow(g, t, m) == 1)
+
+
+def test_primitive_root():
+    """A generator of (Z/p^e)^x for every odd p < 2000 and e <= 3, the least
+    one mod p; for e = 1 the order is also walked out power by power."""
+    for p in PRIMES[1:]:
+        if p >= 2000:
+            break
+        g = primitive_root(p)
+        assert g == primitive_root(p, 1)
+        assert all(brute_force_order(h, p) < p - 1 for h in range(2, g))
+        x, t = g, 1
+        while x != 1:
+            x, t = x * g % p, t + 1
+        assert t == p - 1, p
+        for e in (2, 3):
+            assert brute_force_order(primitive_root(p, e), p ** e) \
+                == euler_phi(p ** e), (p, e)

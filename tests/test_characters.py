@@ -17,6 +17,7 @@ from twistctl.errors import (
     MissingValue,
     NotCoprime,
     NotRootOfUnity,
+    SchemaError,
 )
 from twistctl.numberfield import field_make, unit_roots
 from twistctl.characters import (
@@ -331,3 +332,12 @@ class TestJson:
         back = char_from_json(K, doc)
         assert char_to_json(back) == doc
         assert all(char_eval(back, v) == char_eval(chi, v) for v in (3, 7))
+
+    def test_table_place_written_two_ways_is_refused(self):
+        # "03" would read as place 3 too, one value silently replacing the
+        # other
+        K = biquadratic_field()
+        doc = {"kind": "table", "values": {"3": ["1", "0", "0", "0"],
+                                           "03": ["-1", "0", "0", "0"]}}
+        with pytest.raises(SchemaError, match="03"):
+            char_from_json(K, doc)

@@ -319,6 +319,16 @@ class TestVerifyCocycleCommand:
         doc["model"][key] = bad
         self._rejected(capsys, tmp_path, doc)
 
+    def test_an_element_written_two_ways_is_rejected(self, capsys, tmp_path):
+        """"00" would read as element 0 too and replace the non-scalar
+        entry at "0", so the document passed as valid."""
+        shear, identity = [[1, 1], [0, 1]], [[1, 0], [0, 1]]
+        doc = {"model": {"q": 2, "m": 2, "n": 2},
+               "assignments": {"0": {"alpha": shear, "flip": False},
+                               "00": {"alpha": identity, "flip": False},
+                               "1": {"alpha": identity, "flip": True}}}
+        self._rejected(capsys, tmp_path, doc)
+
 
 class TestExactRationals:
     """Every rational in an input document is an int or an exact string; a
@@ -442,7 +452,8 @@ class TestStrictCharactersAndPlaces:
             load_system(doc)
         rejected(capsys, tmp_path, doc, *argv)
 
-    @pytest.mark.parametrize("bad", ["2", {"2": 1}, "23", [9], [2, 4]])
+    @pytest.mark.parametrize("bad", ["2", {"2": 1}, "23", [9], [2, 4],
+                                     ["02"]])
     def test_bad_places(self, capsys, tmp_path, bad):
         doc = json.loads(Path(VANTOP).read_text())
         doc["bad_places"] = bad
@@ -600,6 +611,24 @@ class TestNormalizeCommand:
                                 "--scalings", str(scalings))
         assert code == 0, err
         assert out == default
+
+    def test_scalings_place_written_two_ways_is_rejected(self, capsys,
+                                                         tmp_path):
+        """A wrong c_3 at "3" and the right one at "03": "03" would read as
+        place 3 too and replace the wrong scaling, so normalize passed."""
+        source = tmp_path / "raw.json"
+        source.write_text(json.dumps(serialize(synth.vantop_system(30, 5))))
+        raw = json.loads(source.read_text())
+        scalings = {key: [str(entry["norm"]), "0"]
+                    for key, entry in raw["coefficients"].items()}
+        scalings["3"] = ["5", "0"]
+        scalings["03"] = ["3", "0"]
+        path = tmp_path / "scalings.json"
+        path.write_text(json.dumps(scalings))
+        code, out, err = invoke(capsys, "normalize", "--input", str(source),
+                                "--scalings", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error[SchemaError]")
 
     def test_scalings_key_naming_no_place_is_rejected(self, capsys, tmp_path):
         """The valid c_v = norm of vantop plus a key "9" that names no place

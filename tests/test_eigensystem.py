@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from twistctl import synth
 from twistctl.characters import dirichlet_character
 from twistctl.errors import (
     CoefficientDimensionMismatch,
@@ -163,10 +164,12 @@ from twistctl.eigensystem import load_system, normalize
 def fail(field):
     raise AssertionError("roots_of_unity was called")
 
-numberfield.roots_of_unity = fail
+search = numberfield.roots_of_unity
 doc = json.loads(sys.stdin.read())
 for omega in ("trivial", {"kind": "dirichlet", "modulus": 4,
                           "values_on_generators": {"3": ["1", "0"]}}):
+    # "trivial" gives no character; a Dirichlet one reads mu(E)
+    numberfield.roots_of_unity = fail if omega == "trivial" else search
     doc["central_character"]["omega"] = omega
     raw = load_system(doc)
     normalize(raw)
@@ -177,8 +180,8 @@ assert "sympy" not in sys.modules, "sympy was imported"
 
 class TestNormalize:
     def test_trivial_omega_builds_no_roots_of_unity(self):
-        # mu(E) is built on first use only; a fresh interpreter is needed,
-        # since other tests import sympy
+        # omega "trivial" is no character, so mu(E) is never built; a fresh
+        # interpreter is needed, since other tests import sympy
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run([sys.executable, "-c", LAZY_MU_SCRIPT],
@@ -199,6 +202,22 @@ class TestNormalize:
     def test_already_normalized_unchanged(self):
         nsys = normalize(load_system(vantop_doc()))
         assert normalize(nsys) is nsys
+
+    @pytest.mark.parametrize("name,m", [("vantop", 3), ("rank2", 0),
+                                        ("rank2", 2)])
+    def test_default_is_the_norm_power_scalings(self, name, m):
+        """Without scalings, normalize writes the bytes that the explicit
+        scalings c_v = N(v)^(m/n) give."""
+        if name == "vantop":
+            doc = serialize(synth.vantop_system(200, seed=3))
+        else:
+            doc = serialize(synth.quadratic_rank2_system())
+        doc["central_character"] = {"m": m, "omega": "trivial"}
+        raw = load_system(doc)
+        k = m // raw.n
+        explicit = {v: pd.norm ** k for v, pd in raw.coeffs.items()}
+        assert json.dumps(serialize(normalize(raw))) == \
+            json.dumps(serialize(normalize(raw, explicit)))
 
     def test_not_divisible(self):
         doc = {

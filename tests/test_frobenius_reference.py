@@ -1,9 +1,10 @@
 """frobenius_at against two references.
 
-frobenius_at decides ramification from integers the field keeps: p divides
-disc(Phi) or its denominator, or Phi is not p-integral, or p divides an
-automorphism-image denominator.  It then computes x^p once on integer lists
-and, over an abelian field, takes the one image equal to x^p.
+frobenius_at decides ramification from one integer the field keeps: p
+divides disc(Phi) or its denominator, or Phi is not p-integral.  It then
+computes x^p once on integer lists and, over an abelian field, takes the one
+image equal to x^p.  Both references also test the automorphism-image
+denominators, and a test below checks that their primes are among those.
 
 * reference_frobenius tests the discriminant of Phi computed by sympy and
   runs the gcd search; where Phi does not reduce mod p it stopped with
@@ -18,13 +19,14 @@ and, over an abelian field, takes the one image equal to x^p.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
 
 from test_classify_reference import FIELDS as CLASSIFY_FIELDS
 from twistctl import numberfield, synth
-from twistctl.arith import primes_up_to
+from twistctl.arith import factorize, primes_up_to
 from twistctl.errors import BadReduction, NotSeparableModP, Ramified
 from twistctl.numberfield import FrobeniusResult, field_make, frobenius_at
 from twistctl.polynomials import (
@@ -166,3 +168,16 @@ def test_an_abelian_field_needs_no_gcd(monkeypatch):
         field = make()
         for p in primes_up_to(500):
             outcome(frobenius_at, field, p)
+
+
+@pytest.mark.parametrize("name", sorted(set(FIELDS) | set(GCD_FIELDS)))
+def test_image_denominators_are_bad_reduction_primes(name):
+    """Every prime of an automorphism-image denominator divides the
+    integer _bad_reduction that frobenius_at reads: where Phi is
+    p-integral and squarefree mod p, Z_(p)[alpha] is the maximal order at
+    p, so the images, algebraic integers, are p-integral, and frobenius_at
+    needs no test of the denominator, computed here as the reference."""
+    field = dict(FIELDS, **GCD_FIELDS)[name]()
+    image_den = lcm(*(img.den for img in field.aut_images))
+    for p, _ in factorize(image_den):
+        assert field._bad_reduction % p == 0, p

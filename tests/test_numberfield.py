@@ -23,7 +23,6 @@ from twistctl.errors import (
     NotIrreducible,
     NotRootOfUnity,
     Ramified,
-    RootSearchFailed,
 )
 from twistctl import numberfield
 from twistctl.polynomials import QPoly, ddf_mod_p
@@ -479,14 +478,6 @@ class TestRootsOfUnity:
                               env=dict(os.environ, PYTHONPATH=str(src)),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-
-    def test_a_search_without_a_split_prime_raises(self, monkeypatch):
-        # with no split prime nothing bounds the orders or carries the
-        # p-adic search, so Q(i) must not quietly come out as +-1
-        K = gaussian_field()
-        monkeypatch.setattr(K, "split_primes", [])
-        with pytest.raises(RootSearchFailed, match="split"):
-            roots_of_unity(K)
 
     def test_a_candidate_inside_the_trace_bounds_is_still_verified(self):
         # Q(sqrt 2) at p = 17 > 2 * 2 * 3 needs no lifting, and the one

@@ -23,6 +23,7 @@ from twistctl.polynomials import (
     cyclotomic,
     ddf_mod_p,
     hensel_lift,
+    label_from_json,
     pmod_divmod,
     pmod_mul,
     pmod_pow_mod,
@@ -299,10 +300,26 @@ monic_factors = st.integers(1, 7).flatmap(
 @given(monic_factors, monic_factors)
 def test_a_product_is_never_certified(a, b):
     """Recombination finds a factor, or, when the product has a repeated
-    factor, no prime splits it into distinct linear factors."""
+    factor, the primes where it is not squarefree pass the bound on its
+    discriminant."""
     assume(len(a) + len(b) - 2 <= 8)
     with pytest.raises(NotIrreducible):
         certify_irreducible(QPoly(_times(a, b)))
+
+
+# x^2, (x - 2)^2, (x^2 + 1)^2 and (x - 2)(x + 5)^2 (x^3 - 5x^2 + 2x - 5)
+@pytest.mark.parametrize("coeffs", [
+    [0, 0, 1], [4, -4, 1], [1, 0, 2, 0, 1],
+    [250, -125, 220, -64, -33, 3, 1]])
+def test_a_repeated_factor_is_refused_at_once(coeffs):
+    """Refused by the discriminant bound, after a few primes, and not for
+    want of a split prime after the scan up to 10007."""
+    x = sympy.symbols("x")
+    _, parts = sympy.Poly(sum(c * x ** i for i, c in enumerate(coeffs)),
+                          x).sqf_list()
+    assert max(e for _, e in parts) > 1
+    with pytest.raises(NotIrreducible, match="repeated factor"):
+        certify_irreducible(QPoly(coeffs))
 
 
 def test_json_string_round_trip():
@@ -320,3 +337,14 @@ def test_document_rationals_are_ints_or_exact_strings():
     for bad in (0.1, 2.0, True, None, [1], "1/0", "x", ""):
         with pytest.raises(SchemaError):
             rational_from_json(bad)
+
+
+def test_document_labels_are_ints_in_one_form():
+    assert label_from_json(13, "label") == 13
+    assert label_from_json("13", "label") == 13
+    assert label_from_json("-4", "label") == -4
+    assert label_from_json("v1", "label") == "v1"
+    assert label_from_json("13/2", "label") == "13/2"
+    for bad in ("013", " 13", "13 ", "+13", "1_3", "-0", True, 1.0, None, [1]):
+        with pytest.raises(SchemaError):
+            label_from_json(bad, "label")

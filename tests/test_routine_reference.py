@@ -253,7 +253,7 @@ def monic_polynomials(draw):
     return poly if len(poly) > 1 else [draw(st.integers(-20, 20)), 1]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(monic_polynomials())
 @example([0, 0, 1])
 @example([-36, 0, 1])
