@@ -33,8 +33,8 @@ from .forms import (
     twisted_fixed_points,
     unitary_cocycle,
 )
-from .numberfield import element_from_json
-from .polynomials import rational_from_json
+from .numberfield import aut_images_from_json, element_from_json
+from .polynomials import typed_from_json
 from .twists import detect, detection_to_json
 
 
@@ -307,7 +307,7 @@ def _cmd_normalize(ns) -> int:
         scalings = {
             _parse_place_label(key, sys_.base_field_label):
                 element_from_json(sys_.field, coords)
-            for key, coords in raw.items()}
+            for key, coords in typed_from_json(raw, dict, "scalings").items()}
     doc = serialize(normalize(sys_, scalings))
     payload = json.dumps(doc, indent=2, sort_keys=True)
     if ns.output:
@@ -337,8 +337,8 @@ def _cmd_lmfdb(ns) -> int:
             _sys.stdout)
         return 0
 
-    aut_images = [[rational_from_json(c) for c in img]
-                  for img in json.loads(ns.aut_images)] if ns.aut_images else None
+    aut_images = (aut_images_from_json(json.loads(ns.aut_images))
+                  if ns.aut_images else None)
     sys_ = lmfdb.to_eigensystem(record, aut_images=aut_images,
                                 bound=ns.bound)
     try:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .numberfield import (FieldElement, NumberField, element_from_json,
                           field_from_json, field_to_json)
-from .polynomials import int_from_json, label_from_json
+from .polynomials import int_from_json, label_from_json, typed_from_json
 
 
 class PlaceData(NamedTuple):
@@ -104,7 +104,7 @@ def load_system(doc: dict) -> EigenSystem:
     if n not in (2, 3):
         raise SchemaError(f"n must be 2 or 3, got {n!r}")
     field = field_from_json(doc["field"])
-    base = str(doc["base_field"])
+    base = typed_from_json(doc["base_field"], str, "base_field")
 
     cc = doc["central_character"]
     if cc == "normalized":

@@ -41,7 +41,8 @@ from .numberfield import (
     frobenius_at,
     subgroup_make,
 )
-from .polynomials import bool_from_json, int_from_json, label_from_json
+from .polynomials import (bool_from_json, int_from_json, label_from_json,
+                          typed_from_json)
 from .twists import DetectionResult, TwistGroup, detection_to_json
 
 DEFAULT_BUDGET = 2 ** 22
@@ -699,7 +700,7 @@ def cocycle_from_json(doc: dict) -> Cocycle:
                           "assignment key"):
                 (tuple(tuple(cell(x) for x in row) for row in entry["alpha"]),
                  bool_from_json(entry["flip"], "flip"))
-            for key, entry in raw.items()
+            for key, entry in typed_from_json(raw, dict, "assignments").items()
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed cocycle document: {exc}") from exc

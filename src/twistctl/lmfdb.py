@@ -41,7 +41,8 @@ from .errors import (
 )
 from .numberfield import field_make, unit_roots
 from .polynomials import (QPoly, bool_from_json, int_from_json,
-                          rational_from_json)
+                          poly_from_strings, rational_from_json,
+                          typed_from_json)
 from .twists import DetectionResult
 
 BASE_URL = "https://www.lmfdb.org/api"
@@ -168,7 +169,7 @@ def _parse_record(label: str, doc: dict) -> NewformRecord:
     try:
         level = int_from_json(meta["level"], "level")
         weight = int_from_json(meta["weight"], "weight")
-        poly = QPoly([rational_from_json(c) for c in meta["field_poly"]])
+        poly = poly_from_strings(meta["field_poly"])
         modulus, value_order, gens, exps = meta["char_values"]
         char_values = (int_from_json(modulus, "character modulus"),
                        int_from_json(value_order, "character value order"),
@@ -179,8 +180,9 @@ def _parse_record(label: str, doc: dict) -> NewformRecord:
         twists = tuple((str(lab), int_from_json(order, "inner twist order"),
                         bool_from_json(proved, "inner twist proved flag"))
                        for lab, order, proved in meta["inner_twists"])
-        an = eig["an"]
-        power_basis = eig.get("hecke_ring_power_basis", True)
+        an = typed_from_json(eig["an"], list, "an")
+        power_basis = bool_from_json(eig.get("hecke_ring_power_basis", True),
+                                     "hecke_ring_power_basis")
     except (KeyError, TypeError, ValueError, SchemaError) as exc:
         raise SchemaDrift(f"unexpected record shape for {label}: {exc}",
                           body=doc)

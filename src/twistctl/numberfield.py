@@ -11,10 +11,11 @@ integers: a product is a convolution reduced by integer rows, each
 automorphism is one integer matrix, and an inverse is the product of the
 other conjugates over the norm.  On top of that sit the Galois-theory
 workhorses: stabilizers, fixed subfields with primitive elements, Frobenius
-elements at unramified primes, place decompositions via double cosets, and
-the roots of unity mu(E) as powers of one generator, built once per field by
-a p-adic search at the first of those split primes (Hensel lifting, Cohen
-GTM 138 section 3.5) and verified by exact exponentiation.
+elements at unramified primes (x^p from the kernel pmod_x_power), place
+decompositions via double cosets, and the roots of unity mu(E) as powers of
+one generator, built once per field by a p-adic search at the first of
+those split primes, from the lifted linear factors (Cohen GTM 138 section
+3.5) and a Teichmueller power per order, verified by exact exponentiation.
 """
 
 from __future__ import annotations
@@ -39,17 +40,16 @@ from .polynomials import (
     QPoly,
     _as_fraction,
     _monic_integer_model,
-    _peval,
     certify_irreducible,
-    cyclotomic,
-    hensel_lift,
+    lifted_factors,
     pmod_gcd,
     pmod_reduce,
-    pmod_roots,
     pmod_sub,
+    pmod_x_power,
     poly_from_strings,
     poly_to_strings,
     rational_from_json,
+    typed_from_json,
 )
 
 Q = Fraction
@@ -125,14 +125,17 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other):
+        # by a rational element too, x / c, c * c and c ** n skip _mul
         if isinstance(other, (int, Fraction)):
-            c = Q(other)
-            return _reduced(self.field, [x * c.numerator for x in self.num],
-                            self.den * c.denominator)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.field._mul(self, o)
+            c, r = other.numerator, other.denominator
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            if not o.is_rational():
+                return self.field._mul(self, o)
+            c, r = o.num[0], o.den
+        return _reduced(self.field, [x * c for x in self.num], self.den * r)
 
     __rmul__ = __mul__
 
@@ -141,12 +144,6 @@ class FieldElement:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, e: int):
         if e < 0:
@@ -552,47 +549,23 @@ def frobenius_at(field: NumberField, p: int) -> FrobeniusResult:
     order at p (Neukirch, ANT I section 8), so every image sigma_i(alpha),
     an algebraic integer over Z_(p), has p-integral coordinates, and
     sigma_i is a Frobenius for the primes of the irreducible factors of
-    gcd(Phi, sigma_i(x) - x^p) mod p.  Over an abelian field all of them
-    share one Frobenius, the one image equal to x^p, found with no gcd;
-    otherwise the smallest match is returned, ambiguous if not alone."""
+    gcd(Phi, sigma_i(x) - x^p) mod p, x^p from pmod_x_power.  Over an
+    abelian field all of them share one Frobenius, the one image equal to
+    x^p, found with no gcd; otherwise the smallest match is returned,
+    ambiguous if not alone."""
     if field._bad_reduction % p == 0:
         raise Ramified(f"prime {p} is ramified for this field")
-    xp = _x_power(field, p, p)
+    phi_p = pmod_reduce(field.min_poly, p)
+    xp = pmod_x_power(phi_p, p, p)
     images = (img.residues(p) for img in field.aut_images)
     if field.is_abelian:
         matches = [i for i, img in enumerate(images) if img == xp]
     else:
-        phi_p = pmod_reduce(field.min_poly, p)
         matches = [i for i, img in enumerate(images)
                    if len(pmod_gcd(phi_p, pmod_sub(img, xp, p), p)) > 1]
     if not matches:
         raise Ramified(f"no Frobenius found at {p}; data inconsistent")
     return FrobeniusResult(matches[0], len(matches) > 1)
-
-
-def _x_power(field: NumberField, e: int, p: int) -> list[int]:
-    """x^e in F_p[x]/(Phi), p prime to _row_den, by left-to-right square and
-    multiply: a squaring is the d(d+1)/2 products r_i r_j, i <= j, reduced
-    by the rows taken mod p; a step by x is a shift plus the first row."""
-    d = field.degree
-    inv = pow(field._row_den, -1, p)
-    rows = [[c * inv % p for c in row] for row in field._reduction_rows]
-    r = [1] + [0] * (d - 1)
-    for bit in bin(e)[2:]:
-        prod = [0] * (2 * d - 1)
-        for i, a in enumerate(r):
-            prod[2 * i] += a * a
-            for j in range(i + 1, d):
-                prod[i + j] += 2 * a * r[j]
-        r = prod[:d]
-        for c, row in zip(prod[d:], rows):
-            for i in range(d):
-                r[i] += c * row[i]
-        if bit == "1":
-            top = r.pop() % p
-            r = [s + top * t for s, t in zip([0] + r, rows[0])]
-        r = [c % p for c in r]
-    return r
 
 
 def double_cosets(field: NumberField, subgroup: Subgroup,
@@ -670,10 +643,13 @@ def _root_of_largest_order(field: NumberField, p: int, orders):
     that the field holds and sigma_i(zeta) = zeta^c[i]; None if none.
 
     At the split prime p the embeddings iota_j: E -> Q_p send y = lam*alpha
-    to the roots Y_j of the monic integral model F, and iota_0 o sigma_i =
-    iota_perm[i].  Omega in Z_p is the lift along Phi_k of g^((p-1)/k), of
-    order k as p = 1 mod k, g = arith.primitive_root(p): a zeta of order k
-    with iota_0(zeta) = Omega (the other choices of Omega give its
+    to the roots Y_j of the monic integral model F, read off its lifted
+    linear factors, and iota_0 o sigma_i = iota_perm[i], read off the roots
+    Y_j / lam of Phi mod p.  Omega = w^(p^(N-1)) is the Teichmueller lift
+    of w = g^((p-1)/k), g = arith.primitive_root(p): w^k = 1 + pt, so
+    Omega^k = 1 mod p^N, and Omega = w mod p, a root of x^k - 1 that lifts
+    uniquely as p does not divide k (Washington, ch. 5).  A zeta of
+    order k with iota_0(zeta) = Omega (the other choices of Omega give its
     primitive powers) has the images iota_perm[i](zeta) = Omega^c[i] for
     a homomorphism c of G onto (Z/k)^x.  The traces t_m = Tr(zeta y^m) =
     sum_j iota_j(zeta) Y_j^m are integers with |t_m| <= d M^m, M = 1 +
@@ -687,17 +663,13 @@ def _root_of_largest_order(field: NumberField, p: int, orders):
     lam = lcm(*(c.denominator for c in field.min_poly.coeffs))
     cauchy = 1 + max(abs(c) for c in model[:-1])
     limits = [d * cauchy ** m for m in range(d)]
-    n = 1
-    while p ** n <= 2 * limits[-1]:
-        n += 1
-    big = p ** n
-
-    roots = pmod_roots(field.min_poly, p)
+    big, factors = lifted_factors(model, p, 2 * limits[-1])
+    lifted = [-f[0] % big for f in factors]
+    roots = [y * pow(lam, -1, p) % p for y in lifted]
     position = {r: j for j, r in enumerate(roots)}
-    perm = [position[_peval(img.residues(p), roots[0], p)]
+    perm = [position[sum(c * pow(roots[0], m, p)
+                         for m, c in enumerate(img.residues(p))) % p]
             for img in field.aut_images]
-    lifted = [-hensel_lift(model, [-lam * r % p, 1], p, n)[0] % big
-              for r in roots]
     y_powers = [[pow(y, m, big) for y in lifted] for m in range(d)]
 
     y = field.gen() * lam
@@ -708,8 +680,7 @@ def _root_of_largest_order(field: NumberField, p: int, orders):
 
     g = primitive_root(p)
     for k in orders:
-        omega = pow(g, (p - 1) // k, p)
-        omega = -hensel_lift(cyclotomic(k), [-omega, 1], p, n)[0] % big
+        omega = pow(pow(g, (p - 1) // k, p), big // p, big)
         for c in _surjections_onto_units(field, k):
             images = [0] * d
             for i, j in enumerate(perm):
@@ -794,9 +765,16 @@ def field_to_json(field: NumberField) -> dict:
 
 
 def field_from_json(doc: dict) -> NumberField:
-    min_poly = poly_from_strings(doc["min_poly"])
-    images = [[rational_from_json(s) for s in img] for img in doc["aut_images"]]
-    return field_make(min_poly, images)
+    doc = typed_from_json(doc, dict, "field")
+    return field_make(poly_from_strings(doc.get("min_poly")),
+                      aut_images_from_json(doc.get("aut_images")))
+
+
+def aut_images_from_json(images) -> list[list[Fraction]]:
+    """A document's list of automorphism images, each a coordinate list."""
+    return [[rational_from_json(c)
+             for c in typed_from_json(img, list, "automorphism image")]
+            for img in typed_from_json(images, list, "aut_images")]
 
 
 def element_from_json(field: NumberField, coords) -> FieldElement:

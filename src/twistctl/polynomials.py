@@ -7,14 +7,14 @@ program parses a minimal polynomial, evaluates it at field elements,
 differentiates it and reduces it mod p; it does no arithmetic in Q[x].
 
 The mod-p kernels work on plain lists of ints (ascending): reduction,
-squarefreeness, distinct- and equal-degree factorization, and Hensel lifting
-of a factor.  On them rests certify_irreducible, the one test of a minimal
-polynomial: factor-degree patterns mod p, then recombination of the lifted
-factors at one prime, so a polynomial is certified irreducible or refused,
-and the primes where it splits completely come out of the same scan.  The
-readers of document numbers (rationals and ints, never floats) and labels
-(one written form per int) live here too, as does the integer cyclotomic
-polynomial.
+squarefreeness, x^e mod (f, p), distinct- and equal-degree factorization,
+and Hensel lifting of every factor to one precision (lifted_factors).  On
+them rests certify_irreducible, the one test of a minimal polynomial:
+factor-degree patterns mod p, then recombination of the lifted factors at
+one prime, so a polynomial is certified irreducible or refused, and the
+primes where it splits completely come out of the same scan.  The readers
+of document numbers (rationals and ints, never floats), labels (one written
+form per int) and shapes live here too.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import lcm
 from random import Random
 from typing import Iterable, Sequence
 
-from .arith import divisors, is_prime
+from .arith import is_prime
 from .errors import BadReduction, NotIrreducible, NotSeparableModP, SchemaError
 
 Q = Fraction
@@ -147,23 +147,21 @@ def bool_from_json(x, what: str) -> bool:
     return x
 
 
+def typed_from_json(x, kind: type, what: str):
+    """x if its type is kind (list, dict or str); SchemaError otherwise."""
+    if type(x) is not kind:
+        noun = {list: "list", dict: "object", str: "string"}[kind]
+        raise SchemaError(f"{what} must be a JSON {noun}, got {x!r}")
+    return x
+
+
 def poly_from_strings(items: Sequence[str | int]) -> QPoly:
-    return QPoly([rational_from_json(s) for s in items])
+    return QPoly([rational_from_json(s)
+                  for s in typed_from_json(items, list, "a polynomial")])
 
 
 def poly_to_strings(p: QPoly) -> list[str]:
     return [str(c) for c in p.coeffs]
-
-
-def cyclotomic(n: int) -> list[int]:
-    """The n-th cyclotomic polynomial, ascending integer coefficients: x^n - 1
-    divided exactly by the monic Phi_d of each proper divisor d of n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n)[:-1]:
-        num = exact_quotient(num, cyclotomic(d))
-    return num
 
 
 # --------------------------------------------------------------------------
@@ -242,6 +240,33 @@ def pmod_pow_mod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> lis
     return result
 
 
+def pmod_x_power(f: Sequence[int], e: int, p: int) -> list[int]:
+    """x^e mod (f, p) as d residues, f monic of degree d >= 1, by left to
+    right square and multiply: a squaring is the products r_i r_j, i <= j,
+    reduced by the rows x^d .. x^(2d-2) mod f; a step by x is a shift."""
+    d = len(f) - 1
+    rows = [[-c % p for c in f[:-1]]]
+    for _ in range(d - 2):
+        *rest, top = rows[-1]
+        rows.append([(s + top * t) % p for s, t in zip([0] + rest, rows[0])])
+    r = [1] + [0] * (d - 1)
+    for bit in bin(e)[2:]:
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(r):
+            prod[2 * i] += a * a
+            for j in range(i + 1, d):
+                prod[i + j] += 2 * a * r[j]
+        r = prod[:d]
+        for c, row in zip(prod[d:], rows):
+            for i in range(d):
+                r[i] += c * row[i]
+        if bit == "1":
+            top = r.pop() % p
+            r = [s + top * t for s, t in zip([0] + r, rows[0])]
+        r = [c % p for c in r]
+    return r
+
+
 def pmod_squarefree(f: QPoly, p: int) -> list[int]:
     """pmod_reduce(f, p), or NotSeparableModP if it has a repeated factor,
     which for monic p-integral f is exactly when p divides disc(f)."""
@@ -299,19 +324,6 @@ def _equal_degree_factors(g: list[int], e: int, p: int) -> list[list[int]]:
                     + _equal_degree_factors(pmod_divmod(g, h, p)[0], e, p))
 
 
-def pmod_roots(f: QPoly, p: int) -> list[int]:
-    """All roots of f in F_p by direct scan (p is small here)."""
-    fp = pmod_reduce(f, p)
-    return [r for r in range(p) if _peval(fp, r, p) == 0]
-
-
-def _peval(f: Sequence[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def hensel_lift(f: Sequence[int], g: Sequence[int], p: int, n: int) -> list[int]:
     """The monic factor of the monic integer polynomial f modulo p^n above g,
     a monic irreducible factor of f mod p prime to its cofactor h, one p-adic
@@ -326,6 +338,18 @@ def hensel_lift(f: Sequence[int], g: Sequence[int], p: int, n: int) -> list[int]
         step = pmod_divmod(pmod_mul(e, h_inv, p), g, p)[1]
         lifted = [c + p ** k * s for c, s in zip_longest(lifted, step, fillvalue=0)]
     return lifted
+
+
+def lifted_factors(model: list[int], p: int, bound: int) -> tuple[int, list[list[int]]]:
+    """(p^n, factors) for the least n with p^n > bound: the irreducible
+    factors of the monic integer model, squarefree mod the odd prime p, by
+    distinct- and equal-degree factorization, each lifted by hensel_lift."""
+    n = 1
+    while p ** n <= bound:
+        n += 1
+    return p ** n, [hensel_lift(model, h, p, n)
+                    for e, g in _distinct_degree_parts(QPoly(model), p)
+                    for h in _equal_degree_factors(g, e, p)]
 
 
 # --------------------------------------------------------------------------
@@ -404,8 +428,7 @@ def certify_irreducible(f: QPoly) -> list[int]:
             break
         if all(c.denominator % p for c in f.coeffs):
             fp = pmod_reduce(f, p)
-            x = pmod_divmod([0, 1], fp, p)[1]
-            split += [p] * (pmod_pow_mod(x, p, fp, p) == x)
+            split += [p] * (pmod_x_power(fp, p, p) == pmod_x_power(fp, 1, p))
     if not split:
         raise NotIrreducible(
             f"no prime up to {_SCAN_LIMIT} splits {f!r} into distinct linear "
@@ -422,13 +445,8 @@ def _recombine(model: list[int], q: int, possible: set[int]) -> None:
     Cauchy bound on the roots, so residues mod q^n > 2 (1 + M)^(d/2) give
     them exactly (Berlekamp-Zassenhaus, Cohen GTM 138, section 3.5)."""
     d = len(model) - 1
-    n = 1
-    while q ** n <= 2 * (2 + max(map(abs, model[:-1]))) ** (d // 2):
-        n += 1
-    big = q ** n
-    factors = [hensel_lift(model, h, q, n)
-               for e, g in _distinct_degree_parts(QPoly(model), q)
-               for h in _equal_degree_factors(g, e, q)]
+    big, factors = lifted_factors(
+        model, q, 2 * (2 + max(map(abs, model[:-1]))) ** (d // 2))
     for size in range(1, len(factors)):
         for subset in combinations(range(len(factors)), size):
             k = sum(len(factors[i]) - 1 for i in subset)

@@ -297,6 +297,12 @@ class TestVerifyCocycleCommand:
         assert code == 1
         assert "error[SchemaError]" in err
 
+    def test_assignments_that_are_no_object_are_rejected(self, capsys,
+                                                         tmp_path):
+        """A list of assignments ended in an AttributeError traceback."""
+        self._rejected(capsys, tmp_path, {"model": {"q": 2, "m": 2, "n": 2},
+                                          "assignments": []})
+
     def _rejected(self, capsys, tmp_path, doc):
         path = tmp_path / "cocycle.json"
         path.write_text(json.dumps(doc))
@@ -390,6 +396,22 @@ class TestExactRationals:
         self.run_on(capsys, tmp_path, lambda doc: None, "normalize",
                     "--scalings", str(scalings))
 
+    # each ended in a TypeError traceback
+    @pytest.mark.parametrize("images", ["5", "[5, 6]"])
+    def test_newform_automorphism_images_are_lists(self, capsys, images):
+        code, _, err = invoke(capsys, "lmfdb", "compare", "--label",
+                              "47.1.b.a", "--cache-dir", CACHE,
+                              "--aut-images", images)
+        assert code == 1
+        assert err.startswith("error[SchemaError]")
+
+    def test_normalize_scalings_are_an_object(self, capsys, tmp_path):
+        """[1, 2] ended in an AttributeError traceback."""
+        scalings = tmp_path / "scalings.json"
+        scalings.write_text(json.dumps([1, 2]))
+        self.run_on(capsys, tmp_path, lambda doc: None, "normalize",
+                    "--scalings", str(scalings))
+
 
 def rejected(capsys, tmp_path, doc, *argv):
     """Run the command on doc and expect exit 1 with error[SchemaError]."""
@@ -445,7 +467,8 @@ class TestStrictCharactersAndPlaces:
     places 2 and 3, and {"2": 1} as place 2.  A Dirichlet omega has kind
     dirichlet, an int modulus >= 1 and exactly the canonical generators as
     keys: modulus 4.0 and 0 ended in tracebacks, true was read as 1, and an
-    extra generator key was ignored."""
+    extra generator key was ignored.  The field is an object of lists, and
+    base_field a string."""
 
     def refused(self, capsys, tmp_path, doc, *argv):
         with pytest.raises(SchemaError):
@@ -467,6 +490,21 @@ class TestStrictCharactersAndPlaces:
         {"values_on_generators": [["-1", "0"]]}, {"kind": "weird"}])
     def test_central_character(self, capsys, tmp_path, entries):
         self.refused(capsys, tmp_path, chi4_omega_doc(**entries), "twists")
+
+    # each ended in a TypeError traceback, except base_field ["Q"], read as
+    # the label "['Q']" of a base other than Q
+    @pytest.mark.parametrize("where,bad", [
+        ("field", 5), ("min_poly", 5), ("aut_images", 5),
+        ("base_field", ["Q"]), ("base_field", 5)])
+    def test_document_shapes(self, capsys, tmp_path, where, bad):
+        doc = json.loads(Path(VANTOP).read_text())
+        if where == "min_poly":
+            doc["field"]["min_poly"] = bad
+        elif where == "aut_images":
+            doc["field"]["aut_images"][1] = bad
+        else:
+            doc[where] = bad
+        self.refused(capsys, tmp_path, doc, "twists")
 
     def test_the_canonical_omega_is_read(self, capsys, tmp_path):
         path = tmp_path / "input.json"

@@ -26,7 +26,7 @@ from twistctl.eigensystem import (
     normalize,
     serialize,
 )
-from twistctl.numberfield import field_make, field_to_json
+from twistctl.numberfield import NumberField, field_make, field_to_json
 
 
 def gaussian_field():
@@ -198,6 +198,17 @@ class TestNormalize:
         assert nsys.coeffs[13].b == K.element([Q(3, 13), Q(-2, 13)])
         assert nsys.coeffs[3].a == K.element([Q(1, 3), Q(1, 3)])
         assert nsys.coeffs[3].b == K.element([Q(1, 3), Q(-1, 3)])
+
+    def test_rational_scalings_never_reach_the_product(self, monkeypatch):
+        """Every default c_v is rational, so a_v / c_v, c_v * c_v and c_v^n
+        are scalar products: 658 calls of NumberField._mul on
+        vantop_system(500, 1) became none."""
+        raw, calls = synth.vantop_system(500, 1), []
+        mul = NumberField._mul
+        monkeypatch.setattr(NumberField, "_mul", lambda self, x, y: (
+            calls.append(1), mul(self, x, y))[1])
+        normalize(raw)
+        assert calls == []
 
     def test_already_normalized_unchanged(self):
         nsys = normalize(load_system(vantop_doc()))

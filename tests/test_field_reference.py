@@ -203,6 +203,11 @@ def test_integer_arithmetic_matches_the_fraction_reference(case):
     if not x.is_zero():
         _check(x.inverse(), rx.inverse())
         _check(y / x, ry * rx.inverse())
+    # y is rational a quarter of the time, and then a scalar
+    if not y.is_zero():
+        _check(x / y, rx * ry.inverse())
+    if e >= 0 or not y.is_zero():
+        _check(y ** e, ry ** e)
     for i in range(K.degree):
         _check(K.apply_aut(i, x), R.apply_aut(i, rx))
     assert (x == y) == (rx == ry)

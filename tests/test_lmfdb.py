@@ -118,14 +118,18 @@ FLOAT_MUTATIONS = {
     "weight": lambda doc: doc["newform"]["data"][0].update(weight=True),
     "proved": lambda doc: doc["newform"]["data"][0].update(
         inner_twists=[["47.b", 2, "false"]]),
+    "an": lambda doc: doc["eigenvalues"]["data"][0].update(an=5),
+    "power_basis": lambda doc: doc["eigenvalues"]["data"][0].update(
+        hecke_ring_power_basis="false"),
 }
 
 
 class TestRecordsAreReadExactly:
-    """A float (or a bool where an int belongs, or a string where a bool
-    belongs) anywhere in a record is schema drift, as in every other input
-    document: int(47.9) would read a level of 47, a_2 = [-1.0, 0.1] would be
-    read as -1 + alpha/10, and bool("false") as a proved inner twist."""
+    """A float (or a bool where an int belongs, a string where a bool
+    belongs, or an int where a list belongs) anywhere in a record is schema
+    drift, as in every other input document: int(47.9) would read a level of
+    47, a_2 = [-1.0, 0.1] would be read as -1 + alpha/10, bool("false") as a
+    proved inner twist or a power basis, and an = 5 ended in a traceback."""
 
     @pytest.mark.parametrize("what", sorted(FLOAT_MUTATIONS))
     def test_inexact_number_is_drift(self, tmp_path, what):

@@ -1,9 +1,10 @@
-"""Polynomial layer: values, discriminants as norms, cyclotomic polynomials,
-mod-p factorization degrees, Hensel lifting, irreducibility over Q.
+"""Polynomial layer: values, discriminants as norms, mod-p factorization
+degrees, x^e mod (f, p), Hensel lifting, irreducibility over Q.
 
 The mod-p oracle here is written independently of the library: root counting
 by direct scan plus a two-quadratic splitting test driven by a precomputed
-square-root table.  Library output is frozen against that oracle.
+square-root table.  Library output is frozen against that oracle.  The
+cyclotomic polynomials are sympy's.
 """
 
 from fractions import Fraction
@@ -14,26 +15,40 @@ from hypothesis import assume, given, settings, strategies as st
 
 from test_field_reference import FIELDS
 from twistctl import synth
+from twistctl.arith import divisors, primitive_root
 from twistctl.errors import (BadReduction, NotIrreducible, NotSeparableModP,
                              SchemaError)
 from twistctl.numberfield import field_make
 from twistctl.polynomials import (
     QPoly,
     certify_irreducible,
-    cyclotomic,
     ddf_mod_p,
     hensel_lift,
     label_from_json,
     pmod_divmod,
     pmod_mul,
     pmod_pow_mod,
-    pmod_roots,
+    pmod_x_power,
     poly_from_strings,
     poly_to_strings,
     rational_from_json,
 )
 
 # ---------------------------------------------------------------- oracle
+
+
+def cyclotomic(n):
+    """Phi_n, ascending integer coefficients, from sympy."""
+    x = sympy.symbols("x")
+    return [int(c) for c in
+            reversed(sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs())]
+
+
+def residue_roots(f, p):
+    """The roots of the integer polynomial f in F_p by a scan of all p
+    residues: the search mu(E) ran at a split prime before lifted_factors."""
+    return [r for r in range(p)
+            if sum(c * pow(r, i, p) for i, c in enumerate(f)) % p == 0]
 
 
 def naive_factor_degrees(coeffs, p):
@@ -104,10 +119,8 @@ def _splits_into_quadratics(f, p):
 
 def test_ddf_frozen_examples():
     # x^2+1 at 5: roots 2, 3 -> two linear factors
-    assert pmod_roots(QPoly([1, 0, 1]), 5) == [2, 3]
     assert ddf_mod_p(QPoly([1, 0, 1]), 5) == [(1, 2)]
     # x^2+1 at 3: no roots -> irreducible quadratic
-    assert pmod_roots(QPoly([1, 0, 1]), 3) == []
     assert ddf_mod_p(QPoly([1, 0, 1]), 3) == [(2, 1)]
     # x^2-2 at 7: 3^2 = 2 mod 7
     assert (3 * 3) % 7 == 2
@@ -119,7 +132,7 @@ def test_ddf_frozen_examples():
                                   ([-1] + [0] * 11 + [1], 13),
                                   ([7, -2, -1, 2, 1], 73)])
 def test_hensel_lifts_each_simple_root(f, p):
-    roots = pmod_roots(QPoly(f), p)
+    roots = residue_roots(f, p)
     assert roots
     for r in roots:
         for n in (1, 2, 3, 5, 8, 21):
@@ -159,6 +172,36 @@ def test_mod_p_kernels_match_schoolbook_arithmetic(a, b, e, p):
     for _ in range(e):
         want = pmod_divmod(_schoolbook_mul(want, a, p), b, p)[1]
     assert pmod_pow_mod(a, e, b, p) == want
+
+
+ODD_PRIMES = [p for p in range(3, 500) if sympy.isprime(p)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ODD_PRIMES), st.data())
+def test_x_power_matches_the_generic_power(p, data):
+    """pmod_x_power, which builds its own rows of f, against pmod_pow_mod of
+    x, over monic f of degree 1 to 8 and e up to p^2."""
+    d = data.draw(st.integers(1, 8))
+    f = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    f = f + [1]
+    e = data.draw(st.integers(0, p * p))
+    want = pmod_pow_mod([0, 1], e, f, p)
+    assert pmod_x_power(f, e, p) == want + [0] * (d - len(want))
+
+
+@pytest.mark.parametrize("p", [p for p in ODD_PRIMES if p < 300])
+def test_teichmueller_power_is_the_lift_along_phi_k(p):
+    """The root of x^k - 1 mod p^n above w = g^((p-1)/k), as mu(E) takes it,
+    w^(p^(n-1)) mod p^n, against hensel_lift of x - w along sympy's Phi_k,
+    for every k | p - 1 and n <= 8."""
+    g = primitive_root(p)
+    for k in divisors(p - 1):
+        w = pow(g, (p - 1) // k, p)
+        phi = cyclotomic(k)
+        for n in range(1, 9):
+            lifted = -hensel_lift(phi, [-w, 1], p, n)[0] % p ** n
+            assert pow(w, p ** (n - 1), p ** n) == lifted, (k, n)
 
 
 def test_ddf_errors():
@@ -225,13 +268,6 @@ def test_discriminant_against_sympy():
         expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
                    for i, c in enumerate(field.min_poly.coeffs))
         assert field.discriminant() == sympy.discriminant(expr, x), field
-
-
-def test_cyclotomic_polynomials():
-    x = sympy.symbols("x")
-    for n in range(1, 121):
-        theirs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
-        assert cyclotomic(n) == [int(c) for c in reversed(theirs)], n
 
 
 # ---------------------------------------------------------------- irreducibility

@@ -7,6 +7,11 @@ by exact exponentiation; aut_mult is read off by applying each automorphism
 to the generator.  Whole roots_of_unity lists and the UnitRoots order,
 powers and aut_mult must agree.  Three cyclotomic fields on which sympy
 takes seconds are checked against the closed form |mu| = lcm(2, n) only.
+
+The roots Y_j of the model at the split prime come from lifted_factors; the
+reference is the search they replaced, a scan of all p residues for the
+roots of Phi mod p and one Hensel lift per root, on every field here and of
+test_classify_reference.
 """
 
 from fractions import Fraction as Q
@@ -25,7 +30,14 @@ from twistctl.numberfield import (
     roots_of_unity,
     unit_roots,
 )
-from twistctl.polynomials import _monic_integer_model
+from test_classify_reference import FIELDS as CLASSIFY_FIELDS
+from test_polynomials import residue_roots
+from twistctl.polynomials import (
+    _monic_integer_model,
+    hensel_lift,
+    lifted_factors,
+    pmod_reduce,
+)
 
 CACHE = Path(__file__).parent / "data" / "lmfdb_cache"
 
@@ -158,3 +170,29 @@ def test_larger_cyclotomic_fields_meet_the_closed_form(n):
     assert zeta ** mu.order == field.one()
     for i in range(field.degree):
         assert field.apply_aut(i, zeta) == zeta ** mu.aut_mult[i]
+
+
+ALL_FIELDS = dict(FIELDS, **{f"classify.{name}": make
+                             for name, make in CLASSIFY_FIELDS.items()})
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIELDS))
+def test_lifted_factors_match_the_residue_scan(name):
+    """At each split prime, with the precision bound of the mu(E) search,
+    lifted_factors gives p^n for the same n and linear factors whose roots
+    are the lifts of the scanned roots of Phi mod p, times lam."""
+    field = ALL_FIELDS[name]()
+    d = field.degree
+    model = _monic_integer_model(field.min_poly)
+    lam = lcm(*(c.denominator for c in field.min_poly.coeffs))
+    bound = 2 * d * (1 + max(abs(c) for c in model[:-1])) ** (d - 1)
+    for p in field.split_primes:
+        n = 1
+        while p ** n <= bound:
+            n += 1
+        big, factors = lifted_factors(model, p, bound)
+        assert big == p ** n
+        assert all(len(f) == 2 and f[1] == 1 for f in factors)
+        want = [-hensel_lift(model, [-lam * r % p, 1], p, n)[0] % big
+                for r in residue_roots(pmod_reduce(field.min_poly, p), p)]
+        assert sorted(-f[0] % big for f in factors) == sorted(want)
