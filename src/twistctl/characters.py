@@ -5,14 +5,14 @@ that numberfield.unit_roots fixes once per field: products add exponents,
 inversion negates them, an automorphism sigma multiplies them by c_sigma, and
 zeta^k has order w/gcd(w, k); the trivial character reads mu(E) too.  Field
 elements appear only at the edges: the builders take them, char_eval and
-the JSON give zeta^k; char_exponent gives k itself.  Dirichlet characters
-mod N (base field Q) are given by their exponents on canonical generators
-of (Z/N)^x and expanded to a residue table by walking the generators'
-powers; value-table characters are bare place -> exponent maps for other
-base fields.  On top: Galois transforms, products, conductors, and
-a fitting search that recovers the smallest-conductor Dirichlet character
-with given exponents at given places, scanning conductors: each primitive
-character is a product of primitive characters at prime powers, built once.
+the JSON give zeta^k; char_exponent gives k itself.  A Dirichlet character
+mod N (base field Q) is its residue -> exponent table, built by one walk
+(residue_table) from its values on any generators of (Z/N)^x.  Value-table
+characters are bare place -> exponent maps for other base fields.  On top:
+Galois transforms, products, conductors, and a fitting search that recovers
+the smallest-conductor Dirichlet character with given exponents at given
+places, scanning conductors: each primitive character is a product of
+primitive characters at prime powers, built once.
 """
 
 from __future__ import annotations
@@ -62,17 +62,22 @@ def unit_group_structure(N: int) -> list[tuple[int, int]]:
     return gens
 
 
-def _unit_exponents(N: int) -> dict:
-    """Each unit r mod N mapped to its exponents on the canonical generators
-    of (Z/N)^x, in the order of itertools.product over them: one walk along
-    the powers of each generator in turn."""
-    table = {1 % N: ()}
-    for g, d in unit_group_structure(N):
+def residue_table(N: int, steps, w: int) -> dict | None:
+    """The residue -> exponent table, on the subgroup of (Z/N)^x the g
+    generate, of the character sending each g of [(g, k), ...] to zeta^k,
+    zeta of order w: generator by generator, the coset r<g> of every residue
+    r reached so far is walked, adding k mod w per step; None when two walks
+    reach one residue with different sums.  Canonical generators give the
+    residues in the itertools.product order of their exponents."""
+    table = {1 % N: 0}
+    for g, k in steps:
         step = {}
-        for r, es in table.items():
-            for j in range(d):
-                step[r] = es + (j,)
-                r = r * g % N
+        for r, e in table.items():
+            while r not in step:
+                step[r] = e
+                r, e = r * g % N, (e + k) % w
+            if step[r] != e:
+                return None
         table = step
     return table
 
@@ -82,46 +87,44 @@ def _unit_exponents(N: int) -> dict:
 # ---------------------------------------------------------------------------
 
 class Character:
-    """Immutable finite-order character: gen_exps holds the exponents of the
-    values on the canonical generators (Dirichlet kind only), exps the
-    exponent at each residue (Dirichlet) or place (value table)."""
+    """Immutable finite-order character: exps maps each residue mod the
+    modulus (Dirichlet) or each place (value table) to an exponent of zeta."""
 
-    __slots__ = ("field", "kind", "modulus", "gen_exps", "exps",
-                 "_canonical", "_conductor")
+    __slots__ = ("field", "kind", "modulus", "exps", "_canonical", "_conductor")
 
     def __init__(self, field: NumberField, kind: str, modulus: int = 1,
-                 gen_exps: tuple = (), exps: dict | None = None):
+                 exps: dict | None = None):
         if kind not in ("dirichlet", "table"):
             raise ValueError(f"unknown character kind {kind!r}")
         self.field = field
         self.kind = kind
         self.modulus = modulus
-        self.gen_exps = tuple(gen_exps)
         self.exps = dict(exps or {})
         self._canonical = None
         self._conductor = None
 
     @classmethod
     def dirichlet(cls, field: NumberField, modulus: int,
-                  gen_exps) -> "Character":
+                  exponents) -> "Character":
         """The character mod N sending the i-th canonical generator, of
-        order d_i, to zeta^gen_exps[i]; d_i gen_exps[i] must be 0 mod w."""
+        order d_i, to zeta^exponents[i]; there must be one exponent per
+        generator, and d_i exponents[i] must be 0 mod w."""
         gens = unit_group_structure(modulus)
-        gen_exps = tuple(gen_exps)
         w = unit_roots(field).order
-        gen_exps = tuple(k % w for k in gen_exps)
-        for (g, d), k in zip(gens, gen_exps):
+        exponents = [k % w for k in exponents]
+        if len(exponents) != len(gens):
+            raise ValueError(f"expected {len(gens)} generator exponents for "
+                             f"modulus {modulus}, got {len(exponents)}")
+        for (g, d), k in zip(gens, exponents):
             if d * k % w:
                 raise NotRootOfUnity(
                     f"image of generator {g} is not a root of unity of order dividing {d}")
-        exps = {r: sum(e * k for e, k in zip(es, gen_exps)) % w
-                for r, es in _unit_exponents(modulus).items()}
-        return cls(field, "dirichlet", modulus, gen_exps, exps)
+        return cls(field, "dirichlet", modulus, residue_table(
+            modulus, [(g, k) for (g, _), k in zip(gens, exponents)], w))
 
     def _mapped(self, f) -> "Character":
         """The character with every exponent k replaced by f(k)."""
         return Character(self.field, self.kind, self.modulus,
-                         tuple(map(f, self.gen_exps)),
                          {p: f(k) for p, k in self.exps.items()})
 
     # -- basics -------------------------------------------------------------
@@ -144,14 +147,14 @@ class Character:
         return self._conductor
 
     def primitive(self) -> "Character":
-        """The primitive character of modulus = conductor inducing this one."""
+        """The primitive character of modulus = conductor inducing this one:
+        the table restricted mod M, complete since every unit mod M lifts
+        to one mod N, and one-valued since the value depends on r mod M."""
         M = self.conductor()
         if M == self.modulus:
             return self
-        # every unit mod M lifts to one mod N, and the value depends on r mod M
-        on_M = {r % M: k for r, k in self.exps.items()}
-        return Character.dirichlet(
-            self.field, M, [on_M[g] for g, _ in unit_group_structure(M)])
+        return Character(self.field, "dirichlet", M,
+                         {r % M: k for r, k in self.exps.items()})
 
     def inverse(self) -> "Character":
         w = unit_roots(self.field).order
@@ -199,11 +202,8 @@ def dirichlet_character(field: NumberField, modulus: int,
     gens = unit_group_structure(modulus)
     if isinstance(generator_images, dict):
         generator_images = [generator_images[g] for g, _ in gens]
-    images = tuple(generator_images)
-    if len(images) != len(gens):
-        raise ValueError(f"expected {len(gens)} generator images for modulus {modulus}")
-    return Character.dirichlet(field, modulus,
-                               [unit_roots(field).exponent(x) for x in images])
+    return Character.dirichlet(field, modulus, [
+        unit_roots(field).exponent(x) for x in generator_images])
 
 
 def table_character(field: NumberField, values: dict) -> Character:
@@ -326,9 +326,9 @@ def fit_all(exponents: dict, N_max: int, order_bound: int,
         for combo in iter_product(*parts):
             if all((sum(col) - k) % w == 0 for col, k in
                    zip(zip(*(vec for _, vec in combo)), target)):
-                gen_exps = [x for xs, _ in combo for x in xs]
-                if w // gcd(w, *gen_exps) <= order_bound:
-                    found.append(Character.dirichlet(field, f, gen_exps))
+                exps = [x for xs, _ in combo for x in xs]
+                if w // gcd(w, *exps) <= order_bound:
+                    found.append(Character.dirichlet(field, f, exps))
     return sorted(found, key=lambda c: (c.modulus, c.canonical_key()))
 
 
@@ -362,8 +362,7 @@ def char_to_json(chi: Character) -> dict:
             "kind": "dirichlet",
             "modulus": chi.modulus,
             "values_on_generators": {
-                str(g): _coords_json(chi.field, k)
-                for (g, _), k in zip(gens, chi.gen_exps)
+                str(g): _coords_json(chi.field, chi.exps[g]) for g, _ in gens
             },
         }
     return {

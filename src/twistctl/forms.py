@@ -276,15 +276,23 @@ def cocycle_make(context: GaloisContext, assignments: dict) -> Cocycle:
     """Validate the cocycle identity on every ordered pair and return the
     cocycle.  Matrix equalities hold up to nonzero scalars, the identity
     must carry (scalar, no flip), and every group element needs an entry.
+    Every alpha is n x n for one n >= 1, model.n over a finite model.
 
     The identity a_st ~ a_s theta(s(a_t)) is checked without an inverse:
     as a_st s(a_t)^T ~ a_s under a flip of s, and a_st ~ a_s s(a_t)
     otherwise."""
     ring = context.ring
     elems = context.elements
+    n = context.model.n if context.model else None
     cleaned = {}
     for element, (alpha, flip) in assignments.items():
         a = tuple(tuple(row) for row in alpha)
+        n = n or len(a)
+        if not a or len(a) != n or any(len(row) != n for row in a):
+            raise SchemaError(
+                "every alpha must be n x n for one n >= 1 (model.n over a "
+                f"finite model); alpha of element {element} has rows of "
+                f"lengths {[len(row) for row in a]}")
         if ring.is_zero(mat_det(ring, a)):
             raise NotInvertible("matrix determinant is zero")
         cleaned[element] = (a, bool(flip))

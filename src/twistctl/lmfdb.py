@@ -28,7 +28,7 @@ from math import gcd
 from pathlib import Path
 
 from .arith import euler_phi, factorize, primes_up_to
-from .characters import Character, unit_group_structure
+from .characters import Character, residue_table
 from .eigensystem import EigenSystem, PlaceData
 from .errors import (
     MissingCoefficients,
@@ -163,6 +163,37 @@ def _single_row(doc: dict, key: str, label: str) -> dict:
     return rows[0]
 
 
+def _char_values(raw) -> tuple:
+    """A record's nebentypus (modulus, value order, generators, exponents),
+    read strictly: modulus and value order at least 1, one exponent per
+    generator, and every generator a unit mod the modulus."""
+    modulus, value_order, gens, exps = raw
+    modulus = int_from_json(modulus, "character modulus")
+    value_order = int_from_json(value_order, "character value order")
+    gens = tuple(int_from_json(g, "character generator") for g in gens)
+    exps = tuple(int_from_json(e, "character exponent") for e in exps)
+    if modulus < 1 or value_order < 1:
+        raise SchemaError(f"character modulus {modulus} and value order "
+                          f"{value_order} must be at least 1")
+    if len(gens) != len(exps):
+        raise SchemaError(f"{len(gens)} character generators carry "
+                          f"{len(exps)} exponents")
+    if any(gcd(g, modulus) != 1 for g in gens):
+        raise SchemaError(f"character generators {list(gens)} must be units "
+                          f"mod {modulus}")
+    return modulus, value_order, gens, exps
+
+
+def _twist_label(lab) -> str:
+    """An inner-twist character orbit label: a string whose part before the
+    first "." is its conductor, a positive int written canonically."""
+    conductor = typed_from_json(lab, str, "inner twist label").split(".")[0]
+    if not re.fullmatch(r"[1-9][0-9]*", conductor):
+        raise SchemaError(f"inner twist label {lab!r} must begin with its "
+                          "conductor, a positive integer")
+    return lab
+
+
 def _parse_record(label: str, doc: dict) -> NewformRecord:
     meta = _single_row(doc, "newform", label)
     eig = _single_row(doc, "eigenvalues", label)
@@ -170,14 +201,9 @@ def _parse_record(label: str, doc: dict) -> NewformRecord:
         level = int_from_json(meta["level"], "level")
         weight = int_from_json(meta["weight"], "weight")
         poly = poly_from_strings(meta["field_poly"])
-        modulus, value_order, gens, exps = meta["char_values"]
-        char_values = (int_from_json(modulus, "character modulus"),
-                       int_from_json(value_order, "character value order"),
-                       tuple(int_from_json(g, "character generator")
-                             for g in gens),
-                       tuple(int_from_json(e, "character exponent")
-                             for e in exps))
-        twists = tuple((str(lab), int_from_json(order, "inner twist order"),
+        char_values = _char_values(meta["char_values"])
+        twists = tuple((_twist_label(lab),
+                        int_from_json(order, "inner twist order"),
                         bool_from_json(proved, "inner twist proved flag"))
                        for lab, order, proved in meta["inner_twists"])
         an = typed_from_json(eig["an"], list, "an")
@@ -218,9 +244,10 @@ def _parse_record(label: str, doc: dict) -> NewformRecord:
 # ---------------------------------------------------------------------------
 
 def _character_from_values(field, char_values) -> Character | None:
-    """Nebentypus from (modulus, value order, generators, exponents); values
-    are zeta^exponent for a root of unity zeta of the given order, which must
-    exist in the Hecke field."""
+    """Nebentypus from (modulus, value order, generators, exponents): the
+    residue table that residue_table walks from the generators' values
+    zeta^exponent, for a root of unity zeta of the given order, which must
+    exist in the Hecke field; the generators must generate (Z/N)^x."""
     modulus, value_order, gens, exps = char_values
     if modulus == 1 or value_order == 1:
         return None
@@ -234,26 +261,14 @@ def _character_from_values(field, char_values) -> Character | None:
     step = mu.order // value_order
     t = min((j * step for j in range(1, value_order) if gcd(j, value_order) == 1),
             key=lambda k: mu.powers[k].coords)
-    exponents = {1: 0}
-    frontier = [1]
-    while frontier:
-        u = frontier.pop()
-        for g, e in zip(gens, exps):
-            v = (u * g) % modulus
-            k = (exponents[u] + e) % value_order
-            if v in exponents:
-                if exponents[v] != k:
-                    raise SchemaDrift("inconsistent nebentypus values",
-                                      body=char_values)
-            else:
-                exponents[v] = k
-                frontier.append(v)
-    if len(exponents) != euler_phi(modulus):
+    table = residue_table(modulus, [(g, e * t) for g, e in zip(gens, exps)],
+                          mu.order)
+    if table is None:
+        raise SchemaDrift("inconsistent nebentypus values", body=char_values)
+    if len(table) != euler_phi(modulus):
         raise SchemaDrift("nebentypus generators do not generate the unit "
                           "group", body=char_values)
-    return Character.dirichlet(
-        field, modulus, [exponents[g % modulus] * t
-                         for g, _ in unit_group_structure(modulus)])
+    return Character(field, "dirichlet", modulus, table)
 
 
 def to_eigensystem(record: NewformRecord, aut_images=None,

@@ -20,11 +20,12 @@ from twistctl.errors import (
     SchemaError,
 )
 from twistctl.numberfield import field_make, unit_roots
+from twistctl import characters
 from twistctl.characters import (
+    Character,
     char_eval,
     char_fit,
     char_from_json,
-    char_mul,
     char_to_json,
     char_transform,
     dirichlet_character,
@@ -33,6 +34,16 @@ from twistctl.characters import (
     trivial_character,
     unit_group_structure,
 )
+from test_fit_reference import primitive
+
+
+def char_mul(a, b):
+    """characters.char_mul, with the primitive() of every Dirichlet product
+    checked against Character.dirichlet at the conductor."""
+    product = characters.char_mul(a, b)
+    if product.kind == "dirichlet":
+        primitive(product)
+    return product
 
 
 def gaussian_field():
@@ -145,6 +156,14 @@ class TestEvalAndAlgebra:
             dirichlet_character(K, 4, [K.from_rational(2)])
         with pytest.raises(NotRootOfUnity):
             dirichlet_character(K, 4, [K.element([0, 1])])   # i has order 4, not 2
+
+    @pytest.mark.parametrize("modulus,exponents", [
+        (8, [2]), (8, [0, 2, 0]), (1, [0]), (5, [])])
+    def test_rejects_exponents_of_the_wrong_length(self, modulus, exponents):
+        """zip would read a short list as a table on part of (Z/N)^x."""
+        K = gaussian_field()
+        with pytest.raises(ValueError, match="generator exponents"):
+            Character.dirichlet(K, modulus, exponents)
 
     def test_transform_fixes_quadratic(self):
         K = gaussian_field()

@@ -325,6 +325,33 @@ class TestVerifyCocycleCommand:
         doc["model"][key] = bad
         self._rejected(capsys, tmp_path, doc)
 
+    @staticmethod
+    def _shaped(model, alpha):
+        """A trivial cocycle document, over a finite model (q, m, n) or over
+        Q(i) when model is None, with every alpha replaced."""
+        if model is None:
+            field = synth.gaussian_field()
+            ctx = number_field_context(field, subgroup_make(field, [0, 1]))
+            size = 2
+        else:
+            ctx = forms.finite_model_context(finite_model(*model))
+            size = model[2]
+        doc = cocycle_to_json(forms.trivial_cocycle(ctx, size))
+        for entry in doc["assignments"].values():
+            entry["alpha"] = alpha
+        return doc
+
+    # each passed as valid, or ended in an IndexError traceback
+    @pytest.mark.parametrize("model,alpha", [
+        ((2, 2, 3), [[1, 0]]),
+        ((2, 2, 2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        (None, [[["1", "0"], ["0", "0"]]]),
+        ((2, 2, 2), [[1, 0], [0]]),
+    ], ids=["short_for_n3", "3x3_for_n2", "1x2_over_Qi", "ragged"])
+    def test_alphas_are_square_of_the_model_size(self, capsys, tmp_path,
+                                                 model, alpha):
+        self._rejected(capsys, tmp_path, self._shaped(model, alpha))
+
     def test_an_element_written_two_ways_is_rejected(self, capsys, tmp_path):
         """"00" would read as element 0 too and replace the non-scalar
         entry at "0", so the document passed as valid."""

@@ -10,7 +10,9 @@ those exponents from one discrete-log table per prime power and call, then
 cuts each fit back to its conductor and deduplicates.  fit_all scans
 conductors instead, each primitive character built once from primitive
 characters at prime powers.  Each fit must return the same characters in
-the same order, and must refuse the same inputs with NotRootOfUnity.
+the same order, and must refuse the same inputs with NotRootOfUnity.  The
+residue table of Character.dirichlet is checked against the exponent walk
+it replaced, and primitive() against Character.dirichlet at the conductor.
 """
 
 from functools import lru_cache
@@ -24,7 +26,6 @@ from twistctl import synth
 from twistctl.arith import divisors, factorize, primes_up_to
 from twistctl.characters import (
     Character,
-    _unit_exponents,
     char_exponent,
     char_fit,
     char_to_json,
@@ -245,6 +246,40 @@ def enum_unit_exponents(N):
     return out
 
 
+def unit_exponents(N):
+    """Each unit r mod N mapped to its exponents on the canonical generators
+    of (Z/N)^x, in the order of itertools.product over them: one walk along
+    the powers of each generator in turn."""
+    table = {1 % N: ()}
+    for g, d in unit_group_structure(N):
+        step = {}
+        for r, es in table.items():
+            for j in range(d):
+                step[r] = es + (j,)
+                r = r * g % N
+        table = step
+    return table
+
+
+def dirichlet_at_conductor(chi):
+    """The primitive character built as Character.dirichlet at the
+    conductor M, from the values at the canonical generators mod M, each
+    read at a unit mod N above it."""
+    M = chi.conductor()
+    on_M = {r % M: k for r, k in chi.exps.items()}
+    return Character.dirichlet(chi.field, M,
+                               [on_M[g] for g, _ in unit_group_structure(M)])
+
+
+def primitive(chi):
+    """chi.primitive(), which restricts the table mod the conductor, checked
+    against dirichlet_at_conductor."""
+    prim = chi.primitive()
+    assert prim.modulus == chi.conductor()
+    assert prim.exps == dirichlet_at_conductor(chi).exps
+    return prim
+
+
 def enum_fit_all(value_map, N_max, order_bound, field):
     mu = unit_roots(field)
     w = mu.order
@@ -280,7 +315,7 @@ def enum_fit_all(value_map, N_max, order_bound, field):
             if any((sum(e * x for e, x in zip(es, xs)) - k) % w
                    for es, k in system):
                 continue
-            prim = Character.dirichlet(field, N, xs).primitive()
+            prim = primitive(Character.dirichlet(field, N, xs))
             found.setdefault(prim.canonical_key(), prim)
     return sorted(found.values(), key=lambda c: (c.modulus, c.canonical_key()))
 
@@ -307,8 +342,9 @@ def test_fit_all_matches_the_enumerating_reference(name, modulus):
     for step, places in iter_product((0, 1), (near, far)):
         chi = Character.dirichlet(field, modulus, [
             w // gcd(w, d) * (i * step + 1) for i, (_, d) in enumerate(gens)])
+        xs = [chi.exps[g] for g, _ in gens]
         assert list(chi.exps.items()) == [
-            (r, sum(e * x for e, x in zip(es, chi.gen_exps)) % w)
+            (r, sum(e * x for e, x in zip(es, xs)) % w)
             for r, es in enum_unit_exponents(modulus)]
         values = {p: powers[char_exponent(chi, p)] for p in places}
         wild = {**values, places[0]: field.one() + field.gen()}
@@ -329,7 +365,7 @@ def test_fit_all_matches_the_enumerating_reference(name, modulus):
 
 def table_fit_all(exponents, N_max, order_bound, field):
     """The fit by moduli: every N <= N_max prime to the places, generator
-    exponents of the wanted residues read from _unit_exponents(q^e) for
+    exponents of the wanted residues read from unit_exponents(q^e) for
     the q^e || N, every combination of generator exponents tried, and each
     fit cut back to its conductor and deduplicated."""
     mu = unit_roots(field)
@@ -356,7 +392,7 @@ def table_fit_all(exponents, N_max, order_bound, field):
         for m in parts:
             if m not in logs:
                 logs[m] = ([d for _, d in unit_group_structure(m)],
-                           _unit_exponents(m))
+                           unit_exponents(m))
         system = [(sum((logs[m][1][r % m] for m in parts), ()), k)
                   for r, k in wanted.items()]
         allowed = [range(0, w, w // gcd(w, d))
@@ -367,7 +403,7 @@ def table_fit_all(exponents, N_max, order_bound, field):
             if any((sum(e * x for e, x in zip(es, xs)) - k) % w
                    for es, k in system):
                 continue
-            prim = Character.dirichlet(field, N, xs).primitive()
+            prim = primitive(Character.dirichlet(field, N, xs))
             found.setdefault(prim.canonical_key(), prim)
     return sorted(found.values(), key=lambda c: (c.modulus, c.canonical_key()))
 
@@ -541,3 +577,29 @@ def conductor_problems(draw):
 def test_fit_all_matches_both_references_across_w(problem):
     got, table, enum = _all_outcomes(*problem)
     assert got == table == enum
+
+
+# ---------------------------------------------------------------------------
+# the residue table against the exponent walk it replaced
+# ---------------------------------------------------------------------------
+
+ALL_FIELDS = {**FIELDS, "sqrt2": BY_W[2], "zeta12": BY_W[12]}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIELDS))
+def test_residue_tables_match_the_exponent_walk(name):
+    """For every modulus up to 200, the table of Character.dirichlet holds
+    the items of unit_exponents dotted with the generator exponents, in the
+    same order: characters sending the i-th generator to the (i+1)-th power,
+    or the first power, of a root of unity of the largest order it allows."""
+    field = ALL_FIELDS[name]
+    w = unit_roots(field).order
+    for modulus in range(1, 201):
+        gens = unit_group_structure(modulus)
+        for step in (0, 1):
+            xs = [w // gcd(w, d) * (i * step + 1)
+                  for i, (_, d) in enumerate(gens)]
+            chi = Character.dirichlet(field, modulus, xs)
+            assert list(chi.exps.items()) == [
+                (r, sum(e * x for e, x in zip(es, xs)) % w)
+                for r, es in unit_exponents(modulus).items()]

@@ -10,12 +10,16 @@ to the live service is opt-in via TWISTCTL_NETWORK=1.
 
 import json
 import os
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twistctl import lmfdb
-from twistctl.characters import char_eval
+from twistctl import lmfdb, synth
+from twistctl.arith import divisors, euler_phi
+from twistctl.characters import (Character, char_eval,
+                                 unit_group_structure)
 from twistctl.cli import run
 from twistctl.eigensystem import load_system, serialize
 from twistctl.errors import (
@@ -26,7 +30,10 @@ from twistctl.errors import (
     NotGalois,
     SchemaDrift,
 )
+from twistctl.numberfield import unit_roots
 from twistctl.twists import detect
+
+from test_fit_reference import unit_exponents
 
 CACHE = Path(__file__).parent / "data" / "lmfdb_cache"
 SQRT5_AUTS = [[0, 1], [1, -1]]
@@ -124,24 +131,45 @@ FLOAT_MUTATIONS = {
 }
 
 
+def _char_values(values):
+    return lambda doc: doc["newform"]["data"][0].update(char_values=values)
+
+
+# a nebentypus or inner-twist label that only one reading can make sense of
+LOOSE_MUTATIONS = {
+    "char_non_unit": _char_values([8, 2, [2], [0]]),
+    "char_modulus_0": _char_values([0, 2, [], []]),
+    "char_order_0": _char_values([4, 0, [3], [1]]),
+    "char_order_negative": _char_values([4, -2, [3], [1]]),
+    "char_exponent_missing": _char_values([16, 2, [15, 5], [1]]),
+    "twist_label": lambda doc: doc["newform"]["data"][0].update(
+        inner_twists=[["abc", 2, True]]),
+}
+MUTATIONS = {**FLOAT_MUTATIONS, **LOOSE_MUTATIONS}
+
+
 class TestRecordsAreReadExactly:
     """A float (or a bool where an int belongs, a string where a bool
     belongs, or an int where a list belongs) anywhere in a record is schema
     drift, as in every other input document: int(47.9) would read a level of
     47, a_2 = [-1.0, 0.1] would be read as -1 + alpha/10, bool("false") as a
-    proved inner twist or a power basis, and an = 5 ended in a traceback."""
+    proved inner twist or a power basis, and an = 5 ended in a traceback.
+    So is a nebentypus on a modulus or value order below 1, on a generator
+    that is no unit or with an exponent short, and an inner-twist label not
+    led by its conductor: each passed fetch and ended compare in a
+    traceback or the wrong error."""
 
-    @pytest.mark.parametrize("what", sorted(FLOAT_MUTATIONS))
+    @pytest.mark.parametrize("what", sorted(MUTATIONS))
     def test_inexact_number_is_drift(self, tmp_path, what):
-        tampered_cache(tmp_path, "47.1.b.a", FLOAT_MUTATIONS[what])
+        tampered_cache(tmp_path, "47.1.b.a", MUTATIONS[what])
         with pytest.raises(SchemaDrift) as exc:
             lmfdb.fetch_newform("47.1.b.a", cache_dir=tmp_path,
                                 allow_network=False)
         assert exc.value.body is not None
 
-    @pytest.mark.parametrize("what", sorted(FLOAT_MUTATIONS))
+    @pytest.mark.parametrize("what", sorted(MUTATIONS))
     def test_inexact_number_fails_the_command(self, tmp_path, capsys, what):
-        tampered_cache(tmp_path, "47.1.b.a", FLOAT_MUTATIONS[what])
+        tampered_cache(tmp_path, "47.1.b.a", MUTATIONS[what])
         code = run(["lmfdb", "compare", "--label", "47.1.b.a",
                     "--cache-dir", str(tmp_path),
                     "--aut-images", "[[0,1],[1,-1]]"])
@@ -265,6 +293,111 @@ class TestConversion:
         sys = lmfdb.to_eigensystem(cached_record("11.2.a.a"), bound=100)
         assert max(sys.coeffs) <= 100
         assert 97 in sys.coeffs
+
+
+# ---------------------------------------------------------------------------
+# the nebentypus against the breadth-first walk it replaced
+# ---------------------------------------------------------------------------
+
+def ref_character_from_values(field, char_values):
+    """The nebentypus by a breadth-first walk over the record's generators,
+    its table projected onto the canonical generators and expanded again
+    by Character.dirichlet."""
+    modulus, value_order, gens, exps = char_values
+    if modulus == 1 or value_order == 1:
+        return None
+    mu = unit_roots(field)
+    if mu.order % value_order:
+        raise SchemaDrift(
+            f"nebentypus values require a root of unity of order "
+            f"{value_order}, which the Hecke field lacks", body=char_values)
+    step = mu.order // value_order
+    t = min((j * step for j in range(1, value_order)
+             if gcd(j, value_order) == 1),
+            key=lambda k: mu.powers[k].coords)
+    exponents = {1: 0}
+    frontier = [1]
+    while frontier:
+        u = frontier.pop()
+        for g, e in zip(gens, exps):
+            v = (u * g) % modulus
+            k = (exponents[u] + e) % value_order
+            if v in exponents:
+                if exponents[v] != k:
+                    raise SchemaDrift("inconsistent nebentypus values",
+                                      body=char_values)
+            else:
+                exponents[v] = k
+                frontier.append(v)
+    if len(exponents) != euler_phi(modulus):
+        raise SchemaDrift("nebentypus generators do not generate the unit "
+                          "group", body=char_values)
+    return Character.dirichlet(
+        field, modulus, [exponents[g % modulus] * t
+                         for g, _ in unit_group_structure(modulus)])
+
+
+def nebentypus_outcomes(field, char_values):
+    """(modulus, table) or None from the nebentypus and its reference, or
+    the message of the SchemaDrift each raised."""
+    def outcome(build):
+        try:
+            chi = build(field, char_values)
+        except SchemaDrift as exc:
+            return str(exc)
+        return None if chi is None else (chi.modulus, chi.exps)
+
+    return (outcome(lmfdb._character_from_values),
+            outcome(ref_character_from_values))
+
+
+NEBENTYPUS_FIELDS = (synth.sqrt2_field(), synth.gaussian_field(),
+                     synth.eisenstein_field(), synth.biquadratic_field())
+
+
+@st.composite
+def nebentypus_records(draw):
+    """char_values of a character of order dividing the value order, on a
+    modulus up to 100, at random units written as any integer above them,
+    the canonical generators now and then among them; sometimes with one
+    exponent changed, and sometimes with a value order the field lacks."""
+    field = draw(st.sampled_from(NEBENTYPUS_FIELDS))
+    w = unit_roots(field).order
+    value_order = draw(st.sampled_from(divisors(w)[1:] * 3 + [1, 5]))
+    modulus = draw(st.integers(1, 100))
+    xs = [value_order // gcd(value_order, d)
+          * draw(st.integers(0, gcd(value_order, d) - 1))
+          for _, d in unit_group_structure(modulus)]
+    logs = unit_exponents(modulus)
+    units = draw(st.lists(st.sampled_from(sorted(logs)), max_size=6))
+    if draw(st.booleans()):
+        units += [g for g, _ in unit_group_structure(modulus)]
+    units = draw(st.permutations(units))
+    exps = [sum(e * x for e, x in zip(logs[u], xs)) % value_order
+            for u in units]
+    if units and draw(st.booleans()):
+        exps[draw(st.integers(0, len(units) - 1))] = draw(
+            st.integers(0, value_order - 1))
+    gens = [u + modulus * draw(st.integers(0, 2)) for u in units]
+    return field, (modulus, value_order, tuple(gens), tuple(exps))
+
+
+class TestNebentypusReference:
+    @pytest.mark.parametrize("label,auts", [("11.2.a.a", None),
+                                            ("16.3.c.a", None),
+                                            ("47.1.b.a", SQRT5_AUTS)])
+    def test_cached_records(self, label, auts):
+        sys = lmfdb.to_eigensystem(cached_record(label), aut_images=auts)
+        got, want = nebentypus_outcomes(sys.field,
+                                        cached_record(label).char_values)
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(nebentypus_records())
+    def test_drawn_records(self, problem):
+        """Both build the same character or both refuse, with one message."""
+        got, want = nebentypus_outcomes(*problem)
+        assert got == want
 
 
 class TestComparison:
