@@ -11,8 +11,9 @@ mod N (base field Q) is its residue -> exponent table, built by one walk
 characters are bare place -> exponent maps for other base fields.  On top:
 Galois transforms, products, conductors, and a fitting search that recovers
 the smallest-conductor Dirichlet character with given exponents at given
-places, scanning conductors: each primitive character is a product of
-primitive characters at prime powers, built once.
+places among those of conductor dividing a modulus N, scanning the divisors
+of N: each primitive character is a product of primitive characters at the
+prime powers dividing N, built once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import product as iter_product
 from math import gcd, lcm
 from operator import mul
 
-from .arith import divisors, factorize, primes_up_to, primitive_root
+from .arith import divisors, factorize, primitive_root
 from .errors import (
     Ambiguous,
     IncompatibleSupports,
@@ -295,16 +296,16 @@ def _local_characters(q: int, e: int, w: int, order_bound: int,
             for xs in chars]
 
 
-def fit_all(exponents: dict, N_max: int, order_bound: int,
+def fit_all(exponents: dict, N: int, order_bound: int,
             field: NumberField) -> list[Character]:
-    """All primitive Dirichlet characters of conductor <= N_max and order
+    """All primitive Dirichlet characters of conductor dividing N and order
     <= order_bound with chi(v) = zeta^k_v for every entry v -> k_v of
     exponents, sorted by conductor then value table.
 
-    Each is a product of primitive characters at the q^e || f, listed once
-    per call with their exponents at the places: a combination fits when
-    those sum to the k_v mod w.  Conductors sharing a factor with a place
-    are skipped: the observed ratio there is a unit, which they cannot give.
+    Each is a product of primitive characters at the q^e || f for f | N,
+    listed once per call with their exponents at the places: a combination
+    fits when those sum to the k_v mod w.  Conductors sharing a factor with
+    a place are skipped: they vanish at it, where the ratio is a unit.
     """
     mu = unit_roots(field)
     w = mu.order
@@ -319,9 +320,9 @@ def fit_all(exponents: dict, N_max: int, order_bound: int,
     # no product of primitive local characters is trivial
     found = [] if any(target) else [trivial_character(field)]
     local = {q ** e: _local_characters(q, e, w, order_bound, places)
-             for q in primes_up_to(N_max) if all(v % q for v in places)
-             for e in range(1, N_max.bit_length()) if q ** e <= N_max}
-    for f in range(3, N_max + 1):
+             for q, top in factorize(N) if all(v % q for v in places)
+             for e in range(1, top + 1)}
+    for f in divisors(N)[1:]:
         parts = [local.get(q ** e, ()) for q, e in factorize(f)]
         for combo in iter_product(*parts):
             if all((sum(col) - k) % w == 0 for col, k in
@@ -332,15 +333,15 @@ def fit_all(exponents: dict, N_max: int, order_bound: int,
     return sorted(found, key=lambda c: (c.modulus, c.canonical_key()))
 
 
-def char_fit(exponents: dict, N_max: int, order_bound: int,
+def char_fit(exponents: dict, N: int, order_bound: int,
              field: NumberField) -> Character | None:
-    """The unique smallest-conductor Dirichlet character of modulus <= N_max
-    with chi(v) = zeta^k_v on the exponent map, None if nothing fits,
-    Ambiguous on a tie.  An all-zero map gives the trivial character, the
-    only fit of conductor 1, without scanning a modulus."""
+    """The unique smallest-conductor Dirichlet character of conductor
+    dividing N with chi(v) = zeta^k_v on the exponent map, None if nothing
+    fits, Ambiguous on a tie.  An all-zero map gives the trivial character,
+    the only fit of conductor 1, without scanning a modulus."""
     if not any(exponents.values()):
         return trivial_character(field)
-    fits = fit_all(exponents, N_max, order_bound, field)
+    fits = fit_all(exponents, N, order_bound, field)
     if not fits:
         return None
     best = fits[0].modulus

@@ -88,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         add_common(p)
         p.add_argument("--bound", type=_positive_int, default=100)
-        p.add_argument("--n-max", type=_positive_int, default=None,
-                       help="largest character modulus to scan")
         if name != "twists":
             p.add_argument("--primes", type=_parse_primes, required=True,
                            help="range like 3..100 or comma list like 5,13,17")
@@ -226,7 +224,7 @@ def _cmd_image(ns) -> int:
     """twists, classify and report: the detection, the image report, or its
     per-prime part."""
     sys_, renormed = _load_input_system(ns.input)
-    result = detect(sys_, ns.bound, n_max=ns.n_max)
+    result = detect(sys_, ns.bound)
     if ns.subcommand == "twists":
         body = detection_to_json(result)
     else:

@@ -4,7 +4,8 @@ An inner twist is a pair (sigma, chi) with sigma(a_v) = chi(v) a_v (and, for
 n = 3, sigma(b_v) = chi(v)^{-1} b_v) at every good place; an outer twist
 (tau, eta) relates the data to its dual: tau(a_v) = eta(v) b_v and
 tau(b_v) = eta(v)^{-1} a_v.  Detection is certified only up to a norm bound
-and each twist records the bound it was verified at.  Each scan reads every
+and each twist records the bound it was verified at; over Q its character
+is fitted modulo conductor_bound(sys).  Each scan reads every
 relation once, as the exponent k with sigma(s) = zeta^k t for the generator
 zeta of mu(E), by lookup among the products zeta^k t; no field element is
 inverted.  The general-type verdict owns the outer row tau = 0.
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+from .arith import factorize
 from .characters import (
     Character,
     char_exponent,
@@ -53,7 +55,7 @@ from .numberfield import (
 )
 from .polynomials import poly_to_strings
 
-DEFAULT_MIN_PLACES = 10
+MIN_PLACES = 10
 DEFAULT_RAW_ORDER_BOUND = 24
 
 
@@ -85,9 +87,15 @@ class TwistGroup:
         return any(t.kind == "outer" for t in self.twists)
 
 
-def default_n_max(sys: EigenSystem) -> int:
-    norms = [v for v in sys.bad_places if isinstance(v, int)]
-    return 16 * prod(norms) if norms else 16
+def conductor_bound(sys: EigenSystem) -> int:
+    """N0 = prod of q^(1 + v_q(w)) over the bad primes q, with one more 2
+    at q = 2, w = |mu(E)|: over Q every twist character's conductor divides
+    it.  Both sides of a twist are unramified at a good place, so chi is too.
+    A primitive character mod q^e with values in mu(E) has order divisible
+    by q^(e-1) (by 2^(e-2) at q = 2), and its order divides w (Washington,
+    Introduction to Cyclotomic Fields, ch. 3)."""
+    w = dict(factorize(unit_roots(sys.field).order))
+    return prod(q ** (1 + w.get(q, 0) + (q == 2)) for q in sys.bad_places)
 
 
 def _max_order(sys: EigenSystem) -> int:
@@ -128,8 +136,7 @@ def compose_twists(field: NumberField, left: ExtraTwist,
 # detection
 # ---------------------------------------------------------------------------
 
-def find_inner(sys: EigenSystem, bound: int, n_max: int | None = None,
-               min_places: int = DEFAULT_MIN_PLACES) -> list[ExtraTwist]:
+def find_inner(sys: EigenSystem, bound: int) -> list[ExtraTwist]:
     """Inner twists (sigma, chi) verified at all good places of norm <= bound.
 
     chi is fitted from the exponents k with sigma(a_v) = zeta^k a_v at
@@ -137,11 +144,10 @@ def find_inner(sys: EigenSystem, bound: int, n_max: int | None = None,
     relations everywhere.  Places where every relation degenerates to 0 = 0
     are recorded on the twist."""
     _check_detection_input(sys)
-    return _scan(sys, "inner", bound, n_max, min_places, range(sys.field.degree))
+    return _scan(sys, "inner", bound, range(sys.field.degree))
 
 
-def find_outer(sys: EigenSystem, bound: int, n_max: int | None = None,
-               min_places: int = DEFAULT_MIN_PLACES,
+def find_outer(sys: EigenSystem, bound: int,
                aut_indices: tuple[int, ...] | None = None) -> list[ExtraTwist]:
     """Outer twists (tau, eta) with tau(a_v) = eta(v) b_v at good v <= bound.
 
@@ -155,7 +161,7 @@ def find_outer(sys: EigenSystem, bound: int, n_max: int | None = None,
     if not sys.is_normalized:
         raise ValueError("outer detection expects a normalized system")
     taus = range(sys.field.degree) if aut_indices is None else aut_indices
-    return _scan(sys, "outer", bound, n_max, min_places, taus)
+    return _scan(sys, "outer", bound, taus)
 
 
 def _relations(sys: EigenSystem, kind: str, v) -> tuple:
@@ -171,22 +177,19 @@ def _relations(sys: EigenSystem, kind: str, v) -> tuple:
     return ((pd.a, pd.b), (pd.b, pd.a))
 
 
-def _scan(sys: EigenSystem, kind: str, bound: int, n_max, min_places: int,
-          auts) -> list[ExtraTwist]:
+def _scan(sys: EigenSystem, kind: str, bound: int, auts) -> list[ExtraTwist]:
     """Twists of the given kind on the automorphisms auts, the identity
     included, read off each one's exponent table: over Q a Dirichlet
     character fitted from the first relation where its target is nonzero,
     over other bases the table."""
-    if n_max is None:
-        n_max = default_n_max(sys)
     ob = _max_order(sys)
     places = sys.places(bound)
     support = [v for v in places
                if not _relations(sys, kind, v)[0][1].is_zero()]
-    if len(support) < min_places:
+    if len(support) < MIN_PLACES:
         coeff = "a_v" if kind == "inner" else "b_v"
         raise InsufficientData(
-            f"{len(support)} places have {coeff} != 0; at least {min_places} "
+            f"{len(support)} places have {coeff} != 0; at least {MIN_PLACES} "
             f"are needed to pin down a character")
     undetermined = tuple(v for v in places
                          if all(s.is_zero() and t.is_zero()
@@ -197,7 +200,7 @@ def _scan(sys: EigenSystem, kind: str, bound: int, n_max, min_places: int,
     for sigma in auts:
         table = _exponents(sys, kind, sigma, places, products)
         if sys.base_field_label == "Q":
-            chi = _fit_dirichlet(sys.field, table, support, n_max, ob)
+            chi = _fit_dirichlet(sys, table, support, ob)
         else:
             chi = _fit_table(sys.field, table, ob)
         if chi is not None and _power_ok(sys, chi):
@@ -237,7 +240,7 @@ def _exponents(sys: EigenSystem, kind: str, sigma: int, places,
     return table
 
 
-def _fit_dirichlet(field: NumberField, table: dict, support, n_max: int,
+def _fit_dirichlet(sys: EigenSystem, table: dict, support,
                    ob: int) -> Character | None:
     """The smallest-conductor Dirichlet character with the first
     relation's exponents on the support, if it agrees with the whole table."""
@@ -245,7 +248,7 @@ def _fit_dirichlet(field: NumberField, table: dict, support, n_max: int,
     if None in first.values():
         return None
     try:
-        chi = char_fit(first, n_max, ob, field)
+        chi = char_fit(first, conductor_bound(sys), ob, sys.field)
     except NotRootOfUnity:
         return None
     return chi if chi is not None and _agrees(chi, table) else None
@@ -392,9 +395,7 @@ class GeneralTypeVerdict:
     bound: int
 
 
-def general_type_verdict(sys: EigenSystem, bound: int,
-                         n_max: int | None = None,
-                         min_places: int = DEFAULT_MIN_PLACES) -> GeneralTypeVerdict:
+def general_type_verdict(sys: EigenSystem, bound: int) -> GeneralTypeVerdict:
     """Classify the system up to the bound: self-twist when a nontrivial
     character fixes it, essentially self-dual when it matches its own dual up
     to a character, general type otherwise.
@@ -408,21 +409,19 @@ def general_type_verdict(sys: EigenSystem, bound: int,
     self-twist scan runs over the rational base field only.  The outer fit
     on tau = 0 raises InsufficientData or Ambiguous as find_outer does."""
     _check_detection_input(sys)
-    if n_max is None:
-        n_max = default_n_max(sys)
     ob = _max_order(sys)
     places = sys.places(bound)
     determined = [v for v in places if not sys.coeffs[v].a.is_zero()]
-    if len(determined) < min_places:
+    if len(determined) < MIN_PLACES:
         raise InsufficientData(
-            f"{len(determined)} places have a_v != 0; at least {min_places} "
+            f"{len(determined)} places have a_v != 0; at least {MIN_PLACES} "
             f"are needed for a verdict")
 
     if sys.base_field_label == "Q":
         blank = [v for v in places if all(
             s.is_zero() for s, _ in _relations(sys, "inner", v))]
         for cand in fit_all(dict.fromkeys(set(places) - set(blank), 0),
-                            n_max, ob, sys.field):
+                            conductor_bound(sys), ob, sys.field):
             if _power_ok(sys, cand) and any(
                     _exponent(cand, v) not in (0, None) for v in blank):
                 return GeneralTypeVerdict("self-twist", cand, bound)
@@ -433,7 +432,7 @@ def general_type_verdict(sys: EigenSystem, bound: int,
                    else Character(sys.field, "table",
                                   exps=dict.fromkeys(determined, 0)))
         return GeneralTypeVerdict("essentially-self-dual", witness, bound)
-    for t in find_outer(sys, bound, n_max, min_places, aut_indices=(0,)):
+    for t in find_outer(sys, bound, aut_indices=(0,)):
         return GeneralTypeVerdict("essentially-self-dual", t.character, bound)
     return GeneralTypeVerdict("general-type", None, bound)
 
@@ -452,18 +451,17 @@ class DetectionResult:
     bound: int
 
 
-def detect(sys: EigenSystem, bound: int, n_max: int | None = None,
-           min_places: int = DEFAULT_MIN_PLACES) -> DetectionResult:
+def detect(sys: EigenSystem, bound: int) -> DetectionResult:
     """Full pipeline: find twists, assemble the group, compute fixed fields
     and the coefficient-field report.
 
     Outer twists enter the group only for general-type data; a degenerate
     system keeps its inner-twist group and the verdict carries the witness."""
-    inners = find_inner(sys, bound, n_max, min_places)
-    verdict = general_type_verdict(sys, bound, n_max, min_places)
+    inners = find_inner(sys, bound)
+    verdict = general_type_verdict(sys, bound)
     if sys.n == 3 and verdict.kind == "general-type":
         # the verdict found no outer twist on tau = 0
-        outers = find_outer(sys, bound, n_max, min_places,
+        outers = find_outer(sys, bound,
                             aut_indices=tuple(range(1, sys.field.degree)))
     else:
         outers = []

@@ -7,7 +7,7 @@ character of small modulus exists and one that is genuinely ambiguous).
 
 import hashlib
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -268,10 +268,17 @@ class TestFitting:
         assert char_eval(chi, 3) == -1
 
     def test_all_ones_gives_trivial(self):
+        # the second case is the conductor bound of data over Q(i) with the
+        # bad primes 2 to 17, 16 * 3 * 5 * 7 * 11 * 13 * 17, at the 13
+        # places from 41 to 97
         K = gaussian_field()
-        vals = {p: K.one() for p in primes_upto(50) if p != 2}
-        chi = char_fit(exponents(K, vals), 12, 2, K)
-        assert chi == trivial_character(K) and chi.conductor() == 1
+        for places, N, order_bound in (
+                ([p for p in primes_upto(50) if p != 2], 12, 2),
+                ([p for p in primes_upto(100) if p > 40], 4084080, 4)):
+            exps = exponents(K, dict.fromkeys(places, K.one()))
+            assert fit_all(exps, N, order_bound, K) == [trivial_character(K)]
+            chi = char_fit(exps, N, order_bound, K)
+            assert chi == trivial_character(K) and chi.conductor() == 1
 
     def test_no_character_fits(self):
         K = gaussian_field()
@@ -281,11 +288,11 @@ class TestFitting:
 
     def test_ambiguous_pair_of_quartic_characters(self):
         # 19 and 29 are 4 mod 5, where both order-4 characters mod 5 take the
-        # value -1; nothing of smaller conductor matches.
+        # value -1; nothing of smaller conductor dividing 40 matches.
         K = gaussian_field()
         mone = K.from_rational(-1)
         with pytest.raises(Ambiguous):
-            char_fit(exponents(K, {19: mone, 29: mone}), 8, 4, K)
+            char_fit(exponents(K, {19: mone, 29: mone}), 40, 4, K)
 
     def test_order_bound_disambiguates(self):
         K = gaussian_field()
@@ -321,7 +328,7 @@ class TestFitting:
         chi = dirichlet_character(K, modulus, images)
         vals = {p: char_eval(chi, p) for p in primes_upto(200)
                 if gcd(p, modulus) == 1}
-        got = char_fit(exponents(K, vals), max(modulus, 4), 4, K)
+        got = char_fit(exponents(K, vals), lcm(modulus, 4), 4, K)
         assert got == chi.primitive()
         for p, v in vals.items():
             assert char_eval(got, p) == v

@@ -71,6 +71,15 @@ class TestUsageErrors:
                                         "--m", "2", "--seed", "3"])
         assert ns.seed == 3
 
+    def test_the_conductor_cap_is_no_option(self, capsys):
+        # the fit modulus is worked out from the bad places
+        for argv in (["twists"], ["classify", "--primes", "3..20"],
+                     ["report", "--primes", "3..20"]):
+            code, _, err = invoke(capsys, *argv, "--input", VANTOP,
+                                  "--n-max", "100")
+            assert code == 2
+            assert "--n-max" in err
+
     def test_prime_range_parsing(self):
         assert _parse_primes("3..12") == (3, 5, 7, 11)
         assert _parse_primes("13,5,7") == (13, 5, 7)

@@ -3,16 +3,19 @@
 The first reference is the field-element fit: every character value is a
 FieldElement, orders are found by repeated multiplication, and each
 candidate is tested by products of generator images.  The second is the
-enumerating exponent fit: for every modulus N it walks all of (Z/N)^x with
-one pow per generator per residue to read the generator exponents of the
-wanted residues.  The third is the table fit: for every modulus N it reads
-those exponents from one discrete-log table per prime power and call, then
-cuts each fit back to its conductor and deduplicates.  fit_all scans
-conductors instead, each primitive character built once from primitive
-characters at prime powers.  Each fit must return the same characters in
-the same order, and must refuse the same inputs with NotRootOfUnity.  The
-residue table of Character.dirichlet is checked against the exponent walk
-it replaced, and primitive() against Character.dirichlet at the conductor.
+enumerating exponent fit: for every divisor M of the modulus N it walks all
+of (Z/M)^x with one pow per generator per residue to read the generator
+exponents of the wanted residues.  The third is the table fit: for every
+divisor M of N it reads those exponents from one discrete-log table per
+prime power and call, then cuts each fit back to its conductor and
+deduplicates.  fit_all scans the conductors dividing N instead, each
+primitive character built once from primitive characters at prime powers;
+it must also equal fit_upto, the fit by a conductor cap that it replaced,
+kept to the conductors dividing N.  Each fit must return the same
+characters in the same order, and must refuse the same inputs with
+NotRootOfUnity.  The residue table of Character.dirichlet is checked
+against the exponent walk it replaced, and primitive() against
+Character.dirichlet at the conductor.
 """
 
 from functools import lru_cache
@@ -22,6 +25,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fit_reference import fit_within
 from twistctl import synth
 from twistctl.arith import divisors, factorize, primes_up_to
 from twistctl.characters import (
@@ -117,7 +121,7 @@ class RefCharacter:
                     for (g, _), img in zip(gens, self.generator_images)}}
 
 
-def ref_fit_all(value_map, N_max, order_bound, field, mu):
+def ref_fit_all(value_map, N, order_bound, field, mu):
     one = field.one()
     entries = []
     for place, val in sorted(value_map.items(), key=lambda kv: int(kv[0])):
@@ -131,18 +135,18 @@ def ref_fit_all(value_map, N_max, order_bound, field, mu):
     if all(val == one for _, val in entries):
         triv = RefCharacter(field, mu, 1, ())
         found[triv.canonical_key()] = triv
-    for N in range(1, N_max + 1):
-        if any(gcd(v, N) != 1 for v, _ in entries):
+    for M in divisors(N):
+        if any(gcd(v, M) != 1 for v, _ in entries):
             continue
-        gens = unit_group_structure(N)
+        gens = unit_group_structure(M)
         candidates = [[z for z in mu if z ** (d % mu_order[z]) == one]
                       for _, d in gens]
         exps_of = {}
-        wanted = {v % N for v, _ in entries}
+        wanted = {v % M for v, _ in entries}
         for exps in iter_product(*(range(d) for _, d in gens)):
-            r = 1 % N
+            r = 1 % M
             for (g, _), e in zip(gens, exps):
-                r = r * pow(g, e, N) % N
+                r = r * pow(g, e, M) % M
             if r in wanted and r not in exps_of:
                 exps_of[r] = exps
         for combo in iter_product(*candidates):
@@ -151,14 +155,14 @@ def ref_fit_all(value_map, N_max, order_bound, field, mu):
             ok = True
             for v, val in entries:
                 acc = one
-                for img, e in zip(combo, exps_of[v % N]):
+                for img, e in zip(combo, exps_of[v % M]):
                     acc = acc * img ** (e % mu_order[img])
                 if acc != val:
                     ok = False
                     break
             if not ok:
                 continue
-            chi = RefCharacter(field, mu, N, tuple(combo))
+            chi = RefCharacter(field, mu, M, tuple(combo))
             if chi.order() > order_bound:
                 continue
             prim = chi.primitive()
@@ -174,7 +178,8 @@ def ref_fit_all(value_map, N_max, order_bound, field, mu):
 def fitting_problems(draw):
     """A value map of a random Dirichlet character at random primes, now
     and then with one value replaced by another root of unity, by a field
-    element of infinite order, or by a rational +-1."""
+    element of infinite order, or by a rational +-1; fitted modulo a
+    multiple of the modulus."""
     name = draw(st.sampled_from(["cubic_klein", "eisenstein", "gaussian"]))
     field, mu = FIELDS[name], _mu(name)
     one = field.one()
@@ -196,9 +201,9 @@ def fitting_problems(draw):
         values[victim] = one + field.gen()
     elif change == "rational" and values[victim].is_rational():
         values[victim] = int(values[victim].as_fraction())
-    n_max = draw(st.integers(1, 24))
+    N = modulus * draw(st.integers(1, 4))
     order_bound = draw(st.integers(1, 12))
-    return name, values, n_max, order_bound
+    return name, values, N, order_bound
 
 
 def exponents(field, values):
@@ -220,13 +225,15 @@ def _outcome(fit):
 @settings(max_examples=150, deadline=None)
 @given(fitting_problems())
 def test_fit_all_matches_the_field_element_reference(problem):
-    name, values, n_max, order_bound = problem
+    name, values, N, order_bound = problem
     field, mu = FIELDS[name], _mu(name)
     got = _outcome(lambda: [char_to_json(c) for c in fit_all(
-        exponents(field, values), n_max, order_bound, field)])
+        exponents(field, values), N, order_bound, field)])
     want = _outcome(lambda: [c.to_json() for c in
-                             ref_fit_all(values, n_max, order_bound, field, mu)])
-    assert got == want
+                             ref_fit_all(values, N, order_bound, field, mu)])
+    within = _outcome(lambda: [char_to_json(c) for c in fit_within(
+        exponents(field, values), N, order_bound, field)])
+    assert got == want == within
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +287,7 @@ def primitive(chi):
     return prim
 
 
-def enum_fit_all(value_map, N_max, order_bound, field):
+def enum_fit_all(value_map, N, order_bound, field):
     mu = unit_roots(field)
     w = mu.order
     entries = []
@@ -296,15 +303,15 @@ def enum_fit_all(value_map, N_max, order_bound, field):
     if not any(k for _, k in entries):
         triv = trivial_character(field)
         found[triv.canonical_key()] = triv
-    for N in range(1, N_max + 1):
-        if any(gcd(v, N) != 1 for v, _ in entries):
+    for M in divisors(N):
+        if any(gcd(v, M) != 1 for v, _ in entries):
             continue
         wanted = {}
-        if any(wanted.setdefault(v % N, k) != k for v, k in entries):
+        if any(wanted.setdefault(v % M, k) != k for v, k in entries):
             continue
-        gens = unit_group_structure(N)
+        gens = unit_group_structure(M)
         exps_of = {}
-        for r, es in enum_unit_exponents(N):
+        for r, es in enum_unit_exponents(M):
             if r in wanted and r not in exps_of:
                 exps_of[r] = es
         system = [(exps_of[r], k) for r, k in wanted.items()]
@@ -315,7 +322,7 @@ def enum_fit_all(value_map, N_max, order_bound, field):
             if any((sum(e * x for e, x in zip(es, xs)) - k) % w
                    for es, k in system):
                 continue
-            prim = primitive(Character.dirichlet(field, N, xs))
+            prim = primitive(Character.dirichlet(field, M, xs))
             found.setdefault(prim.canonical_key(), prim)
     return sorted(found.values(), key=lambda c: (c.modulus, c.canonical_key()))
 
@@ -328,17 +335,18 @@ EXPLICIT_MODULI = (4, 8, 16, 32, 64, 9, 25, 49, 24, 72, 200)
 def test_fit_all_matches_the_enumerating_reference(name, modulus):
     """Characters mod N sending the i-th generator to the (i+1)-th power
     (or the first power) of a root of unity of the largest order it allows,
-    read at the first primes prime to N (which leaves the moduli built from
-    N's primes to scan) or at primes above 200 (which leaves every modulus
-    up to 200); fitted up to N and up to 200, under the full order bound
-    and under one too small, and once with a value that is no root of
-    unity."""
+    read at the first primes prime to N (which leaves the divisors of N to
+    scan) or at primes above 200 (which leaves every divisor of
+    lcm(N, 120)); fitted modulo N and modulo lcm(N, 120), under the full
+    order bound and under one too small, and once with a value that is no
+    root of unity."""
     field = FIELDS[name]
     w = unit_roots(field).order
     powers = unit_roots(field).powers
     gens = unit_group_structure(modulus)
     near = [p for p in primes_up_to(90) if gcd(p, modulus) == 1][:10]
     far = [p for p in primes_up_to(260) if p > 200][:6]
+    wide = lcm(modulus, 120)
     for step, places in iter_product((0, 1), (near, far)):
         chi = Character.dirichlet(field, modulus, [
             w // gcd(w, d) * (i * step + 1) for i, (_, d) in enumerate(gens)])
@@ -348,14 +356,14 @@ def test_fit_all_matches_the_enumerating_reference(name, modulus):
             for r, es in enum_unit_exponents(modulus)]
         values = {p: powers[char_exponent(chi, p)] for p in places}
         wild = {**values, places[0]: field.one() + field.gen()}
-        for vmap, n_max, order_bound in ((values, modulus, w),
-                                         (values, 200, w),
-                                         (values, 200, 2),
-                                         (wild, modulus, w)):
+        for vmap, N, order_bound in ((values, modulus, w),
+                                     (values, wide, w),
+                                     (values, wide, 2),
+                                     (wild, modulus, w)):
             got = _outcome(lambda: [char_to_json(c) for c in fit_all(
-                exponents(field, vmap), n_max, order_bound, field)])
+                exponents(field, vmap), N, order_bound, field)])
             want = _outcome(lambda: [char_to_json(c) for c in enum_fit_all(
-                vmap, n_max, order_bound, field)])
+                vmap, N, order_bound, field)])
             assert got == want
 
 
@@ -363,11 +371,11 @@ def test_fit_all_matches_the_enumerating_reference(name, modulus):
 # the third reference: one discrete-log table per prime power and call
 # ---------------------------------------------------------------------------
 
-def table_fit_all(exponents, N_max, order_bound, field):
-    """The fit by moduli: every N <= N_max prime to the places, generator
-    exponents of the wanted residues read from unit_exponents(q^e) for
-    the q^e || N, every combination of generator exponents tried, and each
-    fit cut back to its conductor and deduplicated."""
+def table_fit_all(exponents, N, order_bound, field):
+    """The fit by moduli: every divisor M of N prime to the places,
+    generator exponents of the wanted residues read from unit_exponents(q^e)
+    for the q^e || M, every combination of generator exponents tried, and
+    each fit cut back to its conductor and deduplicated."""
     mu = unit_roots(field)
     w = mu.order
     entries = []
@@ -382,13 +390,13 @@ def table_fit_all(exponents, N_max, order_bound, field):
         found[triv.canonical_key()] = triv
     places = prod(v for v, _ in entries)
     logs = {}
-    for N in range(1, N_max + 1):
-        if gcd(places, N) != 1:
+    for M in divisors(N):
+        if gcd(places, M) != 1:
             continue
         wanted = {}
-        if any(wanted.setdefault(v % N, k) != k for v, k in entries):
+        if any(wanted.setdefault(v % M, k) != k for v, k in entries):
             continue
-        parts = [q ** e for q, e in factorize(N)]
+        parts = [q ** e for q, e in factorize(M)]
         for m in parts:
             if m not in logs:
                 logs[m] = ([d for _, d in unit_group_structure(m)],
@@ -403,7 +411,7 @@ def table_fit_all(exponents, N_max, order_bound, field):
             if any((sum(e * x for e, x in zip(es, xs)) - k) % w
                    for es, k in system):
                 continue
-            prim = primitive(Character.dirichlet(field, N, xs))
+            prim = primitive(Character.dirichlet(field, M, xs))
             found.setdefault(prim.canonical_key(), prim)
     return sorted(found.values(), key=lambda c: (c.modulus, c.canonical_key()))
 
@@ -420,9 +428,10 @@ BY_W = {2: synth.sqrt2_field(), 4: FIELDS["gaussian"],
         6: FIELDS["eisenstein"], 8: FIELDS["biquadratic"], 12: zeta12_field()}
 
 
-def _all_outcomes(exps, n_max, order_bound, field):
+def _all_outcomes(exps, N, order_bound, field):
     """char_to_json lists of fit_all and both exponent references, or the
-    exception type and message each raised."""
+    exception type and message each raised; fit_all is first checked
+    against fit_within."""
     powers = unit_roots(field).powers
 
     def outcome(fit):
@@ -431,10 +440,12 @@ def _all_outcomes(exps, n_max, order_bound, field):
         except NotRootOfUnity as exc:
             return ("NotRootOfUnity", str(exc))
 
-    return (outcome(lambda: fit_all(exps, n_max, order_bound, field)),
-            outcome(lambda: table_fit_all(exps, n_max, order_bound, field)),
+    got = outcome(lambda: fit_all(exps, N, order_bound, field))
+    assert got == outcome(lambda: fit_within(exps, N, order_bound, field))
+    return (got,
+            outcome(lambda: table_fit_all(exps, N, order_bound, field)),
             outcome(lambda: enum_fit_all({v: powers[k] for v, k in exps.items()},
-                                         n_max, order_bound, field)))
+                                         N, order_bound, field)))
 
 
 def test_the_fields_hold_the_roots_of_unity_they_stand_for():
@@ -466,28 +477,31 @@ PLANTED = [
 def test_planted_conductors_against_both_references(w, modulus, gen_exps,
                                                      conductor):
     """The planted character read at the primes up to 150 prime to its
-    modulus, fitted with N_max at conductor - 1 and at the conductor: the
-    planted character appears exactly when N_max reaches its conductor."""
+    modulus, fitted modulo the conductor divided by each of its primes,
+    modulo the conductor and modulo twice the modulus: the planted
+    character appears exactly when its conductor divides N."""
     field = BY_W[w]
     chi = Character.dirichlet(field, modulus, gen_exps)
     assert chi.conductor() == conductor
     places = [p for p in primes_up_to(150) if gcd(p, modulus) == 1]
     exps = {p: char_exponent(chi, p) for p in places}
-    for n_max in (conductor - 1, conductor):
-        got, table, enum = _all_outcomes(exps, n_max, w, field)
+    for N in [conductor // q for q, _ in factorize(conductor)] + [
+            conductor, 2 * modulus]:
+        got, table, enum = _all_outcomes(exps, N, w, field)
         assert got == table == enum
-        assert (char_to_json(chi.primitive()) in got) == (n_max == conductor)
+        assert (char_to_json(chi.primitive()) in got) == (N % conductor == 0)
 
 
 def test_a_place_dividing_the_conductor_excludes_it():
-    """A value at 7 rules out conductor 7, whatever it is, and leaves the
-    characters of conductor 7 * 3 that agree elsewhere."""
+    """Fitted modulo 210, a value at 7 rules out every conductor divisible
+    by 7, the planted 7 included, whatever the value, and leaves the
+    characters of conductor dividing 30 that agree elsewhere."""
     field = BY_W[6]
     chi = Character.dirichlet(field, 7, [1])
     places = [p for p in primes_up_to(60) if p != 7]
     exps = {p: char_exponent(chi, p) for p in places}
     for at_seven in range(6):
-        got, table, enum = _all_outcomes({**exps, 7: at_seven}, 30, 6, field)
+        got, table, enum = _all_outcomes({**exps, 7: at_seven}, 210, 6, field)
         assert got == table == enum
         assert all(c["modulus"] % 7 for c in got)
 
@@ -511,10 +525,10 @@ def test_the_order_bound_applies_to_the_product():
 
 def test_an_all_zero_map_gives_every_character_trivial_there():
     """The verdict's call: the trivial character and every character of
-    conductor <= N_max trivial at the places."""
+    conductor dividing N trivial at the places."""
     for w, field in BY_W.items():
         exps = dict.fromkeys([11, 13, 17], 0)
-        got, table, enum = _all_outcomes(exps, 60, w, field)
+        got, table, enum = _all_outcomes(exps, 120, w, field)
         assert got == table == enum
         assert got[0] == char_to_json(trivial_character(field))
         assert len(got) > 1
@@ -522,15 +536,15 @@ def test_an_all_zero_map_gives_every_character_trivial_there():
 
 def test_the_ambiguous_tie_message():
     """19 and 29 are 4 mod 5, where both characters of order 4 mod 5 read
-    -1: two fits of conductor 5, in both references too."""
+    -1: two fits of conductor 5 modulo 40, in both references too."""
     field = BY_W[4]
     exps = {19: 2, 29: 2}
-    got, table, enum = _all_outcomes(exps, 8, 4, field)
+    got, table, enum = _all_outcomes(exps, 40, 4, field)
     assert got == table == enum
-    assert [c["modulus"] for c in got] == [5, 5, 8]
+    assert [c["modulus"] for c in got] == [5, 5, 8, 40]
     with pytest.raises(Ambiguous,
                        match="^2 characters of conductor 5 fit; more places needed$"):
-        char_fit(exps, 8, 4, field)
+        char_fit(exps, 40, 4, field)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +556,8 @@ def conductor_problems(draw):
     """A random character of order dividing w on a modulus built from a
     2-part 1, 4, 8 or 16, sometimes q^2 for an odd q | w, and up to two odd
     primes; read at random primes, now and then with one exponent changed
-    or a place dividing the modulus; fitted with N_max on either side of
-    the modulus and an order bound that may cut below the planted order."""
+    or a place dividing the modulus; fitted modulo the modulus or a multiple
+    of it, under an order bound that may cut below the planted order."""
     w = draw(st.sampled_from(sorted(BY_W)))
     field = BY_W[w]
     modulus = draw(st.sampled_from([1, 4, 8, 16]))
@@ -567,9 +581,9 @@ def conductor_problems(draw):
     elif change == "divisor" and modulus > 1:
         q = draw(st.sampled_from([q for q, _ in factorize(modulus)]))
         exps[q] = draw(st.integers(0, w - 1))
-    n_max = draw(st.integers(max(1, modulus // 2), modulus + modulus // 2 + 2))
+    N = modulus * draw(st.integers(1, 3))
     order_bound = draw(st.sampled_from(sorted({1, 2, w // 2, w})))
-    return exps, n_max, order_bound, field
+    return exps, N, order_bound, field
 
 
 @settings(max_examples=120, deadline=None)

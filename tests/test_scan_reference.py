@@ -11,14 +11,22 @@ find_inner and find_outer must return the same twists (automorphism, kind,
 character, undetermined places) or raise the same exception with the same
 message, on every synthetic system, relabelled to a non-rational base,
 with coefficients zeroed at some places and with one coefficient perturbed.
+On the same systems, detect must give what it gave when every fit ran up to
+the old conductor cap 16 * prod(bad places) (fit_upto), except where that
+result holds a character whose conductor does not divide conductor_bound:
+such a character is ramified at a good place, so it is no twist.
 """
 
 from dataclasses import replace
 from functools import lru_cache
+from math import prod
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twistctl import synth
+from fit_reference import fit_upto
+from twistctl import characters, synth, twists
 from twistctl.characters import (
     char_eval,
     char_fit,
@@ -37,10 +45,13 @@ from twistctl.errors import (
 from twistctl.numberfield import unit_roots
 from twistctl.twists import (
     DEFAULT_RAW_ORDER_BOUND,
+    MIN_PLACES,
     ExtraTwist,
     _check_detection_input,
     _power_ok,
-    default_n_max,
+    conductor_bound,
+    detect,
+    detection_to_json,
     find_inner,
     find_outer,
 )
@@ -79,17 +90,15 @@ def ref_relations(sys, kind, v):
     return ((pd.a, pd.b), (pd.b, pd.a))
 
 
-def ref_scan(sys, kind, bound, n_max, min_places, auts):
-    if n_max is None:
-        n_max = default_n_max(sys)
+def ref_scan(sys, kind, bound, auts):
     ob = ref_order_bound(sys)
     places = sys.places(bound)
     support = [v for v in places
                if not ref_relations(sys, kind, v)[0][1].is_zero()]
-    if len(support) < min_places:
+    if len(support) < MIN_PLACES:
         coeff = "a_v" if kind == "inner" else "b_v"
         raise InsufficientData(
-            f"{len(support)} places have {coeff} != 0; at least {min_places} "
+            f"{len(support)} places have {coeff} != 0; at least {MIN_PLACES} "
             f"are needed to pin down a character")
     undetermined = tuple(v for v in places
                          if all(s.is_zero() and t.is_zero()
@@ -99,7 +108,7 @@ def ref_scan(sys, kind, bound, n_max, min_places, auts):
         if kind == "inner" and sigma == 0 and sys.base_field_label == "Q":
             chi = trivial_character(sys.field)
         elif sys.base_field_label == "Q":
-            chi = ref_fit_dirichlet(sys, kind, sigma, places, support, n_max, ob)
+            chi = ref_fit_dirichlet(sys, kind, sigma, places, support, ob)
         else:
             chi = ref_fit_table(sys, kind, sigma, places, ob)
         if chi is not None and _power_ok(sys, chi):
@@ -107,7 +116,7 @@ def ref_scan(sys, kind, bound, n_max, min_places, auts):
     return out
 
 
-def ref_fit_dirichlet(sys, kind, sigma, places, support, n_max, ob):
+def ref_fit_dirichlet(sys, kind, sigma, places, support, ob):
     field = sys.field
     ratios = {}
     for v in support:
@@ -116,7 +125,7 @@ def ref_fit_dirichlet(sys, kind, sigma, places, support, n_max, ob):
     mu = unit_roots(field)
     try:
         chi = char_fit({v: mu.exponent(x) for v, x in ratios.items()},
-                       n_max, ob, field)
+                       conductor_bound(sys), ob, field)
     except NotRootOfUnity:
         return None
     if chi is None or not ref_verify(sys, kind, sigma, chi, places):
@@ -169,15 +178,13 @@ def ref_verify(sys, kind, sigma, chi, places):
     return True
 
 
-def ref_find_inner(sys, bound, n_max, min_places):
+def ref_find_inner(sys, bound):
     _check_detection_input(sys)
-    return ref_scan(sys, "inner", bound, n_max, min_places,
-                    range(sys.field.degree))
+    return ref_scan(sys, "inner", bound, range(sys.field.degree))
 
 
-def ref_find_outer(sys, bound, n_max, min_places):
-    return ref_scan(sys, "outer", bound, n_max, min_places,
-                    range(sys.field.degree))
+def ref_find_outer(sys, bound):
+    return ref_scan(sys, "outer", bound, range(sys.field.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +220,7 @@ def scan_problems(draw):
             new = old * powers[draw(st.integers(1, len(powers) - 1))]
         coeffs[v] = coeffs[v]._replace(**{c: new})
     sys_ = replace(sys_, coeffs=coeffs)
-    bound = draw(st.integers(15, 60))
-    n_max = draw(st.integers(1, 40))
-    min_places = draw(st.integers(1, 12))
-    return sys_, bound, n_max, min_places
+    return sys_, draw(st.integers(40, 100))
 
 
 def _outcome(scan):
@@ -230,15 +234,67 @@ def _outcome(scan):
 @settings(max_examples=50, deadline=None)
 @given(scan_problems())
 # characters of order 3 tell the two relations' signs apart
-@example((_system("cubic_klein_system"), 60, 30, 10))
-@example((replace(_system("cubic_twist_system"), base_field_label="K"),
-          60, 30, 10))
+@example((_system("cubic_klein_system"), 60))
+@example((replace(_system("cubic_twist_system"), base_field_label="K"), 60))
+# 5 places of norm <= 20 (2, 3 and 7 are bad): too few to fit a character
+@example((_system("cubic_klein_system"), 20))
 def test_scans_match_the_ratio_reference(problem):
-    sys_, bound, n_max, min_places = problem
-    got = _outcome(lambda: find_inner(sys_, bound, n_max, min_places))
-    want = _outcome(lambda: ref_find_inner(sys_, bound, n_max, min_places))
+    sys_, bound = problem
+    got = _outcome(lambda: find_inner(sys_, bound))
+    want = _outcome(lambda: ref_find_inner(sys_, bound))
     assert got == want
     if sys_.n == 3:
-        got = _outcome(lambda: find_outer(sys_, bound, n_max, min_places))
-        want = _outcome(lambda: ref_find_outer(sys_, bound, n_max, min_places))
+        got = _outcome(lambda: find_outer(sys_, bound))
+        want = _outcome(lambda: ref_find_outer(sys_, bound))
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# detect against the fit up to the old cap
+# ---------------------------------------------------------------------------
+
+def _detect_outcome(sys_, bound):
+    try:
+        return detection_to_json(detect(sys_, bound))
+    except (TwistctlError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+def _capped_detect_outcome(sys_, bound):
+    """_detect_outcome with every fit run by fit_upto up to 16 * prod(bad
+    places), the cap the fit modulo conductor_bound replaced."""
+    cap = 16 * prod(sys_.bad_places)
+
+    def fit(exponents, N, order_bound, field):
+        return fit_upto(exponents, cap, order_bound, field)
+
+    with mock.patch.object(characters, "fit_all", fit), \
+            mock.patch.object(twists, "fit_all", fit):
+        return _detect_outcome(sys_, bound)
+
+
+def _moduli(outcome):
+    """The moduli of the Dirichlet characters a detection document holds."""
+    if not isinstance(outcome, dict):
+        return []
+    chars = [t["character"] for t in outcome["twists"]]
+    chars.append(outcome["verdict"]["witness"])
+    return [c["modulus"] for c in chars if c and c["kind"] == "dirichlet"]
+
+
+def _check_against_the_cap(sys_, bound):
+    capped = _capped_detect_outcome(sys_, bound)
+    N0 = conductor_bound(sys_)
+    if all(N0 % m == 0 for m in _moduli(capped)):
+        assert _detect_outcome(sys_, bound) == capped
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_detect_on_every_builder_matches_the_capped_fit(name):
+    _check_against_the_cap(_system(name), 200)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scan_problems())
+def test_detect_matches_the_capped_fit(problem):
+    _check_against_the_cap(*problem)

@@ -20,7 +20,9 @@ import pytest
 from detection_helpers import twist_at
 from twistctl import synth
 from twistctl.characters import (
+    Character,
     char_eval,
+    char_exponent,
     char_mul,
     char_transform,
     dirichlet_character,
@@ -29,12 +31,13 @@ from twistctl.characters import (
 from twistctl.arith import primes_up_to
 from twistctl.eigensystem import EigenSystem, PlaceData, normalize
 from twistctl.errors import DuplicateAutomorphism, InsufficientData, NotClosed
-from twistctl.numberfield import field_make, subgroup_make
+from twistctl.numberfield import field_make, subgroup_make, unit_roots
 from twistctl.twists import (
     ExtraTwist,
     TwistGroup,
     assemble_group,
     compose_twists,
+    conductor_bound,
     detect,
     detection_to_json,
     find_inner,
@@ -381,11 +384,6 @@ class TestDetectionGuards:
                                match=r"^6 places have b_v != 0; "):
                 run(thin, 100)
 
-    def test_min_places_is_tunable(self):
-        small = synth.generic_system(bound=20)
-        res = detect(small, 20, min_places=5)
-        assert res.group.order == 1
-
     def test_group_is_stable_under_bound_growth(self):
         at50 = detect(synth.klein_system(), 50)
         at100 = klein_result()
@@ -548,6 +546,52 @@ class TestPresentation:
                           for t in find_inner(sys_, 100)])
         assert found[0] == [(0, 1, 1), (1, 5, 4)]
         assert found[1] == found[0]
+
+
+# ---------------------------------------------------------------------------
+# the conductor bound
+# ---------------------------------------------------------------------------
+
+def _rank2_twisted_by(chi, bad, bound=150):
+    """Raw rank-2 data over the field of chi with a_v = c_v u_k(v), c_v
+    rational and chi(v) = zeta^k(v), where sigma(u_k) = zeta^k u_k for the
+    automorphism sigma = 1, of order 2 with sigma(zeta) = 1/zeta:
+    u_k = 1 + sigma(zeta^k), or alpha - sigma(alpha) when zeta^k = -1.
+    sigma then carries the inner twist chi."""
+    field = chi.field
+    alpha = field.gen()
+    units = [alpha - field.apply_aut(1, alpha) if z == -field.one()
+             else field.one() + field.apply_aut(1, z)
+             for z in unit_roots(field).powers]
+    coeffs = {p: PlaceData(p, units[char_exponent(chi, p)] * (p % 7 + 1), None)
+              for p in primes_up_to(bound) if p not in bad}
+    return EigenSystem(n=2, field=field, base_field_label="Q", m=1,
+                       omega=None, bad_places=bad, coeffs=coeffs)
+
+
+class TestConductorBound:
+    def test_the_bound_of_each_field_and_bad_set(self):
+        rational = synth.rational_rank2_system()
+        assert conductor_bound(replace(rational, bad_places=())) == 1
+        assert conductor_bound(synth.rational_inner_system()) == 8
+        assert conductor_bound(synth.generic_system()) == 16
+        assert conductor_bound(synth.cm_system()) == 63
+        assert conductor_bound(cubic_klein_system()) == 504
+        assert conductor_bound(synth.klein_system()) == 96
+
+    @pytest.mark.parametrize("field,modulus,gen_exps,bad", [
+        (synth.sqrt2_field, 8, [0, 1], (2,)),      # q = 2, e = 2 + v_2(2)
+        (synth.eisenstein_field, 9, [2], (3,)),   # q = 3, e = 1 + v_3(6)
+        (synth.gaussian_field, 16, [0, 1], (2,)),  # order 4: e = 2 + v_2(4)
+    ])
+    def test_a_twist_at_the_edge_of_the_bound_is_found(self, field, modulus,
+                                                        gen_exps, bad):
+        chi = Character.dirichlet(field(), modulus, gen_exps)
+        sys_ = _rank2_twisted_by(chi, bad)
+        assert chi.conductor() == modulus == conductor_bound(sys_)
+        group = detect(sys_, 150).group
+        assert [t.aut_index for t in group.twists] == [0, 1]
+        assert twist_at(group, 1).character == chi
 
 
 # ---------------------------------------------------------------------------
