@@ -12,8 +12,9 @@ characters are bare place -> exponent maps for other base fields.  On top:
 Galois transforms, products, conductors, and a fitting search that recovers
 the smallest-conductor Dirichlet character with given exponents at given
 places among those of conductor dividing a modulus N, scanning the divisors
-of N: each primitive character is a product of primitive characters at the
-prime powers dividing N, built once.
+of N in ascending order and stopping at the first that fits: each primitive
+character is a product of primitive characters at the prime powers dividing
+N, built once.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ class Character:
 
     def canonical_key(self):
         """The value table as (label, coordinates of the value) pairs,
-        Dirichlet characters taken primitive; fit_all sorts by it."""
+        Dirichlet characters taken primitive; the fits of one conductor
+        are sorted by it."""
         if self._canonical is None:
             chi = self.primitive() if self.kind == "dirichlet" else self
             label = int if self.kind == "dirichlet" else str
@@ -195,14 +197,8 @@ def trivial_character(field: NumberField) -> Character:
 
 def dirichlet_character(field: NumberField, modulus: int,
                         generator_images) -> Character:
-    """Character mod N from images of the canonical generators.
-
-    generator_images: sequence aligned with unit_group_structure(N), or a
-    mapping generator -> FieldElement.
-    """
-    gens = unit_group_structure(modulus)
-    if isinstance(generator_images, dict):
-        generator_images = [generator_images[g] for g, _ in gens]
+    """Character mod N from the images of the canonical generators, in the
+    order of unit_group_structure(N)."""
     return Character.dirichlet(field, modulus, [
         unit_roots(field).exponent(x) for x in generator_images])
 
@@ -296,11 +292,13 @@ def _local_characters(q: int, e: int, w: int, order_bound: int,
             for xs in chars]
 
 
-def fit_all(exponents: dict, N: int, order_bound: int,
-            field: NumberField) -> list[Character]:
-    """All primitive Dirichlet characters of conductor dividing N and order
+def _fits_by_conductor(exponents: dict, N: int, order_bound: int,
+                       field: NumberField):
+    """The primitive Dirichlet characters of conductor dividing N and order
     <= order_bound with chi(v) = zeta^k_v for every entry v -> k_v of
-    exponents, sorted by conductor then value table.
+    exponents, one list per conductor, conductors ascending, each sorted by
+    canonical_key (the trivial character first when every k_v is 0), built
+    only when the caller asks for it.
 
     Each is a product of primitive characters at the q^e || f for f | N,
     listed once per call with their exponents at the places: a combination
@@ -318,38 +316,45 @@ def fit_all(exponents: dict, N: int, order_bound: int,
         target.append(k % w)
 
     # no product of primitive local characters is trivial
-    found = [] if any(target) else [trivial_character(field)]
+    if not any(target):
+        yield [trivial_character(field)]
     local = {q ** e: _local_characters(q, e, w, order_bound, places)
              for q, top in factorize(N) if all(v % q for v in places)
              for e in range(1, top + 1)}
     for f in divisors(N)[1:]:
         parts = [local.get(q ** e, ()) for q, e in factorize(f)]
+        found = []
         for combo in iter_product(*parts):
             if all((sum(col) - k) % w == 0 for col, k in
                    zip(zip(*(vec for _, vec in combo)), target)):
                 exps = [x for xs, _ in combo for x in xs]
                 if w // gcd(w, *exps) <= order_bound:
                     found.append(Character.dirichlet(field, f, exps))
-    return sorted(found, key=lambda c: (c.modulus, c.canonical_key()))
+        if found:
+            yield sorted(found, key=Character.canonical_key)
+
+
+def fit_all(exponents: dict, N: int, order_bound: int,
+            field: NumberField) -> list[Character]:
+    """Every fit of _fits_by_conductor, sorted by conductor then value
+    table; the self-twist scan of the general-type verdict reads them all."""
+    return [chi for fits in _fits_by_conductor(exponents, N, order_bound, field)
+            for chi in fits]
 
 
 def char_fit(exponents: dict, N: int, order_bound: int,
              field: NumberField) -> Character | None:
     """The unique smallest-conductor Dirichlet character of conductor
     dividing N with chi(v) = zeta^k_v on the exponent map, None if nothing
-    fits, Ambiguous on a tie.  An all-zero map gives the trivial character,
-    the only fit of conductor 1, without scanning a modulus."""
-    if not any(exponents.values()):
-        return trivial_character(field)
-    fits = fit_all(exponents, N, order_bound, field)
-    if not fits:
+    fits, Ambiguous on a tie: the first list of _fits_by_conductor, so no
+    larger conductor is scanned (an all-zero map stops at conductor 1)."""
+    fits = next(_fits_by_conductor(exponents, N, order_bound, field), None)
+    if fits is None:
         return None
-    best = fits[0].modulus
-    tied = [c for c in fits if c.modulus == best]
-    if len(tied) > 1:
-        raise Ambiguous(
-            f"{len(tied)} characters of conductor {best} fit; more places needed")
-    return tied[0]
+    if len(fits) > 1:
+        raise Ambiguous(f"{len(fits)} characters of conductor {fits[0].modulus} "
+                        "fit; more places needed")
+    return fits[0]
 
 
 # ---------------------------------------------------------------------------

@@ -145,14 +145,6 @@ def mat_apply(fn, a: tuple) -> tuple:
     return tuple(tuple(fn(x) for x in row) for row in a)
 
 
-def mat_is_scalar(ring: Ring, a: tuple) -> bool:
-    lam = a[0][0]
-    if ring.is_zero(lam):
-        return False
-    return all(x == (lam if i == j else ring.zero)
-               for i, row in enumerate(a) for j, x in enumerate(row))
-
-
 def mat_scalar_multiple(ring: Ring, a: tuple, b: tuple) -> bool:
     """Whether a = lambda * b for some nonzero scalar lambda."""
     lam = None
@@ -301,7 +293,8 @@ def cocycle_make(context: GaloisContext, assignments: dict) -> Cocycle:
                          f"got {sorted(cleaned)}, need {sorted(elems)}")
 
     alpha0, flip0 = cleaned[0]
-    if flip0 or not mat_is_scalar(ring, alpha0):
+    if flip0 or not mat_scalar_multiple(ring, alpha0,
+                                        mat_identity(ring, len(alpha0))):
         raise CocycleViolation(
             "the identity element must map to (scalar matrix, no flip)")
 

@@ -238,8 +238,7 @@ class NumberField:
         self.aut_images = tuple(self.element(c) for c in aut_images)
         self._unit_roots = None   # left by roots_of_unity for unit_roots
 
-        self._validate_automorphisms()
-        self._aut_matrices = tuple(self._aut_matrix(img) for img in self.aut_images)
+        self._aut_matrices = self._validate_automorphisms()
         # p | _bad_reduction: Phi mod p does not reduce or is not squarefree
         disc = self.discriminant()
         self._bad_reduction = disc.numerator * disc.denominator * self._row_den
@@ -299,15 +298,6 @@ class NumberField:
 
     # -- automorphisms -------------------------------------------------------
 
-    def _aut_matrix(self, image: FieldElement) -> tuple:
-        """(rows, den): sigma(alpha^j) = sum_i rows[i][j] alpha^i / den."""
-        powers = [self.one()]
-        for _ in range(self.degree - 1):
-            powers.append(powers[-1] * image)
-        den = lcm(*(p.den for p in powers))
-        columns = [[n * (den // p.den) for n in p.num] for p in powers]
-        return tuple(zip(*columns)), den
-
     def apply_aut(self, index: int, x: FieldElement) -> FieldElement:
         """Image of x under the automorphism with the given index."""
         if not 0 <= index < self.degree:
@@ -322,19 +312,33 @@ class NumberField:
         """Index of sigma_i o sigma_j (apply j first)."""
         return self.composition_table[i][j]
 
-    def _validate_automorphisms(self):
+    def _validate_automorphisms(self) -> tuple:
+        """The (rows, den) of each image, sigma(alpha^j) = sum_i rows[i][j]
+        alpha^i / den, from the powers sigma(alpha)^0 .. ^d: Phi(sigma(alpha))
+        = 0 when the last is the first reduction row dotted with the others.
+        Refused in this order: image 0 not alpha, a non-root, a repeat."""
         d = self.degree
-        alpha = self.gen()
-        if self.aut_images[0] != alpha:
+        if self.aut_images[0] != self.gen():
             raise NotClosed("automorphism index 0 must be the identity")
-        seen = set()
+        top, r = self._reduction_rows[0], self._row_den
+        matrices, seen = [], set()
         for i, img in enumerate(self.aut_images):
-            if not self.min_poly.evaluate(img).is_zero():
+            powers = [self.one()]
+            for _ in range(d):
+                powers.append(powers[-1] * img)
+            last = powers.pop()
+            den = lcm(*(p.den for p in powers))
+            rows = tuple(zip(*([n * (den // p.den) for n in p.num]
+                               for p in powers)))
+            if any(n * r * den != last.den * sum(map(mul, top, row))
+                   for n, row in zip(last.num, rows)):
                 raise NotAnAutomorphism(
                     f"image {i} does not annihilate the minimal polynomial")
             if img.key in seen:
                 raise NotClosed(f"automorphism image {i} repeats an earlier one")
             seen.add(img.key)
+            matrices.append((rows, den))
+        return tuple(matrices)
 
     def _build_composition_table(self) -> tuple[tuple[int, ...], ...]:
         d = self.degree

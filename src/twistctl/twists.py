@@ -8,7 +8,10 @@ and each twist records the bound it was verified at; over Q its character
 is fitted modulo conductor_bound(sys).  Each scan reads every
 relation once, as the exponent k with sigma(s) = zeta^k t for the generator
 zeta of mu(E), by lookup among the products zeta^k t; no field element is
-inverted.  The general-type verdict owns the outer row tau = 0.
+inverted, and one test per automorphism keeps a table only when every
+relation has an exponent, the relations at each place agree and every order
+is within the bound.  The general-type verdict asks the outer question on
+tau = 0 alone; find_outer asks it on every tau.
 
 Composition: applying (tau, eta) first and (sigma, chi) second yields
 (sigma tau, chi^s * sigma(eta)) where s = -1 when the second factor of the
@@ -42,7 +45,6 @@ from .errors import (
     MissingValue,
     NotClosed,
     NotCoprime,
-    NotRootOfUnity,
 )
 from .numberfield import (
     NumberField,
@@ -147,21 +149,19 @@ def find_inner(sys: EigenSystem, bound: int) -> list[ExtraTwist]:
     return _scan(sys, "inner", bound, range(sys.field.degree))
 
 
-def find_outer(sys: EigenSystem, bound: int,
-               aut_indices: tuple[int, ...] | None = None) -> list[ExtraTwist]:
-    """Outer twists (tau, eta) with tau(a_v) = eta(v) b_v at good v <= bound.
+def find_outer(sys: EigenSystem, bound: int) -> list[ExtraTwist]:
+    """Outer twists (tau, eta) with tau(a_v) = eta(v) b_v at good v <= bound,
+    on every automorphism tau of the coefficient field, the identity too.
 
     eta is fitted from the exponents k with tau(a_v) = zeta^k b_v at places
-    with b_v != 0; the mirrored relation tau(b_v) = eta(v)^{-1} a_v is then
-    checked everywhere, which in particular rejects any tau when exactly one
-    of a_v, b_v vanishes.  By default every automorphism of the coefficient
-    field is tried; pass aut_indices to restrict the scan."""
+    with b_v != 0; the mirrored relation tau(b_v) = eta(v)^{-1} a_v must
+    give the same exponents everywhere, which in particular rejects any tau
+    when exactly one of a_v, b_v vanishes."""
     if sys.n != 3:
         raise ValueError("outer twists are defined for n = 3 data only")
     if not sys.is_normalized:
         raise ValueError("outer detection expects a normalized system")
-    taus = range(sys.field.degree) if aut_indices is None else aut_indices
-    return _scan(sys, "outer", bound, taus)
+    return _scan(sys, "outer", bound, range(sys.field.degree))
 
 
 def _relations(sys: EigenSystem, kind: str, v) -> tuple:
@@ -179,9 +179,7 @@ def _relations(sys: EigenSystem, kind: str, v) -> tuple:
 
 def _scan(sys: EigenSystem, kind: str, bound: int, auts) -> list[ExtraTwist]:
     """Twists of the given kind on the automorphisms auts, the identity
-    included, read off each one's exponent table: over Q a Dirichlet
-    character fitted from the first relation where its target is nonzero,
-    over other bases the table."""
+    included, each read off its exponent table by _fit."""
     ob = _max_order(sys)
     places = sys.places(bound)
     support = [v for v in places
@@ -198,11 +196,8 @@ def _scan(sys: EigenSystem, kind: str, bound: int, auts) -> list[ExtraTwist]:
     products = _products(sys, kind, places)
     out = []
     for sigma in auts:
-        table = _exponents(sys, kind, sigma, places, products)
-        if sys.base_field_label == "Q":
-            chi = _fit_dirichlet(sys, table, support, ob)
-        else:
-            chi = _fit_table(sys.field, table, ob)
+        chi = _fit(sys, _exponents(sys, kind, sigma, places, products),
+                   support, ob)
         if chi is not None and _power_ok(sys, chi):
             out.append(ExtraTwist(kind, sigma, chi, bound, undetermined))
     return out
@@ -240,30 +235,25 @@ def _exponents(sys: EigenSystem, kind: str, sigma: int, places,
     return table
 
 
-def _fit_dirichlet(sys: EigenSystem, table: dict, support,
-                   ob: int) -> Character | None:
-    """The smallest-conductor Dirichlet character with the first
-    relation's exponents on the support, if it agrees with the whole table."""
-    first = {v: table[v][0] for v in support}
-    if None in first.values():
-        return None
-    try:
-        chi = char_fit(first, conductor_bound(sys), ob, sys.field)
-    except NotRootOfUnity:
-        return None
-    return chi if chi is not None and _agrees(chi, table) else None
-
-
-def _fit_table(field: NumberField, table: dict, ob: int) -> Character | None:
-    """Value-table character over a non-rational base: chi(v) is the
-    exponent every relation at v agrees on."""
+def _fit(sys: EigenSystem, table: dict, support, ob: int) -> Character | None:
+    """The character of an exponent table, None unless every relation has
+    an exponent, the relations at each place agree on it and its order is at
+    most ob.  Over a base other than Q the place -> exponent map is the
+    character; over Q it is the Dirichlet character char_fit gives on the
+    support, if that takes every exponent of the map."""
     if any(None in ks or len(set(ks)) > 1 for ks in table.values()):
         return None
     exps = {v: ks[0] for v, ks in table.items() if ks}
-    order_of = unit_roots(field).order_of
+    order_of = unit_roots(sys.field).order_of
     if any(order_of(k) > ob for k in exps.values()):
         return None
-    return Character(field, "table", exps=exps)
+    if sys.base_field_label != "Q":
+        return Character(sys.field, "table", exps=exps)
+    chi = char_fit({v: exps[v] for v in support}, conductor_bound(sys), ob,
+                   sys.field)
+    if chi is None or any(_exponent(chi, v) != k for v, k in exps.items()):
+        return None
+    return chi
 
 
 def _exponent(chi: Character, v) -> int | None:
@@ -272,12 +262,6 @@ def _exponent(chi: Character, v) -> int | None:
         return char_exponent(chi, v)
     except (NotCoprime, MissingValue):
         return None
-
-
-def _agrees(chi: Character, table: dict) -> bool:
-    """Whether chi(v) = zeta^k for every exponent k in the table."""
-    return all((k := _exponent(chi, v)) is not None and all(j == k for j in ks)
-               for v, ks in table.items() if ks)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +390,9 @@ def general_type_verdict(sys: EigenSystem, bound: int) -> GeneralTypeVerdict:
     every relation reads 0 = 0, the only places that can witness it.
     Self-twist wins when both degeneracies hold.  Rank-2 systems are always
     essentially self-dual after determinant normalization, and the
-    self-twist scan runs over the rational base field only.  The outer fit
-    on tau = 0 raises InsufficientData or Ambiguous as find_outer does."""
+    self-twist scan runs over the rational base field only.  Essential
+    self-duality is find_outer's scan on tau = 0 alone, and raises
+    InsufficientData or Ambiguous as that scan does."""
     _check_detection_input(sys)
     ob = _max_order(sys)
     places = sys.places(bound)
@@ -432,7 +417,7 @@ def general_type_verdict(sys: EigenSystem, bound: int) -> GeneralTypeVerdict:
                    else Character(sys.field, "table",
                                   exps=dict.fromkeys(determined, 0)))
         return GeneralTypeVerdict("essentially-self-dual", witness, bound)
-    for t in find_outer(sys, bound, aut_indices=(0,)):
+    for t in _scan(sys, "outer", bound, (0,)):
         return GeneralTypeVerdict("essentially-self-dual", t.character, bound)
     return GeneralTypeVerdict("general-type", None, bound)
 
@@ -455,16 +440,13 @@ def detect(sys: EigenSystem, bound: int) -> DetectionResult:
     """Full pipeline: find twists, assemble the group, compute fixed fields
     and the coefficient-field report.
 
-    Outer twists enter the group only for general-type data; a degenerate
-    system keeps its inner-twist group and the verdict carries the witness."""
+    Outer twists enter the group only for general-type data, which has
+    n = 3 and, as the verdict's scan of tau = 0 found, no outer twist there;
+    a degenerate system keeps its inner-twist group and the verdict carries
+    the witness."""
     inners = find_inner(sys, bound)
     verdict = general_type_verdict(sys, bound)
-    if sys.n == 3 and verdict.kind == "general-type":
-        # the verdict found no outer twist on tau = 0
-        outers = find_outer(sys, bound,
-                            aut_indices=tuple(range(1, sys.field.degree)))
-    else:
-        outers = []
+    outers = find_outer(sys, bound) if verdict.kind == "general-type" else []
     group = assemble_group(inners, outers, sys.field)
     F, F_inn = fixed_fields(group, sys.field)
     cent = coefficient_field_check(sys, group, bound)

@@ -1,17 +1,26 @@
-"""The fit by a conductor cap, which fit_all replaced by the fit modulo N.
+"""The fit by a conductor cap, which fit_all replaced by the fit modulo N,
+and the char_fit that read the whole of fit_all.
 
 fit_upto scans every conductor f <= N_max, with the primitive characters at
 every prime power <= N_max, where fit_all walks the divisors of N only: for
 any N, fit_all(e, N, ob, field) is fit_upto(e, N, ob, field) cut down to the
-characters whose conductor divides N, in the same order.
+characters whose conductor divides N, in the same order.  ref_char_fit
+returns the trivial character for an all-zero map unfitted, and otherwise
+builds every fit of every conductor to keep those of the least one, where
+char_fit stops at the first conductor that fits.
 """
 
 from itertools import product as iter_product
 from math import gcd
 
 from twistctl.arith import factorize, primes_up_to
-from twistctl.characters import Character, _local_characters, trivial_character
-from twistctl.errors import NotRootOfUnity
+from twistctl.characters import (
+    Character,
+    _local_characters,
+    fit_all,
+    trivial_character,
+)
+from twistctl.errors import Ambiguous, NotRootOfUnity
 from twistctl.numberfield import unit_roots
 
 
@@ -49,3 +58,20 @@ def fit_within(exponents, N, order_bound, field):
     must return."""
     return [c for c in fit_upto(exponents, N, order_bound, field)
             if N % c.modulus == 0]
+
+
+def ref_char_fit(exponents, N, order_bound, field):
+    """The unique smallest-conductor character of the full fit_all list,
+    None if it is empty, Ambiguous on a tie; the trivial character, with
+    nothing fitted, when every exponent is 0."""
+    if not any(exponents.values()):
+        return trivial_character(field)
+    fits = fit_all(exponents, N, order_bound, field)
+    if not fits:
+        return None
+    best = fits[0].modulus
+    tied = [c for c in fits if c.modulus == best]
+    if len(tied) > 1:
+        raise Ambiguous(
+            f"{len(tied)} characters of conductor {best} fit; more places needed")
+    return tied[0]

@@ -11,14 +11,19 @@ Gaussian elimination in forms.
 The place classification decomposes the places above p twice: a double
 coset of the full twist group is inner-split when it falls apart into two
 double cosets of the inner subgroup, the reference for the one coset test
-in forms.classify_place.
+in forms.classify_place.  A second, independent reference reads the same
+verdicts off the factor degrees of the minimal polynomials of the fixed
+fields F and F_inn mod p (Dedekind-Kummer), with no Frobenius, composition
+table or double coset.
 """
 
 import random
 
 from twistctl import forms
-from twistctl.errors import CocycleViolation, NotInvertible
+from twistctl.errors import (BadReduction, CocycleViolation, NotInvertible,
+                             NotSeparableModP)
 from twistctl.numberfield import double_cosets, frobenius_at
+from twistctl.polynomials import ddf_mod_p
 
 
 def _minor(a, i, j):
@@ -61,6 +66,11 @@ def mat_theta(ring, a):
     return forms.mat_transpose(forms.mat_inv(ring, a))
 
 
+def _is_scalar(ring, a):
+    """Whether a is a nonzero scalar multiple of the identity."""
+    return forms.mat_scalar_multiple(ring, a, forms.mat_identity(ring, len(a)))
+
+
 # field size -> {g: theta(g)} over a finite model
 _THETA = {}
 
@@ -75,8 +85,7 @@ def twisted_action(cocycle, element):
     ctx = cocycle.context
     ring = ctx.ring
     alpha, flip = cocycle.assignments[element]
-    inv = None if forms.mat_is_scalar(ring, alpha) \
-        else forms.mat_inv(ring, alpha)
+    inv = None if _is_scalar(ring, alpha) else forms.mat_inv(ring, alpha)
     if ctx.model is None:
         theta = lambda g: mat_theta(ring, g)
         act = lambda a: forms.mat_apply(lambda x: ctx.apply(element, x), a)
@@ -137,7 +146,7 @@ def cocycle_make(context, assignments):
                          f"got {sorted(cleaned)}, need {sorted(elems)}")
 
     alpha0, flip0 = cleaned[0]
-    if flip0 or not forms.mat_is_scalar(ring, alpha0):
+    if flip0 or not _is_scalar(ring, alpha0):
         raise CocycleViolation(
             "the identity element must map to (scalar matrix, no flip)")
 
@@ -254,3 +263,35 @@ def classify_place(field, group, p, n):
             frobenius_ambiguous=frob.ambiguous,
         ))
     return verdicts
+
+
+def factor_pattern_places(f_poly, f_inn_poly, p):
+    """The sorted (residue degree, form) pairs of the places above p of the
+    field F of minimal polynomial f_poly, inside F_inn of f_inn_poly, or
+    None when either polynomial is not p-integral or not squarefree mod p.
+
+    By Dedekind-Kummer (Neukirch, ANT I 8.3) F has a_f places of residue
+    degree f above p, a_f the number of degree-f factors of f_poly mod p,
+    and likewise b_f for F_inn.  If F_inn = F every place is inner-split.
+    Otherwise F_inn is quadratic over F, unramified at p, so a place of
+    degree f splits into two of degree f or stays inert as one of degree
+    2f: going up in f, s_f = b_f / 2 places split and i_f = a_f - s_f stay
+    inert, whose places then leave b_2f.  Split is inner-split and inert
+    is outer-unitary."""
+    try:
+        a = dict(ddf_mod_p(f_poly, p))
+        b = dict(ddf_mod_p(f_inn_poly, p))
+    except (BadReduction, NotSeparableModP):
+        return None
+    if f_inn_poly.degree == f_poly.degree:
+        return sorted((f, "inner-split") for f, k in a.items() for _ in range(k))
+    out = []
+    for f in sorted(a):
+        split, rest = divmod(b.pop(f, 0), 2)
+        inert = a[f] - split
+        assert rest == 0 and inert >= 0, (p, f)
+        if inert:
+            b[2 * f] = b.get(2 * f, 0) - inert
+        out += [(f, "inner-split")] * split + [(f, "outer-unitary")] * inert
+    assert not any(b.values()), (p, b)
+    return sorted(out)

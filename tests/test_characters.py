@@ -229,7 +229,7 @@ class TestEvalAndAlgebra:
         chi4 = dirichlet_character(K, 4, [K.from_rational(-1)])
         induced = char_mul(chi4, trivial_character(K))
         lifted = dirichlet_character(
-            K, 12, {g: char_eval(chi4, g) for g, _ in unit_group_structure(12)})
+            K, 12, [char_eval(chi4, g) for g, _ in unit_group_structure(12)])
         assert lifted.modulus == 12
         assert lifted.conductor() == 4
         assert lifted == chi4
@@ -259,13 +259,19 @@ def exponents(K, values):
 
 class TestFitting:
     def test_legendre_mod_four(self):
+        # the second case is the conductor bound of data over Q(i) with the
+        # bad primes 2 to 13, 16 * 3 * 5 * 7 * 11 * 13, at two places: 64
+        # characters fit there, but only the one of conductor 4 is built
         K = gaussian_field()
-        vals = {p: K.from_rational(1 if p % 4 == 1 else -1)
-                for p in primes_upto(50) if p != 2}
-        chi = char_fit(exponents(K, vals), 12, 2, K)
-        assert chi is not None
-        assert chi.conductor() == 4 and chi.order() == 2
-        assert char_eval(chi, 3) == -1
+        for places, N, order_bound in (
+                ([p for p in primes_upto(50) if p != 2], 12, 2),
+                ([101, 103], 240240, 4)):
+            vals = {p: K.from_rational(1 if p % 4 == 1 else -1)
+                    for p in places}
+            chi = char_fit(exponents(K, vals), N, order_bound, K)
+            assert chi is not None
+            assert chi.conductor() == 4 and chi.order() == 2
+            assert char_eval(chi, 3) == -1
 
     def test_all_ones_gives_trivial(self):
         # the second case is the conductor bound of data over Q(i) with the

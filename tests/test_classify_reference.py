@@ -9,9 +9,18 @@ below 500 where the field is unramified.  Over an abelian field the
 conjugation by the double-coset representative changes nothing, so only the
 non-abelian fields see it: the sextic tells r sigma^f r^-1 from
 r^-1 sigma^f r, and both tell it from sigma^f alone.
+
+The same verdicts, as (residue degree, form) multisets, are read a second
+way by forms_reference.factor_pattern_places, from the factor degrees of
+the minimal polynomials of F and F_inn mod p alone: on those fields, twist
+groups and primes, and on image_report at every prime below 3000 for every
+fixture and synth system after detection.  A prime where either polynomial
+is not squarefree mod p is skipped; each test bounds how many it skips.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +28,15 @@ import forms_reference as ref
 from twistctl import forms, synth
 from twistctl.arith import primes_up_to
 from twistctl.characters import trivial_character
+from twistctl.eigensystem import load_system, normalize
 from twistctl.errors import NotClosed, Ramified
-from twistctl.numberfield import field_make, frobenius_at, subgroup_make
-from twistctl.twists import ExtraTwist, TwistGroup
+from twistctl.numberfield import (
+    field_make,
+    fixed_field,
+    frobenius_at,
+    subgroup_make,
+)
+from twistctl.twists import ExtraTwist, TwistGroup, detect
 
 
 def _field(min_poly, images):
@@ -123,3 +138,57 @@ def test_one_coset_test_matches_two_decompositions(name):
             assert forms.classify_place(field, group, p, 3) == \
                 ref.classify_place(field, group, p, 3), \
                 (p, tuple(group.full_subgroup), tuple(group.inner_subgroup))
+
+
+# ---------------------------------------------------------------------------
+# the factor-pattern reference
+# ---------------------------------------------------------------------------
+
+def _pattern(verdicts):
+    return sorted((v.residue_degree, v.form) for v in verdicts)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_verdicts_match_the_factor_patterns(name):
+    field = FIELDS[name]()
+    groups = [(group, fixed_field(field, group.full_subgroup).min_poly,
+               fixed_field(field, group.inner_subgroup).min_poly)
+              for group in twist_groups(field)]
+    compared = skipped = 0
+    for p in unramified_primes(field):
+        for group, f_poly, f_inn_poly in groups:
+            want = ref.factor_pattern_places(f_poly, f_inn_poly, p)
+            if want is None:
+                skipped += 1
+                continue
+            compared += 1
+            assert _pattern(forms.classify_place(field, group, p, 3)) == want, \
+                (p, tuple(group.full_subgroup), tuple(group.inner_subgroup))
+    assert skipped <= compared // 20, (compared, skipped)
+
+
+DATA = Path(__file__).parent / "data"
+SYSTEMS = {f"fixture.{path.stem}":
+           lambda path=path: load_system(json.loads(path.read_text()))
+           for path in sorted(DATA.glob("*.json")) if path.stem != "golden_cli"}
+SYSTEMS.update({f"synth.{name}": make for name, make in sorted(vars(synth).items())
+                if name.endswith("_system")})
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_image_reports_match_the_factor_patterns(name):
+    sys_ = SYSTEMS[name]()
+    if sys_.n == 3 and not sys_.is_normalized:
+        sys_ = normalize(sys_)
+    result = detect(sys_, max(sys_.coeffs))
+    report = forms.image_report(sys_, result, primes_up_to(3000))
+    f_poly, f_inn_poly = result.fixed.min_poly, result.fixed_inner.min_poly
+    compared = skipped = 0
+    for p, verdicts in report.places:
+        want = ref.factor_pattern_places(f_poly, f_inn_poly, p)
+        if want is None:
+            skipped += 1
+            continue
+        compared += 1
+        assert _pattern(verdicts) == want, p
+    assert compared and skipped <= compared // 20, (compared, skipped)

@@ -13,7 +13,9 @@ primitive character built once from primitive characters at prime powers;
 it must also equal fit_upto, the fit by a conductor cap that it replaced,
 kept to the conductors dividing N.  Each fit must return the same
 characters in the same order, and must refuse the same inputs with
-NotRootOfUnity.  The residue table of Character.dirichlet is checked
+NotRootOfUnity.  On the same inputs char_fit, which stops at the first
+conductor that fits, must give what ref_char_fit, the least conductor of
+the full fit_all list, gives: the same character, None or Ambiguous.  The residue table of Character.dirichlet is checked
 against the exponent walk it replaced, and primitive() against
 Character.dirichlet at the conductor.
 """
@@ -25,7 +27,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fit_reference import fit_within
+from fit_reference import fit_within, ref_char_fit
 from twistctl import synth
 from twistctl.arith import divisors, factorize, primes_up_to
 from twistctl.characters import (
@@ -222,6 +224,19 @@ def _outcome(fit):
         return "NotRootOfUnity"
 
 
+def assert_char_fit_matches_the_reference(exps, N, order_bound, field):
+    """char_fit and ref_char_fit give the same character or None, or raise
+    the same exception with the same message."""
+    def outcome(fit):
+        try:
+            chi = fit(exps, N, order_bound, field)
+        except (Ambiguous, NotRootOfUnity) as exc:
+            return type(exc).__name__, str(exc)
+        return None if chi is None else char_to_json(chi)
+
+    assert outcome(char_fit) == outcome(ref_char_fit)
+
+
 @settings(max_examples=150, deadline=None)
 @given(fitting_problems())
 def test_fit_all_matches_the_field_element_reference(problem):
@@ -234,6 +249,9 @@ def test_fit_all_matches_the_field_element_reference(problem):
     within = _outcome(lambda: [char_to_json(c) for c in fit_within(
         exponents(field, values), N, order_bound, field)])
     assert got == want == within
+    if got != "NotRootOfUnity":
+        assert_char_fit_matches_the_reference(
+            exponents(field, values), N, order_bound, field)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +449,7 @@ BY_W = {2: synth.sqrt2_field(), 4: FIELDS["gaussian"],
 def _all_outcomes(exps, N, order_bound, field):
     """char_to_json lists of fit_all and both exponent references, or the
     exception type and message each raised; fit_all is first checked
-    against fit_within."""
+    against fit_within, and char_fit against ref_char_fit."""
     powers = unit_roots(field).powers
 
     def outcome(fit):
@@ -442,6 +460,7 @@ def _all_outcomes(exps, N, order_bound, field):
 
     got = outcome(lambda: fit_all(exps, N, order_bound, field))
     assert got == outcome(lambda: fit_within(exps, N, order_bound, field))
+    assert_char_fit_matches_the_reference(exps, N, order_bound, field)
     return (got,
             outcome(lambda: table_fit_all(exps, N, order_bound, field)),
             outcome(lambda: enum_fit_all({v: powers[k] for v, k in exps.items()},

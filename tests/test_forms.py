@@ -152,8 +152,8 @@ class TestMatrixHelpers:
         a = ((1, 0), (0, 1))
         b = ((1, 1), (0, 1))
         assert not forms.mat_scalar_multiple(RING, b, a)
-        assert forms.mat_is_scalar(RING, a)
-        assert not forms.mat_is_scalar(RING, b)
+        assert forms.mat_scalar_multiple(RING, a, forms.mat_identity(RING, 2))
+        assert not forms.mat_scalar_multiple(RING, b, forms.mat_identity(RING, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +385,8 @@ def moved(cocycle, seed):
         if forms.mat_det(ring, g) == 0:
             continue
         fresh = forms.conjugate_cocycle(cocycle, g)
-        if not forms.mat_is_scalar(ring, fresh.alpha(1)):
+        if not forms.mat_scalar_multiple(ring, fresh.alpha(1),
+                                         forms.mat_identity(ring, n)):
             return fresh
 
 

@@ -18,6 +18,12 @@ The references below are the earlier implementations, kept as they were:
 * the rational roots came from the rational-root theorem on any polynomial
   over Q; a random monic integer polynomial of degree 2..6 that has one
   must be refused as reducible;
+* the automorphism images were validated by evaluating the minimal
+  polynomial at each by Horner's rule, and each image's matrix was built
+  from its powers in a second pass; the matrices are compared on the fields
+  of the roots, classify and Frobenius references, and the refusals on
+  those fields with index 0 swapped away from the identity, an image
+  repeated and an image moved off the roots;
 * the self-twist scan fitted characters trivial at the places with a_v != 0
   and then verified each against both inner relations at sigma = 0 (the
   check is test_scan_reference.ref_verify); verdicts are compared on
@@ -28,12 +34,14 @@ The references below are the earlier implementations, kept as they were:
 from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from test_classify_reference import FIELDS, subgroups
+from test_frobenius_reference import GCD_FIELDS
+from test_roots_reference import ALL_FIELDS as ROOTS_FIELDS
 from test_scan_reference import ref_verify
 from twistctl import synth
 from twistctl.arith import divisors, factorize, is_prime, primes_up_to
@@ -41,6 +49,8 @@ from twistctl.characters import char_to_json, fit_all
 from twistctl.errors import (
     BadReduction,
     InsufficientData,
+    NotAnAutomorphism,
+    NotClosed,
     NotIrreducible,
     NotSeparableModP,
     TwistctlError,
@@ -191,14 +201,71 @@ def ref_general_type_verdict(sys, bound):
             continue
         if ref_verify(sys, "inner", 0, cand, places):
             return GeneralTypeVerdict("self-twist", cand, bound)
-    for t in find_outer(sys, bound, aut_indices=(0,)):
+    for t in [t for t in find_outer(sys, bound) if t.aut_index == 0]:
         return GeneralTypeVerdict("essentially-self-dual", t.character, bound)
     return GeneralTypeVerdict("general-type", None, bound)
+
+
+def ref_aut_matrix(field, image):
+    """(rows, den): sigma(alpha^j) = sum_i rows[i][j] alpha^i / den."""
+    powers = [field.one()]
+    for _ in range(field.degree - 1):
+        powers.append(powers[-1] * image)
+    den = lcm(*(p.den for p in powers))
+    columns = [[n * (den // p.den) for n in p.num] for p in powers]
+    return tuple(zip(*columns)), den
+
+
+def ref_aut_matrices(field, images):
+    """The matrices of the images, elements of field, after the checks in
+    order: image 0 is alpha, then for each image Phi(image) = 0 by Horner's
+    rule and no repeat of an earlier image."""
+    if images[0] != field.gen():
+        raise NotClosed("automorphism index 0 must be the identity")
+    seen = set()
+    for i, img in enumerate(images):
+        if not field.min_poly.evaluate(img).is_zero():
+            raise NotAnAutomorphism(
+                f"image {i} does not annihilate the minimal polynomial")
+        if img.key in seen:
+            raise NotClosed(f"automorphism image {i} repeats an earlier one")
+        seen.add(img.key)
+    return tuple(ref_aut_matrix(field, img) for img in images)
 
 
 # ---------------------------------------------------------------------------
 # number fields
 # ---------------------------------------------------------------------------
+
+AUT_FIELDS = dict(ROOTS_FIELDS, **{f"frobenius.{name}": make
+                                   for name, make in GCD_FIELDS.items()})
+
+
+def _spoiled_images(field):
+    """Image lists the field must refuse: the first or the last image plus
+    1, which is no root of Phi (at index 0 the identity check comes first),
+    index 0 swapped with the next image, and the last image repeating the
+    one before it."""
+    images = list(field.aut_images)
+    last = len(images) - 1
+    out = [[images[0] + 1] + images[1:], images[:last] + [images[last] + 1]]
+    if last:
+        out += [[images[1], images[0]] + images[2:],
+                images[:last] + [images[last - 1]]]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(AUT_FIELDS))
+def test_automorphism_matrices_match_the_horner_pass(name):
+    field = AUT_FIELDS[name]()
+    assert field._aut_matrices == ref_aut_matrices(field, field.aut_images)
+    for images in _spoiled_images(field):
+        with pytest.raises(TwistctlError) as got:
+            field_make(field.min_poly, [img.coords for img in images])
+        with pytest.raises(TwistctlError) as want:
+            ref_aut_matrices(field, images)
+        assert (got.type, str(got.value)) == (want.type, str(want.value))
+
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_fixed_fields_match_the_stabilizer_search(name):

@@ -14,11 +14,15 @@ with coefficients zeroed at some places and with one coefficient perturbed.
 On the same systems, detect must give what it gave when every fit ran up to
 the old conductor cap 16 * prod(bad places) (fit_upto), except where that
 result holds a character whose conductor does not divide conductor_bound:
-such a character is ramified at a good place, so it is no twist.
+such a character is ramified at a good place, so it is no twist.  It must
+also give what ref_detect gives, the flow where the verdict scanned the
+outer relations on tau = 0 alone and detect then scanned every other tau,
+each scan by ref_scan: the same document or the same exception.
 """
 
 from dataclasses import replace
 from functools import lru_cache
+from itertools import groupby
 from math import prod
 from unittest import mock
 
@@ -46,14 +50,19 @@ from twistctl.numberfield import unit_roots
 from twistctl.twists import (
     DEFAULT_RAW_ORDER_BOUND,
     MIN_PLACES,
+    DetectionResult,
     ExtraTwist,
     _check_detection_input,
     _power_ok,
+    assemble_group,
+    coefficient_field_check,
     conductor_bound,
     detect,
     detection_to_json,
     find_inner,
     find_outer,
+    fixed_fields,
+    general_type_verdict,
 )
 
 BUILDERS = ("vantop_system", "generic_system", "rational_inner_system",
@@ -223,6 +232,17 @@ def scan_problems(draw):
     return sys_, draw(st.integers(40, 100))
 
 
+def _at_place(name, v, a, b):
+    """The system with a_v and b_v at the place v multiplied by zeta^a and
+    zeta^b, or zeroed where the exponent is None."""
+    sys_ = _system(name)
+    pd = sys_.coeffs[v]
+    powers = unit_roots(sys_.field).powers
+    return replace(sys_, coeffs={**sys_.coeffs, v: pd._replace(
+        a=sys_.field.zero() if a is None else pd.a * powers[a],
+        b=sys_.field.zero() if b is None else pd.b * powers[b])})
+
+
 def _outcome(scan):
     try:
         return [(t.aut_index, t.kind, char_to_json(t.character),
@@ -238,6 +258,13 @@ def _outcome(scan):
 @example((replace(_system("cubic_twist_system"), base_field_label="K"), 60))
 # 5 places of norm <= 20 (2, 3 and 7 are bad): too few to fit a character
 @example((_system("cubic_klein_system"), 20))
+# one place breaks a twist that the first relation's places fit: with
+# a_5 = 0 the inner twist on 1 through b_5 alone; with b_5 moved the two
+# relations at 5 disagree; with b_5 moved by zeta^3 both outer relations at
+# 5 read one exponent of order 6, above the order bound 3
+@example((_at_place("cubic_klein_system", 5, None, 1), 60))
+@example((_at_place("cubic_klein_system", 5, 0, 1), 60))
+@example((_at_place("cubic_klein_system", 5, 0, 3), 60))
 def test_scans_match_the_ratio_reference(problem):
     sys_, bound = problem
     got = _outcome(lambda: find_inner(sys_, bound))
@@ -262,14 +289,15 @@ def _detect_outcome(sys_, bound):
 
 def _capped_detect_outcome(sys_, bound):
     """_detect_outcome with every fit run by fit_upto up to 16 * prod(bad
-    places), the cap the fit modulo conductor_bound replaced."""
+    places), the cap the fit modulo conductor_bound replaced: the walk that
+    fit_all and char_fit read yields its fits grouped by conductor."""
     cap = 16 * prod(sys_.bad_places)
 
-    def fit(exponents, N, order_bound, field):
-        return fit_upto(exponents, cap, order_bound, field)
+    def fits_by_conductor(exponents, N, order_bound, field):
+        fits = fit_upto(exponents, cap, order_bound, field)
+        return iter([list(g) for _, g in groupby(fits, lambda c: c.modulus)])
 
-    with mock.patch.object(characters, "fit_all", fit), \
-            mock.patch.object(twists, "fit_all", fit):
+    with mock.patch.object(characters, "_fits_by_conductor", fits_by_conductor):
         return _detect_outcome(sys_, bound)
 
 
@@ -298,3 +326,46 @@ def test_detect_on_every_builder_matches_the_capped_fit(name):
 @given(scan_problems())
 def test_detect_matches_the_capped_fit(problem):
     _check_against_the_cap(*problem)
+
+
+# ---------------------------------------------------------------------------
+# detect against the flow where the verdict owned tau = 0
+# ---------------------------------------------------------------------------
+
+def ref_detect(sys_, bound):
+    """detection_to_json of detect as it ran when find_outer took the
+    automorphisms to scan: the inner scan, the verdict with its outer scan
+    on tau = 0 alone, then for general-type data the outer scan on every
+    tau != 0; each scan by ref_scan."""
+    inners = ref_find_inner(sys_, bound)
+    with mock.patch.object(twists, "_scan", ref_scan):
+        verdict = general_type_verdict(sys_, bound)
+    if sys_.n == 3 and verdict.kind == "general-type":
+        outers = ref_scan(sys_, "outer", bound, range(1, sys_.field.degree))
+    else:
+        outers = []
+    group = assemble_group(inners, outers, sys_.field)
+    F, F_inn = fixed_fields(group, sys_.field)
+    cent = coefficient_field_check(sys_, group, bound)
+    return detection_to_json(
+        DetectionResult(group, F, F_inn, cent, verdict, bound))
+
+
+def _check_against_the_split_outer_scan(sys_, bound):
+    try:
+        want = ref_detect(sys_, bound)
+    except (TwistctlError, ValueError) as e:
+        want = type(e).__name__, str(e)
+    assert _detect_outcome(sys_, bound) == want
+
+
+@pytest.mark.parametrize("bound", [60, 100, 200])
+@pytest.mark.parametrize("name", BUILDERS)
+def test_detect_on_every_builder_matches_the_split_outer_scan(name, bound):
+    _check_against_the_split_outer_scan(_system(name), bound)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scan_problems())
+def test_detect_matches_the_split_outer_scan(problem):
+    _check_against_the_split_outer_scan(*problem)
