@@ -7,20 +7,18 @@ moduli, norms, field sizes and prime ranges the package handles.
 
 from __future__ import annotations
 
-from math import isqrt
+from itertools import compress
+from math import isqrt, prod
 
 
 def primes_up_to(bound: int, exclude=()) -> list[int]:
     """The primes p <= bound that are not in exclude, ascending."""
     sieve = bytearray([1]) * (bound + 1)
-    out = []
-    for p in range(2, bound + 1):
+    for p in range(2, isqrt(max(bound, 0)) + 1):
         if sieve[p]:
-            if p not in exclude:
-                out.append(p)
-            for k in range(p * p, bound + 1, p):
-                sieve[k] = 0
-    return out
+            sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+    return [p for p in compress(range(2, bound + 1), sieve[2:])
+            if p not in exclude]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -75,3 +73,12 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n):
         result *= (p - 1) * p ** (e - 1)
     return result
+
+
+def conductor_bound(primes, m: int) -> int:
+    """prod of q^(1 + v_q(m)) over the primes q, and one more 2 at q = 2: it
+    holds the conductor of every Dirichlet character of order dividing m
+    unramified off the primes, as one primitive mod q^e has order divisible
+    by q^(e-1), by 2^(e-2) at q = 2 (Washington, Cyclotomic Fields, ch. 3)."""
+    v = dict(factorize(m))
+    return prod(q ** (1 + v.get(q, 0) + (q == 2)) for q in primes)

@@ -61,6 +61,8 @@ def _parse_primes(spec: str) -> tuple:
             for p in primes:
                 if not is_prime(p):
                     raise argparse.ArgumentTypeError(f"{p} is not prime")
+                if primes.count(p) > 1:
+                    raise argparse.ArgumentTypeError(f"{p} is repeated")
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse prime range {spec!r}")
     if not primes:

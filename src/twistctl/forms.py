@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .arith import prime_power
+from .arith import conductor_bound, prime_power
 from .errors import (BudgetExceeded, CocycleViolation, NotInvertible,
                      Ramified, SchemaError)
 from .finitefield import FiniteField, finite_field
@@ -603,27 +603,53 @@ class ImageReport:
     mt_upper_bound_dimension: int
 
 
+def frobenius_modulus(field: NumberField, top: int) -> int:
+    """M0 = conductor_bound(primes of B = |_bad_reduction|, exponent e of
+    Gal(E/Q)), a multiple of the conductor of the abelian field E.  B is
+    trial-divided up to max(top, [E:Q]) only: a composite rest has no prime
+    factor dividing e, a divisor of [E:Q], and enters M0 as it is."""
+    e, powers = 1, list(range(field.degree))
+    while any(powers):
+        e, powers = e + 1, [field.compose(g, i) for i, g in enumerate(powers)]
+    rest, qs, q = abs(field._bad_reduction), set(), 2
+    while q <= max(top, field.degree) and q * q <= rest:
+        while rest % q == 0:
+            rest, qs = rest // q, qs | {q}
+        q += 1
+    if q * q > rest > 1:
+        qs, rest = qs | {rest}, 1
+    return conductor_bound(qs, e) * rest
+
+
 def image_report(sys, result: DetectionResult, primes) -> ImageReport:
     """Aggregate the detection output and the per-prime form verdicts; a
     requested prime that is a bad place of the data, or where the
     coefficient field ramifies, is excluded with that reason instead.
 
+    The verdicts depend on sigma_p alone, which over an abelian E depends on
+    p mod frobenius_modulus alone (Kronecker-Weber), so they are computed
+    once per class; a prime of B, or any over a non-abelian E, keys as -p.
+
     The dimension prediction is [F:Q] (n^2 - 1) + 1: the derived group
     contributes one copy of SL_n per embedding of the fixed field, and the
     center one line of scalars.  The Hodge-theoretic upper bound computed
     from the same data coincides with it."""
-    n = sys.n
+    n, field, primes = sys.n, sys.field, sorted(primes)
     dim = result.fixed.degree * (n * n - 1) + 1
-    places, excluded = [], []
-    for p in sorted(primes):
+    m0 = field.is_abelian and frobenius_modulus(field, max(primes, default=0))
+    places, excluded, seen = [], [], {}
+    for p in primes:
         if p in sys.bad_places:
             excluded.append((p, "bad place of the input data"))
             continue
+        key = p % m0 if m0 and field._bad_reduction % p else -p
         try:
-            places.append(
-                (p, tuple(classify_place(sys.field, result.group, p, n))))
+            if key not in seen:
+                seen[key] = tuple(classify_place(field, result.group, p, n))
         except Ramified:
             excluded.append((p, "ramified in the coefficient field"))
+            continue
+        places.append((p, seen[key]))
     return ImageReport(
         detection=result,
         places=tuple(places),

@@ -25,9 +25,8 @@ has inverse (sigma^{-1}, sigma^{-1}(chi)^{-1}); outer (tau, eta) has inverse
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
-from .arith import factorize
+from . import arith
 from .characters import (
     Character,
     char_exponent,
@@ -90,14 +89,10 @@ class TwistGroup:
 
 
 def conductor_bound(sys: EigenSystem) -> int:
-    """N0 = prod of q^(1 + v_q(w)) over the bad primes q, with one more 2
-    at q = 2, w = |mu(E)|: over Q every twist character's conductor divides
-    it.  Both sides of a twist are unramified at a good place, so chi is too.
-    A primitive character mod q^e with values in mu(E) has order divisible
-    by q^(e-1) (by 2^(e-2) at q = 2), and its order divides w (Washington,
-    Introduction to Cyclotomic Fields, ch. 3)."""
-    w = dict(factorize(unit_roots(sys.field).order))
-    return prod(q ** (1 + w.get(q, 0) + (q == 2)) for q in sys.bad_places)
+    """N0 = arith.conductor_bound(bad places, |mu(E)|): over Q every twist
+    character's conductor divides it, as both sides of a twist are unramified
+    at a good place, so chi is too, and chi takes its values in mu(E)."""
+    return arith.conductor_bound(sys.bad_places, unit_roots(sys.field).order)
 
 
 def _max_order(sys: EigenSystem) -> int:

@@ -8,20 +8,22 @@ tests their invariance on every pair of group elements.  The determinant
 and inverse are recursive cofactor expansions, the reference for the
 Gaussian elimination in forms.
 
-The place classification decomposes the places above p twice: a double
-coset of the full twist group is inner-split when it falls apart into two
-double cosets of the inner subgroup, the reference for the one coset test
-in forms.classify_place.  A second, independent reference reads the same
-verdicts off the factor degrees of the minimal polynomials of the fixed
-fields F and F_inn mod p (Dedekind-Kummer), with no Frobenius, composition
-table or double coset.
+The image report classifies every prime on its own, the reference for the
+one classify_place call per residue class mod forms.frobenius_modulus in
+forms.image_report.  The place classification decomposes the places above
+p twice: a double coset of the full twist group is inner-split when it
+falls apart into two double cosets of the inner subgroup, the reference
+for the one coset test in forms.classify_place.  A second, independent
+reference reads the same verdicts off the factor degrees of the minimal
+polynomials of the fixed fields F and F_inn mod p (Dedekind-Kummer), with
+no Frobenius, composition table or double coset.
 """
 
 import random
 
 from twistctl import forms
 from twistctl.errors import (BadReduction, CocycleViolation, NotInvertible,
-                             NotSeparableModP)
+                             NotSeparableModP, Ramified)
 from twistctl.numberfield import double_cosets, frobenius_at
 from twistctl.polynomials import ddf_mod_p
 
@@ -263,6 +265,29 @@ def classify_place(field, group, p, n):
             frobenius_ambiguous=frob.ambiguous,
         ))
     return verdicts
+
+
+def ref_image_report(sys, result, primes):
+    """forms.image_report with one forms.classify_place call per prime."""
+    n = sys.n
+    dim = result.fixed.degree * (n * n - 1) + 1
+    places, excluded = [], []
+    for p in sorted(primes):
+        if p in sys.bad_places:
+            excluded.append((p, "bad place of the input data"))
+            continue
+        try:
+            places.append((p, tuple(
+                forms.classify_place(sys.field, result.group, p, n))))
+        except Ramified:
+            excluded.append((p, "ramified in the coefficient field"))
+    return forms.ImageReport(
+        detection=result,
+        places=tuple(places),
+        excluded=tuple(excluded),
+        predicted_dimension=dim,
+        mt_upper_bound_dimension=dim,
+    )
 
 
 def factor_pattern_places(f_poly, f_inn_poly, p):

@@ -5,6 +5,7 @@ from math import gcd, prod
 import pytest
 
 from twistctl.arith import (
+    conductor_bound,
     divisors,
     euler_phi,
     factorize,
@@ -28,6 +29,29 @@ def test_primes_up_to():
         assert primes_up_to(bound) == [p for p in PRIMES if p <= bound]
     assert primes_up_to(100, exclude=(2, 3, 7)) \
         == [p for p in PRIMES if p <= 100 and p not in (2, 3, 7)]
+
+
+def loop_primes_up_to(bound, exclude=()):
+    """The sieve that clears one multiple at a time, walking every p up to
+    the bound: the reference for the slice assignments of primes_up_to."""
+    sieve = bytearray([1]) * (bound + 1)
+    out = []
+    for p in range(2, bound + 1):
+        if sieve[p]:
+            if p not in exclude:
+                out.append(p)
+            for k in range(p * p, bound + 1, p):
+                sieve[k] = 0
+    return out
+
+
+def test_primes_up_to_matches_the_loop():
+    for bound in range(LIMIT + 1):
+        assert primes_up_to(bound) == loop_primes_up_to(bound), bound
+    exclude = {2, 5, 97, 2999, 3001}
+    for bound in (1, 2, 97, 98, 2999, 20000):
+        assert primes_up_to(bound, exclude) \
+            == loop_primes_up_to(bound, exclude), bound
 
 
 def test_factorize():
@@ -59,6 +83,14 @@ def test_prime_power():
         else:
             with pytest.raises(ValueError, match="not a prime power"):
                 prime_power(q)
+
+
+def test_conductor_bound():
+    assert conductor_bound([], 5) == 1
+    assert conductor_bound([2], 1) == 4       # Q(i)
+    assert conductor_bound([3], 3) == 9       # Q(zeta_9)^+
+    assert conductor_bound([2, 3], 2) == 24
+    assert conductor_bound((7, 3, 2), 6) == 504
 
 
 def brute_force_order(g, m):

@@ -16,11 +16,20 @@ the minimal polynomials of F and F_inn mod p alone: on those fields, twist
 groups and primes, and on image_report at every prime below 3000 for every
 fixture and synth system after detection.  A prime where either polynomial
 is not squarefree mod p is skipped; each test bounds how many it skips.
+
+image_report, one classify_place call per class of p mod M0 over an
+abelian field, is compared with forms_reference.ref_image_report, one call
+per prime: at every prime below 20000 on every synth field, Q(i) as
+x^2 + 1/4 and as x^2 + 9, Q(zeta_9)^+ and Q(sqrt D) with D a product of
+two primes near 10^12, and below 3000 on the sextic and the octic, which
+never key.  The twist groups are those whose verdicts tell Frobenius
+classes apart.
 """
 
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -192,3 +201,88 @@ def test_image_reports_match_the_factor_patterns(name):
         compared += 1
         assert _pattern(verdicts) == want, p
     assert compared and skipped <= compared // 20, (compared, skipped)
+
+
+# ---------------------------------------------------------------------------
+# one classify_place call per residue class mod M0
+# ---------------------------------------------------------------------------
+
+D = 999999999989 * 1000000000039      # two primes
+
+
+def quadratic(c):
+    """Q(sqrt(-c)) on a root of x^2 + c."""
+    return _field([c, 0, 1], [[0, 1], [0, -1]])
+
+
+def zeta9_plus():
+    """Q(zeta_9)^+ on alpha = zeta_9 + zeta_9^-1, x^3 - 3x + 1, of conductor
+    9: alpha -> alpha^2 - 2 -> -alpha^2 - alpha + 2."""
+    return _field([1, -3, 0, 1], [[0, 1, 0], [-2, 0, 1], [2, -1, -1]])
+
+
+# synth.biquadratic_field is the klein model x^4 - 2x^2 + 9
+ABELIAN = {name: make for name, make in sorted(vars(synth).items())
+           if name.endswith("_field")}
+ABELIAN.update({"x^2+1/4": lambda: quadratic(Fraction(1, 4)),
+                "x^2+9": lambda: quadratic(9),
+                "zeta9_plus": zeta9_plus,
+                "sqrt_D": lambda: quadratic(-D)})
+
+
+def revealing_groups(field):
+    """The trivial twist group, whose places above p have residue degree
+    the order of sigma_p, and the whole group over each inner subgroup of
+    index 2, split exactly when sigma_p lies in it."""
+    return [group for group in twist_groups(field)
+            if group.full_subgroup.order == 1
+            or group.full_subgroup.order == 2 * group.inner_subgroup.order
+            == field.degree]
+
+
+def assert_reports_agree(field, primes):
+    """image_report against ref_image_report for each revealing group, on
+    stand-ins for the system and the detection result."""
+    for group in revealing_groups(field):
+        sys_ = SimpleNamespace(n=3, field=field, bad_places=(5, 7))
+        result = SimpleNamespace(group=group, fixed=SimpleNamespace(
+            degree=field.degree // group.full_subgroup.order))
+        got = forms.image_report(sys_, result, primes)
+        want = ref.ref_image_report(sys_, result, primes)
+        wrong = [p for (p, v), (_, w) in zip(got.places, want.places)
+                 if v != w]
+        assert got == want, (tuple(group.full_subgroup),
+                             tuple(group.inner_subgroup), len(wrong))
+
+
+def test_frobenius_modulus_examples():
+    # Q(i), Q(zeta_3), the klein model with B = 2^14 3^2 and e = 2, Q(i)
+    # again from x^2 + 9 (B = -36), and Q(zeta_9)^+ with e = 3
+    assert forms.frobenius_modulus(synth.gaussian_field(), 100) == 8
+    assert forms.frobenius_modulus(synth.eisenstein_field(), 100) == 3
+    assert forms.frobenius_modulus(synth.biquadratic_field(), 100) == 24
+    assert forms.frobenius_modulus(quadratic(9), 100) == 24
+    assert forms.frobenius_modulus(zeta9_plus(), 100) == 9
+
+
+@pytest.mark.parametrize("name", sorted(ABELIAN))
+def test_one_call_per_class_matches_one_per_prime(name):
+    field = ABELIAN[name]()
+    assert field.is_abelian
+    assert_reports_agree(field, primes_up_to(20000))
+
+
+@pytest.mark.parametrize("make", [s3_sextic, d4_octic])
+def test_non_abelian_fields_never_key(make, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("frobenius_modulus over a non-abelian field")
+    monkeypatch.setattr(forms, "frobenius_modulus", refuse)
+    assert_reports_agree(make(), primes_up_to(3000))
+
+
+def test_a_large_prime_discriminant_is_not_factored():
+    """B = 4D, D the product of two primes near 10^12: trial division stops
+    at 2000, and D enters M0 whole."""
+    field = quadratic(-D)
+    assert forms.frobenius_modulus(field, 2000) % D == 0
+    assert_reports_agree(field, primes_up_to(2000)[1:])

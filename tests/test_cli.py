@@ -5,6 +5,7 @@ facts it reports, the text/JSON parity, the documented exit codes (0 ok,
 1 domain error, 2 usage error), and byte-level determinism of JSON output.
 """
 
+import argparse
 import copy
 import json
 import os
@@ -61,6 +62,14 @@ class TestUsageErrors:
                               "--primes", "5,6,7")
         assert code == 2
         assert "6" in err
+
+    def test_repeated_prime_in_prime_list_exits_2(self, capsys):
+        code, _, err = invoke(capsys, "classify", "--input", VANTOP,
+                              "--primes", "5,5,3")
+        assert code == 2
+        assert "5 is repeated" in err
+        with pytest.raises(argparse.ArgumentTypeError, match="repeated"):
+            _parse_primes("13,5,13")
 
     def test_seed_belongs_to_the_oracle_alone(self, capsys):
         code, _, err = invoke(capsys, "twists", "--input", VANTOP,
