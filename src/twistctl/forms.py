@@ -350,18 +350,6 @@ def conjugate_cocycle(cocycle: Cocycle, g) -> Cocycle:
     return cocycle_make(ctx, fresh)
 
 
-def base_change(model: FiniteModel, cocycle: Cocycle,
-                d: int) -> tuple[FiniteModel, Cocycle]:
-    """Restrict the cocycle to the subgroup generated by the d-th power of
-    Frobenius: same top field, base enlarged from F_q to F_{q^d}."""
-    if d < 1 or model.m % d:
-        raise ValueError(f"{d} does not divide the extension degree {model.m}")
-    sub = finite_model(model.q ** d, model.m // d, model.n, model.budget)
-    assignments = {j: cocycle.assignments[(d * j) % model.m]
-                   for j in range(sub.m)}
-    return sub, cocycle_make(finite_model_context(sub), assignments)
-
-
 # ---------------------------------------------------------------------------
 # descent oracles over finite models
 # ---------------------------------------------------------------------------

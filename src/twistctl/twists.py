@@ -5,10 +5,12 @@ n = 3, sigma(b_v) = chi(v)^{-1} b_v) at every good place; an outer twist
 (tau, eta) relates the data to its dual: tau(a_v) = eta(v) b_v and
 tau(b_v) = eta(v)^{-1} a_v.  Detection is certified only up to a norm bound
 and each twist records the bound it was verified at; over Q its character
-is fitted modulo conductor_bound(sys).  Each scan reads every
-relation once, as the exponent k with sigma(s) = zeta^k t for the generator
-zeta of mu(E), by lookup among the products zeta^k t; no field element is
-inverted, and one test per automorphism keeps a table only when every
+is fitted modulo conductor_bound(sys).  detect builds one relation table,
+relations(sys, bound), which computes each image sigma(x) of a nonzero
+coefficient and each product zeta^k t, zeta the generator of mu(E), once;
+find_inner, general_type_verdict and find_outer read it, so they do no
+field arithmetic.  A scan reads each relation as the exponent k with
+sigma(s) = zeta^k t, by lookup, and keeps an automorphism only when every
 relation has an exponent, the relations at each place agree and every order
 is within the bound.  The general-type verdict asks the outer question on
 tau = 0 alone; find_outer asks it on every tau.
@@ -133,18 +135,53 @@ def compose_twists(field: NumberField, left: ExtraTwist,
 # detection
 # ---------------------------------------------------------------------------
 
-def find_inner(sys: EigenSystem, bound: int) -> list[ExtraTwist]:
+@dataclass(frozen=True)
+class Relations:
+    """The relation table every detection scan reads, built by relations()."""
+    sys: EigenSystem
+    bound: int
+    places: tuple          # the good places of norm <= bound
+    pairs: dict            # v -> (a_v,) for n = 2, (a_v, b_v) for n = 3
+    support: dict          # kind -> places where the first target is not 0
+    undetermined: tuple    # places where every coefficient is 0
+    images: tuple          # images[sigma]: key of x -> key of sigma(x), x != 0
+    products: dict         # key of t -> {key of zeta^k t: k}, t != 0
+
+
+def relations(sys: EigenSystem, bound: int) -> Relations:
+    """The relation table of sys up to bound: every sigma(x) and every
+    zeta^k t is computed here, once per distinct nonzero coefficient, so
+    the scans that read the table do no field arithmetic."""
+    field = sys.field
+    places = tuple(sys.places(bound))
+    pairs = {v: (sys.coeffs[v].a, sys.coeffs[v].b)[:sys.n - 1] for v in places}
+    nonzero = {x.key: x for c in pairs.values() for x in c if not x.is_zero()}
+    images = ({k: k for k in nonzero},) + tuple(
+        {k: field.apply_aut(sigma, x).key for k, x in nonzero.items()}
+        for sigma in range(1, field.degree))
+    powers = unit_roots(field).powers
+    products = {k: {(z * t if j else t).key: j for j, z in enumerate(powers)}
+                for k, t in nonzero.items()}
+    support = {kind: tuple(v for v in places if not pairs[v][i].is_zero())
+               for kind, i in (("inner", 0), ("outer", -1))}
+    undetermined = tuple(v for v in places
+                         if all(x.is_zero() for x in pairs[v]))
+    return Relations(sys, bound, places, pairs, support, undetermined,
+                     images, products)
+
+
+def find_inner(rel: Relations) -> list[ExtraTwist]:
     """Inner twists (sigma, chi) verified at all good places of norm <= bound.
 
     chi is fitted from the exponents k with sigma(a_v) = zeta^k a_v at
     places with a_v != 0 and then re-checked against both coefficient
     relations everywhere.  Places where every relation degenerates to 0 = 0
     are recorded on the twist."""
-    _check_detection_input(sys)
-    return _scan(sys, "inner", bound, range(sys.field.degree))
+    _check_detection_input(rel.sys)
+    return _scan(rel, "inner", range(rel.sys.field.degree))
 
 
-def find_outer(sys: EigenSystem, bound: int) -> list[ExtraTwist]:
+def find_outer(rel: Relations) -> list[ExtraTwist]:
     """Outer twists (tau, eta) with tau(a_v) = eta(v) b_v at good v <= bound,
     on every automorphism tau of the coefficient field, the identity too.
 
@@ -152,100 +189,61 @@ def find_outer(sys: EigenSystem, bound: int) -> list[ExtraTwist]:
     with b_v != 0; the mirrored relation tau(b_v) = eta(v)^{-1} a_v must
     give the same exponents everywhere, which in particular rejects any tau
     when exactly one of a_v, b_v vanishes."""
-    if sys.n != 3:
+    if rel.sys.n != 3:
         raise ValueError("outer twists are defined for n = 3 data only")
-    if not sys.is_normalized:
+    if not rel.sys.is_normalized:
         raise ValueError("outer detection expects a normalized system")
-    return _scan(sys, "outer", bound, range(sys.field.degree))
+    return _scan(rel, "outer", range(rel.sys.field.degree))
 
 
-def _relations(sys: EigenSystem, kind: str, v) -> tuple:
-    """The pairs (s, t) of the twist relations at place v: the first reads
-    sigma(s) = chi(v) t and the second, for n = 3, sigma(s) chi(v) = t.
-    Inner twists pair each coefficient with itself, outer twists pair a_v
-    with b_v, which is what relates the data to its dual."""
-    pd = sys.coeffs[v]
-    if sys.n == 2:
-        return ((pd.a, pd.a),)
-    if kind == "inner":
-        return ((pd.a, pd.a), (pd.b, pd.b))
-    return ((pd.a, pd.b), (pd.b, pd.a))
-
-
-def _scan(sys: EigenSystem, kind: str, bound: int, auts) -> list[ExtraTwist]:
+def _scan(rel: Relations, kind: str, auts) -> list[ExtraTwist]:
     """Twists of the given kind on the automorphisms auts, the identity
-    included, each read off its exponent table by _fit."""
-    ob = _max_order(sys)
-    places = sys.places(bound)
-    support = [v for v in places
-               if not _relations(sys, kind, v)[0][1].is_zero()]
+    included, each fitted by _fit."""
+    sys, support = rel.sys, rel.support[kind]
     if len(support) < MIN_PLACES:
         coeff = "a_v" if kind == "inner" else "b_v"
         raise InsufficientData(
             f"{len(support)} places have {coeff} != 0; at least {MIN_PLACES} "
             f"are needed to pin down a character")
-    undetermined = tuple(v for v in places
-                         if all(s.is_zero() and t.is_zero()
-                                for s, t in _relations(sys, kind, v)))
-
-    products = _products(sys, kind, places)
+    ob = _max_order(sys)
     out = []
     for sigma in auts:
-        chi = _fit(sys, _exponents(sys, kind, sigma, places, products),
-                   support, ob)
+        chi = _fit(rel, kind, sigma, ob)
         if chi is not None and _power_ok(sys, chi):
-            out.append(ExtraTwist(kind, sigma, chi, bound, undetermined))
+            out.append(ExtraTwist(kind, sigma, chi, rel.bound,
+                                  rel.undetermined))
     return out
 
 
-def _products(sys: EigenSystem, kind: str, places) -> dict:
-    """For each nonzero target t of the relations at the places, the map
-    from the key of zeta^k t to k, for k mod w = |mu(E)|."""
-    powers = unit_roots(sys.field).powers
-    out = {}
-    for v in places:
-        for _, t in _relations(sys, kind, v):
-            if not t.is_zero() and t.key not in out:
-                out[t.key] = {(z * t if k else t).key: k
-                              for k, z in enumerate(powers)}
-    return out
-
-
-def _exponents(sys: EigenSystem, kind: str, sigma: int, places,
-               products: dict) -> dict:
-    """Each place's exponents k with sigma(s) = zeta^k t on the first
-    relation and sigma(s) = zeta^-k t on the second: one per relation not
-    reading 0 = 0, None where no root of unity fits (as when one side is 0)."""
-    field = sys.field
-    w = unit_roots(field).order
-    table = {}
-    for v in places:
-        ks = []
-        for i, (s, t) in enumerate(_relations(sys, kind, v)):
-            if s.is_zero() and t.is_zero():
-                continue
-            k = products.get(t.key, {}).get(field.apply_aut(sigma, s).key)
-            ks.append(k if k is None or i == 0 else -k % w)
-        table[v] = tuple(ks)
-    return table
-
-
-def _fit(sys: EigenSystem, table: dict, support, ob: int) -> Character | None:
-    """The character of an exponent table, None unless every relation has
-    an exponent, the relations at each place agree on it and its order is at
-    most ob.  Over a base other than Q the place -> exponent map is the
-    character; over Q it is the Dirichlet character char_fit gives on the
-    support, if that takes every exponent of the map."""
-    if any(None in ks or len(set(ks)) > 1 for ks in table.values()):
-        return None
-    exps = {v: ks[0] for v, ks in table.items() if ks}
-    order_of = unit_roots(sys.field).order_of
-    if any(order_of(k) > ob for k in exps.values()):
-        return None
+def _fit(rel: Relations, kind: str, sigma: int, ob: int) -> Character | None:
+    """The character with sigma(s) = zeta^k t on the first relation at each
+    place and sigma(s) = zeta^-k t on the second, over the relations not
+    reading 0 = 0: inner relations pair each coefficient with itself, outer
+    ones a_v with b_v.  None at the first relation no root of unity fits
+    (as when one side is 0), at a place whose relations disagree, or at an
+    order above ob.  Over a base other than Q the place -> exponent map is
+    the character; over Q it is the Dirichlet character char_fit gives on
+    the support, if that takes every exponent of the map."""
+    sys, image = rel.sys, rel.images[sigma]
+    mu = unit_roots(sys.field)
+    exps = {}
+    for v in rel.places:
+        c = rel.pairs[v]
+        ks = set()
+        for i, (s, t) in enumerate(zip(c, c if kind == "inner" else c[::-1])):
+            if not (s.is_zero() and t.is_zero()):
+                k = rel.products.get(t.key, {}).get(image.get(s.key))
+                if k is None:
+                    return None
+                ks.add(-k % mu.order if i else k)
+        if len(ks) > 1 or any(mu.order_of(k) > ob for k in ks):
+            return None
+        if ks:
+            exps[v] = ks.pop()
     if sys.base_field_label != "Q":
         return Character(sys.field, "table", exps=exps)
-    chi = char_fit({v: exps[v] for v in support}, conductor_bound(sys), ob,
-                   sys.field)
+    chi = char_fit({v: exps[v] for v in rel.support[kind]},
+                   conductor_bound(sys), ob, sys.field)
     if chi is None or any(_exponent(chi, v) != k for v, k in exps.items()):
         return None
     return chi
@@ -374,7 +372,7 @@ class GeneralTypeVerdict:
     bound: int
 
 
-def general_type_verdict(sys: EigenSystem, bound: int) -> GeneralTypeVerdict:
+def general_type_verdict(rel: Relations) -> GeneralTypeVerdict:
     """Classify the system up to the bound: self-twist when a nontrivial
     character fixes it, essentially self-dual when it matches its own dual up
     to a character, general type otherwise.
@@ -388,19 +386,18 @@ def general_type_verdict(sys: EigenSystem, bound: int) -> GeneralTypeVerdict:
     self-twist scan runs over the rational base field only.  Essential
     self-duality is find_outer's scan on tau = 0 alone, and raises
     InsufficientData or Ambiguous as that scan does."""
+    sys, bound = rel.sys, rel.bound
     _check_detection_input(sys)
     ob = _max_order(sys)
-    places = sys.places(bound)
-    determined = [v for v in places if not sys.coeffs[v].a.is_zero()]
+    determined = rel.support["inner"]
     if len(determined) < MIN_PLACES:
         raise InsufficientData(
             f"{len(determined)} places have a_v != 0; at least {MIN_PLACES} "
             f"are needed for a verdict")
 
     if sys.base_field_label == "Q":
-        blank = [v for v in places if all(
-            s.is_zero() for s, _ in _relations(sys, "inner", v))]
-        for cand in fit_all(dict.fromkeys(set(places) - set(blank), 0),
+        blank = rel.undetermined
+        for cand in fit_all(dict.fromkeys(set(rel.places) - set(blank), 0),
                             conductor_bound(sys), ob, sys.field):
             if _power_ok(sys, cand) and any(
                     _exponent(cand, v) not in (0, None) for v in blank):
@@ -412,7 +409,7 @@ def general_type_verdict(sys: EigenSystem, bound: int) -> GeneralTypeVerdict:
                    else Character(sys.field, "table",
                                   exps=dict.fromkeys(determined, 0)))
         return GeneralTypeVerdict("essentially-self-dual", witness, bound)
-    for t in _scan(sys, "outer", bound, (0,)):
+    for t in _scan(rel, "outer", (0,)):
         return GeneralTypeVerdict("essentially-self-dual", t.character, bound)
     return GeneralTypeVerdict("general-type", None, bound)
 
@@ -438,10 +435,11 @@ def detect(sys: EigenSystem, bound: int) -> DetectionResult:
     Outer twists enter the group only for general-type data, which has
     n = 3 and, as the verdict's scan of tau = 0 found, no outer twist there;
     a degenerate system keeps its inner-twist group and the verdict carries
-    the witness."""
-    inners = find_inner(sys, bound)
-    verdict = general_type_verdict(sys, bound)
-    outers = find_outer(sys, bound) if verdict.kind == "general-type" else []
+    the witness.  All three scans read one relation table."""
+    rel = relations(sys, bound)
+    inners = find_inner(rel)
+    verdict = general_type_verdict(rel)
+    outers = find_outer(rel) if verdict.kind == "general-type" else []
     group = assemble_group(inners, outers, sys.field)
     F, F_inn = fixed_fields(group, sys.field)
     cent = coefficient_field_check(sys, group, bound)

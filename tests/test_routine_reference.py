@@ -84,6 +84,7 @@ from twistctl.twists import (
     conductor_bound,
     find_outer,
     general_type_verdict,
+    relations,
 )
 
 SPLIT_FIELDS = dict(FIELDS, **{"x^2+1/4": lambda: field_make(
@@ -201,7 +202,8 @@ def ref_general_type_verdict(sys, bound):
             continue
         if ref_verify(sys, "inner", 0, cand, places):
             return GeneralTypeVerdict("self-twist", cand, bound)
-    for t in [t for t in find_outer(sys, bound) if t.aut_index == 0]:
+    for t in [t for t in find_outer(relations(sys, bound))
+              if t.aut_index == 0]:
         return GeneralTypeVerdict("essentially-self-dual", t.character, bound)
     return GeneralTypeVerdict("general-type", None, bound)
 
@@ -387,5 +389,6 @@ def _cm_with_b(*places):
 def test_verdicts_match_the_verified_scan(problem):
     name, coeffs, bound = problem
     sys_ = replace(SYSTEMS[name], coeffs=coeffs)
-    assert _verdict(general_type_verdict, sys_, bound) \
+    assert _verdict(lambda s, b: general_type_verdict(relations(s, b)),
+                    sys_, bound) \
         == _verdict(ref_general_type_verdict, sys_, bound)

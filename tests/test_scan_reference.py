@@ -1,5 +1,4 @@
-"""Differential test: the exponent-table twist scan against the ratio scan
-it replaced.
+"""Differential tests: the twist scans against the two scans they replaced.
 
 The reference below is the earlier implementation: over Q each character
 is fitted from the ratios sigma(s)/t, one field inverse per place, and then
@@ -11,13 +10,22 @@ find_inner and find_outer must return the same twists (automorphism, kind,
 character, undetermined places) or raise the same exception with the same
 message, on every synthetic system, relabelled to a non-rational base,
 with coefficients zeroed at some places and with one coefficient perturbed.
+
+The second reference is the exponent-table scan as it ran before the
+relation table: each scan made its own lists of places and its own map of
+the products zeta^k t, and applied sigma once per relation it read.
+find_inner, find_outer and general_type_verdict, reading one
+relations(sys, bound), must give what it gives, on every builder and on the
+same perturbed systems.
+
 On the same systems, detect must give what it gave when every fit ran up to
 the old conductor cap 16 * prod(bad places) (fit_upto), except where that
 result holds a character whose conductor does not divide conductor_bound:
 such a character is ramified at a good place, so it is no twist.  It must
 also give what ref_detect gives, the flow where the verdict scanned the
 outer relations on tau = 0 alone and detect then scanned every other tau,
-each scan by ref_scan: the same document or the same exception.
+each scan by ref_scan: the same document or the same exception.  That
+comparison also runs on every builder under seeds 2 and 3.
 """
 
 from dataclasses import replace
@@ -32,9 +40,11 @@ from hypothesis import example, given, settings, strategies as st
 from fit_reference import fit_upto
 from twistctl import characters, synth, twists
 from twistctl.characters import (
+    Character,
     char_eval,
     char_fit,
     char_to_json,
+    fit_all,
     table_character,
     trivial_character,
 )
@@ -52,7 +62,9 @@ from twistctl.twists import (
     MIN_PLACES,
     DetectionResult,
     ExtraTwist,
+    GeneralTypeVerdict,
     _check_detection_input,
+    _exponent,
     _power_ok,
     assemble_group,
     coefficient_field_check,
@@ -63,6 +75,7 @@ from twistctl.twists import (
     find_outer,
     fixed_fields,
     general_type_verdict,
+    relations,
 )
 
 BUILDERS = ("vantop_system", "generic_system", "rational_inner_system",
@@ -73,8 +86,8 @@ BUILDERS = ("vantop_system", "generic_system", "rational_inner_system",
 
 
 @lru_cache(maxsize=None)
-def _system(name):
-    sys_ = getattr(synth, name)()
+def _system(name, seed=None):
+    sys_ = getattr(synth, name)(**({} if seed is None else {"seed": seed}))
     return normalize(sys_) if sys_.n == 3 else sys_
 
 
@@ -99,8 +112,9 @@ def ref_relations(sys, kind, v):
     return ((pd.a, pd.b), (pd.b, pd.a))
 
 
-def ref_scan(sys, kind, bound, auts):
-    ob = ref_order_bound(sys)
+def ref_places(sys, kind, bound):
+    """A scan's places, its support (the places where the first relation's
+    target is not 0) and its undetermined places, or InsufficientData."""
     places = sys.places(bound)
     support = [v for v in places
                if not ref_relations(sys, kind, v)[0][1].is_zero()]
@@ -112,6 +126,12 @@ def ref_scan(sys, kind, bound, auts):
     undetermined = tuple(v for v in places
                          if all(s.is_zero() and t.is_zero()
                                 for s, t in ref_relations(sys, kind, v)))
+    return places, support, undetermined
+
+
+def ref_scan(sys, kind, bound, auts):
+    ob = ref_order_bound(sys)
+    places, support, undetermined = ref_places(sys, kind, bound)
     out = []
     for sigma in auts:
         if kind == "inner" and sigma == 0 and sys.base_field_label == "Q":
@@ -197,6 +217,100 @@ def ref_find_outer(sys, bound):
 
 
 # ---------------------------------------------------------------------------
+# the product reference: one map of products zeta^k t per scan
+# ---------------------------------------------------------------------------
+
+def product_scan(sys, kind, bound, auts):
+    ob = ref_order_bound(sys)
+    places, support, undetermined = ref_places(sys, kind, bound)
+    products = product_map(sys, kind, places)
+    out = []
+    for sigma in auts:
+        chi = product_fit(sys, product_exponents(sys, kind, sigma, places,
+                                                 products), support, ob)
+        if chi is not None and _power_ok(sys, chi):
+            out.append(ExtraTwist(kind, sigma, chi, bound, undetermined))
+    return out
+
+
+def product_map(sys, kind, places):
+    """For each nonzero target t at the places, the key of zeta^k t -> k."""
+    powers = unit_roots(sys.field).powers
+    out = {}
+    for v in places:
+        for _, t in ref_relations(sys, kind, v):
+            if not t.is_zero() and t.key not in out:
+                out[t.key] = {(z * t if k else t).key: k
+                              for k, z in enumerate(powers)}
+    return out
+
+
+def product_exponents(sys, kind, sigma, places, products):
+    """Each place's exponents k with sigma(s) = zeta^k t on the first
+    relation and sigma(s) = zeta^-k t on the second, None where none fits."""
+    field = sys.field
+    w = unit_roots(field).order
+    table = {}
+    for v in places:
+        ks = []
+        for i, (s, t) in enumerate(ref_relations(sys, kind, v)):
+            if s.is_zero() and t.is_zero():
+                continue
+            k = products.get(t.key, {}).get(field.apply_aut(sigma, s).key)
+            ks.append(k if k is None or i == 0 else -k % w)
+        table[v] = tuple(ks)
+    return table
+
+
+def product_fit(sys, table, support, ob):
+    if any(None in ks or len(set(ks)) > 1 for ks in table.values()):
+        return None
+    exps = {v: ks[0] for v, ks in table.items() if ks}
+    order_of = unit_roots(sys.field).order_of
+    if any(order_of(k) > ob for k in exps.values()):
+        return None
+    if sys.base_field_label != "Q":
+        return Character(sys.field, "table", exps=exps)
+    chi = char_fit({v: exps[v] for v in support}, conductor_bound(sys), ob,
+                   sys.field)
+    if chi is None or any(_exponent(chi, v) != k for v, k in exps.items()):
+        return None
+    return chi
+
+
+def product_find_inner(sys, bound):
+    _check_detection_input(sys)
+    return product_scan(sys, "inner", bound, range(sys.field.degree))
+
+
+def product_verdict(sys, bound):
+    _check_detection_input(sys)
+    ob = ref_order_bound(sys)
+    places = sys.places(bound)
+    determined = [v for v in places if not sys.coeffs[v].a.is_zero()]
+    if len(determined) < MIN_PLACES:
+        raise InsufficientData(
+            f"{len(determined)} places have a_v != 0; at least {MIN_PLACES} "
+            f"are needed for a verdict")
+    if sys.base_field_label == "Q":
+        blank = [v for v in places if all(
+            s.is_zero() for s, _ in ref_relations(sys, "inner", v))]
+        for cand in fit_all(dict.fromkeys(set(places) - set(blank), 0),
+                            conductor_bound(sys), ob, sys.field):
+            if _power_ok(sys, cand) and any(
+                    _exponent(cand, v) not in (0, None) for v in blank):
+                return GeneralTypeVerdict("self-twist", cand, bound)
+    if sys.n == 2:
+        witness = (trivial_character(sys.field) if sys.base_field_label == "Q"
+                   else Character(sys.field, "table",
+                                  exps=dict.fromkeys(determined, 0)))
+        return GeneralTypeVerdict("essentially-self-dual", witness, bound)
+    for t in product_scan(sys, "outer", bound, (0,)):
+        return GeneralTypeVerdict("essentially-self-dual", t.character, bound)
+    return GeneralTypeVerdict("general-type", None, bound)
+
+
+# ---------------------------------------------------------------------------
 # the property
 # ---------------------------------------------------------------------------
 
@@ -251,6 +365,14 @@ def _outcome(scan):
         return type(e).__name__, str(e)
 
 
+def _verdict_outcome(run):
+    try:
+        v = run()
+    except (TwistctlError, ValueError) as e:
+        return type(e).__name__, str(e)
+    return v.kind, v.witness and char_to_json(v.witness), v.bound
+
+
 @settings(max_examples=50, deadline=None)
 @given(scan_problems())
 # characters of order 3 tell the two relations' signs apart
@@ -267,13 +389,40 @@ def _outcome(scan):
 @example((_at_place("cubic_klein_system", 5, 0, 3), 60))
 def test_scans_match_the_ratio_reference(problem):
     sys_, bound = problem
-    got = _outcome(lambda: find_inner(sys_, bound))
+    rel = relations(sys_, bound)
+    got = _outcome(lambda: find_inner(rel))
     want = _outcome(lambda: ref_find_inner(sys_, bound))
     assert got == want
     if sys_.n == 3:
-        got = _outcome(lambda: find_outer(sys_, bound))
+        got = _outcome(lambda: find_outer(rel))
         want = _outcome(lambda: ref_find_outer(sys_, bound))
         assert got == want
+
+
+def _check_against_the_product_scan(sys_, bound):
+    rel = relations(sys_, bound)
+    assert _outcome(lambda: find_inner(rel)) == _outcome(
+        lambda: product_find_inner(sys_, bound))
+    assert _verdict_outcome(lambda: general_type_verdict(rel)) == \
+        _verdict_outcome(lambda: product_verdict(sys_, bound))
+    if sys_.n == 3:
+        assert _outcome(lambda: find_outer(rel)) == _outcome(
+            lambda: product_scan(sys_, "outer", bound,
+                                 range(sys_.field.degree)))
+
+
+@pytest.mark.parametrize("bound", [60, 100, 200])
+@pytest.mark.parametrize("name", BUILDERS)
+def test_scans_on_every_builder_match_the_product_reference(name, bound):
+    _check_against_the_product_scan(_system(name), bound)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scan_problems())
+@example((_system("cubic_klein_system"), 20))
+@example((_at_place("cubic_klein_system", 5, 0, 3), 60))
+def test_scans_match_the_product_reference(problem):
+    _check_against_the_product_scan(*problem)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +487,9 @@ def ref_detect(sys_, bound):
     on tau = 0 alone, then for general-type data the outer scan on every
     tau != 0; each scan by ref_scan."""
     inners = ref_find_inner(sys_, bound)
-    with mock.patch.object(twists, "_scan", ref_scan):
-        verdict = general_type_verdict(sys_, bound)
+    with mock.patch.object(twists, "_scan", lambda rel, kind, auts: ref_scan(
+            rel.sys, kind, rel.bound, auts)):
+        verdict = general_type_verdict(relations(sys_, bound))
     if sys_.n == 3 and verdict.kind == "general-type":
         outers = ref_scan(sys_, "outer", bound, range(1, sys_.field.degree))
     else:
@@ -360,9 +510,12 @@ def _check_against_the_split_outer_scan(sys_, bound):
 
 
 @pytest.mark.parametrize("bound", [60, 100, 200])
-@pytest.mark.parametrize("name", BUILDERS)
-def test_detect_on_every_builder_matches_the_split_outer_scan(name, bound):
-    _check_against_the_split_outer_scan(_system(name), bound)
+@pytest.mark.parametrize("name,seed", [
+    pytest.param(name, seed, id=name if seed is None else f"{name}-seed{seed}")
+    for name in BUILDERS for seed in (None, 2, 3)])
+def test_detect_on_every_builder_matches_the_split_outer_scan(name, seed,
+                                                              bound):
+    _check_against_the_split_outer_scan(_system(name, seed), bound)
 
 
 @settings(max_examples=50, deadline=None)

@@ -14,11 +14,12 @@ from dataclasses import replace
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
+from unittest import mock
 
 import pytest
 
 from detection_helpers import twist_at
-from twistctl import synth
+from twistctl import synth, twists
 from twistctl.characters import (
     Character,
     char_eval,
@@ -30,8 +31,18 @@ from twistctl.characters import (
 )
 from twistctl.arith import primes_up_to
 from twistctl.eigensystem import EigenSystem, PlaceData, normalize
-from twistctl.errors import DuplicateAutomorphism, InsufficientData, NotClosed
-from twistctl.numberfield import field_make, subgroup_make, unit_roots
+from twistctl.errors import (
+    DuplicateAutomorphism,
+    InsufficientData,
+    NotClosed,
+    TwistctlError,
+)
+from twistctl.numberfield import (
+    NumberField,
+    field_make,
+    subgroup_make,
+    unit_roots,
+)
 from twistctl.twists import (
     ExtraTwist,
     TwistGroup,
@@ -44,8 +55,9 @@ from twistctl.twists import (
     find_outer,
     fixed_fields,
     general_type_verdict,
+    relations,
 )
-from test_scan_reference import ref_verify
+from test_scan_reference import BUILDERS, _system, ref_verify
 
 
 def _as_twist(kind, aut_index, character, bound=100):
@@ -346,6 +358,44 @@ class TestPlantedSystems:
 
 
 # ---------------------------------------------------------------------------
+# the relation table
+# ---------------------------------------------------------------------------
+
+class TestRelationTable:
+    """relations() does every field operation the scans need, sigma(x) once
+    per automorphism sigma != 0 and distinct nonzero coefficient x; the
+    three scans then only read it."""
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_scans_do_no_field_arithmetic(self, name):
+        sys_, bound = _system(name), 100
+        unit_roots(sys_.field)
+        nonzero = {x.key for v in sys_.places(bound)
+                   for x in (sys_.coeffs[v].a, sys_.coeffs[v].b)
+                   if x is not None and not x.is_zero()}
+        with mock.patch.object(NumberField, "_mul", autospec=True,
+                               side_effect=NumberField._mul) as mul, \
+                mock.patch.object(NumberField, "apply_aut", autospec=True,
+                                  side_effect=NumberField.apply_aut) as aut:
+            rel = relations(sys_, bound)
+            assert aut.call_count == (sys_.field.degree - 1) * len(nonzero)
+            mul.reset_mock()
+            aut.reset_mock()
+            for scan in (find_inner, general_type_verdict, find_outer):
+                try:
+                    scan(rel)
+                except (TwistctlError, ValueError):
+                    pass
+        assert (mul.call_count, aut.call_count) == (0, 0)
+
+    def test_detect_builds_one_table(self):
+        with mock.patch.object(twists, "relations",
+                               wraps=twists.relations) as built:
+            detect(cubic_klein_system(), 100)
+        assert built.call_count == 1
+
+
+# ---------------------------------------------------------------------------
 # guards and bounds
 # ---------------------------------------------------------------------------
 
@@ -355,15 +405,15 @@ class TestDetectionGuards:
         with pytest.raises(ValueError, match="normalize"):
             detect(raw, 100)
         with pytest.raises(ValueError, match="normalize"):
-            find_inner(raw, 100)
+            find_inner(relations(raw, 100))
         with pytest.raises(ValueError, match="normalize"):
-            general_type_verdict(raw, 100)
+            general_type_verdict(relations(raw, 100))
         with pytest.raises(ValueError, match="normalized"):
-            find_outer(raw, 100)
+            find_outer(relations(raw, 100))
 
     def test_outer_scan_rejects_rank_two(self):
         with pytest.raises(ValueError, match="n = 3"):
-            find_outer(synth.chi4_system(), 100)
+            find_outer(relations(synth.chi4_system(), 100))
 
     def test_too_few_determined_places(self):
         small = synth.generic_system(bound=20)
@@ -379,7 +429,8 @@ class TestDetectionGuards:
         thin = replace(sys_, coeffs={
             v: pd if i % 4 == 0 else pd._replace(b=zero)
             for i, (v, pd) in enumerate(sorted(sys_.coeffs.items()))})
-        for run in (general_type_verdict, detect):
+        for run in (lambda s, b: general_type_verdict(relations(s, b)),
+                    detect):
             with pytest.raises(InsufficientData,
                                match=r"^6 places have b_v != 0; "):
                 run(thin, 100)
@@ -487,8 +538,9 @@ class TestTableCharacters:
         sys_ = make()
         relabelled = replace(sys_, base_field_label="K")
         for scan in (find_inner, find_outer):
-            reference = {t.aut_index: t.character for t in scan(sys_, bound)}
-            found = scan(relabelled, bound)
+            reference = {t.aut_index: t.character
+                         for t in scan(relations(sys_, bound))}
+            found = scan(relations(relabelled, bound))
             assert [t.aut_index for t in found] == sorted(reference)
             for t in found:
                 if t.character.kind != "table":
@@ -543,7 +595,7 @@ class TestPresentation:
             sys_ = _order_four_mod_five_system(K, K.element(one_minus_i))
             found.append([(t.aut_index, t.character.modulus,
                            t.character.order())
-                          for t in find_inner(sys_, 100)])
+                          for t in find_inner(relations(sys_, 100))])
         assert found[0] == [(0, 1, 1), (1, 5, 4)]
         assert found[1] == found[0]
 
