@@ -11,7 +11,6 @@ given, or norm^(m/n) when omega is trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -36,8 +35,7 @@ class PlaceData(NamedTuple):
     b: FieldElement | None
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """Raw coefficient data with central character |.|^m omega."""
 
     n: int
@@ -59,9 +57,10 @@ class EigenSystem:
         return sorted(out, key=_place_order)
 
 
-@dataclass(frozen=True)
 class NormalizedSystem(EigenSystem):
     """Determinant-1 coefficient data: constant term (-1)^n at every place."""
+
+    __slots__ = ()
 
     @property
     def is_normalized(self) -> bool:

@@ -24,8 +24,8 @@ form is inner (split), elsewhere the unitary group of that extension.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .arith import conductor_bound, prime_power
 from .errors import (BudgetExceeded, CocycleViolation, NotInvertible,
@@ -52,8 +52,7 @@ DEFAULT_BUDGET = 2 ** 22
 # ring-generic matrix helpers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(NamedTuple):
     """Scalar operations shared by the matrix routines, so the same code
     runs on exact number-field elements and on finite-field codes."""
     zero: object
@@ -166,8 +165,7 @@ def mat_scalar_multiple(ring: Ring, a: tuple, b: tuple) -> bool:
 # Galois contexts: a group acting semilinearly on matrix entries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaloisContext:
+class GaloisContext(NamedTuple):
     """A group acting on matrix entries.  Element 0 is the identity: index
     0 of a number field's automorphism table, 0 of Z/m for a finite model."""
     elements: tuple
@@ -188,8 +186,7 @@ def number_field_context(field: NumberField, subgroup: Subgroup) -> GaloisContex
     )
 
 
-@dataclass(frozen=True)
-class FiniteModel:
+class FiniteModel(NamedTuple):
     """E = F_{q^m} over F = F_q with cyclic Galois group generated by the
     q-power map; n is the matrix size.  Build via finite_model, which
     enforces the search budget."""
@@ -237,8 +234,7 @@ def finite_model_context(model: FiniteModel) -> GaloisContext:
 # cocycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(NamedTuple):
     """Validated assignment element -> (alpha, flip); build via cocycle_make."""
     context: GaloisContext
     assignments: dict
@@ -487,8 +483,7 @@ def twisted_fixed_points(model: FiniteModel, cocycle: Cocycle) -> int:
     return len(twisted_fixed_elements(model, cocycle))
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
+class ProjectionReport(NamedTuple):
     source_order: int             # twisted-fixed elements, generator condition
     tuple_order: int              # of those, fixed by every group element
     lands_in_fixed_subset: bool   # every image tuple is twisted-fixed
@@ -538,8 +533,7 @@ def projection_iso_check(model: FiniteModel, cocycle: Cocycle,
 # per-prime classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlaceVerdict:
+class PlaceVerdict(NamedTuple):
     representative: int           # smallest automorphism index in the double coset
     residue_degree: int
     form: str                     # "inner-split" or "outer-unitary"
@@ -582,8 +576,7 @@ def classify_place(field: NumberField, group: TwistGroup, p: int,
 # image report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ImageReport:
+class ImageReport(NamedTuple):
     detection: DetectionResult
     places: tuple                 # ((p, (PlaceVerdict, ...)), ...) sorted by p
     excluded: tuple               # ((p, reason), ...) sorted by p

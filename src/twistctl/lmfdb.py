@@ -23,9 +23,9 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
+from typing import NamedTuple
 
 from .arith import euler_phi, factorize, primes_up_to
 from .characters import Character, residue_table
@@ -54,8 +54,7 @@ _request_lock = threading.Lock()
 _last_request = 0.0
 
 
-@dataclass(frozen=True)
-class NewformRecord:
+class NewformRecord(NamedTuple):
     """Parsed newform data, every number read exactly (no floats);
     coefficients are kept as coordinate strings."""
     label: str
@@ -324,8 +323,7 @@ def to_eigensystem(record: NewformRecord, aut_images=None,
 # comparison against the recorded inner-twist table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwistComparison:
+class TwistComparison(NamedTuple):
     label: str
     bound: int
     detected: tuple           # (automorphism index, order, conductor)

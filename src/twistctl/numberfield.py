@@ -20,7 +20,6 @@ those split primes, from the lifted linear factors (Cohen GTM 138 section
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -404,32 +403,24 @@ def field_make(min_poly: QPoly | Sequence, aut_images: Sequence[Sequence]) -> Nu
 # subgroups and fixed fields
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(tuple):
     """Subgroup of the automorphism group, as a sorted index tuple."""
 
-    member_indices: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "member_indices",
-                           tuple(sorted(set(self.member_indices))))
+    def __new__(cls, indices: Iterable[int]):
+        return super().__new__(cls, sorted(set(indices)))
 
     @property
     def order(self) -> int:
-        return len(self.member_indices)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.member_indices
-
-    def __iter__(self):
-        return iter(self.member_indices)
+        return len(self)
 
 
 def subgroup_make(field: NumberField, indices: Iterable[int]) -> Subgroup:
-    s = Subgroup(tuple(indices))
+    s = Subgroup(indices)
     if 0 not in s:
         raise NotClosed("subgroup must contain the identity")
-    members = set(s.member_indices)
+    members = set(s)
     for i in members:
         for j in members:
             if field.compose(i, j) not in members:
@@ -450,7 +441,7 @@ def generated_subgroup(field: NumberField, generators: Iterable[int]) -> Subgrou
             if (h := field.compose(g, s)) not in members:
                 members.add(h)
                 frontier.append(h)
-    return Subgroup(tuple(members))
+    return Subgroup(members)
 
 
 def stabilizer(field: NumberField, elems: Iterable[FieldElement]) -> Subgroup:
@@ -460,11 +451,10 @@ def stabilizer(field: NumberField, elems: Iterable[FieldElement]) -> Subgroup:
     for i in range(field.degree):
         if all(field.apply_aut(i, x) == x for x in elems):
             members.append(i)
-    return Subgroup(tuple(members))
+    return Subgroup(members)
 
 
-@dataclass(frozen=True)
-class SubfieldDescriptor:
+class SubfieldDescriptor(NamedTuple):
     subgroup: Subgroup
     primitive_element: FieldElement
     min_poly: QPoly

@@ -26,7 +26,7 @@ has inverse (sigma^{-1}, sigma^{-1}(chi)^{-1}); outer (tau, eta) has inverse
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import arith
 from .characters import (
@@ -62,8 +62,7 @@ MIN_PLACES = 10
 DEFAULT_RAW_ORDER_BOUND = 24
 
 
-@dataclass(frozen=True)
-class ExtraTwist:
+class ExtraTwist(NamedTuple):
     kind: str                      # "inner" or "outer"
     aut_index: int
     character: Character
@@ -71,8 +70,7 @@ class ExtraTwist:
     undetermined_places: tuple     # places where every defining relation is 0 = 0
 
 
-@dataclass(frozen=True)
-class TwistGroup:
+class TwistGroup(NamedTuple):
     field: NumberField
     twists: tuple
     inner_subgroup: Subgroup
@@ -135,8 +133,7 @@ def compose_twists(field: NumberField, left: ExtraTwist,
 # detection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Relations:
+class Relations(NamedTuple):
     """The relation table every detection scan reads, built by relations()."""
     sys: EigenSystem
     bound: int
@@ -318,8 +315,7 @@ def fixed_fields(group: TwistGroup,
 # coefficient-field consistency and the general-type verdict
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CentReport:
+class CentReport(NamedTuple):
     inner_stabilizer: Subgroup
     full_stabilizer: Subgroup
     inner_matches: bool
@@ -365,8 +361,7 @@ def coefficient_field_check(sys: EigenSystem, group: TwistGroup, bound: int) -> 
     )
 
 
-@dataclass(frozen=True)
-class GeneralTypeVerdict:
+class GeneralTypeVerdict(NamedTuple):
     kind: str             # "general-type" | "self-twist" | "essentially-self-dual"
     witness: Character | None
     bound: int
@@ -418,8 +413,7 @@ def general_type_verdict(rel: Relations) -> GeneralTypeVerdict:
 # orchestration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DetectionResult:
+class DetectionResult(NamedTuple):
     group: TwistGroup
     fixed: SubfieldDescriptor
     fixed_inner: SubfieldDescriptor

@@ -2,7 +2,7 @@
 program itself never needs: the twist on one automorphism, and the places
 of a fixed field above a prime."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from twistctl.numberfield import double_cosets, frobenius_at
 
@@ -16,8 +16,7 @@ def twist_at(group, aut_index: int):
     raise KeyError(aut_index)
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """A place of the fixed field E^S above p, as a double coset."""
 
     representative: int

@@ -128,10 +128,8 @@ def test_coefficient_field_stabilizers_match_twist_groups(capsys):
         cent = result.cent
         assert cent.inner_matches, name
         assert cent.full_matches, name
-        assert cent.inner_stabilizer.member_indices == \
-            result.group.inner_subgroup.member_indices
-        assert cent.full_stabilizer.member_indices == \
-            result.group.full_subgroup.member_indices
+        assert cent.inner_stabilizer == result.group.inner_subgroup
+        assert cent.full_stabilizer == result.group.full_subgroup
     announce(capsys, "acceptance 4 (stabilizer consistency)", started, 10)
 
 

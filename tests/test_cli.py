@@ -11,7 +11,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -501,8 +500,8 @@ def chi4_omega_doc(**omega):
     """The raw rank-2 data over Q(i) with m = 1 and omega the quadratic
     character mod 4, its document entries replaced by the given ones."""
     field = synth.gaussian_field()
-    doc = serialize(replace(synth.chi4_system(),
-                            omega=dirichlet_character(field, 4, [-field.one()])))
+    doc = serialize(synth.chi4_system()._replace(
+        omega=dirichlet_character(field, 4, [-field.one()])))
     doc["central_character"]["omega"].update(omega)
     return doc
 

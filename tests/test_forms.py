@@ -9,7 +9,6 @@ dichotomies are quadratic reciprocity applied to the planted fixed fields
 too are fixed in advance of the code under test.
 """
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -587,7 +586,7 @@ class TestImageReport:
         report = forms.image_report(sys, result, [13, 2, 5])
         assert [p for p, _ in report.places] == [5, 13]
         assert report.excluded == ((2, "bad place of the input data"),)
-        clean = dataclasses.replace(sys, bad_places=())
+        clean = sys._replace(bad_places=())
         report = forms.image_report(clean, result, [13, 2, 5])
         assert [p for p, _ in report.places] == [5, 13]
         assert report.excluded == ((2, "ramified in the coefficient field"),)

@@ -20,7 +20,6 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -149,8 +148,7 @@ def _prepare(workdir: Path) -> None:
         "raw.json": serialize(synth.vantop_system(100, seed=5)),
         # raw rank-2 data over Q(i) whose omega is the quadratic
         # character mod 4, a Dirichlet character read from the document
-        "chi4_raw.json": serialize(replace(
-            synth.chi4_system(),
+        "chi4_raw.json": serialize(synth.chi4_system()._replace(
             omega=dirichlet_character(field, 4, [-field.one()]))),
         # a self-twist verdict, and order-3 characters over a quartic field
         "cm.json": serialize(synth.cm_system()),

@@ -31,7 +31,6 @@ The references below are the earlier implementations, kept as they were:
   b_v != 0 put at drawn places where a_v = 0.
 """
 
-from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import product
 from math import gcd, lcm
@@ -388,7 +387,7 @@ def _cm_with_b(*places):
 @example(("cm", dict(SYSTEMS["cm"].coeffs), 40))
 def test_verdicts_match_the_verified_scan(problem):
     name, coeffs, bound = problem
-    sys_ = replace(SYSTEMS[name], coeffs=coeffs)
+    sys_ = SYSTEMS[name]._replace(coeffs=coeffs)
     assert _verdict(lambda s, b: general_type_verdict(relations(s, b)),
                     sys_, bound) \
         == _verdict(ref_general_type_verdict, sys_, bound)

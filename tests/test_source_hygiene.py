@@ -5,14 +5,21 @@ goes.  For each module of src/twistctl, every name bound by a module-level
 `import` or `from ... import` (other than `from __future__`) must be loaded
 somewhere in that module, annotations included: as a bare name, as the
 base of an attribute, or inside a string annotation.
+
+Start-up stays light: importing the CLI loads neither dataclasses nor
+inspect, which the NamedTuple records do not need.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "twistctl").glob("*.py"))
+SRC = Path(__file__).parent.parent / "src"
+SOURCES = sorted((SRC / "twistctl").glob("*.py"))
 
 
 def imported_names(tree):
@@ -68,3 +75,12 @@ def test_the_check_sees_an_unread_import():
                      "def f(x: 'Sequence[int]') -> int:\n    return gcd(x, 2)\n")
     unread = set(imported_names(tree)) - read_names(tree)
     assert unread == {"os", "lcm"}
+
+
+def test_cli_start_up_loads_no_dataclasses():
+    probe = ("import sys, twistctl.cli, twistctl.synth\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -10,7 +10,6 @@ dual inverts the character.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
@@ -426,7 +425,7 @@ class TestDetectionGuards:
         # system general-type
         sys_ = synth.klein_system()
         zero = sys_.field.zero()
-        thin = replace(sys_, coeffs={
+        thin = sys_._replace(coeffs={
             v: pd if i % 4 == 0 else pd._replace(b=zero)
             for i, (v, pd) in enumerate(sorted(sys_.coeffs.items()))})
         for run in (lambda s, b: general_type_verdict(relations(s, b)),
@@ -516,7 +515,7 @@ def _cubic_twist_with_vanishing_a():
     zero = sys_.field.zero()
     coeffs = {v: pd._replace(a=zero) if i % 5 == 0 else pd
               for i, (v, pd) in enumerate(sorted(sys_.coeffs.items()))}
-    return replace(sys_, coeffs=coeffs)
+    return sys_._replace(coeffs=coeffs)
 
 
 class TestTableCharacters:
@@ -536,7 +535,7 @@ class TestTableCharacters:
     ])
     def test_table_scan_agrees_with_the_dirichlet_scan(self, make, bound):
         sys_ = make()
-        relabelled = replace(sys_, base_field_label="K")
+        relabelled = sys_._replace(base_field_label="K")
         for scan in (find_inner, find_outer):
             reference = {t.aut_index: t.character
                          for t in scan(relations(sys_, bound))}
@@ -561,7 +560,7 @@ class TestTableCharacters:
         group closes as it does over Q."""
         sys_ = make()
         reference = detect(sys_, bound)
-        result = detect(replace(sys_, base_field_label="K"), bound)
+        result = detect(sys_._replace(base_field_label="K"), bound)
         g, ref = result.group, reference.group
         assert [(t.kind, t.aut_index) for t in g.twists] == [
             (t.kind, t.aut_index) for t in ref.twists]
@@ -624,7 +623,7 @@ def _rank2_twisted_by(chi, bad, bound=150):
 class TestConductorBound:
     def test_the_bound_of_each_field_and_bad_set(self):
         rational = synth.rational_rank2_system()
-        assert conductor_bound(replace(rational, bad_places=())) == 1
+        assert conductor_bound(rational._replace(bad_places=())) == 1
         assert conductor_bound(synth.rational_inner_system()) == 8
         assert conductor_bound(synth.generic_system()) == 16
         assert conductor_bound(synth.cm_system()) == 63
