@@ -3,9 +3,11 @@
 The commands and their input files are those of tests/test_golden_cli.py
 (COMMANDS and _prepare).  Each command runs in-process under sys.setprofile
 in a scratch directory, after every lru_cache in the package is cleared, so
-a result cached while the inputs were written does not hide a call.  Calls
-made while the package is imported count as reached, since every command
-imports it.  Each function (methods and nested functions included, lambdas
+a result cached while the inputs were written does not hide a call.  Every
+module of the package is imported first, under the profiler, since each
+command imports only the modules it runs; calls made while a module is
+imported count as reached, as any command that imports it makes them too.
+Each function (methods and nested functions included, lambdas
 not) that no call entered is printed with its line count, then the total.
 
 Usage: python3 scripts/cli_reach.py

@@ -7,6 +7,10 @@ rendering (default) and a schema-stable JSON document (--format json) whose
 bytes depend only on the run configuration and the inputs.  Exit status is
 0 on success, 1 when a domain error surfaces (the error name is printed),
 and 2 for usage errors.
+
+Each handler imports the layers it runs, so a command loads no more of the
+package than it uses: oracle never loads the number-field stack, and twists
+never loads the forms layer.
 """
 
 from __future__ import annotations
@@ -16,26 +20,8 @@ import json
 import sys as _sys
 from pathlib import Path
 
-from . import lmfdb
 from .arith import is_prime, primes_up_to
-from .eigensystem import _parse_place_label, load_system, normalize, serialize
 from .errors import InsufficientData, TwistctlError
-from .finitefield import split_order, unitary_order
-from .forms import (
-    DEFAULT_BUDGET,
-    cocycle_from_json,
-    finite_model,
-    finite_model_context,
-    image_report,
-    projection_iso_check,
-    report_to_json,
-    trivial_cocycle,
-    twisted_fixed_points,
-    unitary_cocycle,
-)
-from .numberfield import aut_images_from_json, element_from_json
-from .polynomials import typed_from_json
-from .twists import detect, detection_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--flip", action="store_true",
                    help="twist by the transpose-inverse outer automorphism")
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--check-projection", action="store_true",
                    help="also verify the group-law-preserving bijection")
     p.add_argument("--seed", type=int, default=0, help="projection sample seed")
@@ -140,6 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _load_input_system(path: str):
+    from .eigensystem import load_system, normalize
+
     text = Path(path).read_text()
     sys_ = load_system(json.loads(text))
     normalized_on_load = False
@@ -225,11 +213,14 @@ _IMAGE_RENDERERS = {"twists": _render_twists, "classify": _render_classify,
 def _cmd_image(ns) -> int:
     """twists, classify and report: the detection, the image report, or its
     per-prime part."""
+    from .twists import detect, detection_to_json
+
     sys_, renormed = _load_input_system(ns.input)
     result = detect(sys_, ns.bound)
     if ns.subcommand == "twists":
         body = detection_to_json(result)
     else:
+        from .forms import image_report, report_to_json
         body = report_to_json(image_report(sys_, result, ns.primes))
         if ns.subcommand == "classify":
             body = {key: body[key] for key in _CLASSIFY_KEYS}
@@ -240,6 +231,8 @@ def _cmd_image(ns) -> int:
 
 
 def _cmd_verify_cocycle(ns) -> int:
+    from .forms import cocycle_from_json
+
     doc_in = json.loads(Path(ns.input).read_text())
     cocycle = cocycle_from_json(doc_in)
     flips = sum(1 for _, flip in cocycle.assignments.values() if flip)
@@ -272,7 +265,12 @@ def _render_oracle(doc) -> list:
 
 
 def _cmd_oracle(ns) -> int:
-    model = finite_model(ns.q, ns.m, ns.n, ns.budget)
+    from .finitefield import split_order, unitary_order
+    from .forms import (DEFAULT_BUDGET, finite_model, finite_model_context,
+                        projection_iso_check, trivial_cocycle,
+                        twisted_fixed_points, unitary_cocycle)
+
+    model = finite_model(ns.q, ns.m, ns.n, ns.budget or DEFAULT_BUDGET)
     if ns.flip:
         cocycle = unitary_cocycle(model)
     else:
@@ -300,6 +298,11 @@ def _cmd_oracle(ns) -> int:
 
 
 def _cmd_normalize(ns) -> int:
+    from .eigensystem import (_parse_place_label, load_system, normalize,
+                              serialize)
+    from .numberfield import element_from_json
+    from .polynomials import typed_from_json
+
     sys_ = load_system(json.loads(Path(ns.input).read_text()))
     scalings = None
     if ns.scalings:
@@ -319,6 +322,10 @@ def _cmd_normalize(ns) -> int:
 
 
 def _cmd_lmfdb(ns) -> int:
+    from . import lmfdb
+    from .numberfield import aut_images_from_json
+    from .twists import detect
+
     record = lmfdb.fetch_newform(ns.label, cache_dir=ns.cache_dir,
                                  allow_network=ns.network or None)
     if ns.lmfdb_action == "fetch":

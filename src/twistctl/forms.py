@@ -25,25 +25,20 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import conductor_bound, prime_power
 from .errors import (BudgetExceeded, CocycleViolation, NotInvertible,
                      Ramified, SchemaError)
 from .finitefield import FiniteField, finite_field
-from .numberfield import (
-    NumberField,
-    Subgroup,
-    double_cosets,
-    element_from_json,
-    field_from_json,
-    field_to_json,
-    frobenius_at,
-    subgroup_make,
-)
 from .polynomials import (bool_from_json, int_from_json, label_from_json,
                           typed_from_json)
-from .twists import DetectionResult, TwistGroup, detection_to_json
+
+if TYPE_CHECKING:
+    # The number-field stack is imported where it is used, so that the
+    # finite-field oracle runs without loading it.
+    from .numberfield import NumberField, Subgroup
+    from .twists import DetectionResult, TwistGroup
 
 DEFAULT_BUDGET = 2 ** 22
 
@@ -550,6 +545,8 @@ def classify_place(field: NumberField, group: TwistGroup, p: int,
     inner-split exactly when r sigma^f r^-1 (a generator of its
     decomposition group) lies in the inner subgroup; otherwise the form is
     the special unitary group of the extension cut out by the inner twists."""
+    from .numberfield import double_cosets, frobenius_at
+
     frob = frobenius_at(field, p)
     verdicts = []
     for rep, degree, _ in double_cosets(field, group.full_subgroup, frob.index):
@@ -641,6 +638,8 @@ def image_report(sys, result: DetectionResult, primes) -> ImageReport:
 
 
 def report_to_json(report: ImageReport) -> dict:
+    from .twists import detection_to_json
+
     det = detection_to_json(report.detection)
     return {
         "verdict": det["verdict"]["kind"],
@@ -675,6 +674,7 @@ def cocycle_to_json(cocycle: Cocycle) -> dict:
         doc["model"] = {"q": ctx.model.q, "m": ctx.model.m, "n": ctx.model.n}
         cell = lambda x: x
     else:
+        from .numberfield import field_to_json
         doc["field"] = field_to_json(ctx.field)
         doc["subgroup"] = sorted(ctx.elements)
         cell = lambda x: [str(c) for c in x.coords]
@@ -698,6 +698,8 @@ def cocycle_from_json(doc: dict) -> Cocycle:
             size = model.q ** model.m
             cell = lambda x: int_from_json(x, "a finite-model alpha entry", size)
         else:
+            from .numberfield import (element_from_json, field_from_json,
+                                      subgroup_make)
             field = field_from_json(doc["field"])
             subgroup = subgroup_make(field, [
                 int_from_json(i, "subgroup entry") for i in doc["subgroup"]])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-import twistctl.cli  # noqa: F401  (loads every layer, as the traced run does)
+import twistctl.cli  # noqa: F401  (the traced run imports the CLI first)
 from twistctl import numberfield
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

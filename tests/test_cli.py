@@ -652,6 +652,12 @@ class TestOracleCommand:
         assert code == 1
         assert "error[BudgetExceeded]" in err
 
+    def test_four_by_four_shape_exceeds_the_default_budget(self, capsys):
+        code, _, err = invoke(capsys, "oracle", "--n", "4", "--q", "2",
+                              "--m", "2")
+        assert code == 1
+        assert "error[BudgetExceeded]" in err
+
     def test_non_prime_power_is_a_domain_error(self, capsys):
         code, _, err = invoke(capsys, "oracle", "--n", "2", "--q", "6",
                               "--m", "1")

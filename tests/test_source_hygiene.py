@@ -1,16 +1,20 @@
-"""Every module-level import of the package is read in its module.
+"""Every import of the package is read in the scope that makes it.
 
 An import that nothing reads is left behind when the code that used it
-goes.  For each module of src/twistctl, every name bound by a module-level
-`import` or `from ... import` (other than `from __future__`) must be loaded
-somewhere in that module, annotations included: as a bare name, as the
-base of an attribute, or inside a string annotation.
+goes.  For each module of src/twistctl, every name bound by an `import` or
+`from ... import` (other than `from __future__`) must be loaded somewhere in
+the scope the import binds it in, annotations included: as a bare name, as
+the base of an attribute, or inside a string annotation.  A module-level
+import is read anywhere in the module; a function's import is read in that
+function, nested code included.
 
 Start-up stays light: importing the CLI loads neither dataclasses nor
-inspect, which the NamedTuple records do not need.
+inspect, which the NamedTuple records do not need, and each command loads
+only the package modules it runs.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -20,18 +24,27 @@ import pytest
 
 SRC = Path(__file__).parent.parent / "src"
 SOURCES = sorted((SRC / "twistctl").glob("*.py"))
+DATA = Path(__file__).parent / "data"
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def imported_names(tree):
-    """The names the module-level imports bind, with their line numbers."""
+def imported_names(scope):
+    """The names the imports of a module or function bind in its own scope
+    (not in the functions nested in it), with their line numbers."""
     names = {}
-    for node in tree.body:
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _FUNCTIONS):
+            continue
         if isinstance(node, ast.Import):
             for alias in node.names:
                 names[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 names[alias.asname or alias.name] = node.lineno
+        stack.extend(ast.iter_child_nodes(node))
     return names
 
 
@@ -60,21 +73,39 @@ def read_names(tree):
     return names
 
 
+def unread_imports(tree):
+    """{(scope, name): line} for each name an import binds that its scope,
+    the module or one function, never reads."""
+    unread = {}
+    scopes = [("<module>", tree)] + [
+        (node.name, node) for node in ast.walk(tree)
+        if isinstance(node, _FUNCTIONS)]
+    for scope, node in scopes:
+        read = read_names(node)
+        unread.update({(scope, name): line
+                       for name, line in imported_names(node).items()
+                       if name not in read})
+    return unread
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    read = read_names(tree)
-    unread = {name: line for name, line in imported_names(tree).items()
-              if name not in read}
+    unread = unread_imports(tree)
     assert not unread, f"{path.name}: imported but never read: {unread}"
 
 
 def test_the_check_sees_an_unread_import():
     tree = ast.parse("import os\nfrom math import gcd, lcm\n"
                      "from typing import Sequence\n"
-                     "def f(x: 'Sequence[int]') -> int:\n    return gcd(x, 2)\n")
-    unread = set(imported_names(tree)) - read_names(tree)
-    assert unread == {"os", "lcm"}
+                     "def f(x: 'Sequence[int]') -> int:\n    return gcd(x, 2)\n"
+                     "def g(x):\n    from math import ceil, floor\n"
+                     "    if x:\n        from math import trunc\n"
+                     "    return lambda: floor(x)\n"
+                     "def h(x):\n    return ceil(x)\n")
+    assert set(unread_imports(tree)) == {
+        ("<module>", "os"), ("<module>", "lcm"),
+        ("g", "ceil"), ("g", "trunc")}
 
 
 def test_cli_start_up_loads_no_dataclasses():
@@ -84,3 +115,52 @@ def test_cli_start_up_loads_no_dataclasses():
                          env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+# One command per handler, on committed inputs, with the package modules a
+# fresh interpreter must end up holding: the oracle and a finite-model
+# cocycle never load the number-field stack, detection never loads forms.
+_NUMBER_FIELD_STACK = {"arith", "characters", "cli", "eigensystem", "errors",
+                       "numberfield", "polynomials"}
+_FINITE_STACK = {"arith", "cli", "errors", "finitefield", "forms",
+                 "polynomials"}
+_IMAGE_STACK = _NUMBER_FIELD_STACK | {"twists", "forms", "finitefield"}
+_COMMAND_MODULES = {
+    "oracle": (["oracle", "--n", "3", "--q", "2", "--m", "2", "--flip"],
+               _FINITE_STACK),
+    "verify-cocycle": (["verify-cocycle", "--input", "{tmp}/cocycle.json"],
+                       _FINITE_STACK),
+    "twists": (["twists", "--input", "{data}/vantop.json"],
+               _NUMBER_FIELD_STACK | {"twists"}),
+    "classify": (["classify", "--input", "{data}/vantop.json",
+                  "--primes", "3..50"], _IMAGE_STACK),
+    "report": (["report", "--input", "{data}/vantop.json",
+                "--primes", "3..50"], _IMAGE_STACK),
+    "normalize": (["normalize", "--input", "{data}/vantop.json",
+                   "--output", "{tmp}/normalized.json"], _NUMBER_FIELD_STACK),
+    "lmfdb": (["lmfdb", "compare", "--label", "11.2.a.a",
+               "--cache-dir", "{data}/lmfdb_cache"],
+              _NUMBER_FIELD_STACK | {"twists", "lmfdb"}),
+}
+_FINITE_COCYCLE = {"model": {"q": 2, "m": 2, "n": 2}, "assignments": {
+    "0": {"alpha": [[1, 0], [0, 1]], "flip": False},
+    "1": {"alpha": [[1, 0], [0, 1]], "flip": True}}}
+_RUN_PROBE = (
+    "import contextlib, io, sys\n"
+    "from twistctl.cli import run\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = run(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('twistctl.')))\n")
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
+    argv, expected = _COMMAND_MODULES[command]
+    (tmp_path / "cocycle.json").write_text(json.dumps(_FINITE_COCYCLE))
+    argv = [arg.format(tmp=tmp_path, data=DATA) for arg in argv]
+    out = subprocess.run([sys.executable, "-S", "-c", _RUN_PROBE, *argv],
+                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True)
+    code, *modules = out.stdout.split()
+    assert code == "0", out.stderr
+    assert {m.removeprefix("twistctl.") for m in modules} == expected
