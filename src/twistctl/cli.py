@@ -2,9 +2,10 @@
 classify per-prime images, validate cocycles, run finite-field oracles,
 and talk to the newform tables.
 
-Every subcommand emits the same facts in two shapes: a human-readable text
-rendering (default) and a schema-stable JSON document (--format json) whose
-bytes depend only on the run configuration and the inputs.  Exit status is
+Every subcommand but normalize, which writes a JSON document, emits the
+same facts in two shapes: a human-readable text rendering (default) and a
+schema-stable JSON document (--format json) whose bytes depend only on the
+run configuration and the inputs.  Exit status is
 0 on success, 1 when a domain error surfaces (the error name is printed),
 and 2 for usage errors.
 
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="projection sample seed")
 
     p = sub.add_parser("normalize", help="rescale determinant data away")
-    add_common(p)
+    p.add_argument("--input", required=True, help="input document (JSON)")
     p.add_argument("--output", default=None,
                    help="write the normalized document here instead of "
                         "stdout")
@@ -275,7 +276,14 @@ def _cmd_oracle(ns) -> int:
         cocycle = unitary_cocycle(model)
     else:
         cocycle = trivial_cocycle(finite_model_context(model), ns.n)
-    count = twisted_fixed_points(model, cocycle)
+    if ns.check_projection:
+        # the check counts the twisted-fixed group on its way
+        proj = projection_iso_check(model, cocycle, seed=ns.seed)
+        count, projection = proj.source_order, {
+            "source_order": proj.source_order,
+            "tuple_order": proj.tuple_order, "passed": proj.passed}
+    else:
+        count, projection = twisted_fixed_points(model, cocycle), None
     if ns.flip:
         expected, label = unitary_order(ns.q, ns.n), f"SU_{ns.n}({ns.q})"
     else:
@@ -283,16 +291,7 @@ def _cmd_oracle(ns) -> int:
     doc = {"command": "oracle", "q": ns.q, "m": ns.m, "n": ns.n,
            "flip": ns.flip, "fixed_points": count,
            "closed_form": label, "expected": expected,
-           "matches": count == expected}
-    if ns.check_projection:
-        proj = projection_iso_check(model, cocycle, seed=ns.seed)
-        doc["projection"] = {
-            "source_order": proj.source_order,
-            "tuple_order": proj.tuple_order,
-            "passed": proj.passed,
-        }
-    else:
-        doc["projection"] = None
+           "matches": count == expected, "projection": projection}
     _print_doc(doc, ns, _render_oracle, _sys.stdout)
     return 0 if doc["matches"] else 1
 

@@ -6,16 +6,19 @@ recombination at one prime; a reducible Phi is refused), which also yields
 the primes where Phi splits completely.  Elements are integer vectors over
 one denominator in the power basis 1, alpha, ..., alpha^(d-1), and the
 automorphism group is supplied as the d images of alpha and then validated
-(annihilation, distinctness, closure).  All element arithmetic is on
-integers: a product is a convolution reduced by integer rows, each
-automorphism is one integer matrix, and an inverse is the product of the
-other conjugates over the norm.  On top of that sit the Galois-theory
-workhorses: stabilizers, fixed subfields with primitive elements, Frobenius
-elements at unramified primes (x^p from the kernel pmod_x_power), place
-decompositions via double cosets, and the roots of unity mu(E) as powers of
-one generator, built once per field by a p-adic search at the first of
-those split primes, from the lifted linear factors (Cohen GTM 138 section
-3.5) and a Teichmueller power per order, verified by exact exponentiation.
+(identity first, annihilation, distinctness; closure follows, as d distinct
+roots of Phi are all of them), its composition table read at the first
+split prime, where the images are d distinct roots of Phi mod p.  All
+element arithmetic is on integers: a product is a convolution reduced by
+integer rows, each automorphism is one integer matrix, and an inverse is
+the product of the other conjugates over the norm.  On top of that sit the
+Galois-theory workhorses: stabilizers, fixed subfields with primitive
+elements, Frobenius elements at unramified primes (x^p from the kernel
+pmod_x_power), place decompositions via double cosets, and the roots of
+unity mu(E) as powers of one generator, built once per field by a p-adic
+search at the first of those split primes, from the lifted linear factors
+(Cohen GTM 138 section 3.5) and a Teichmueller power per order, verified by
+exact exponentiation.
 """
 
 from __future__ import annotations
@@ -241,8 +244,9 @@ class NumberField:
         # p | _bad_reduction: Phi mod p does not reduce or is not squarefree
         disc = self.discriminant()
         self._bad_reduction = disc.numerator * disc.denominator * self._row_den
-        self.composition_table = self._build_composition_table()
-        self.inverse_table = self._build_inverse_table()
+        self.composition_table = self._read_composition_table()
+        self.inverse_table = tuple(row.index(0)
+                                   for row in self.composition_table)
         self.is_abelian = all(
             self.composition_table[i][j] == self.composition_table[j][i]
             for i in range(d) for j in range(d))
@@ -339,33 +343,29 @@ class NumberField:
             matrices.append((rows, den))
         return tuple(matrices)
 
-    def _build_composition_table(self) -> tuple[tuple[int, ...], ...]:
-        d = self.degree
-        index_of = {img.key: k for k, img in enumerate(self.aut_images)}
-        table = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                composed = self.apply_aut(i, self.aut_images[j])
-                k = index_of.get(composed.key)
-                if k is None:
-                    raise NotClosed(
-                        f"composition of automorphisms {i} and {j} leaves the given set")
-                row.append(k)
-            table.append(tuple(row))
-        return tuple(table)
+    def _read_composition_table(self) -> tuple[tuple[int, ...], ...]:
+        """table[i][j] = k with sigma_k = sigma_i o sigma_j, read at p =
+        split_primes[0].  p divides no denominator of Phi nor disc(Phi), so
+        Z_(p)[alpha] is p-maximal, every image is p-integral, and alpha ->
+        r, one root of Phi mod p found by a Horner scan, maps sigma_k(alpha)
+        to r_k = image_k(r), d distinct roots as Phi mod p is squarefree.
+        sigma_i o sigma_j (alpha) = image_j(sigma_i(alpha)) maps to
+        image_j(r_i), which names k."""
+        p = self.split_primes[0]
 
-    def _build_inverse_table(self) -> tuple[int, ...]:
-        d = self.degree
-        inv = [None] * d
-        for i in range(d):
-            for j in range(d):
-                if self.composition_table[i][j] == 0:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
-                raise NotClosed(f"automorphism {i} has no inverse in the set")
-        return tuple(inv)
+        def at(coeffs, x):
+            value = 0
+            for c in reversed(coeffs):
+                value = (value * x + c) % p
+            return value
+
+        phi = pmod_reduce(self.min_poly, p)
+        r = next(x for x in range(p) if at(phi, x) == 0)
+        images = [img.residues(p) for img in self.aut_images]
+        roots = [at(img, r) for img in images]
+        index = {s: k for k, s in enumerate(roots)}
+        return tuple(tuple(index[at(img, s)] for img in images)
+                     for s in roots)
 
     # -- misc ---------------------------------------------------------------
 

@@ -79,6 +79,13 @@ class TestUsageErrors:
                                         "--m", "2", "--seed", "3"])
         assert ns.seed == 3
 
+    def test_normalize_takes_no_format(self, capsys):
+        # normalize always writes the JSON document
+        code, _, err = invoke(capsys, "normalize", "--input", VANTOP,
+                              "--format", "json")
+        assert code == 2
+        assert "--format" in err
+
     def test_the_conductor_cap_is_no_option(self, capsys):
         # the fit modulus is worked out from the bad places
         for argv in (["twists"], ["classify", "--primes", "3..20"],
@@ -625,6 +632,20 @@ class TestOracleCommand:
         doc = json.loads(out)
         assert doc["projection"]["passed"] is True
         assert doc["projection"]["source_order"] == doc["fixed_points"] == 6
+
+    def test_projection_check_searches_once(self, capsys, monkeypatch):
+        calls = []
+        search = forms.twisted_fixed_elements
+        monkeypatch.setattr(forms, "twisted_fixed_elements",
+                            lambda *a: calls.append(a) or search(*a))
+        code, out, _ = invoke(capsys, "oracle", "--n", "2", "--q", "4",
+                              "--m", "2", "--flip", "--check-projection",
+                              "--seed", "1")
+        assert code == 0
+        assert out.splitlines() == [
+            "60", "matches SU_2(4)",
+            "projection check passed on 60 group elements"]
+        assert len(calls) == 1
 
     def test_flip_over_a_quartic_tower_meets_the_unitary_order(self, capsys):
         # a fixed g satisfies g = F^2(g), so every even m gives SU_n(q)

@@ -70,6 +70,9 @@ def _commands() -> dict:
         "oracle.su2_4.projection": (
             ["oracle", "--n", "2", "--q", "4", "--m", "2", "--flip",
              "--check-projection", "--seed", "1", "--format", "json"], ()),
+        "oracle.su2_4.projection.text": (
+            ["oracle", "--n", "2", "--q", "4", "--m", "2", "--flip",
+             "--check-projection", "--seed", "1"], ()),
         "oracle.sl3_2": (
             ["oracle", "--n", "3", "--q", "2", "--m", "2",
              "--format", "json"], ()),

@@ -24,6 +24,12 @@ The references below are the earlier implementations, kept as they were:
   of the roots, classify and Frobenius references, and the refusals on
   those fields with index 0 swapped away from the identity, an image
   repeated and an image moved off the roots;
+* the composition table was built from the d^2 exact products
+  sigma_i(image_j), each looked up among the images, and the inverse table
+  by a search of each row for the identity; both are compared on the
+  fields of the roots, classify and Frobenius references (the synth fields,
+  x^2 + 1/4 and the klein model with images over 3 among them) and on
+  Q(zeta_n) for n = 11, 13 and 41;
 * the self-twist scan fitted characters trivial at the places with a_v != 0
   and then verified each against both inner relations at sigma = 0 (the
   check is test_scan_reference.ref_verify); verdicts are compared on
@@ -234,6 +240,36 @@ def ref_aut_matrices(field, images):
     return tuple(ref_aut_matrix(field, img) for img in images)
 
 
+def ref_composition_table(field):
+    d = field.degree
+    index_of = {img.key: k for k, img in enumerate(field.aut_images)}
+    table = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            composed = field.apply_aut(i, field.aut_images[j])
+            k = index_of.get(composed.key)
+            if k is None:
+                raise NotClosed(
+                    f"composition of automorphisms {i} and {j} leaves the given set")
+            row.append(k)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def ref_inverse_table(field):
+    d = field.degree
+    inv = [None] * d
+    for i in range(d):
+        for j in range(d):
+            if field.composition_table[i][j] == 0:
+                inv[i] = j
+                break
+        if inv[i] is None:
+            raise NotClosed(f"automorphism {i} has no inverse in the set")
+    return tuple(inv)
+
+
 # ---------------------------------------------------------------------------
 # number fields
 # ---------------------------------------------------------------------------
@@ -266,6 +302,26 @@ def test_automorphism_matrices_match_the_horner_pass(name):
         with pytest.raises(TwistctlError) as want:
             ref_aut_matrices(field, images)
         assert (got.type, str(got.value)) == (want.type, str(want.value))
+
+
+def prime_cyclotomic(n):
+    """Q(zeta_n), n prime, on alpha = zeta_n: Phi_n = 1 + x + .. + x^(n-1)
+    and sigma_a(alpha) = alpha^a for a = 1 .. n - 1, where alpha^(n-1) =
+    -(1 + alpha + .. + alpha^(n-2))."""
+    d = n - 1
+    return field_make([1] * n, [[int(j == a) for j in range(d)] if a < d
+                                else [-1] * d for a in range(1, n)])
+
+
+TABLE_FIELDS = dict(AUT_FIELDS, **{f"Q(zeta_{n})": lambda n=n:
+                                   prime_cyclotomic(n) for n in (11, 13, 41)})
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+def test_composition_tables_match_the_exact_products(name):
+    field = TABLE_FIELDS[name]()
+    assert field.composition_table == ref_composition_table(field)
+    assert field.inverse_table == ref_inverse_table(field)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
