@@ -8,17 +8,17 @@ one denominator in the power basis 1, alpha, ..., alpha^(d-1), and the
 automorphism group is supplied as the d images of alpha and then validated
 (identity first, annihilation, distinctness; closure follows, as d distinct
 roots of Phi are all of them), its composition table read at the first
-split prime, where the images are d distinct roots of Phi mod p.  All
-element arithmetic is on integers: a product is a convolution reduced by
-integer rows, each automorphism is one integer matrix, and an inverse is
-the product of the other conjugates over the norm.  On top of that sit the
-Galois-theory workhorses: stabilizers, fixed subfields with primitive
-elements, Frobenius elements at unramified primes (x^p from the kernel
-pmod_x_power), place decompositions via double cosets, and the roots of
-unity mu(E) as powers of one generator, built once per field by a p-adic
-search at the first of those split primes, from the lifted linear factors
-(Cohen GTM 138 section 3.5) and a Teichmueller power per order, verified by
-exact exponentiation.
+split prime, where the images are d distinct roots of Phi mod p, kept as
+split_roots.  All element arithmetic is on integers: a product is a
+convolution reduced by integer rows, each automorphism is one integer
+matrix, and an inverse is the product of the other conjugates over the
+norm.  On top of that sit the Galois-theory workhorses: stabilizers, fixed
+subfields with primitive elements, Frobenius elements at unramified primes
+(x^p from the one power kernel pmod_pow_mod), place decompositions via
+double cosets, and the roots of unity mu(E) as powers of one generator,
+built once per field by a p-adic search at the first of those split primes,
+from split_roots lifted by hensel_lift (Cohen GTM 138 section 3.5) and a
+Teichmueller power per order, verified by exact exponentiation.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ from .polynomials import (
     _as_fraction,
     _monic_integer_model,
     certify_irreducible,
-    lifted_factors,
+    hensel_lift,
     pmod_gcd,
+    pmod_pow_mod,
     pmod_reduce,
     pmod_sub,
-    pmod_x_power,
     poly_from_strings,
     poly_to_strings,
     rational_from_json,
@@ -244,7 +244,7 @@ class NumberField:
         # p | _bad_reduction: Phi mod p does not reduce or is not squarefree
         disc = self.discriminant()
         self._bad_reduction = disc.numerator * disc.denominator * self._row_den
-        self.composition_table = self._read_composition_table()
+        self.split_roots, self.composition_table = self._read_composition_table()
         self.inverse_table = tuple(row.index(0)
                                    for row in self.composition_table)
         self.is_abelian = all(
@@ -343,14 +343,14 @@ class NumberField:
             matrices.append((rows, den))
         return tuple(matrices)
 
-    def _read_composition_table(self) -> tuple[tuple[int, ...], ...]:
-        """table[i][j] = k with sigma_k = sigma_i o sigma_j, read at p =
-        split_primes[0].  p divides no denominator of Phi nor disc(Phi), so
-        Z_(p)[alpha] is p-maximal, every image is p-integral, and alpha ->
-        r, one root of Phi mod p found by a Horner scan, maps sigma_k(alpha)
-        to r_k = image_k(r), d distinct roots as Phi mod p is squarefree.
-        sigma_i o sigma_j (alpha) = image_j(sigma_i(alpha)) maps to
-        image_j(r_i), which names k."""
+    def _read_composition_table(self) -> tuple[tuple[int, ...], tuple]:
+        """(roots, table) at p = split_primes[0]: roots[k] = r_k and
+        table[i][j] = k with sigma_k = sigma_i o sigma_j.  p divides no
+        denominator of Phi nor disc(Phi), so Z_(p)[alpha] is p-maximal,
+        every image is p-integral, and alpha -> r, one root of Phi mod p
+        found by a Horner scan, maps sigma_k(alpha) to r_k = image_k(r), d
+        distinct roots as Phi mod p is squarefree.  sigma_i o sigma_j (alpha)
+        = image_j(sigma_i(alpha)) maps to image_j(r_i), which names k."""
         p = self.split_primes[0]
 
         def at(coeffs, x):
@@ -362,10 +362,10 @@ class NumberField:
         phi = pmod_reduce(self.min_poly, p)
         r = next(x for x in range(p) if at(phi, x) == 0)
         images = [img.residues(p) for img in self.aut_images]
-        roots = [at(img, r) for img in images]
+        roots = tuple(at(img, r) for img in images)
         index = {s: k for k, s in enumerate(roots)}
-        return tuple(tuple(index[at(img, s)] for img in images)
-                     for s in roots)
+        return roots, tuple(tuple(index[at(img, s)] for img in images)
+                            for s in roots)
 
     # -- misc ---------------------------------------------------------------
 
@@ -543,20 +543,20 @@ def frobenius_at(field: NumberField, p: int) -> FrobeniusResult:
     order at p (Neukirch, ANT I section 8), so every image sigma_i(alpha),
     an algebraic integer over Z_(p), has p-integral coordinates, and
     sigma_i is a Frobenius for the primes of the irreducible factors of
-    gcd(Phi, sigma_i(x) - x^p) mod p, x^p from pmod_x_power.  Over an
+    gcd(Phi, sigma_i(x) - x^p) mod p, x^p from pmod_pow_mod.  Over an
     abelian field they share one Frobenius, the image equal to x^p (no gcd),
     a function of p mod forms.frobenius_modulus; otherwise the smallest
     match is returned, ambiguous if not alone."""
     if field._bad_reduction % p == 0:
         raise Ramified(f"prime {p} is ramified for this field")
     phi_p = pmod_reduce(field.min_poly, p)
-    xp = pmod_x_power(phi_p, p, p)
-    images = (img.residues(p) for img in field.aut_images)
+    xp = pmod_pow_mod([0, 1], p, phi_p, p)
+    diffs = (pmod_sub(img.residues(p), xp, p) for img in field.aut_images)
     if field.is_abelian:
-        matches = [i for i, img in enumerate(images) if img == xp]
+        matches = [i for i, diff in enumerate(diffs) if not diff]
     else:
-        matches = [i for i, img in enumerate(images)
-                   if len(pmod_gcd(phi_p, pmod_sub(img, xp, p), p)) > 1]
+        matches = [i for i, diff in enumerate(diffs)
+                   if len(pmod_gcd(phi_p, diff, p)) > 1]
     if not matches:
         raise Ramified(f"no Frobenius found at {p}; data inconsistent")
     return FrobeniusResult(matches[0], len(matches) > 1)
@@ -614,7 +614,7 @@ def roots_of_unity(field: NumberField) -> list[FieldElement]:
     orders = [k for k in range(2 * (d + 1) ** 2, 2, -1)
               if d % euler_phi(k) == 0 and all(p % k == 1 for p in split)]
     if orders:
-        found = _root_of_largest_order(field, split[0], orders)
+        found = _root_of_largest_order(field, orders)
         if found is not None:
             zeta, mult = found
     powers = [one]
@@ -632,38 +632,39 @@ def roots_of_unity(field: NumberField) -> list[FieldElement]:
     return sorted(powers, key=lambda z: z.coords)
 
 
-def _root_of_largest_order(field: NumberField, p: int, orders):
+def _root_of_largest_order(field: NumberField, orders):
     """(zeta, c) with zeta a root of unity of the first order k in orders
     that the field holds and sigma_i(zeta) = zeta^c[i]; None if none.
 
-    At the split prime p the embeddings iota_j: E -> Q_p send y = lam*alpha
-    to the roots Y_j of the monic integral model F, read off its lifted
-    linear factors, and iota_0 o sigma_i = iota_perm[i], read off the roots
-    Y_j / lam of Phi mod p.  Omega = w^(p^(N-1)) is the Teichmueller lift
-    of w = g^((p-1)/k), g = arith.primitive_root(p): w^k = 1 + pt, so
-    Omega^k = 1 mod p^N, and Omega = w mod p, a root of x^k - 1 that lifts
-    uniquely as p does not divide k (Washington, ch. 5).  A zeta of
-    order k with iota_0(zeta) = Omega (the other choices of Omega give its
-    primitive powers) has the images iota_perm[i](zeta) = Omega^c[i] for
-    a homomorphism c of G onto (Z/k)^x.  The traces t_m = Tr(zeta y^m) =
-    sum_j iota_j(zeta) Y_j^m are integers with |t_m| <= d M^m, M = 1 +
+    At the split prime p = split_primes[0] the embedding iota_0: E -> Q_p
+    sends alpha to the root of Phi above r = split_roots[0], and iota_k =
+    iota_0 o sigma_k sends it to the root above image_k(r) = split_roots[k],
+    so y = lam*alpha goes to Y_k, the root of the monic integral model F
+    that hensel_lift finds above lam split_roots[k].  Omega = w^(p^(N-1))
+    is the Teichmueller lift of w = g^((p-1)/k), g =
+    arith.primitive_root(p): w^k = 1 + pt, so Omega^k = 1 mod p^N, and
+    Omega = w mod p, a root of x^k - 1 that lifts uniquely as p does not
+    divide k (Washington, ch. 5).  A zeta of order k with iota_0(zeta) =
+    Omega (the other choices of Omega give its primitive powers) has the
+    images iota_k(zeta) = iota_0(zeta^c[k]) = Omega^c[k] for a
+    homomorphism c of G onto (Z/k)^x.  The traces t_m = Tr(zeta y^m) =
+    sum_k iota_k(zeta) Y_k^m are integers with |t_m| <= d M^m, M = 1 +
     max |F_i| the Cauchy bound on the roots of F, so their residues mod
     p^N > 2 d M^(d-1) give them exactly, and a c whose residues break those
     bounds has no zeta.  zeta is rebuilt from its traces with the dual
     basis beta_m / F'(y) of the powers of y, where F(X) / (X - y) =
     sum_m beta_m X^m, and kept only if zeta^k = 1 exactly."""
-    d = field.degree
+    d, p = field.degree, field.split_primes[0]
     model = _monic_integer_model(field.min_poly)
     lam = lcm(*(c.denominator for c in field.min_poly.coeffs))
     cauchy = 1 + max(abs(c) for c in model[:-1])
     limits = [d * cauchy ** m for m in range(d)]
-    big, factors = lifted_factors(model, p, 2 * limits[-1])
-    lifted = [-f[0] % big for f in factors]
-    roots = [y * pow(lam, -1, p) % p for y in lifted]
-    position = {r: j for j, r in enumerate(roots)}
-    perm = [position[sum(c * pow(roots[0], m, p)
-                         for m, c in enumerate(img.residues(p))) % p]
-            for img in field.aut_images]
+    n = 1
+    while p ** n <= 2 * limits[-1]:
+        n += 1
+    big = p ** n
+    lifted = [-hensel_lift(model, [-lam * r % p, 1], p, n)[0] % big
+              for r in field.split_roots]
     y_powers = [[pow(y, m, big) for y in lifted] for m in range(d)]
 
     y = field.gen() * lam
@@ -676,9 +677,7 @@ def _root_of_largest_order(field: NumberField, p: int, orders):
     for k in orders:
         omega = pow(pow(g, (p - 1) // k, p), big // p, big)
         for c in _surjections_onto_units(field, k):
-            images = [0] * d
-            for i, j in enumerate(perm):
-                images[j] = pow(omega, c[i], big)
+            images = [pow(omega, ck, big) for ck in c]
             traces = [(sum(z * w for z, w in zip(images, row)) + big // 2) % big
                       - big // 2 for row in y_powers]
             if all(abs(t) <= limit for t, limit in zip(traces, limits)):

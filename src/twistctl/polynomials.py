@@ -7,14 +7,15 @@ program parses a minimal polynomial, evaluates it at field elements,
 differentiates it and reduces it mod p; it does no arithmetic in Q[x].
 
 The mod-p kernels work on plain lists of ints (ascending): reduction,
-squarefreeness, x^e mod (f, p), distinct- and equal-degree factorization,
-and Hensel lifting of every factor to one precision (lifted_factors).  On
-them rests certify_irreducible, the one test of a minimal polynomial:
-factor-degree patterns mod p, then recombination of the lifted factors at
-one prime, so a polynomial is certified irreducible or refused, and the
-primes where it splits completely come out of the same scan.  The readers
-of document numbers (rationals and ints, never floats), labels (one written
-form per int) and shapes live here too.
+squarefreeness, base^e mod (f, p) by one kernel, distinct- and equal-degree
+factorization, and Hensel lifting of one factor or of every factor to one
+precision (lifted_factors).  On them rests certify_irreducible, the one
+test of a minimal polynomial: factor-degree patterns mod p, then
+recombination of the lifted factors at one prime, so a polynomial is
+certified irreducible or refused, and the primes where it splits
+completely come out of the same scan.  The readers of document numbers
+(rationals and ints, never floats), labels (one written form per int) and
+shapes live here too.
 """
 
 from __future__ import annotations
@@ -230,41 +231,37 @@ def pmod_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
 
 def pmod_pow_mod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    # left to right, so that a step by a sparse base such as x is cheap
-    b = pmod_divmod(base, mod, p)[1]
-    result = [1]
-    for bit in bin(e)[2:]:
-        result = pmod_divmod(pmod_mul(result, result, p), mod, p)[1]
-        if bit == "1":
-            result = pmod_divmod(pmod_mul(result, b, p), mod, p)[1]
-    return result
+    """base^e mod (mod, p), trimmed ([] for a constant modulus), by left to
+    right square and multiply on d = deg mod residues: a squaring is the
+    products r_i r_j, i <= j, of the nonzero r_i, a step by the base is
+    pmod_mul over its nonzero residues (by x, a shift), and each product is
+    reduced from the top by mod over its leading coefficient, skipping zero
+    residues, and taken mod p once."""
+    d = len(mod) - 1
+    if d < 1:
+        return []
+    inv = pow(mod[-1], -1, p)
 
+    def reduced(prod):
+        for i in range(len(prod) - 1, d - 1, -1):
+            if c := prod[i] * inv % p:
+                for j, t in enumerate(mod):
+                    prod[i - d + j] -= c * t
+        return [c % p for c in prod[:d]]
 
-def pmod_x_power(f: Sequence[int], e: int, p: int) -> list[int]:
-    """x^e mod (f, p) as d residues, f monic of degree d >= 1, by left to
-    right square and multiply: a squaring is the products r_i r_j, i <= j,
-    reduced by the rows x^d .. x^(2d-2) mod f; a step by x is a shift."""
-    d = len(f) - 1
-    rows = [[-c % p for c in f[:-1]]]
-    for _ in range(d - 2):
-        *rest, top = rows[-1]
-        rows.append([(s + top * t) % p for s, t in zip([0] + rest, rows[0])])
-    r = [1] + [0] * (d - 1)
+    b = reduced(list(base))
+    r = [1]
     for bit in bin(e)[2:]:
+        terms = [(i, a) for i, a in enumerate(r) if a]
         prod = [0] * (2 * d - 1)
-        for i, a in enumerate(r):
+        for k, (i, a) in enumerate(terms):
             prod[2 * i] += a * a
-            for j in range(i + 1, d):
-                prod[i + j] += 2 * a * r[j]
-        r = prod[:d]
-        for c, row in zip(prod[d:], rows):
-            for i in range(d):
-                r[i] += c * row[i]
+            for j, s in terms[k + 1:]:
+                prod[i + j] += 2 * a * s
+        r = reduced(prod)
         if bit == "1":
-            top = r.pop() % p
-            r = [s + top * t for s, t in zip([0] + r, rows[0])]
-        r = [c % p for c in r]
-    return r
+            r = reduced(pmod_mul(b, r, p))
+    return _ptrim(r)
 
 
 def pmod_squarefree(f: QPoly, p: int) -> list[int]:
@@ -298,7 +295,6 @@ def _distinct_degree_parts(f: QPoly, p: int) -> list[tuple[int, list[int]]]:
         if len(g) > 1:
             out.append((e, g))
             work = pmod_divmod(work, g, p)[0]
-            xq = pmod_divmod(xq, work, p)[1]
     return out
 
 
@@ -428,7 +424,8 @@ def certify_irreducible(f: QPoly) -> list[int]:
             break
         if all(c.denominator % p for c in f.coeffs):
             fp = pmod_reduce(f, p)
-            split += [p] * (pmod_x_power(fp, p, p) == pmod_x_power(fp, 1, p))
+            split += [p] * (pmod_pow_mod([0, 1], p, fp, p)
+                            == pmod_pow_mod([0, 1], 1, fp, p))
     if not split:
         raise NotIrreducible(
             f"no prime up to {_SCAN_LIMIT} splits {f!r} into distinct linear "

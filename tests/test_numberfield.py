@@ -479,11 +479,23 @@ class TestRootsOfUnity:
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
-    def test_a_candidate_inside_the_trace_bounds_is_still_verified(self):
-        # Q(sqrt 2) at p = 17 > 2 * 2 * 3 needs no lifting, and the one
-        # homomorphism onto (Z/4)^x gives the traces (0, 3), inside the
-        # bounds (2, 6); they rebuild 3 sqrt2 / 4, which zeta^4 = 1 rejects
-        assert numberfield._root_of_largest_order(sqrt2_field(), 17, [4]) is None
+    def test_a_candidate_inside_the_trace_bounds_is_still_verified(
+            self, monkeypatch):
+        # Q(sqrt 11) at its first split prime 5 = 1 mod 4: the one
+        # homomorphism onto (Z/4)^x gives the traces (0, 9), inside the
+        # bounds (2, 24); they rebuild 9 sqrt11 / 22, which zeta^4 = 1
+        # rejects, so the exact check must have run
+        K = field_make([-11, 0, 1], [[0, 1], [0, -1]])
+        assert K.split_primes[0] == 5
+        power, checked = FieldElement.__pow__, []
+
+        def spy(x, e):
+            checked.append((x.coords, e))
+            return power(x, e)
+
+        monkeypatch.setattr(FieldElement, "__pow__", spy)
+        assert numberfield._root_of_largest_order(K, [4]) is None
+        assert checked == [((0, Q(9, 22)), 4)]
 
     def test_odd_degree_needs_no_split_prime(self, monkeypatch):
         # phi(k) is even for k >= 3, so an odd degree leaves no order to

@@ -28,7 +28,6 @@ from twistctl.polynomials import (
     pmod_divmod,
     pmod_mul,
     pmod_pow_mod,
-    pmod_x_power,
     poly_from_strings,
     poly_to_strings,
     rational_from_json,
@@ -175,19 +174,6 @@ def test_mod_p_kernels_match_schoolbook_arithmetic(a, b, e, p):
 
 
 ODD_PRIMES = [p for p in range(3, 500) if sympy.isprime(p)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(ODD_PRIMES), st.data())
-def test_x_power_matches_the_generic_power(p, data):
-    """pmod_x_power, which builds its own rows of f, against pmod_pow_mod of
-    x, over monic f of degree 1 to 8 and e up to p^2."""
-    d = data.draw(st.integers(1, 8))
-    f = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
-    f = f + [1]
-    e = data.draw(st.integers(0, p * p))
-    want = pmod_pow_mod([0, 1], e, f, p)
-    assert pmod_x_power(f, e, p) == want + [0] * (d - len(want))
 
 
 @pytest.mark.parametrize("p", [p for p in ODD_PRIMES if p < 300])

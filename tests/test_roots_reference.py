@@ -5,13 +5,16 @@ polynomial that survives the split-prime filter over the field, in the
 monic integral model lam^d Phi(y/lam), and every linear factor is verified
 by exact exponentiation; aut_mult is read off by applying each automorphism
 to the generator.  Whole roots_of_unity lists and the UnitRoots order,
-powers and aut_mult must agree.  Three cyclotomic fields on which sympy
-takes seconds are checked against the closed form |mu| = lcm(2, n) only.
+powers and aut_mult must agree.  Four cyclotomic fields on which sympy
+takes seconds, Q(zeta_41) of degree 40 among them, are checked against the
+closed form |mu| = lcm(2, n) only.
 
-The roots Y_j of the model at the split prime come from lifted_factors; the
-reference is the search they replaced, a scan of all p residues for the
-roots of Phi mod p and one Hensel lift per root, on every field here and of
-test_classify_reference.
+The roots Y_k of the model at the first split prime are the lifts, by
+hensel_lift, of lam times the field's split_roots.  lifted_factors, which
+the mu(E) search read before and recombination in certify_irreducible still
+reads, lifts every factor at a prime at once; its reference is a scan of all
+p residues for the roots of Phi mod p and one Hensel lift per root, at every
+split prime of every field here and of test_classify_reference.
 """
 
 from fractions import Fraction as Q
@@ -161,9 +164,12 @@ def test_search_matches_the_sympy_reference(name):
         == reference_unit_roots(field)
 
 
-@pytest.mark.parametrize("n", (15, 20, 24))
+@pytest.mark.parametrize("n", (15, 20, 24, 41))
 def test_larger_cyclotomic_fields_meet_the_closed_form(n):
-    field = cyclotomic_field(n, Q(1, 2))
+    # Q(zeta_41) is taken on zeta_41 itself: on zeta_41 / 2 the monic
+    # integer model's Cauchy bound has 1561 bits, and the search would lift
+    # every root to 9545 digits of 83
+    field = cyclotomic_field(n, Q(1, 2) if n < 41 else 1)
     mu = unit_roots(field)
     assert mu.order == len(roots_of_unity(field)) == lcm(2, n)
     zeta = mu.powers[1]
@@ -180,7 +186,8 @@ ALL_FIELDS = dict(FIELDS, **{f"classify.{name}": make
 def test_lifted_factors_match_the_residue_scan(name):
     """At each split prime, with the precision bound of the mu(E) search,
     lifted_factors gives p^n for the same n and linear factors whose roots
-    are the lifts of the scanned roots of Phi mod p, times lam."""
+    are the hensel_lift lifts of the scanned roots of Phi mod p, times lam,
+    as the search lifts the field's split_roots."""
     field = ALL_FIELDS[name]()
     d = field.degree
     model = _monic_integer_model(field.min_poly)

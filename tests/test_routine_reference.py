@@ -30,6 +30,17 @@ The references below are the earlier implementations, kept as they were:
   fields of the roots, classify and Frobenius references (the synth fields,
   x^2 + 1/4 and the klein model with images over 3 among them) and on
   Q(zeta_n) for n = 11, 13 and 41;
+* x^e mod (f, p) for monic f had a kernel of its own, ref_x_power, which
+  returned d residues untrimmed, and base^e mod (f, p), ref_pow_mod, took
+  pmod_divmod of each pmod_mul product; the one kernel pmod_pow_mod is
+  compared with both on drawn f, p, bases and e;
+* the roots-of-unity search lifted every factor of the model at the first
+  split prime by lifted_factors and matched the roots to the automorphisms
+  by a permutation; it now lifts the split_roots a field keeps from its
+  composition table, which are checked to be d distinct roots of Phi mod
+  that prime with r_k = image_k(r_0) on the fields of the composition
+  tables, and its UnitRoots stay compared with sympy in
+  test_roots_reference;
 * the self-twist scan fitted characters trivial at the places with a_v != 0
   and then verified each against both inner relations at sigma = 0 (the
   check is test_scan_reference.ref_verify); verdicts are compared on
@@ -75,8 +86,11 @@ from twistctl.polynomials import (
     QPoly,
     certify_irreducible,
     ddf_mod_p,
+    pmod_divmod,
     pmod_gcd,
+    pmod_mul,
     pmod_pow_mod,
+    pmod_reduce,
     pmod_sub,
 )
 from twistctl.twists import (
@@ -213,6 +227,44 @@ def ref_general_type_verdict(sys, bound):
     return GeneralTypeVerdict("general-type", None, bound)
 
 
+def ref_pow_mod(base, e, mod, p):
+    # left to right, so that a step by a sparse base such as x is cheap
+    b = pmod_divmod(base, mod, p)[1]
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = pmod_divmod(pmod_mul(result, result, p), mod, p)[1]
+        if bit == "1":
+            result = pmod_divmod(pmod_mul(result, b, p), mod, p)[1]
+    return result
+
+
+def ref_x_power(f, e, p):
+    """x^e mod (f, p) as d residues, f monic of degree d >= 1, by left to
+    right square and multiply: a squaring is the products r_i r_j, i <= j,
+    reduced by the rows x^d .. x^(2d-2) mod f; a step by x is a shift."""
+    d = len(f) - 1
+    rows = [[-c % p for c in f[:-1]]]
+    for _ in range(d - 2):
+        *rest, top = rows[-1]
+        rows.append([(s + top * t) % p for s, t in zip([0] + rest, rows[0])])
+    r = [1] + [0] * (d - 1)
+    for bit in bin(e)[2:]:
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(r):
+            prod[2 * i] += a * a
+            for j in range(i + 1, d):
+                prod[i + j] += 2 * a * r[j]
+        r = prod[:d]
+        for c, row in zip(prod[d:], rows):
+            for i in range(d):
+                r[i] += c * row[i]
+        if bit == "1":
+            top = r.pop() % p
+            r = [s + top * t for s, t in zip([0] + r, rows[0])]
+        r = [c % p for c in r]
+    return r
+
+
 def ref_aut_matrix(field, image):
     """(rows, den): sigma(alpha^j) = sum_i rows[i][j] alpha^i / den."""
     powers = [field.one()]
@@ -324,6 +376,23 @@ def test_composition_tables_match_the_exact_products(name):
     assert field.inverse_table == ref_inverse_table(field)
 
 
+@pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+def test_split_roots_are_the_images_of_one_root(name):
+    """split_roots are d distinct roots of Phi mod split_primes[0], and
+    split_roots[k] is image_k evaluated at split_roots[0]."""
+    field = TABLE_FIELDS[name]()
+    p, roots = field.split_primes[0], field.split_roots
+
+    def at(coeffs, x):
+        return sum(c * x ** m for m, c in enumerate(coeffs)) % p
+
+    phi = pmod_reduce(field.min_poly, p)
+    assert len(set(roots)) == field.degree == len(roots)
+    for img, r in zip(field.aut_images, roots):
+        assert 0 <= r < p and at(phi, r) == 0
+        assert at(img.residues(p), roots[0]) == r
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_fixed_fields_match_the_stabilizer_search(name):
     field = FIELDS[name]()
@@ -360,6 +429,35 @@ PRIME_POWERS = [(p, k) for p in primes_up_to(16) for k in range(2, 9)
 @pytest.mark.parametrize("p,k", PRIME_POWERS)
 def test_moduli_match_the_rabin_test(p, k):
     assert _find_irreducible(p, k) == ref_find_irreducible(p, k)
+
+
+@st.composite
+def power_problems(draw):
+    """(base, e, f, p): f monic of degree 1 to 12 mod p, e up to p^2, and a
+    base of up to 2d + 3 residues, longer than the products of d residues,
+    as hensel_lift's cofactor h is."""
+    p = draw(st.sampled_from(primes_up_to(500) + [10007]))
+    d = draw(st.integers(1, 12))
+    f = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1]
+    base = draw(st.lists(st.integers(0, p - 1), max_size=2 * d + 3))
+    return base, draw(st.integers(0, p * p)), f, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_problems())
+@example(([0, 1], 0, [1, 1], 2))
+@example(([1, 1, 0, 1, 1], 3, [1, 1], 2))
+@example(([5, 0, 2, 1, 4, 3], 9, [3, 0, 1], 7))
+def test_x_power_matches_the_generic_power(problem):
+    """The one kernel pmod_pow_mod against both kernels it replaced: the
+    divmod-based power of any base, and the row-based x^e mod (f, p), whose
+    d residues are untrimmed."""
+    base, e, f, p = problem
+    assert pmod_pow_mod(base, e, f, p) == ref_pow_mod(base, e, f, p)
+    want = ref_x_power(f, e, p)
+    while want and want[-1] == 0:
+        want.pop()
+    assert pmod_pow_mod([0, 1], e, f, p) == want
 
 
 @st.composite
