@@ -1,5 +1,5 @@
 """Integer helpers shared by the package: primes, factorizations, divisors,
-primitive roots.
+primitive roots, integer k-th roots.
 
 Everything here works by sieving or trial division, which is plenty for the
 moduli, norms, field sizes and prime ranges the package handles.
@@ -66,6 +66,14 @@ def primitive_root(p: int, e: int = 1) -> int:
     g = next(g for g in range(2, p)
              if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
     return g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g
+
+
+def iroot(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 0: Newton on ints from 2^ceil(bits/k)."""
+    r = 1 << -(-n.bit_length() // k)
+    while r ** k > n:
+        r = ((k - 1) * r + n // r ** (k - 1)) // k
+    return r
 
 
 def euler_phi(n: int) -> int:

@@ -1,12 +1,12 @@
-"""Small finite fields with table-based arithmetic.
+"""Finite fields with table-based arithmetic.
 
 The descent oracles search matrices over these fields row by row, under a
-budget on the (q^m)^(n^2) matrices of the full space, so the fields
-involved never hold more than a few dozen elements.  Elements are
-integer codes 0..q-1 whose base-p digits are the coordinates in F_p[x]/(f)
-for a monic irreducible f found by search; all products and sums are
-precomputed into q x q tables at construction.  Code 0 is zero and code 1 is
-one in every field.
+budget on the (q^m)^(n^2) matrices of the full space: a few dozen elements
+under the default budget, up to F_256 under a larger --budget.  Code c of
+F_q is the c-th digit tuple, lowest first, in base-p counting order: the
+coordinates in F_p[x]/(f) for a monic irreducible f found by search.  Sums
+are read off the digits; products, inverses and powers off one walk of a
+generator of the cyclic group F_q^x.  Code 0 is zero and code 1 is one.
 """
 
 from __future__ import annotations
@@ -34,39 +34,35 @@ def _find_irreducible(p: int, k: int) -> list[int]:
 
 
 class FiniteField:
-    """The field with q = p^k elements; obtain instances via finite_field."""
+    """The field with q = p^k elements; obtain instances via finite_field.
+    exp[j] = g^j for the first code g of order q - 1 and log[g^j] = j, so a
+    product, inverse or power adds or scales exponents mod q - 1."""
 
     __slots__ = ("q", "p", "k", "modulus", "add_table", "mul_table",
-                 "neg_table", "inv_table")
+                 "neg_table", "inv_table", "exp", "log")
 
     def __init__(self, q: int):
         p, k = prime_power(q)
         self.q, self.p, self.k = q, p, k
         self.modulus = [0, 1] if k == 1 else _find_irreducible(p, k)
-        polys = [self._decode(c) for c in range(q)]
-        self.add_table = [[self._encode([(a + b) % p for a, b in zip(u, v)])
-                           for v in polys] for u in polys]
-        self.neg_table = [self._encode([(-a) % p for a in u]) for u in polys]
-        self.mul_table = [
-            [self._encode(pmod_divmod(pmod_mul(u, v, p), self.modulus, p)[1])
-             for v in polys] for u in polys]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = next(b for b in range(1, q) if self.mul_table[a][b] == 1)
-        self.inv_table = inv
-
-    def _decode(self, code: int) -> list[int]:
-        digits = []
-        for _ in range(self.k):
-            code, d = divmod(code, self.p)
-            digits.append(d)
-        return digits
-
-    def _encode(self, digits) -> int:
-        code = 0
-        for d in reversed(list(digits)):
-            code = code * self.p + d % self.p
-        return code
+        digits = [t[::-1] for t in product(range(p), repeat=k)]
+        code = {t: c for c, t in enumerate(digits)}
+        self.add_table = [[code[tuple((a + b) % p for a, b in zip(u, v))]
+                           for v in digits] for u in digits]
+        self.neg_table = [code[tuple(-a % p for a in u)] for u in digits]
+        for g in range(1, q):
+            exp = [1, g]
+            while exp[-1] != 1:
+                r = pmod_divmod(pmod_mul(digits[exp[-1]], digits[g], p),
+                                self.modulus, p)[1]
+                exp.append(code[tuple(r) + (0,) * (k - len(r))])
+            if len(exp) == q:  # g^(q-1) = 1 closes a walk of q - 1 codes
+                break
+        log, n = {a: j for j, a in enumerate(exp[:-1])}, q - 1
+        self.exp, self.log = exp, log
+        self.mul_table = [[exp[(log[a] + log[b]) % n] if a and b else 0
+                           for b in range(q)] for a in range(q)]
+        self.inv_table = [0] + [exp[-log[a] % n] for a in range(1, q)]
 
     # -- arithmetic on codes --------------------------------------------
 
@@ -88,15 +84,9 @@ class FiniteField:
         return self.mul_table[a][self.inv(b)]
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul_table[result][base]
-            base = self.mul_table[base][base]
-            e >>= 1
-        return result
+        if a == 0:
+            return self.inv(a) if e < 0 else int(e == 0)
+        return self.exp[self.log[a] * e % (self.q - 1)]
 
 
 @lru_cache(maxsize=None)
@@ -145,8 +135,6 @@ def split_order(q: int, n: int) -> int:
 
 
 def unitary_order(q: int, n: int) -> int:
-    """|SU_n(F_q)|, the special unitary group of the quadratic extension."""
-    order = q ** (n * (n - 1) // 2)
-    for k in range(2, n + 1):
-        order *= q ** k - (-1) ** k
-    return order
+    """|SU_n(F_q)|, the special unitary group of the quadratic extension:
+    |SL_n| at -q up to sign (Ennola duality)."""
+    return abs(split_order(-q, n))

@@ -42,6 +42,7 @@ from .polynomials import (
     QPoly,
     _as_fraction,
     _monic_integer_model,
+    _root_bound,
     certify_irreducible,
     hensel_lift,
     pmod_gcd,
@@ -648,17 +649,15 @@ def _root_of_largest_order(field: NumberField, orders):
     Omega (the other choices of Omega give its primitive powers) has the
     images iota_k(zeta) = iota_0(zeta^c[k]) = Omega^c[k] for a
     homomorphism c of G onto (Z/k)^x.  The traces t_m = Tr(zeta y^m) =
-    sum_k iota_k(zeta) Y_k^m are integers with |t_m| <= d M^m, M = 1 +
-    max |F_i| the Cauchy bound on the roots of F, so their residues mod
-    p^N > 2 d M^(d-1) give them exactly, and a c whose residues break those
-    bounds has no zeta.  zeta is rebuilt from its traces with the dual
-    basis beta_m / F'(y) of the powers of y, where F(X) / (X - y) =
+    sum_k iota_k(zeta) Y_k^m are integers with |t_m| <= d M^m, M =
+    _root_bound(F), lam and F from _monic_integer_model, so their residues
+    mod p^N > 2 d M^(d-1) give them exactly, and a c whose residues break
+    those bounds has no zeta.  zeta is rebuilt from its traces with the
+    dual basis beta_m / F'(y) of the powers of y, where F(X) / (X - y) =
     sum_m beta_m X^m, and kept only if zeta^k = 1 exactly."""
     d, p = field.degree, field.split_primes[0]
-    model = _monic_integer_model(field.min_poly)
-    lam = lcm(*(c.denominator for c in field.min_poly.coeffs))
-    cauchy = 1 + max(abs(c) for c in model[:-1])
-    limits = [d * cauchy ** m for m in range(d)]
+    lam, model = _monic_integer_model(field.min_poly)
+    limits = [d * _root_bound(model) ** m for m in range(d)]
     n = 1
     while p ** n <= 2 * limits[-1]:
         n += 1

@@ -26,7 +26,7 @@ from math import lcm
 from random import Random
 from typing import Iterable, Sequence
 
-from .arith import is_prime
+from .arith import iroot, is_prime
 from .errors import BadReduction, NotIrreducible, NotSeparableModP, SchemaError
 
 Q = Fraction
@@ -357,12 +357,24 @@ _SCAN_LIMIT = 10007  # the first prime past 10^4
 _PATTERN_PRIMES = 12  # odd good primes whose factor degrees are read
 
 
-def _monic_integer_model(f: QPoly) -> list[int]:
-    """For monic f over Q, the integer coefficients of lam^d f(y/lam) with
-    lam = lcm of denominators; irreducibility is preserved."""
-    lam = lcm(*(c.denominator for c in f.coeffs))
-    d = f.degree
-    return [int(f.coeffs[i] * lam ** (d - i)) for i in range(d + 1)]
+def _monic_integer_model(f: QPoly) -> tuple[int, list[int]]:
+    """(lam, F) for monic f over Q: F = lam^d f(y/lam), irreducible with f,
+    has the integer coefficients f_i lam^(d-i), lam the lcm over i of the
+    exact (d-i)-th root of den f_i or, where there is none, of den f_i."""
+    d, lam = f.degree, 1
+    for k, den in zip(range(d, 0, -1), (c.denominator for c in f.coeffs)):
+        root = iroot(den, k)
+        lam = lcm(lam, root if root ** k == den else den)
+    return lam, [int(c * lam ** (d - i)) for i, c in enumerate(f.coeffs)]
+
+
+def _root_bound(model: list[int]) -> int:
+    """The smaller of Cauchy's 1 + max |F_i| and Fujiwara's 2 max_j
+    ceil(|F_(d-j)|^(1/j)), both bounds on the roots of the monic model F."""
+    fujiwara = max((iroot(abs(c) - 1, j) + 1
+                    for j, c in enumerate(reversed(model[:-1]), 1) if c),
+                   default=0)
+    return min(1 + max(map(abs, model[:-1])), 2 * fujiwara)
 
 
 def exact_quotient(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
@@ -394,7 +406,7 @@ def certify_irreducible(f: QPoly) -> list[int]:
     d = f.degree
     if d < 1:
         raise NotIrreducible(f"{f!r} is constant")
-    model = _monic_integer_model(f)
+    model = _monic_integer_model(f)[1]
     disc_bound = d ** d * sum(c * c for c in model) ** (d - 1)
     primes = (p for p in range(2, _SCAN_LIMIT + 1) if is_prime(p))
     possible, split, counts, inseparable = set(range(1, d)), [], [], 1
@@ -438,12 +450,12 @@ def _recombine(model: list[int], q: int, possible: set[int]) -> None:
     factor of a degree k <= d/2 in possible.  Its factors mod the odd good
     prime q are lifted, and each set of them of such a degree (at k = d/2
     those holding factor 0, one of each complementary pair) is tried by
-    exact division: a factor's coefficients are at most (1 + M)^k, M the
-    Cauchy bound on the roots, so residues mod q^n > 2 (1 + M)^(d/2) give
-    them exactly (Berlekamp-Zassenhaus, Cohen GTM 138, section 3.5)."""
+    exact division: a factor's coefficients are at most (1 + M)^k, M =
+    _root_bound(model), so residues mod q^n > 2 (1 + M)^(d/2) give them
+    exactly (Berlekamp-Zassenhaus, Cohen GTM 138, section 3.5)."""
     d = len(model) - 1
     big, factors = lifted_factors(
-        model, q, 2 * (2 + max(map(abs, model[:-1]))) ** (d // 2))
+        model, q, 2 * (1 + _root_bound(model)) ** (d // 2))
     for size in range(1, len(factors)):
         for subset in combinations(range(len(factors)), size):
             k = sum(len(factors[i]) - 1 for i in subset)

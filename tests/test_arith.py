@@ -3,12 +3,14 @@
 from math import gcd, prod
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from twistctl.arith import (
     conductor_bound,
     divisors,
     euler_phi,
     factorize,
+    iroot,
     is_prime,
     prime_power,
     primes_up_to,
@@ -91,6 +93,26 @@ def test_conductor_bound():
     assert conductor_bound([3], 3) == 9       # Q(zeta_9)^+
     assert conductor_bound([2, 3], 2) == 24
     assert conductor_bound((7, 3, 2), 6) == 504
+
+
+@given(st.integers(0, 10 ** 80 - 1), st.integers(1, 60))
+@example(0, 1)
+@example(0, 60)
+@example(1, 1)
+@example(1, 60)
+@example(2 ** 40, 40)
+@example(2 ** 40 - 1, 40)
+@example(10 ** 80 - 1, 1)
+def test_iroot_is_the_floor_of_the_root(n, k):
+    r = iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 60))
+def test_iroot_of_a_power_is_exact(r, k):
+    assert iroot(r ** k, k) == r
+    if r:
+        assert iroot(r ** k - 1, k) == r - 1
 
 
 def brute_force_order(g, m):

@@ -310,7 +310,7 @@ class TestFixedPointOracles:
     @pytest.mark.parametrize("q,m,n,flip,want", [
         (3, 2, 3, True, 6048), (2, 1, 4, False, 20160),
         (2, 2, 4, False, 20160), (2, 2, 4, True, 25920),
-        (4, 2, 3, True, 62400)])
+        (4, 2, 3, True, 62400), (2, 8, 2, False, 6)])
     def test_larger_shapes_meet_their_closed_forms(self, q, m, n, flip,
                                                    want):
         # n = 4 and the larger fields, each under a budget of exactly its

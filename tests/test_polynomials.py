@@ -1,5 +1,6 @@
 """Polynomial layer: values, discriminants as norms, mod-p factorization
-degrees, x^e mod (f, p), Hensel lifting, irreducibility over Q.
+degrees, x^e mod (f, p), Hensel lifting, irreducibility over Q, the monic
+integer model and the bound on its roots.
 
 The mod-p oracle here is written independently of the library: root counting
 by direct scan plus a two-quadratic splitting test driven by a precomputed
@@ -8,10 +9,11 @@ cyclotomic polynomials are sympy's.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from test_field_reference import FIELDS
 from twistctl import synth
@@ -21,6 +23,8 @@ from twistctl.errors import (BadReduction, NotIrreducible, NotSeparableModP,
 from twistctl.numberfield import field_make
 from twistctl.polynomials import (
     QPoly,
+    _monic_integer_model,
+    _root_bound,
     certify_irreducible,
     ddf_mod_p,
     hensel_lift,
@@ -342,6 +346,45 @@ def test_a_repeated_factor_is_refused_at_once(coeffs):
     assert max(e for _, e in parts) > 1
     with pytest.raises(NotIrreducible, match="repeated factor"):
         certify_irreducible(QPoly(coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(-20, 20, max_denominator=64), min_size=1,
+                max_size=6))
+@example([Fraction(1, 3), Fraction(1, 2)])
+@example([Fraction(1, 8), 0])
+@example([Fraction(c, 2 ** (4 - i)) for i, c in enumerate([1, 2, 4, 8])])
+def test_the_integer_model_scales_by_exact_roots(lower):
+    """F = lam^d f(y/lam) is monic and integral, and lam is the lcm over i
+    of the exact (d-i)-th root of den f_i, found here by a scan, or of den
+    f_i itself where it has none: Phi_5(2x) / 2^4 gives lam = 2."""
+    f = QPoly(list(lower) + [1])
+    d = f.degree
+    lam, model = _monic_integer_model(f)
+    assert all(type(c) is int for c in model) and model[-1] == 1
+    assert model == [c * lam ** (d - i) for i, c in enumerate(f.coeffs)]
+    want = 1
+    for i, c in enumerate(f.coeffs[:-1]):
+        den = c.denominator
+        want = lcm(want, next((r for r in range(1, den + 1)
+                               if r ** (d - i) == den), den))
+    assert lam == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=6))
+@example([3 ** 6, 3 ** 5, 3 ** 4, 3 ** 3, 3 ** 2, 3])
+@example([0, 1])
+def test_the_root_bound_holds_and_never_exceeds_cauchy(lower):
+    """_root_bound is at most Cauchy's bound and at least |y| for every
+    complex root y, found numerically for a squarefree F."""
+    model = list(lower) + [1]
+    bound = _root_bound(model)
+    assert bound <= 1 + max(map(abs, lower))
+    poly = sympy.Poly(list(reversed(model)), sympy.symbols("x"))
+    assume(sympy.gcd(poly, poly.diff()).degree() == 0)
+    roots = poly.nroots(n=30, maxsteps=500)
+    assert all(abs(complex(r)) <= bound for r in roots)
 
 
 def test_json_string_round_trip():

@@ -5,9 +5,11 @@ polynomial that survives the split-prime filter over the field, in the
 monic integral model lam^d Phi(y/lam), and every linear factor is verified
 by exact exponentiation; aut_mult is read off by applying each automorphism
 to the generator.  Whole roots_of_unity lists and the UnitRoots order,
-powers and aut_mult must agree.  Four cyclotomic fields on which sympy
-takes seconds, Q(zeta_41) of degree 40 among them, are checked against the
-closed form |mu| = lcm(2, n) only.
+powers and aut_mult must agree.  Larger cyclotomic fields on which sympy
+takes seconds, Q(zeta_41) of degree 40 on zeta_41 / 2 and 3 zeta_41 / 2
+among them, are checked against the closed form |mu| = lcm(2, n) only.
+lam, the model and the bound on its roots are read from the helpers the
+search reads, _monic_integer_model and _root_bound.
 
 The roots Y_k of the model at the first split prime are the lifts, by
 hensel_lift, of lam times the field's split_roots.  lifted_factors, which
@@ -37,6 +39,7 @@ from test_classify_reference import FIELDS as CLASSIFY_FIELDS
 from test_polynomials import residue_roots
 from twistctl.polynomials import (
     _monic_integer_model,
+    _root_bound,
     hensel_lift,
     lifted_factors,
     pmod_reduce,
@@ -62,8 +65,7 @@ def reference_roots_of_unity(field):
 def _cyclotomic_roots_sympy(field, orders):
     if not orders:
         return
-    model = _monic_integer_model(field.min_poly)
-    lam = lcm(*(c.denominator for c in field.min_poly.coeffs))
+    lam, model = _monic_integer_model(field.min_poly)
     x = sympy.symbols("x")
     expr = sum(c * x ** i for i, c in enumerate(model))
     K = SQQ.algebraic_field(sympy.CRootOf(sympy.Poly(expr, x), 0))
@@ -164,12 +166,11 @@ def test_search_matches_the_sympy_reference(name):
         == reference_unit_roots(field)
 
 
-@pytest.mark.parametrize("n", (15, 20, 24, 41))
-def test_larger_cyclotomic_fields_meet_the_closed_form(n):
-    # Q(zeta_41) is taken on zeta_41 itself: on zeta_41 / 2 the monic
-    # integer model's Cauchy bound has 1561 bits, and the search would lift
-    # every root to 9545 digits of 83
-    field = cyclotomic_field(n, Q(1, 2) if n < 41 else 1)
+@pytest.mark.parametrize(
+    "n,scale", [pytest.param(n, Q(1, 2), id=str(n)) for n in (15, 20, 24, 41)]
+    + [pytest.param(41, Q(3, 2), id="41-3/2")])
+def test_larger_cyclotomic_fields_meet_the_closed_form(n, scale):
+    field = cyclotomic_field(n, scale)
     mu = unit_roots(field)
     assert mu.order == len(roots_of_unity(field)) == lcm(2, n)
     zeta = mu.powers[1]
@@ -190,9 +191,8 @@ def test_lifted_factors_match_the_residue_scan(name):
     as the search lifts the field's split_roots."""
     field = ALL_FIELDS[name]()
     d = field.degree
-    model = _monic_integer_model(field.min_poly)
-    lam = lcm(*(c.denominator for c in field.min_poly.coeffs))
-    bound = 2 * d * (1 + max(abs(c) for c in model[:-1])) ** (d - 1)
+    lam, model = _monic_integer_model(field.min_poly)
+    bound = 2 * d * _root_bound(model) ** (d - 1)
     for p in field.split_primes:
         n = 1
         while p ** n <= bound:

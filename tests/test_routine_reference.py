@@ -15,6 +15,11 @@ The references below are the earlier implementations, kept as they were:
 * the modulus of F_q was the first polynomial passing a Rabin test,
   x^(p^k) = x and gcd(f, x^(p^(k/r)) - x) = 1 for each prime r | k; every
   q = p^k <= 256 is compared;
+* ref_finite_field built F_q from the q^2 products of its elements' digit
+  polynomials mod the modulus, searched each row of that table for the
+  inverse and took powers by square-and-multiply; the five tables and pow
+  at every exponent from -3 to 2q + 3 are compared on every q <= 128 and
+  on 243 and 256;
 * the rational roots came from the rational-root theorem on any polynomial
   over Q; a random monic integer polynomial of degree 2..6 that has one
   must be refused as reducible;
@@ -60,7 +65,13 @@ from test_frobenius_reference import GCD_FIELDS
 from test_roots_reference import ALL_FIELDS as ROOTS_FIELDS
 from test_scan_reference import ref_verify
 from twistctl import synth
-from twistctl.arith import divisors, factorize, is_prime, primes_up_to
+from twistctl.arith import (
+    divisors,
+    factorize,
+    is_prime,
+    prime_power,
+    primes_up_to,
+)
 from twistctl.characters import char_to_json, fit_all
 from twistctl.errors import (
     BadReduction,
@@ -71,7 +82,7 @@ from twistctl.errors import (
     NotSeparableModP,
     TwistctlError,
 )
-from twistctl.finitefield import _find_irreducible
+from twistctl.finitefield import FiniteField, _find_irreducible
 from twistctl.numberfield import (
     SubfieldDescriptor,
     Subgroup,
@@ -180,6 +191,51 @@ def ref_find_irreducible(p, k):
         f = list(tail) + [1]
         if ref_is_irreducible(f, p, k):
             return f
+
+
+def ref_finite_field(q):
+    """(modulus, add_table, neg_table, mul_table, inv_table, pow) of F_q,
+    code c holding the base-p digits of c as coordinates."""
+    p, k = prime_power(q)
+    modulus = [0, 1] if k == 1 else _find_irreducible(p, k)
+
+    def decode(code):
+        digits = []
+        for _ in range(k):
+            code, d = divmod(code, p)
+            digits.append(d)
+        return digits
+
+    def encode(digits):
+        code = 0
+        for d in reversed(list(digits)):
+            code = code * p + d % p
+        return code
+
+    polys = [decode(c) for c in range(q)]
+    add = [[encode([(a + b) % p for a, b in zip(u, v)]) for v in polys]
+           for u in polys]
+    neg = [encode([(-a) % p for a in u]) for u in polys]
+    mul = [[encode(pmod_divmod(pmod_mul(u, v, p), modulus, p)[1])
+            for v in polys] for u in polys]
+    inv = [0] * q
+    for a in range(1, q):
+        inv[a] = next(b for b in range(1, q) if mul[a][b] == 1)
+
+    def power(a, e):
+        if e < 0:
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero in a finite field")
+            return power(inv[a], -e)
+        result, base = 1, a
+        while e:
+            if e & 1:
+                result = mul[result][base]
+            base = mul[base][base]
+            e >>= 1
+        return result
+
+    return modulus, add, neg, mul, inv, power
 
 
 def ref_rational_roots(f):
@@ -429,6 +485,27 @@ PRIME_POWERS = [(p, k) for p in primes_up_to(16) for k in range(2, 9)
 @pytest.mark.parametrize("p,k", PRIME_POWERS)
 def test_moduli_match_the_rabin_test(p, k):
     assert _find_irreducible(p, k) == ref_find_irreducible(p, k)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 129)
+                               if len(factorize(q)) == 1] + [243, 256])
+def test_finite_fields_match_the_product_tables(q):
+    ff = FiniteField(q)
+    modulus, add, neg, mul, inv, power = ref_finite_field(q)
+    assert ff.modulus == modulus
+    assert ff.add_table == add and ff.neg_table == neg
+    assert ff.mul_table == mul and ff.inv_table == inv
+    exponents = range(-3, 2 * q + 4)
+    for a in range(1, q):
+        assert [ff.pow(a, e) for e in exponents] \
+            == [power(a, e) for e in exponents]
+    assert ff.pow(0, 0) == power(0, 0) == 1
+    assert all(ff.pow(0, e) == power(0, e) == 0 for e in range(1, 2 * q + 4))
+    for e in (-1, -3):
+        with pytest.raises(ZeroDivisionError):
+            ff.pow(0, e)
+        with pytest.raises(ZeroDivisionError):
+            power(0, e)
 
 
 @st.composite
