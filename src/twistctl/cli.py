@@ -6,8 +6,14 @@ Every subcommand but normalize, which writes a JSON document, emits the
 same facts in two shapes: a human-readable text rendering (default) and a
 schema-stable JSON document (--format json) whose bytes depend only on the
 run configuration and the inputs.  Exit status is
-0 on success, 1 when a domain error surfaces (the error name is printed),
+0 on success, 1 when a domain error surfaces (the error name is printed;
+an input nested too deeply for the JSON reader prints RecursionError),
 and 2 for usage errors.
+
+Every JSON document a command prints or writes goes through _dumps, the one
+indented writer: the bytes of json.dumps(doc, indent=2, sort_keys=True), with
+the text of each list or dict kept by (id, depth) for the call.  classify and
+report point every prime with the same verdicts at one list, encoded once.
 
 Each handler imports the layers it runs, so a command loads no more of the
 package than it uses: oracle never loads the number-field stack, and twists
@@ -44,11 +50,14 @@ def _parse_primes(spec: str) -> tuple:
             lo, hi = int(lo_text), int(hi_text)
             primes = [p for p in primes_up_to(hi) if p >= lo]
         else:
+            from collections import Counter
+
             primes = [int(tok) for tok in spec.split(",")]
+            counts = Counter(primes)
             for p in primes:
                 if not is_prime(p):
                     raise argparse.ArgumentTypeError(f"{p} is not prime")
-                if primes.count(p) > 1:
+                if counts[p] > 1:
                     raise argparse.ArgumentTypeError(f"{p} is repeated")
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse prime range {spec!r}")
@@ -139,9 +148,46 @@ def _load_input_system(path: str):
     return sys_, normalized_on_load
 
 
+def _scalar(obj) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
+
+
+def _dumps(doc) -> str:
+    """The text of json.dumps(doc, indent=2, sort_keys=True), floats refused.
+    Each container's text is kept by (id, depth) for the call, so a list that
+    many keys share is encoded once per depth; a cycle raises RecursionError."""
+    esc, texts = json.encoder.encode_basestring_ascii, {}
+
+    def encode(obj, depth):
+        if isinstance(obj, str):
+            return esc(obj)
+        if not isinstance(obj, (dict, list, tuple)):
+            return _scalar(obj)
+        key = id(obj), depth
+        if key not in texts:
+            if isinstance(obj, dict):
+                ends, parts = "{}", [
+                    esc(k if isinstance(k, str) else _scalar(k)) + ": "
+                    + encode(v, depth + 1) for k, v in sorted(obj.items())]
+            else:
+                ends, parts = "[]", [encode(v, depth + 1) for v in obj]
+            pad = "\n" + "  " * (depth + 1)
+            texts[key] = (ends[0] + pad + ("," + pad).join(parts) + pad[:-2]
+                          + ends[1] if parts else ends)
+        return texts[key]
+    return encode(doc, 0)
+
+
 def _print_doc(doc: dict, ns, render, out) -> None:
     if ns.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True), file=out)
+        print(_dumps(doc), file=out)
     else:
         for line in render(doc):
             print(line, file=out)
@@ -311,7 +357,7 @@ def _cmd_normalize(ns) -> int:
                 element_from_json(sys_.field, coords)
             for key, coords in typed_from_json(raw, dict, "scalings").items()}
     doc = serialize(normalize(sys_, scalings))
-    payload = json.dumps(doc, indent=2, sort_keys=True)
+    payload = _dumps(doc)
     if ns.output:
         Path(ns.output).write_text(payload + "\n")
         print(f"wrote {ns.output}")
@@ -383,7 +429,7 @@ def run(argv) -> int:
     except TwistctlError as exc:
         print(f"error[{exc.name}]: {exc}", file=_sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=_sys.stderr)
         return 1
 

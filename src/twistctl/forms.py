@@ -529,6 +529,7 @@ def projection_iso_check(model: FiniteModel, cocycle: Cocycle,
 # ---------------------------------------------------------------------------
 
 class PlaceVerdict(NamedTuple):
+    """One place of the fixed field above p; its fields are the JSON keys."""
     representative: int           # smallest automorphism index in the double coset
     residue_degree: int
     form: str                     # "inner-split" or "outer-unitary"
@@ -641,23 +642,17 @@ def report_to_json(report: ImageReport) -> dict:
     from .twists import detection_to_json
 
     det = detection_to_json(report.detection)
+    # one list per distinct verdict tuple, shared by every prime that has
+    # it, so the command line's writer encodes it once
+    lists = {verdicts: [v._asdict() for v in verdicts]
+             for verdicts in {verdicts for _, verdicts in report.places}}
     return {
         "verdict": det["verdict"]["kind"],
         **{key: det[key] for key in ("group_order", "inner_order",
                                      "fixed_field", "inner_fixed_field")},
         "predicted_dimension": report.predicted_dimension,
         "mt_upper_bound_dimension": report.mt_upper_bound_dimension,
-        "primes": {
-            str(p): [{
-                "representative": v.representative,
-                "residue_degree": v.residue_degree,
-                "form": v.form,
-                "group_label": v.group_label,
-                "split_caveat": v.split_caveat,
-                "frobenius_ambiguous": v.frobenius_ambiguous,
-            } for v in verdicts]
-            for p, verdicts in report.places
-        },
+        "primes": {str(p): lists[verdicts] for p, verdicts in report.places},
         "excluded": {str(p): reason for p, reason in report.excluded},
         "bound": det["bound"],
     }

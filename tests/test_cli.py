@@ -40,6 +40,14 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def deeply_nested(capsys, tmp_path, command):
+    """Run command on a document of 200 000 nested arrays, too deep for the
+    JSON reader."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    return invoke(capsys, command, "--input", str(path))
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, err = invoke(capsys, "frobnicate")
@@ -98,6 +106,13 @@ class TestUsageErrors:
     def test_prime_range_parsing(self):
         assert _parse_primes("3..12") == (3, 5, 7, 11)
         assert _parse_primes("13,5,7") == (13, 5, 7)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("5,7,7,5", "5 is repeated"), ("4,5,5", "4 is not prime"),
+        ("5,5,4", "5 is repeated"), ("7,9,7", "7 is repeated")])
+    def test_a_prime_list_is_checked_in_order(self, spec, message):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"^{message}$"):
+            _parse_primes(spec)
 
 
 class TestTwistsCommand:
@@ -187,6 +202,11 @@ class TestTwistsCommand:
         code, _, err = invoke(capsys, "twists", "--input", "/no/such.json")
         assert code == 1
         assert "error[" in err
+
+    def test_a_deeply_nested_document_is_an_error(self, capsys, tmp_path):
+        code, out, err = deeply_nested(capsys, tmp_path, "twists")
+        assert (code, out) == (1, "")
+        assert err.startswith("error[RecursionError]: ")
 
     def test_a_reducible_coefficient_field_is_refused(self, capsys, tmp_path):
         """klein's data over Q[x]/(f(x) f(x - 1)), f = x^3 - 3x + 1, whose
@@ -313,6 +333,11 @@ class TestVerifyCocycleCommand:
         code, _, err = invoke(capsys, "verify-cocycle", "--input", str(path))
         assert code == 1
         assert "error[CocycleViolation]" in err
+
+    def test_a_deeply_nested_document_is_an_error(self, capsys, tmp_path):
+        code, out, err = deeply_nested(capsys, tmp_path, "verify-cocycle")
+        assert (code, out) == (1, "")
+        assert err.startswith("error[RecursionError]: ")
 
     def test_malformed_document_rejected(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

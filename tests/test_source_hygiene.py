@@ -8,6 +8,9 @@ the base of an attribute, or inside a string annotation.  A module-level
 import is read anywhere in the module; a function's import is read in that
 function, nested code included.
 
+No module passes indent= to json.dumps: cli._dumps is the one indented
+writer, and the stdlib's stays in tests/test_dumps.py as its reference.
+
 Start-up stays light: importing the CLI loads neither dataclasses nor
 inspect, which the NamedTuple records do not need, and each command loads
 only the package modules it runs.
@@ -106,6 +109,29 @@ def test_the_check_sees_an_unread_import():
     assert set(unread_imports(tree)) == {
         ("<module>", "os"), ("<module>", "lcm"),
         ("g", "ceil"), ("g", "trunc")}
+
+
+def indented_dumps(tree):
+    """Lines of the calls to json.dumps, or a bare dumps, that pass indent=."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            == "dumps"
+            and any(kw.arg == "indent" for kw in node.keywords)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_cli_dumps_is_the_one_indented_writer(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not indented_dumps(tree), f"{path.name}: use cli._dumps"
+
+
+def test_the_check_sees_an_indented_dumps():
+    tree = ast.parse("import json\nfrom json import dumps\n"
+                     "json.dumps(x, indent=2, sort_keys=True)\n"
+                     "dumps(x, indent=1)\njson.dumps(x, sort_keys=True)\n"
+                     "f(indent=2)\n")
+    assert indented_dumps(tree) == [3, 4]
 
 
 def test_cli_start_up_loads_no_dataclasses():
