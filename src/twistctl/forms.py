@@ -535,7 +535,7 @@ class PlaceVerdict(NamedTuple):
     form: str                     # "inner-split" or "outer-unitary"
     group_label: str
     split_caveat: bool            # split is certified over the coefficient algebra only
-    frobenius_ambiguous: bool
+    frobenius_ambiguous: bool     # |Frobenius class| > 1, so never over abelian E
 
 
 def classify_place(field: NumberField, group: TwistGroup, p: int,
@@ -579,7 +579,7 @@ class ImageReport(NamedTuple):
     places: tuple                 # ((p, (PlaceVerdict, ...)), ...) sorted by p
     excluded: tuple               # ((p, reason), ...) sorted by p
     predicted_dimension: int
-    mt_upper_bound_dimension: int
+    mt_upper_bound_dimension: int # the same formula as predicted_dimension
 
 
 def frobenius_modulus(field: NumberField, top: int) -> int:
@@ -611,8 +611,8 @@ def image_report(sys, result: DetectionResult, primes) -> ImageReport:
 
     The dimension prediction is [F:Q] (n^2 - 1) + 1: the derived group
     contributes one copy of SL_n per embedding of the fixed field, and the
-    center one line of scalars.  The Hodge-theoretic upper bound computed
-    from the same data coincides with it."""
+    center one line of scalars.  mt_upper_bound_dimension is this same
+    formula, kept as a JSON key; it is not a second bound."""
     n, field, primes = sys.n, sys.field, sorted(primes)
     dim = result.fixed.degree * (n * n - 1) + 1
     m0 = field.is_abelian and frobenius_modulus(field, max(primes, default=0))

@@ -81,25 +81,32 @@ def default_cache_dir() -> Path:
 def _http_get_json(url: str) -> object:
     """Rate-limited single-flight GET; at most one request per second."""
     global _last_request
-    import requests
+    import http.client
+    import urllib.error
+    import urllib.request
     with _request_lock:
         wait = _REQUEST_GAP_SECONDS - (time.monotonic() - _last_request)
         if wait > 0:
             time.sleep(wait)
         try:
-            response = requests.get(url, timeout=30)
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(url, timeout=30) as response:
+                status, body = response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            status = exc.code
+            exc.close()
+        except (OSError, http.client.HTTPException) as exc:
             raise NetworkError(f"request to {url} failed: {exc}") from exc
         finally:
             _last_request = time.monotonic()
-    if response.status_code == 404:
+    if status == 404:
         raise NotFound(f"{url} answered 404")
-    if response.status_code != 200:
-        raise NetworkError(f"{url} answered HTTP {response.status_code}")
+    if status != 200:
+        raise NetworkError(f"{url} answered HTTP {status}")
     try:
-        return response.json()
-    except ValueError as exc:
-        raise SchemaDrift(f"non-JSON response from {url}", body=response.text)
+        return json.loads(body)
+    except ValueError:
+        raise SchemaDrift(f"non-JSON response from {url}",
+                          body=body.decode("utf-8", errors="replace"))
 
 
 def fetch_newform(label: str, cache_dir=None,
@@ -138,7 +145,7 @@ def fetch_newform(label: str, cache_dir=None,
     root.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(doc, sort_keys=True))
-    os.replace(tmp, path)
+    # the sidecar goes first, so an entry in place always has one
     sidecar = root / f"{label}.{API_VERSION}.meta.json"
     sidecar.write_text(json.dumps({
         "label": label,
@@ -146,6 +153,7 @@ def fetch_newform(label: str, cache_dir=None,
         "fetched_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "source": list(urls),
     }, sort_keys=True))
+    os.replace(tmp, path)
     return record
 
 

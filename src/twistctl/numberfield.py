@@ -545,9 +545,9 @@ def frobenius_at(field: NumberField, p: int) -> FrobeniusResult:
     an algebraic integer over Z_(p), has p-integral coordinates, and
     sigma_i is a Frobenius for the primes of the irreducible factors of
     gcd(Phi, sigma_i(x) - x^p) mod p, x^p from pmod_pow_mod.  Over an
-    abelian field they share one Frobenius, the image equal to x^p (no gcd),
-    a function of p mod forms.frobenius_modulus; otherwise the smallest
-    match is returned, ambiguous if not alone."""
+    abelian E it is the one image equal to x^p (no gcd), a function of p
+    mod forms.frobenius_modulus; otherwise the least match.  ambiguous:
+    the matches, the Frobenius class, are two or more; never if abelian."""
     if field._bad_reduction % p == 0:
         raise Ramified(f"prime {p} is ramified for this field")
     phi_p = pmod_reduce(field.min_poly, p)

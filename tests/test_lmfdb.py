@@ -5,13 +5,20 @@ Everything runs against the committed response cache under
 tests/data/lmfdb_cache, which was produced by scripts/build_lmfdb_cache.py
 from first-principles computations (point counting for 11.2.a.a, an eta
 product for 16.3.c.a, theta series for 47.1.b.a).  The one test that talks
-to the live service is opt-in via TWISTCTL_NETWORK=1.
+to the live service is opt-in via TWISTCTL_NETWORK=1; every other test of
+the GET replaces urllib.request.urlopen and the clock, and opens no socket.
 """
 
+import http.client
+import io
 import json
 import os
+import time
+import urllib.error
+import urllib.request
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +121,199 @@ class TestFetchAndCache:
         with pytest.raises(SchemaDrift, match="coordinate"):
             lmfdb.fetch_newform("11.2.a.a", cache_dir=tmp_path,
                                 allow_network=False)
+
+    def test_default_cache_dir_precedence(self, tmp_path, monkeypatch):
+        """TWISTCTL_CACHE wins over XDG_CACHE_HOME, which wins over
+        ~/.cache; an empty variable counts as unset."""
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("TWISTCTL_CACHE", "")
+        monkeypatch.setenv("XDG_CACHE_HOME", "")
+        assert lmfdb.default_cache_dir() == \
+            tmp_path / "home" / ".cache" / "twistctl" / "lmfdb"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert lmfdb.default_cache_dir() == \
+            tmp_path / "xdg" / "twistctl" / "lmfdb"
+        monkeypatch.setenv("TWISTCTL_CACHE", str(tmp_path / "own"))
+        assert lmfdb.default_cache_dir() == tmp_path / "own"
+
+
+URL = "https://www.lmfdb.org/api/mf_newforms/?label=11.2.a.a&_format=json"
+EIGEN_URL = \
+    "https://www.lmfdb.org/api/mf_hecke_nf/?label=11.2.a.a&_format=json"
+
+
+class FakeClock:
+    """monotonic() and sleep() on a counter that only sleep() advances."""
+
+    def __init__(self):
+        self.now, self.sleeps = 1000.0, []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+class FakeResponse:
+    """What urlopen returns for a 2xx status: a context manager with a
+    status and a body."""
+
+    def __init__(self, status, body):
+        self.status, self.body = status, body
+
+    def read(self):
+        return self.body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+
+def http_error(code, fp):
+    """What urlopen raises for a status outside 2xx."""
+    return urllib.error.HTTPError(URL, code, "status", {}, fp)
+
+
+@pytest.fixture
+def offline(monkeypatch):
+    """urlopen answers from `served` (url -> response, or an exception to
+    raise) and logs each (url, timeout) in `requested`; lmfdb's clock is a
+    FakeClock, and the previous request lies far in its past."""
+    net = SimpleNamespace(served={}, requested=[], clock=FakeClock())
+
+    def urlopen(url, timeout):
+        net.requested.append((url, timeout))
+        answer = net.served[url]
+        if isinstance(answer, BaseException):
+            raise answer
+        return answer
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr(lmfdb, "time", SimpleNamespace(
+        monotonic=net.clock.monotonic, sleep=net.clock.sleep,
+        strftime=time.strftime, gmtime=time.gmtime))
+    monkeypatch.setattr(lmfdb, "_last_request", 0.0)
+    return net
+
+
+class TestHttpGet:
+    """The one GET keeps its contract: 200 with JSON is the document; 404
+    is NotFound; any other status, 2xx included, and any transport failure
+    are NetworkError; a body that is not JSON is SchemaDrift carrying the
+    body as text; and requests are spaced one second apart."""
+
+    def test_json_body_is_the_document(self, offline):
+        offline.served[URL] = FakeResponse(200, b'{"data": [1, 2]}')
+        assert lmfdb._http_get_json(URL) == {"data": [1, 2]}
+        assert offline.requested == [(URL, 30)]
+        assert offline.clock.sleeps == []
+
+    @pytest.mark.parametrize("code, error", [(404, NotFound),
+                                             (500, NetworkError)])
+    def test_error_status(self, offline, code, error):
+        body = io.BytesIO(b"<html>error</html>")
+        offline.served[URL] = http_error(code, body)
+        with pytest.raises(error, match=str(code)):
+            lmfdb._http_get_json(URL)
+        assert body.closed
+
+    def test_success_status_other_than_200(self, offline):
+        offline.served[URL] = FakeResponse(204, b"")
+        with pytest.raises(NetworkError, match="204"):
+            lmfdb._http_get_json(URL)
+
+    def test_non_json_body_is_drift_with_text(self, offline):
+        offline.served[URL] = FakeResponse(200, b"<html>\xff down</html>")
+        with pytest.raises(SchemaDrift) as exc:
+            lmfdb._http_get_json(URL)
+        assert exc.value.body == "<html>\ufffd down</html>"
+
+    @pytest.mark.parametrize("failure", [
+        urllib.error.URLError("name resolution failed"),
+        TimeoutError("timed out"),
+        http.client.IncompleteRead(b"{\"da", 10),
+    ], ids=type)
+    def test_transport_failure(self, offline, failure):
+        offline.served[URL] = failure
+        with pytest.raises(NetworkError) as exc:
+            lmfdb._http_get_json(URL)
+        assert exc.value.__cause__ is failure
+
+    def test_one_second_between_requests(self, offline):
+        offline.served[URL] = FakeResponse(200, b"{}")
+        offline.served[EIGEN_URL] = TimeoutError("timed out")
+        lmfdb._http_get_json(URL)
+        offline.clock.now += 0.25
+        with pytest.raises(NetworkError):
+            lmfdb._http_get_json(EIGEN_URL)
+        # a failed request still counts for the gap
+        lmfdb._http_get_json(URL)
+        assert offline.clock.sleeps == [0.75, 1.0]
+        assert [url for url, _ in offline.requested] == [URL, EIGEN_URL, URL]
+
+
+class TestCacheMiss:
+    """fetch_newform on a miss, with the two responses served from the
+    committed 11.2.a.a entry."""
+
+    def serve(self, offline, mutate=lambda doc: None):
+        doc = json.loads((CACHE / "11.2.a.a.v1.json").read_text())
+        mutate(doc)
+        for url, key in ((URL, "newform"), (EIGEN_URL, "eigenvalues")):
+            offline.served[url] = FakeResponse(
+                200, json.dumps(doc[key]).encode())
+        return doc
+
+    def test_miss_fetches_and_writes_the_entry(self, offline, tmp_path):
+        doc = self.serve(offline)
+        record = lmfdb.fetch_newform("11.2.a.a", cache_dir=tmp_path,
+                                     allow_network=True)
+        assert offline.requested == [(URL, 30), (EIGEN_URL, 30)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "11.2.a.a.v1.json", "11.2.a.a.v1.meta.json"]
+        assert json.loads((tmp_path / "11.2.a.a.v1.json").read_text()) == doc
+        meta = json.loads((tmp_path / "11.2.a.a.v1.meta.json").read_text())
+        assert (meta["label"], meta["version"], meta["source"]) == (
+            "11.2.a.a", "v1", [URL, EIGEN_URL])
+        assert record == cached_record("11.2.a.a")
+        assert lmfdb.fetch_newform("11.2.a.a", cache_dir=tmp_path,
+                                   allow_network=False) == record
+        assert len(offline.requested) == 2
+
+    def test_sidecar_is_written_before_the_entry_moves_in(
+            self, offline, tmp_path, monkeypatch):
+        """A process killed at any point leaves no entry without its
+        sidecar: the sidecar exists when os.replace runs."""
+        self.serve(offline)
+        replace, seen = os.replace, []
+
+        def checked_replace(src, dst):
+            seen.append((tmp_path / "11.2.a.a.v1.meta.json").exists())
+            replace(src, dst)
+
+        monkeypatch.setattr(lmfdb.os, "replace", checked_replace)
+        lmfdb.fetch_newform("11.2.a.a", cache_dir=tmp_path,
+                            allow_network=True)
+        assert seen == [True]
+
+    @pytest.mark.parametrize("mutate, error", [
+        (lambda doc: doc["newform"]["data"][0].update(level=11.0),
+         SchemaDrift),
+        (lambda doc: doc["eigenvalues"].update(data=[]), NotFound),
+    ], ids=["drift", "empty"])
+    def test_unparsable_response_writes_nothing(self, offline, tmp_path,
+                                                mutate, error):
+        self.serve(offline, mutate)
+        root = tmp_path / "cache"
+        with pytest.raises(error):
+            lmfdb.fetch_newform("11.2.a.a", cache_dir=root,
+                                allow_network=True)
+        assert len(offline.requested) == 2
+        assert not root.exists()
 
 
 FLOAT_MUTATIONS = {

@@ -11,9 +11,13 @@ function, nested code included.
 No module passes indent= to json.dumps: cli._dumps is the one indented
 writer, and the stdlib's stays in tests/test_dumps.py as its reference.
 
+The package has no runtime dependency: every import names the package or
+the standard library, and pyproject.toml declares none.
+
 Start-up stays light: importing the CLI loads neither dataclasses nor
-inspect, which the NamedTuple records do not need, and each command loads
-only the package modules it runs.
+inspect, which the NamedTuple records do not need, each command loads
+only the package modules it runs, and an lmfdb command served from the
+cache loads no network module.
 """
 
 import ast
@@ -25,7 +29,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src"
 SOURCES = sorted((SRC / "twistctl").glob("*.py"))
 DATA = Path(__file__).parent / "data"
 
@@ -111,6 +116,45 @@ def test_the_check_sees_an_unread_import():
         ("g", "ceil"), ("g", "trunc")}
 
 
+def foreign_imports(tree):
+    """(line, module) for each absolute import whose top-level package is
+    neither twistctl nor in the standard library."""
+    allowed = sys.stdlib_module_names | {"twistctl"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules
+                  if m.split(".")[0] not in allowed]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    foreign = foreign_imports(tree)
+    assert not foreign, f"{path.name}: imports outside the stdlib: {foreign}"
+
+
+def test_the_check_sees_a_foreign_import():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "from . import arith\nfrom .errors import NotFound\n"
+                     "import twistctl.cli\nfrom urllib.request import urlopen\n"
+                     "def f():\n    import requests\n"
+                     "    from certifi.core import where\n")
+    assert foreign_imports(tree) == [(8, "requests"), (9, "certifi.core")]
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project.get("dependencies", []) == []
+
+
 def indented_dumps(tree):
     """Lines of the calls to json.dumps, or a bare dumps, that pass indent=."""
     return [node.lineno for node in ast.walk(tree)
@@ -176,12 +220,12 @@ _RUN_PROBE = (
     "from twistctl.cli import run\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = run(sys.argv[1:])\n"
-    "print(code, *sorted(m for m in sys.modules if m.startswith('twistctl.')))\n")
+    "print(code, *sorted(sys.modules))\n")
 
 
-@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
-def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
-    argv, expected = _COMMAND_MODULES[command]
+def modules_after(command, tmp_path):
+    """Every module a fresh interpreter holds after running the command."""
+    argv, _ = _COMMAND_MODULES[command]
     (tmp_path / "cocycle.json").write_text(json.dumps(_FINITE_COCYCLE))
     argv = [arg.format(tmp=tmp_path, data=DATA) for arg in argv]
     out = subprocess.run([sys.executable, "-S", "-c", _RUN_PROBE, *argv],
@@ -189,4 +233,19 @@ def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
                          capture_output=True, text=True, check=True)
     code, *modules = out.stdout.split()
     assert code == "0", out.stderr
-    assert {m.removeprefix("twistctl.") for m in modules} == expected
+    return set(modules)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
+    package = {m.removeprefix("twistctl.")
+               for m in modules_after(command, tmp_path)
+               if m.startswith("twistctl.")}
+    assert package == _COMMAND_MODULES[command][1]
+
+
+def test_cache_hit_loads_no_network_module(tmp_path):
+    """The GET imports urllib.request inside the function, so a command
+    served from the cache pays for none of the network stack."""
+    network = {"urllib.request", "http.client", "ssl", "socket"}
+    assert not network & modules_after("lmfdb", tmp_path)
