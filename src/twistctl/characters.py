@@ -31,9 +31,10 @@ from .errors import (
     NotCoprime,
     NotRootOfUnity,
     SchemaError,
+    int_from_json,
+    label_from_json,
 )
 from .numberfield import FieldElement, NumberField, element_from_json, unit_roots
-from .polynomials import int_from_json, label_from_json
 # ---------------------------------------------------------------------------
 # unit group structure
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import sys as _sys
 from pathlib import Path
 
 from .arith import is_prime, primes_up_to
-from .errors import InsufficientData, TwistctlError
+from .errors import InsufficientData, TwistctlError, typed_from_json
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +346,6 @@ def _cmd_normalize(ns) -> int:
     from .eigensystem import (_parse_place_label, load_system, normalize,
                               serialize)
     from .numberfield import element_from_json
-    from .polynomials import typed_from_json
 
     sys_ = load_system(json.loads(Path(ns.input).read_text()))
     scalings = None

@@ -23,10 +23,12 @@ from .errors import (
     NontrivialNebentypus,
     NotDivisible,
     SchemaError,
+    int_from_json,
+    label_from_json,
+    typed_from_json,
 )
 from .numberfield import (FieldElement, NumberField, element_from_json,
                           field_from_json, field_to_json)
-from .polynomials import int_from_json, label_from_json, typed_from_json
 
 
 class PlaceData(NamedTuple):

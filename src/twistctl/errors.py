@@ -1,8 +1,9 @@
-"""Error taxonomy shared across the package.
+"""Error taxonomy shared across the package, and the readers of documents.
 
 Every domain failure raises a subclass of :class:`TwistctlError` so the CLI
 can map "your input is bad / the math refused" to exit code 1 while real bugs
-escape as ordinary tracebacks.
+escape as ordinary tracebacks.  The readers of document ints, labels, bools
+and shapes sit beside the SchemaError they raise.
 """
 
 
@@ -40,6 +41,10 @@ class Ramified(TwistctlError):
     pass
 
 
+class FrobeniusNotFound(TwistctlError):
+    """No automorphism acts as x^p at an unramified p: inconsistent data."""
+
+
 class NotInvertible(TwistctlError):
     pass
 
@@ -70,6 +75,45 @@ class Ambiguous(TwistctlError):
 
 class SchemaError(TwistctlError):
     pass
+
+
+def int_from_json(x, what: str, size: int | None = None) -> int:
+    """x if it is a JSON int (not a bool), in range(size) when a size is
+    given; SchemaError otherwise."""
+    if type(x) is not int or (size is not None and not 0 <= x < size):
+        where = "" if size is None else f" in range({size})"
+        raise SchemaError(f"{what} must be an integer{where}, got {x!r}")
+    return x
+
+
+def label_from_json(x, what: str) -> int | str:
+    """A JSON int, or a string in an int's canonical decimal form, as that
+    int; any other string as itself.  Another form of an int ("013", " 13",
+    "+13", "1_3") or a value neither int nor string is a SchemaError."""
+    if not isinstance(x, str):
+        return int_from_json(x, what)
+    try:
+        n = int(x)
+    except ValueError:
+        return x
+    if str(n) != x:
+        raise SchemaError(f"{what} {x!r} must be written {str(n)!r}")
+    return n
+
+
+def bool_from_json(x, what: str) -> bool:
+    """x if it is a JSON bool; SchemaError otherwise."""
+    if type(x) is not bool:
+        raise SchemaError(f"{what} must be true or false, got {x!r}")
+    return x
+
+
+def typed_from_json(x, kind: type, what: str):
+    """x if its type is kind (list, dict or str); SchemaError otherwise."""
+    if type(x) is not kind:
+        noun = {list: "list", dict: "object", str: "string"}[kind]
+        raise SchemaError(f"{what} must be a JSON {noun}, got {x!r}")
+    return x
 
 
 class CoefficientDimensionMismatch(TwistctlError):

@@ -14,19 +14,19 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .arith import prime_power
+from .arith import (distinct_degree_parts, pmod_divmod, pmod_mul, prime_power,
+                    squarefree_mod_p)
 from .errors import NotSeparableModP
-from .polynomials import QPoly, ddf_mod_p, pmod_divmod, pmod_mul
 
 
 def _find_irreducible(p: int, k: int) -> list[int]:
     """The first monic f of degree k over F_p, by its lower coefficients in
-    lexicographic order, whose distinct-degree factorization is one factor
-    of degree k; a repeated factor makes f reducible."""
+    lexicographic order, whose distinct-degree split starts at degree k: no
+    factor of lower degree, and a repeated factor makes f reducible."""
     for tail in product(range(p), repeat=k):
         f = list(tail) + [1]
         try:
-            if ddf_mod_p(QPoly(f), p) == [(k, 1)]:
+            if distinct_degree_parts(squarefree_mod_p(f, p), p)[0][0] == k:
                 return f
         except NotSeparableModP:
             continue

@@ -29,10 +29,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import conductor_bound, prime_power
 from .errors import (BudgetExceeded, CocycleViolation, NotInvertible,
-                     Ramified, SchemaError)
+                     Ramified, SchemaError, bool_from_json, int_from_json,
+                     label_from_json, typed_from_json)
 from .finitefield import FiniteField, finite_field
-from .polynomials import (bool_from_json, int_from_json, label_from_json,
-                          typed_from_json)
 
 if TYPE_CHECKING:
     # The number-field stack is imported where it is used, so that the
@@ -483,7 +482,7 @@ class ProjectionReport(NamedTuple):
     tuple_order: int              # of those, fixed by every group element
     lands_in_fixed_subset: bool   # every image tuple is twisted-fixed
     projection_inverts: bool      # identity component recovers the element
-    homomorphism_ok: bool         # products of sampled pairs stay fixed
+    homomorphism_ok: bool         # the found set is closed under products
     passed: bool
 
 
@@ -496,8 +495,9 @@ def projection_iso_check(model: FiniteModel, cocycle: Cocycle,
     For a valid cocycle the image of g is the diagonal tuple (g, ..., g),
     twisted-fixed exactly when g satisfies _fixed_by for every element: a
     corrupted assignment at a non-generator element leaves elements fixed by
-    the generator but not by it, and the counts disagree.  Closure under
-    products is checked on 100 pairs of fixed elements drawn with the seed."""
+    the generator but not by it, and the counts disagree.  Closure: g h is
+    found for 100 pairs drawn with the seed, and for every found g with h
+    the first found non-identity h0, so a missed x = (x h0^-1) h0 shows."""
     _check_model_cocycle(model, cocycle)
     ctx = cocycle.context
     ring = ctx.ring
@@ -511,7 +511,10 @@ def projection_iso_check(model: FiniteModel, cocycle: Cocycle,
     rng = random.Random(seed)
     pairs = [(rng.choice(fixed), rng.choice(fixed))
              for _ in range(100)] if fixed else []
-    hom_ok = all(fixed_by_all(mat_mul(ring, g, h)) for g, h in pairs)
+    h0 = next((h for h in fixed if h != mat_identity(ring, model.n)), None)
+    pairs += [(g, h0) for g in fixed if h0 is not None]
+    found = set(fixed)
+    hom_ok = all(mat_mul(ring, g, h) in found for g, h in pairs)
 
     lands = tuple_order == len(fixed)
     return ProjectionReport(

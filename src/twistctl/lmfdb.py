@@ -38,11 +38,12 @@ from .errors import (
     SchemaDrift,
     SchemaError,
     TwistctlError,
+    bool_from_json,
+    int_from_json,
+    typed_from_json,
 )
 from .numberfield import field_make, unit_roots
-from .polynomials import (QPoly, bool_from_json, int_from_json,
-                          poly_from_strings, rational_from_json,
-                          typed_from_json)
+from .polynomials import QPoly, poly_from_strings, rational_from_json
 from .twists import DetectionResult
 
 BASE_URL = "https://www.lmfdb.org/api"
@@ -142,18 +143,16 @@ def fetch_newform(label: str, cache_dir=None,
     doc = {"newform": _http_get_json(urls[0]),
            "eigenvalues": _http_get_json(urls[1])}
     record = _parse_record(label, doc)
+    import tempfile
     root.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True))
+    meta = {"label": label, "version": API_VERSION, "source": list(urls),
+            "fetched_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
     # the sidecar goes first, so an entry in place always has one
-    sidecar = root / f"{label}.{API_VERSION}.meta.json"
-    sidecar.write_text(json.dumps({
-        "label": label,
-        "version": API_VERSION,
-        "fetched_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "source": list(urls),
-    }, sort_keys=True))
-    os.replace(tmp, path)
+    for dst, obj in ((path.with_suffix(".meta.json"), meta), (path, doc)):
+        fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+        with os.fdopen(fd, "w") as out:
+            out.write(json.dumps(obj, sort_keys=True))
+        os.replace(tmp, dst)
     return record
 
 

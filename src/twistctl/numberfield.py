@@ -29,14 +29,16 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .arith import euler_phi, primitive_root
+from .arith import euler_phi, pmod_gcd, pmod_pow_mod, pmod_sub, primitive_root
 from .errors import (
+    FrobeniusNotFound,
     NotAnAutomorphism,
     NotClosed,
     NotInvertible,
     NotIrreducible,
     NotRootOfUnity,
     Ramified,
+    typed_from_json,
 )
 from .polynomials import (
     QPoly,
@@ -45,14 +47,10 @@ from .polynomials import (
     _root_bound,
     certify_irreducible,
     hensel_lift,
-    pmod_gcd,
-    pmod_pow_mod,
     pmod_reduce,
-    pmod_sub,
     poly_from_strings,
     poly_to_strings,
     rational_from_json,
-    typed_from_json,
 )
 
 Q = Fraction
@@ -559,7 +557,8 @@ def frobenius_at(field: NumberField, p: int) -> FrobeniusResult:
         matches = [i for i, diff in enumerate(diffs)
                    if len(pmod_gcd(phi_p, diff, p)) > 1]
     if not matches:
-        raise Ramified(f"no Frobenius found at {p}; data inconsistent")
+        raise FrobeniusNotFound(
+            f"no Frobenius found at {p}; data inconsistent")
     return FrobeniusResult(matches[0], len(matches) > 1)
 
 

@@ -1,4 +1,4 @@
-"""Rational polynomials as coefficient tuples, plus mod-p kernels.
+"""Rational polynomials as coefficient tuples, and their reduction mod p.
 
 A QPoly is a value: its `fractions.Fraction` coefficients are stored
 ascending with trailing zeros stripped, so equal polynomials compare equal
@@ -6,16 +6,15 @@ structurally, and the zero polynomial has an empty tuple and degree -1.  The
 program parses a minimal polynomial, evaluates it at field elements,
 differentiates it and reduces it mod p; it does no arithmetic in Q[x].
 
-The mod-p kernels work on plain lists of ints (ascending): reduction,
-squarefreeness, base^e mod (f, p) by one kernel, distinct- and equal-degree
-factorization, and Hensel lifting of one factor or of every factor to one
-precision (lifted_factors).  On them rests certify_irreducible, the one
-test of a minimal polynomial: factor-degree patterns mod p, then
-recombination of the lifted factors at one prime, so a polynomial is
-certified irreducible or refused, and the primes where it splits
-completely come out of the same scan.  The readers of document numbers
-(rationals and ints, never floats), labels (one written form per int) and
-shapes live here too.
+A reduced polynomial is a plain list of ints, and the F_p[x] kernels it
+meets live in arith.  Here are the entry points that take a QPoly
+(pmod_reduce, pmod_squarefree, ddf_mod_p), equal-degree factorization, and
+Hensel lifting of one factor or of every factor to one precision
+(lifted_factors).  On them rests certify_irreducible, the one test of a
+minimal polynomial: factor-degree patterns mod p, then recombination of the
+lifted factors at one prime, so a polynomial is certified irreducible or
+refused, and the primes where it splits completely come out of the same
+scan.  The reader of document rationals (never floats) lives here too.
 """
 
 from __future__ import annotations
@@ -26,18 +25,16 @@ from math import lcm
 from random import Random
 from typing import Iterable, Sequence
 
-from .arith import iroot, is_prime
-from .errors import BadReduction, NotIrreducible, NotSeparableModP, SchemaError
-
-Q = Fraction
-
+from .arith import (distinct_degree_parts, iroot, is_prime, pmod_divmod,
+                    pmod_gcd, pmod_mul, pmod_pow_mod, pmod_sub,
+                    squarefree_mod_p)
+from .errors import (BadReduction, NotIrreducible, NotSeparableModP,
+                     SchemaError, typed_from_json)
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
@@ -66,7 +63,7 @@ class QPoly:
     def __getitem__(self, i: int) -> Fraction:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Q(0)
+        return Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QPoly):
@@ -117,45 +114,6 @@ def rational_from_json(x) -> Fraction:
     raise SchemaError(f"{x!r} is not an int or an exact rational string")
 
 
-def int_from_json(x, what: str, size: int | None = None) -> int:
-    """x if it is a JSON int (not a bool), in range(size) when a size is
-    given; SchemaError otherwise."""
-    if type(x) is not int or (size is not None and not 0 <= x < size):
-        where = "" if size is None else f" in range({size})"
-        raise SchemaError(f"{what} must be an integer{where}, got {x!r}")
-    return x
-
-
-def label_from_json(x, what: str) -> int | str:
-    """A JSON int, or a string in an int's canonical decimal form, as that
-    int; any other string as itself.  Another form of an int ("013", " 13",
-    "+13", "1_3") or a value neither int nor string is a SchemaError."""
-    if not isinstance(x, str):
-        return int_from_json(x, what)
-    try:
-        n = int(x)
-    except ValueError:
-        return x
-    if str(n) != x:
-        raise SchemaError(f"{what} {x!r} must be written {str(n)!r}")
-    return n
-
-
-def bool_from_json(x, what: str) -> bool:
-    """x if it is a JSON bool; SchemaError otherwise."""
-    if type(x) is not bool:
-        raise SchemaError(f"{what} must be true or false, got {x!r}")
-    return x
-
-
-def typed_from_json(x, kind: type, what: str):
-    """x if its type is kind (list, dict or str); SchemaError otherwise."""
-    if type(x) is not kind:
-        noun = {list: "list", dict: "object", str: "string"}[kind]
-        raise SchemaError(f"{what} must be a JSON {noun}, got {x!r}")
-    return x
-
-
 def poly_from_strings(items: Sequence[str | int]) -> QPoly:
     return QPoly([rational_from_json(s)
                   for s in typed_from_json(items, list, "a polynomial")])
@@ -166,14 +124,8 @@ def poly_to_strings(p: QPoly) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# mod-p kernels (dense int lists, ascending)
+# mod p: a QPoly reduced to an int list, then the kernels of arith
 # --------------------------------------------------------------------------
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
 
 def pmod_reduce(f: QPoly, p: int) -> list[int]:
     """Reduce a rational polynomial mod p.  Raises BadReduction if any
@@ -183,125 +135,21 @@ def pmod_reduce(f: QPoly, p: int) -> list[int]:
         if c.denominator % p == 0:
             raise BadReduction(f"denominator divisible by {p}")
         out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    if f.coeffs and out and len(_ptrim(list(out))) != len(out):
+    if out and out[-1] == 0:
         raise BadReduction(f"leading coefficient vanishes mod {p}")
     return out
 
 
-def pmod_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    return _ptrim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def pmod_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def pmod_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError
-    rem = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    quot = [0] * max(0, len(rem) - db)
-    for i in range(len(rem) - db - 1, -1, -1):
-        c = rem[i + db] * inv % p
-        if c:
-            quot[i] = c
-            for j, d in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * d) % p
-    return _ptrim(quot), _ptrim(rem[:db])
-
-
-def pmod_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, pmod_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def pmod_pow_mod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    """base^e mod (mod, p), trimmed ([] for a constant modulus), by left to
-    right square and multiply on d = deg mod residues: a squaring is the
-    products r_i r_j, i <= j, of the nonzero r_i, a step by the base is
-    pmod_mul over its nonzero residues (by x, a shift), and each product is
-    reduced from the top by mod over its leading coefficient, skipping zero
-    residues, and taken mod p once."""
-    d = len(mod) - 1
-    if d < 1:
-        return []
-    inv = pow(mod[-1], -1, p)
-
-    def reduced(prod):
-        for i in range(len(prod) - 1, d - 1, -1):
-            if c := prod[i] * inv % p:
-                for j, t in enumerate(mod):
-                    prod[i - d + j] -= c * t
-        return [c % p for c in prod[:d]]
-
-    b = reduced(list(base))
-    r = [1]
-    for bit in bin(e)[2:]:
-        terms = [(i, a) for i, a in enumerate(r) if a]
-        prod = [0] * (2 * d - 1)
-        for k, (i, a) in enumerate(terms):
-            prod[2 * i] += a * a
-            for j, s in terms[k + 1:]:
-                prod[i + j] += 2 * a * s
-        r = reduced(prod)
-        if bit == "1":
-            r = reduced(pmod_mul(b, r, p))
-    return _ptrim(r)
-
-
 def pmod_squarefree(f: QPoly, p: int) -> list[int]:
-    """pmod_reduce(f, p), or NotSeparableModP if it has a repeated factor,
-    which for monic p-integral f is exactly when p divides disc(f)."""
-    fp = pmod_reduce(f, p)
-    deriv = _ptrim([i * c % p for i, c in enumerate(fp)][1:])
-    if len(pmod_gcd(fp, deriv, p)) > 1:
-        raise NotSeparableModP(f"polynomial is not separable mod {p}")
-    return fp
-
-
-def _distinct_degree_parts(f: QPoly, p: int) -> list[tuple[int, list[int]]]:
-    """(e, g_e) for each degree e of an irreducible factor of f mod p, with
-    g_e the monic product of those factors, e ascending.  Requires f to be
-    p-integral with p-unit leading coefficient and separable mod p."""
-    fp = pmod_squarefree(f, p)
-    inv = pow(fp[-1], -1, p)
-    work = [c * inv % p for c in fp]
-    out = []
-    x = xq = [0, 1]  # xq is x^(p^e) mod work
-    e = 0
-    while len(work) > 1:
-        e += 1
-        if 2 * e > len(work) - 1:
-            # what is left is a single irreducible factor
-            out.append((len(work) - 1, work))
-            break
-        xq = pmod_pow_mod(xq, p, work, p)
-        g = pmod_gcd(work, pmod_sub(xq, x, p), p)
-        if len(g) > 1:
-            out.append((e, g))
-            work = pmod_divmod(work, g, p)[0]
-    return out
+    """pmod_reduce(f, p) through arith.squarefree_mod_p."""
+    return squarefree_mod_p(pmod_reduce(f, p), p)
 
 
 def ddf_mod_p(f: QPoly, p: int) -> list[tuple[int, int]]:
     """The sorted (degree, count) pairs of the irreducible factors of f mod
-    p, under the requirements of _distinct_degree_parts."""
-    return [(e, (len(g) - 1) // e) for e, g in _distinct_degree_parts(f, p)]
+    p: f p-integral with a p-unit leading coefficient and separable mod p."""
+    return [(e, (len(g) - 1) // e)
+            for e, g in distinct_degree_parts(pmod_squarefree(f, p), p)]
 
 
 def _equal_degree_factors(g: list[int], e: int, p: int) -> list[list[int]]:
@@ -344,7 +192,7 @@ def lifted_factors(model: list[int], p: int, bound: int) -> tuple[int, list[list
     while p ** n <= bound:
         n += 1
     return p ** n, [hensel_lift(model, h, p, n)
-                    for e, g in _distinct_degree_parts(QPoly(model), p)
+                    for e, g in distinct_degree_parts([c % p for c in model], p)
                     for h in _equal_degree_factors(g, e, p)]
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from test_numberfield import SEXTIC_IMAGES, SEXTIC_PHI
-from twistctl import forms, synth
+from twistctl import forms, numberfield, synth
 from twistctl.characters import dirichlet_character
 from twistctl.cli import build_parser, run, _parse_primes
 from twistctl.eigensystem import load_system, serialize
@@ -281,6 +281,14 @@ class TestClassifyCommand:
                 "2": "ramified in the coefficient field"}, name
             verdicts.append(parsed["primes"]["5"])
         assert verdicts[0] == verdicts[1]
+
+    def test_no_frobenius_is_an_error_not_a_ramified_prime(self, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(numberfield, "pmod_pow_mod", lambda *args: [])
+        code, out, err = invoke(capsys, "classify", "--input", VANTOP,
+                                "--primes", "3..20", "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error[FrobeniusNotFound]: no Frobenius found")
 
     def test_text_table_lists_exclusions(self, capsys):
         code, out, _ = invoke(capsys, "classify", "--input", KLEIN,

@@ -485,6 +485,18 @@ class TestProjection:
         assert not report.passed
         assert not report.projection_inverts
 
+    @pytest.mark.parametrize("victim", ["identity", "first", "last"])
+    def test_a_search_missing_one_element_fails(self, monkeypatch, victim):
+        model, cocycle = flip_cocycle(2, 2, 3)
+        found = forms.twisted_fixed_elements(model, cocycle)
+        drop = {"identity": forms.mat_identity(cocycle.context.ring, 3),
+                "first": found[0], "last": found[-1]}[victim]
+        monkeypatch.setattr(forms, "twisted_fixed_elements", lambda *a: tuple(
+            g for g in found if g != drop))
+        report = forms.projection_iso_check(model, cocycle)
+        assert report.lands_in_fixed_subset and not report.homomorphism_ok
+        assert not report.passed
+
 
 # ---------------------------------------------------------------------------
 # classification at good primes

@@ -26,16 +26,11 @@ import sympy
 
 from test_classify_reference import FIELDS as CLASSIFY_FIELDS
 from twistctl import numberfield, synth
-from twistctl.arith import factorize, primes_up_to
+from twistctl.arith import (factorize, pmod_gcd, pmod_pow_mod, pmod_sub,
+                            primes_up_to)
 from twistctl.errors import BadReduction, NotSeparableModP, Ramified
 from twistctl.numberfield import FrobeniusResult, field_make, frobenius_at
-from twistctl.polynomials import (
-    pmod_gcd,
-    pmod_pow_mod,
-    pmod_reduce,
-    pmod_squarefree,
-    pmod_sub,
-)
+from twistctl.polynomials import pmod_reduce, pmod_squarefree
 
 
 def sympy_discriminant(min_poly):

@@ -13,9 +13,11 @@ import http.client
 import io
 import json
 import os
+import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
@@ -287,18 +289,40 @@ class TestCacheMiss:
     def test_sidecar_is_written_before_the_entry_moves_in(
             self, offline, tmp_path, monkeypatch):
         """A process killed at any point leaves no entry without its
-        sidecar: the sidecar exists when os.replace runs."""
+        sidecar: the sidecar exists when the entry is moved into place."""
         self.serve(offline)
         replace, seen = os.replace, []
 
         def checked_replace(src, dst):
-            seen.append((tmp_path / "11.2.a.a.v1.meta.json").exists())
+            seen.append((Path(dst).name,
+                         (tmp_path / "11.2.a.a.v1.meta.json").exists()))
             replace(src, dst)
 
         monkeypatch.setattr(lmfdb.os, "replace", checked_replace)
         lmfdb.fetch_newform("11.2.a.a", cache_dir=tmp_path,
                             allow_network=True)
-        assert seen == [True]
+        assert seen == [("11.2.a.a.v1.meta.json", False),
+                        ("11.2.a.a.v1.json", True)]
+
+    def test_two_fetches_of_one_label_at_once(self, offline, tmp_path,
+                                              monkeypatch):
+        """Each fetch writes through temporary files of its own: with both
+        held at os.replace until both have written, both return the record
+        and no temporary file is left."""
+        self.serve(offline)
+        replace, both = os.replace, threading.Barrier(2, timeout=10)
+
+        def held_replace(src, dst):
+            both.wait()
+            replace(src, dst)
+
+        monkeypatch.setattr(lmfdb.os, "replace", held_replace)
+        with ThreadPoolExecutor(2) as pool:
+            first, second = pool.map(lambda _: lmfdb.fetch_newform(
+                "11.2.a.a", cache_dir=tmp_path, allow_network=True), range(2))
+        assert first == second == cached_record("11.2.a.a")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "11.2.a.a.v1.json", "11.2.a.a.v1.meta.json"]
 
     @pytest.mark.parametrize("mutate, error", [
         (lambda doc: doc["newform"]["data"][0].update(level=11.0),

@@ -17,9 +17,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from test_field_reference import FIELDS
 from twistctl import synth
-from twistctl.arith import divisors, primitive_root
+from twistctl.arith import (divisors, pmod_divmod, pmod_mul, pmod_pow_mod,
+                            primitive_root)
 from twistctl.errors import (BadReduction, NotIrreducible, NotSeparableModP,
-                             SchemaError)
+                             SchemaError, label_from_json)
 from twistctl.numberfield import field_make
 from twistctl.polynomials import (
     QPoly,
@@ -28,10 +29,6 @@ from twistctl.polynomials import (
     certify_irreducible,
     ddf_mod_p,
     hensel_lift,
-    label_from_json,
-    pmod_divmod,
-    pmod_mul,
-    pmod_pow_mod,
     poly_from_strings,
     poly_to_strings,
     rational_from_json,

@@ -69,6 +69,11 @@ from twistctl.arith import (
     divisors,
     factorize,
     is_prime,
+    pmod_divmod,
+    pmod_gcd,
+    pmod_mul,
+    pmod_pow_mod,
+    pmod_sub,
     prime_power,
     primes_up_to,
 )
@@ -97,12 +102,7 @@ from twistctl.polynomials import (
     QPoly,
     certify_irreducible,
     ddf_mod_p,
-    pmod_divmod,
-    pmod_gcd,
-    pmod_mul,
-    pmod_pow_mod,
     pmod_reduce,
-    pmod_sub,
 )
 from twistctl.twists import (
     MIN_PLACES,

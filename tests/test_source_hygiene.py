@@ -16,8 +16,10 @@ the standard library, and pyproject.toml declares none.
 
 Start-up stays light: importing the CLI loads neither dataclasses nor
 inspect, which the NamedTuple records do not need, each command loads
-only the package modules it runs, and an lmfdb command served from the
-cache loads no network module.
+only the package modules it runs, the finite-field oracle loads no
+rational arithmetic (only numberfield, lmfdb and twists import
+polynomials), and an lmfdb command served from the cache loads no network
+module.
 """
 
 import ast
@@ -192,8 +194,7 @@ def test_cli_start_up_loads_no_dataclasses():
 # cocycle never load the number-field stack, detection never loads forms.
 _NUMBER_FIELD_STACK = {"arith", "characters", "cli", "eigensystem", "errors",
                        "numberfield", "polynomials"}
-_FINITE_STACK = {"arith", "cli", "errors", "finitefield", "forms",
-                 "polynomials"}
+_FINITE_STACK = {"arith", "cli", "errors", "finitefield", "forms"}
 _IMAGE_STACK = _NUMBER_FIELD_STACK | {"twists", "forms", "finitefield"}
 _COMMAND_MODULES = {
     "oracle": (["oracle", "--n", "3", "--q", "2", "--m", "2", "--flip"],
@@ -242,6 +243,20 @@ def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
                for m in modules_after(command, tmp_path)
                if m.startswith("twistctl.")}
     assert package == _COMMAND_MODULES[command][1]
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify-cocycle"])
+def test_the_finite_stack_loads_no_rational_arithmetic(command, tmp_path):
+    assert not {"fractions", "decimal", "numbers"} & modules_after(
+        command, tmp_path)
+
+
+def test_only_the_rational_layers_import_polynomials():
+    importers = {path.stem for path in SOURCES
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) and "polynomials" in
+                 [node.module, *(alias.name for alias in node.names)]}
+    assert importers == {"numberfield", "lmfdb", "twists"}
 
 
 def test_cache_hit_loads_no_network_module(tmp_path):
