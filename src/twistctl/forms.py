@@ -25,17 +25,17 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import conductor_bound, prime_power
+from .arith import prime_power
 from .errors import (BudgetExceeded, CocycleViolation, NotInvertible,
                      Ramified, SchemaError, bool_from_json, int_from_json,
                      label_from_json, typed_from_json)
-from .finitefield import FiniteField, finite_field
 
 if TYPE_CHECKING:
-    # The number-field stack is imported where it is used, so that the
-    # finite-field oracle runs without loading it.
+    # Imported where used, so that each command loads only what it runs.
+    from .finitefield import FiniteField
     from .numberfield import NumberField, Subgroup
     from .twists import DetectionResult, TwistGroup
 
@@ -190,6 +190,8 @@ class FiniteModel(NamedTuple):
     budget: int = DEFAULT_BUDGET
 
     def extension(self) -> FiniteField:
+        from .finitefield import finite_field
+
         return finite_field(self.q ** self.m)
 
 
@@ -545,10 +547,10 @@ def classify_place(field: NumberField, group: TwistGroup, p: int,
                    n: int) -> list[PlaceVerdict]:
     """Verdicts for the places of the twist group's fixed field above p.
 
-    The place of the double coset H r <sigma>, of residue degree f, is
-    inner-split exactly when r sigma^f r^-1 (a generator of its
-    decomposition group) lies in the inner subgroup; otherwise the form is
-    the special unitary group of the extension cut out by the inner twists."""
+    They depend on the class of sigma_p alone, read as its least element
+    sigma: the place of the double coset H r <sigma>, of residue degree f,
+    is inner-split exactly when r sigma^f r^-1, a generator of its
+    decomposition group, lies in the inner subgroup, else outer-unitary."""
     from .numberfield import double_cosets, frobenius_at
 
     frob = frobenius_at(field, p)
@@ -585,37 +587,22 @@ class ImageReport(NamedTuple):
     mt_upper_bound_dimension: int # the same formula as predicted_dimension
 
 
-def frobenius_modulus(field: NumberField, top: int) -> int:
-    """M0 = conductor_bound(primes of B = |_bad_reduction|, exponent e of
-    Gal(E/Q)), a multiple of the conductor of the abelian field E.  B is
-    trial-divided up to max(top, [E:Q]) only: a composite rest has no prime
-    factor dividing e, a divisor of [E:Q], and enters M0 as it is."""
-    e, powers = 1, list(range(field.degree))
-    while any(powers):
-        e, powers = e + 1, [field.compose(g, i) for i, g in enumerate(powers)]
-    rest, qs, q = abs(field._bad_reduction), set(), 2
-    while q <= max(top, field.degree) and q * q <= rest:
-        while rest % q == 0:
-            rest, qs = rest // q, qs | {q}
-        q += 1
-    if q * q > rest > 1:
-        qs, rest = qs | {rest}, 1
-    return conductor_bound(qs, e) * rest
-
-
 def image_report(sys, result: DetectionResult, primes) -> ImageReport:
     """Aggregate the detection output and the per-prime form verdicts; a
     requested prime that is a bad place of the data, or where the
     coefficient field ramifies, is excluded with that reason instead.
 
-    The verdicts depend on sigma_p alone, which over an abelian E depends on
-    p mod frobenius_modulus alone (Kronecker-Weber), so they are computed
-    once per class; a prime of B, or any over a non-abelian E, keys as -p.
+    The verdicts depend on the conjugacy class of sigma_p alone, so they
+    are computed once per class: over an abelian E, one class per residue
+    of p mod frobenius_modulus prime to it (Kronecker-Weber), and
+    otherwise the class frobenius_at returns.
 
     The dimension prediction is [F:Q] (n^2 - 1) + 1: the derived group
     contributes one copy of SL_n per embedding of the fixed field, and the
     center one line of scalars.  mt_upper_bound_dimension is this same
     formula, kept as a JSON key; it is not a second bound."""
+    from .numberfield import frobenius_at, frobenius_modulus
+
     n, field, primes = sys.n, sys.field, sorted(primes)
     dim = result.fixed.degree * (n * n - 1) + 1
     m0 = field.is_abelian and frobenius_modulus(field, max(primes, default=0))
@@ -624,8 +611,8 @@ def image_report(sys, result: DetectionResult, primes) -> ImageReport:
         if p in sys.bad_places:
             excluded.append((p, "bad place of the input data"))
             continue
-        key = p % m0 if m0 and field._bad_reduction % p else -p
         try:
+            key = p % m0 if m0 and gcd(p, m0) == 1 else frobenius_at(field, p)
             if key not in seen:
                 seen[key] = tuple(classify_place(field, result.group, p, n))
         except Ramified:

@@ -29,7 +29,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .arith import euler_phi, pmod_gcd, pmod_pow_mod, pmod_sub, primitive_root
+from .arith import (conductor_bound, euler_phi, pmod_gcd, pmod_pow_mod,
+                    pmod_sub, primitive_root)
 from .errors import (
     FrobeniusNotFound,
     NotAnAutomorphism,
@@ -530,36 +531,53 @@ def _product_of_linear(field: NumberField, roots: list[FieldElement]):
 # --------------------------------------------------------------------------
 
 class FrobeniusResult(NamedTuple):
+    """sigma_p's class: its least element, and whether it has two or more."""
     index: int
     ambiguous: bool
 
 
 def frobenius_at(field: NumberField, p: int) -> FrobeniusResult:
-    """The automorphism acting as x -> x^p modulo a prime above p.
+    """The class of the automorphisms acting as x -> x^p mod a prime above p.
 
     Ramified when Phi mod p does not reduce or is not squarefree, read off
     the one integer the field keeps.  Otherwise Z_(p)[alpha] is the maximal
     order at p (Neukirch, ANT I section 8), so every image sigma_i(alpha),
     an algebraic integer over Z_(p), has p-integral coordinates, and
     sigma_i is a Frobenius for the primes of the irreducible factors of
-    gcd(Phi, sigma_i(x) - x^p) mod p, x^p from pmod_pow_mod.  Over an
-    abelian E it is the one image equal to x^p (no gcd), a function of p
-    mod forms.frobenius_modulus; otherwise the least match.  ambiguous:
-    the matches, the Frobenius class, are two or more; never if abelian."""
+    gcd(Phi, sigma_i(x) - x^p) mod p, x^p from pmod_pow_mod: exactly one
+    conjugacy class (ANT I section 9), whose least element is the first
+    match.  An image equal to x^p is the Frobenius at every prime above p,
+    a class of one, and over an abelian E it is found with no gcd."""
     if field._bad_reduction % p == 0:
         raise Ramified(f"prime {p} is ramified for this field")
     phi_p = pmod_reduce(field.min_poly, p)
     xp = pmod_pow_mod([0, 1], p, phi_p, p)
-    diffs = (pmod_sub(img.residues(p), xp, p) for img in field.aut_images)
-    if field.is_abelian:
-        matches = [i for i, diff in enumerate(diffs) if not diff]
-    else:
-        matches = [i for i, diff in enumerate(diffs)
-                   if len(pmod_gcd(phi_p, diff, p)) > 1]
-    if not matches:
-        raise FrobeniusNotFound(
-            f"no Frobenius found at {p}; data inconsistent")
-    return FrobeniusResult(matches[0], len(matches) > 1)
+    diffs = [pmod_sub(img.residues(p), xp, p) for img in field.aut_images]
+    if [] in diffs:
+        return FrobeniusResult(diffs.index([]), False)
+    table = field.composition_table
+    for i, diff in enumerate(diffs):
+        if len(pmod_gcd(phi_p, diff, p)) > 1:
+            return FrobeniusResult(i, table[i] != tuple(r[i] for r in table))
+    raise FrobeniusNotFound(f"no Frobenius found at {p}; data inconsistent")
+
+
+def frobenius_modulus(field: NumberField, top: int) -> int:
+    """M0 = conductor_bound(primes of B = |_bad_reduction|, exponent e of
+    Gal(E/Q)), a multiple of the conductor of the abelian field E.  B is
+    trial-divided to max(top, [E:Q]), and a composite rest, whose primes
+    exceed both, enters M0 as it is: so p <= top divides M0 iff p | B."""
+    e, powers = 1, list(range(field.degree))
+    while any(powers):
+        e, powers = e + 1, [field.compose(g, i) for i, g in enumerate(powers)]
+    rest, qs, q = abs(field._bad_reduction), set(), 2
+    while q <= max(top, field.degree) and q * q <= rest:
+        while rest % q == 0:
+            rest, qs = rest // q, qs | {q}
+        q += 1
+    if q * q > rest > 1:
+        qs, rest = qs | {rest}, 1
+    return conductor_bound(qs, e) * rest
 
 
 def double_cosets(field: NumberField, subgroup: Subgroup,

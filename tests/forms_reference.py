@@ -9,14 +9,15 @@ and inverse are recursive cofactor expansions, the reference for the
 Gaussian elimination in forms.
 
 The image report classifies every prime on its own, the reference for the
-one classify_place call per residue class mod forms.frobenius_modulus in
-forms.image_report.  The place classification decomposes the places above
-p twice: a double coset of the full twist group is inner-split when it
-falls apart into two double cosets of the inner subgroup, the reference
-for the one coset test in forms.classify_place.  A second, independent
-reference reads the same verdicts off the factor degrees of the minimal
-polynomials of the fixed fields F and F_inn mod p (Dedekind-Kummer), with
-no Frobenius, composition table or double coset.
+one classify_place call per Frobenius class in forms.image_report (per
+residue class mod numberfield.frobenius_modulus over an abelian field).
+The place classification decomposes the places above p twice: a double
+coset of the full twist group is inner-split when it falls apart into two
+double cosets of the inner subgroup, the reference for the one coset test
+in forms.classify_place.  A second, independent reference reads the same
+verdicts off the factor degrees of the minimal polynomials of the fixed
+fields F and F_inn mod p (Dedekind-Kummer), with no Frobenius, composition
+table or double coset.
 """
 
 import random

@@ -17,13 +17,14 @@ groups and primes, and on image_report at every prime below 3000 for every
 fixture and synth system after detection.  A prime where either polynomial
 is not squarefree mod p is skipped; each test bounds how many it skips.
 
-image_report, one classify_place call per class of p mod M0 over an
-abelian field, is compared with forms_reference.ref_image_report, one call
-per prime: at every prime below 20000 on every synth field, Q(i) as
-x^2 + 1/4 and as x^2 + 9, Q(zeta_9)^+ and Q(sqrt D) with D a product of
-two primes near 10^12, and below 3000 on the sextic and the octic, which
-never key.  The twist groups are those whose verdicts tell Frobenius
-classes apart.
+image_report, one classify_place call per class of sigma_p (per class of
+p mod M0 over an abelian field), is compared with
+forms_reference.ref_image_report, one call per prime: at every prime below
+20000 on every synth field, Q(i) as x^2 + 1/4 and as x^2 + 9,
+Q(zeta_9)^+ and Q(sqrt D) with D a product of two primes near 10^12, and
+below 3000 on the sextic and the octic, which never key by residue.  The
+twist groups are those whose verdicts tell Frobenius classes apart; a spy
+counts one call per conjugacy class on the sextic and the octic.
 """
 
 import json
@@ -34,7 +35,7 @@ from types import SimpleNamespace
 import pytest
 
 import forms_reference as ref
-from twistctl import forms, synth
+from twistctl import forms, numberfield, synth
 from twistctl.arith import primes_up_to
 from twistctl.characters import trivial_character
 from twistctl.eigensystem import load_system, normalize
@@ -204,7 +205,7 @@ def test_image_reports_match_the_factor_patterns(name):
 
 
 # ---------------------------------------------------------------------------
-# one classify_place call per residue class mod M0
+# one classify_place call per class of sigma_p
 # ---------------------------------------------------------------------------
 
 D = 999999999989 * 1000000000039      # two primes
@@ -240,13 +241,19 @@ def revealing_groups(field):
             == field.degree]
 
 
+def stand_ins(field, group, bad_places=(5, 7)):
+    """Stand-ins for the system and the detection result that image_report
+    reads: n = 3, the field, the bad places, the group and [F:Q]."""
+    return (SimpleNamespace(n=3, field=field, bad_places=bad_places),
+            SimpleNamespace(group=group, fixed=SimpleNamespace(
+                degree=field.degree // group.full_subgroup.order)))
+
+
 def assert_reports_agree(field, primes):
     """image_report against ref_image_report for each revealing group, on
     stand-ins for the system and the detection result."""
     for group in revealing_groups(field):
-        sys_ = SimpleNamespace(n=3, field=field, bad_places=(5, 7))
-        result = SimpleNamespace(group=group, fixed=SimpleNamespace(
-            degree=field.degree // group.full_subgroup.order))
+        sys_, result = stand_ins(field, group)
         got = forms.image_report(sys_, result, primes)
         want = ref.ref_image_report(sys_, result, primes)
         wrong = [p for (p, v), (_, w) in zip(got.places, want.places)
@@ -258,11 +265,11 @@ def assert_reports_agree(field, primes):
 def test_frobenius_modulus_examples():
     # Q(i), Q(zeta_3), the klein model with B = 2^14 3^2 and e = 2, Q(i)
     # again from x^2 + 9 (B = -36), and Q(zeta_9)^+ with e = 3
-    assert forms.frobenius_modulus(synth.gaussian_field(), 100) == 8
-    assert forms.frobenius_modulus(synth.eisenstein_field(), 100) == 3
-    assert forms.frobenius_modulus(synth.biquadratic_field(), 100) == 24
-    assert forms.frobenius_modulus(quadratic(9), 100) == 24
-    assert forms.frobenius_modulus(zeta9_plus(), 100) == 9
+    assert numberfield.frobenius_modulus(synth.gaussian_field(), 100) == 8
+    assert numberfield.frobenius_modulus(synth.eisenstein_field(), 100) == 3
+    assert numberfield.frobenius_modulus(synth.biquadratic_field(), 100) == 24
+    assert numberfield.frobenius_modulus(quadratic(9), 100) == 24
+    assert numberfield.frobenius_modulus(zeta9_plus(), 100) == 9
 
 
 @pytest.mark.parametrize("name", sorted(ABELIAN))
@@ -273,16 +280,36 @@ def test_one_call_per_class_matches_one_per_prime(name):
 
 
 @pytest.mark.parametrize("make", [s3_sextic, d4_octic])
-def test_non_abelian_fields_never_key(make, monkeypatch):
+def test_non_abelian_fields_never_key_by_residue(make, monkeypatch):
     def refuse(*args):
         raise AssertionError("frobenius_modulus over a non-abelian field")
-    monkeypatch.setattr(forms, "frobenius_modulus", refuse)
+    monkeypatch.setattr(numberfield, "frobenius_modulus", refuse)
     assert_reports_agree(make(), primes_up_to(3000))
+
+
+@pytest.mark.parametrize("make,classes", [(s3_sextic, 3), (d4_octic, 5)])
+def test_one_classify_place_call_per_conjugacy_class(make, classes,
+                                                     monkeypatch):
+    calls = []
+    classify_place = forms.classify_place
+
+    def spy(field, group, p, n):
+        calls.append(p)
+        return classify_place(field, group, p, n)
+
+    monkeypatch.setattr(forms, "classify_place", spy)
+    field = make()
+    for group in revealing_groups(field):
+        calls.clear()
+        report = forms.image_report(*stand_ins(field, group),
+                                    primes_up_to(20000)[1:])
+        assert len(calls) == classes, calls
+        assert len(report.places) > 2200
 
 
 def test_a_large_prime_discriminant_is_not_factored():
     """B = 4D, D the product of two primes near 10^12: trial division stops
     at 2000, and D enters M0 whole."""
     field = quadratic(-D)
-    assert forms.frobenius_modulus(field, 2000) % D == 0
+    assert numberfield.frobenius_modulus(field, 2000) % D == 0
     assert_reports_agree(field, primes_up_to(2000)[1:])

@@ -6,22 +6,25 @@ cases below draw documents over every JSON value the package writes, build
 documents whose sub-objects are shared at one depth and at several, and take
 the documents the command line really writes: every command of
 tests/test_golden_cli.py, and classify over the D4 octic of
-tests/test_classify_reference.py, whose verdicts are computed per prime and
-shared by value.  Each text must equal the stdlib's; a float or a type JSON
-has no value for raises TypeError, and a dict whose keys do not sort raises
-what the stdlib raises.
+tests/test_classify_reference.py, whose verdicts are computed once per
+Frobenius class and shared by value.  Each text must equal the stdlib's; a
+float or a type JSON has no value for raises TypeError, and a dict whose
+keys do not sort raises what the stdlib raises.  The classify documents
+over the S3 sextic and the D4 octic also keep the sha256 digests recorded
+when their verdicts were still computed once per prime.
 """
 
 import contextlib
+import hashlib
 import io
 import json
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import test_golden_cli as golden_cli
-from test_classify_reference import d4_octic, revealing_groups
+from test_classify_reference import (d4_octic, revealing_groups, s3_sextic,
+                                     stand_ins)
 from twistctl import cli, forms, synth
 from twistctl.arith import primes_up_to
 from twistctl.eigensystem import normalize
@@ -149,22 +152,63 @@ def test_every_golden_command_document(name, golden_inputs, monkeypatch):
         assert dumps(doc) == reference(doc)
 
 
-def test_classify_over_the_d4_octic():
-    """Over the non-abelian octic the verdicts are computed per prime; the
-    document shares one list per distinct verdict tuple and is written as
-    the stdlib writes it.  The detection part is vantop's, which
-    report_to_json needs as a DetectionResult."""
-    vantop = normalize(synth.vantop_system(60, seed=1))
-    detection = detect(vantop, 60)
+@pytest.fixture(scope="module")
+def vantop_detection():
+    return detect(normalize(synth.vantop_system(60, seed=1)), 60)
+
+
+def classify_doc(field, group, primes, detection):
+    """The classify document over the field for the twist group, on
+    stand-ins for the system and the detection result; the detection part
+    is vantop's, which report_to_json needs as a DetectionResult."""
+    report = forms.image_report(*stand_ins(field, group, ()), primes)
+    doc = forms.report_to_json(report._replace(detection=detection))
+    return report, {"command": "classify", **doc}
+
+
+def test_classify_over_the_d4_octic(vantop_detection):
+    """Over the non-abelian octic the verdicts are computed once per
+    Frobenius class; the document shares one list per distinct verdict
+    tuple and is written as the stdlib writes it."""
     field, primes = d4_octic(), primes_up_to(2000)[2:]
     for group in revealing_groups(field):
-        sys_ = SimpleNamespace(n=3, field=field, bad_places=())
-        result = SimpleNamespace(group=group, fixed=SimpleNamespace(
-            degree=field.degree // group.full_subgroup.order))
-        report = forms.image_report(sys_, result, primes)
-        doc = forms.report_to_json(report._replace(detection=detection))
+        report, doc = classify_doc(field, group, primes, vantop_detection)
         distinct = {verdicts for _, verdicts in report.places}
         assert len({id(v) for v in doc["primes"].values()}) == len(distinct)
         assert len(distinct) < len(report.places)
-        text = cli._dumps({"command": "classify", **doc})
-        assert text == reference({"command": "classify", **doc})
+        assert cli._dumps(doc) == reference(doc)
+
+
+# sha256 of the classify text over primes 3..2000 for each revealing group,
+# keyed by (full subgroup, inner subgroup), recorded from the per-prime
+# image_report
+CLASSIFY_DIGESTS = {
+    "s3_sextic": {
+        ((0,), (0,)):
+        "81330d92f2a5b432041865e4f3ef3b89d12ee2e316cce6b1f5dc5226f1373769",
+        ((0, 1, 2, 3, 4, 5), (0, 1, 2)):
+        "a2a466646495f21d6c10f69ceca2bed4a0a54e8b1fafb2fb330863ae058882a4",
+    },
+    "d4_octic": {
+        ((0,), (0,)):
+        "93dbd93f428d373afff7ebe774bf3f485f3da4681b2907b247cf9e9a5a21f634",
+        ((0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3)):
+        "eaaeb5da4be5beb9fcabd459077ed61c7b45bc020d94965911a2644c4fb947d8",
+        ((0, 1, 2, 3, 4, 5, 6, 7), (0, 2, 4, 6)):
+        "63496d499a9b8663ad7267105f587beaaaf81f4a3132d65153868f3f22422128",
+        ((0, 1, 2, 3, 4, 5, 6, 7), (0, 2, 5, 7)):
+        "f6f37b771f63e2581949f17593425ffbba83b72fd852e618b9318efd525e6f06",
+    },
+}
+
+
+@pytest.mark.parametrize("make", [s3_sextic, d4_octic],
+                         ids=lambda make: make.__name__)
+def test_classify_digests_over_the_non_abelian_fields(make, vantop_detection):
+    field, digests = make(), {}
+    for group in revealing_groups(field):
+        _, doc = classify_doc(field, group, primes_up_to(2000)[1:],
+                              vantop_detection)
+        digests[tuple(group.full_subgroup), tuple(group.inner_subgroup)] = \
+            hashlib.sha256(cli._dumps(doc).encode()).hexdigest()
+    assert digests == CLASSIFY_DIGESTS[make.__name__]

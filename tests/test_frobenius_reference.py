@@ -2,8 +2,10 @@
 
 frobenius_at decides ramification from one integer the field keeps: p
 divides disc(Phi) or its denominator, or Phi is not p-integral.  It then
-computes x^p once on integer lists and, over an abelian field, takes the one
-image equal to x^p.  Both references also test the automorphism-image
+computes x^p once on integer lists and returns the class of sigma_p: the
+image equal to x^p when there is one, as always over an abelian field, and
+otherwise the first image whose gcd with Phi mod p is not trivial, with
+no further gcd.  Both references also test the automorphism-image
 denominators, and a test below checks that their primes are among those.
 
 * reference_frobenius tests the discriminant of Phi computed by sympy and
@@ -11,11 +13,17 @@ denominators, and a test below checks that their primes are among those.
   BadReduction, while frobenius_at reports the prime as ramified.
 * gcd_frobenius is the earlier frobenius_at, kept as it was: Phi mod p
   checked squarefree by a gcd with its derivative, x^p from the generic
-  pmod_pow_mod, and one gcd of Phi with sigma_i(x) - x^p per automorphism.
-  It is compared at every prime below 5000, result or exception type, on
-  every synth field, on x^2 + 1/4, x^2 + 1/9 and x^2 + 9, on the klein model
-  x^4 - 2x^2 + 9 whose images have denominator 3, and on the non-abelian
-  S3 sextic and D4 octic of test_classify_reference.
+  pmod_pow_mod, and one gcd of Phi with sigma_i(x) - x^p per automorphism,
+  collecting every match, the whole class.  It is compared, result or
+  exception type, at every prime below 5000 on every synth field, on
+  x^2 + 1/4, x^2 + 1/9 and x^2 + 9 and on the klein model x^4 - 2x^2 + 9
+  whose images have denominator 3, and below 20000 on the non-abelian S3
+  sextic and D4 octic of test_classify_reference, whose classes have more
+  than one element; a spy counts the gcds there.
+
+numberfield.frobenius_modulus, the M0 by which image_report keys primes
+over an abelian field, is checked to have, among the primes up to its
+bound, exactly the prime factors of the integer frobenius_at reads.
 """
 
 from fractions import Fraction
@@ -24,12 +32,13 @@ from math import lcm
 import pytest
 import sympy
 
-from test_classify_reference import FIELDS as CLASSIFY_FIELDS
+from test_classify_reference import D, FIELDS as CLASSIFY_FIELDS
 from twistctl import numberfield, synth
 from twistctl.arith import (factorize, pmod_gcd, pmod_pow_mod, pmod_sub,
                             primes_up_to)
 from twistctl.errors import BadReduction, NotSeparableModP, Ramified
-from twistctl.numberfield import FrobeniusResult, field_make, frobenius_at
+from twistctl.numberfield import (FrobeniusResult, field_make, frobenius_at,
+                                  frobenius_modulus)
 from twistctl.polynomials import pmod_reduce, pmod_squarefree
 
 
@@ -145,13 +154,34 @@ def test_reduction_rule_matches_the_discriminant_rule():
     assert changed == {("x^2+1/4", 2)}
 
 
+NON_ABELIAN = ("s3_sextic", "d4_octic")
+
+
 @pytest.mark.parametrize("name", sorted(GCD_FIELDS))
 def test_integer_power_matches_the_gcd_search(name):
     field = GCD_FIELDS[name]()
-    for p in primes_up_to(4999):
+    for p in primes_up_to(19999 if name in NON_ABELIAN else 4999):
         assert outcome(frobenius_at, field, p) == \
             outcome(gcd_frobenius, field, p), p
 
+
+@pytest.mark.parametrize("name", NON_ABELIAN)
+def test_the_search_stops_at_the_first_match(name, monkeypatch):
+    calls = []
+
+    def gcd(*args):
+        calls.append(args)
+        return pmod_gcd(*args)
+
+    monkeypatch.setattr(numberfield, "pmod_gcd", gcd)
+    field, searched = GCD_FIELDS[name](), 0
+    for p in primes_up_to(19999):
+        calls.clear()
+        result = outcome(frobenius_at, field, p)
+        if isinstance(result, FrobeniusResult):
+            assert len(calls) <= result.index + 1, p
+            searched += bool(calls)
+    assert searched > 1000
 
 
 def test_an_abelian_field_needs_no_gcd(monkeypatch):
@@ -163,6 +193,17 @@ def test_an_abelian_field_needs_no_gcd(monkeypatch):
         field = make()
         for p in primes_up_to(500):
             outcome(frobenius_at, field, p)
+
+
+@pytest.mark.parametrize("name", sorted(GCD_FIELDS) + ["sqrt_D"])
+def test_the_modulus_has_the_bad_reduction_primes_up_to_its_bound(name):
+    """frobenius_modulus trial-divides B only up to its bound and keeps the
+    rest whole, yet below the bound p | M0 exactly when p | B."""
+    field = quadratic(-D)() if name == "sqrt_D" else GCD_FIELDS[name]()
+    for top in (100, 2000):
+        m0 = frobenius_modulus(field, top)
+        for p in primes_up_to(top):
+            assert (m0 % p == 0) == (field._bad_reduction % p == 0), (top, p)
 
 
 @pytest.mark.parametrize("name", sorted(set(FIELDS) | set(GCD_FIELDS)))

@@ -10,6 +10,8 @@ function, nested code included.
 
 No module passes indent= to json.dumps: cli._dumps is the one indented
 writer, and the stdlib's stays in tests/test_dumps.py as its reference.
+No module but numberfield reads a field's _bad_reduction: which primes
+are ramified, and which share a Frobenius class, is decided there.
 
 The package has no runtime dependency: every import names the package or
 the standard library, and pyproject.toml declares none.
@@ -180,6 +182,25 @@ def test_the_check_sees_an_indented_dumps():
     assert indented_dumps(tree) == [3, 4]
 
 
+def attribute_uses(tree, attr):
+    """The sorted lines that name the attribute attr of anything."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_numberfield_reads_the_bad_reduction_integer(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    if path.stem != "numberfield":
+        assert not attribute_uses(tree, "_bad_reduction"), path.name
+
+
+def test_the_check_sees_a_bad_reduction_read():
+    tree = ast.parse("b = field._bad_reduction % p\n"
+                     "c = f(x)._bad_reduction\nd = bad_reduction\n")
+    assert attribute_uses(tree, "_bad_reduction") == [1, 2]
+
+
 def test_cli_start_up_loads_no_dataclasses():
     probe = ("import sys, twistctl.cli, twistctl.synth\n"
              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
@@ -195,7 +216,7 @@ def test_cli_start_up_loads_no_dataclasses():
 _NUMBER_FIELD_STACK = {"arith", "characters", "cli", "eigensystem", "errors",
                        "numberfield", "polynomials"}
 _FINITE_STACK = {"arith", "cli", "errors", "finitefield", "forms"}
-_IMAGE_STACK = _NUMBER_FIELD_STACK | {"twists", "forms", "finitefield"}
+_IMAGE_STACK = _NUMBER_FIELD_STACK | {"twists", "forms"}
 _COMMAND_MODULES = {
     "oracle": (["oracle", "--n", "3", "--q", "2", "--m", "2", "--flip"],
                _FINITE_STACK),
