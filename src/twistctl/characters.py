@@ -34,7 +34,8 @@ from .errors import (
     int_from_json,
     label_from_json,
 )
-from .numberfield import FieldElement, NumberField, element_from_json, unit_roots
+from .numberfield import (FieldElement, NumberField, element_from_json,
+                          element_to_json, unit_roots)
 # ---------------------------------------------------------------------------
 # unit group structure
 # ---------------------------------------------------------------------------
@@ -363,24 +364,21 @@ def char_fit(exponents: dict, N: int, order_bound: int,
 # ---------------------------------------------------------------------------
 
 def char_to_json(chi: Character) -> dict:
+    powers = unit_roots(chi.field).powers
     if chi.kind == "dirichlet":
         gens = unit_group_structure(chi.modulus)
         return {
             "kind": "dirichlet",
             "modulus": chi.modulus,
             "values_on_generators": {
-                str(g): _coords_json(chi.field, chi.exps[g]) for g, _ in gens
+                str(g): element_to_json(powers[chi.exps[g]]) for g, _ in gens
             },
         }
     return {
         "kind": "table",
-        "values": {str(p): _coords_json(chi.field, k)
+        "values": {str(p): element_to_json(powers[k])
                    for p, k in sorted(chi.exps.items(), key=lambda kv: str(kv[0]))},
     }
-
-
-def _coords_json(field: NumberField, k: int) -> list[str]:
-    return [str(c) for c in unit_roots(field).powers[k].coords]
 
 
 def char_from_json(field: NumberField, doc: dict) -> Character:

@@ -28,7 +28,7 @@ import sys as _sys
 from pathlib import Path
 
 from .arith import is_prime, primes_up_to
-from .errors import InsufficientData, TwistctlError, typed_from_json
+from .errors import InsufficientData, TwistctlError
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +343,14 @@ def _cmd_oracle(ns) -> int:
 
 
 def _cmd_normalize(ns) -> int:
-    from .eigensystem import (_parse_place_label, load_system, normalize,
+    from .eigensystem import (load_system, normalize, scalings_from_json,
                               serialize)
-    from .numberfield import element_from_json
 
     sys_ = load_system(json.loads(Path(ns.input).read_text()))
     scalings = None
     if ns.scalings:
-        raw = json.loads(Path(ns.scalings).read_text())
-        scalings = {
-            _parse_place_label(key, sys_.base_field_label):
-                element_from_json(sys_.field, coords)
-            for key, coords in typed_from_json(raw, dict, "scalings").items()}
+        scalings = scalings_from_json(
+            sys_, json.loads(Path(ns.scalings).read_text()))
     doc = serialize(normalize(sys_, scalings))
     payload = _dumps(doc)
     if ns.output:

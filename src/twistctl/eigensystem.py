@@ -3,10 +3,11 @@
 An EigenSystem carries, for each good place, the coefficients (a_v, and b_v
 when n = 3) of the degree-n characteristic polynomial, together with the
 central-character data (m, omega) needed to trivialize the determinant.
-A NormalizedSystem is the determinant-1 version: the polynomial at every
-place is X^n - a X^(n-1) + ... + (-1)^(n-1) b X + (-1)^n.  normalize
-brings data there by one scaling c_v per place, c_v^n = norm^m omega(v):
-given, or norm^(m/n) when omega is trivial.
+A system is normalized, of determinant 1, exactly when m is None: the
+polynomial at every place is X^n - a X^(n-1) + ... + (-1)^(n-1) b X + (-1)^n.
+normalize brings data there by one scaling c_v per place, c_v^n = norm^m
+omega(v): given (scalings_from_json reads them from a document), or
+norm^(m/n) when omega is trivial.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     typed_from_json,
 )
 from .numberfield import (FieldElement, NumberField, element_from_json,
-                          field_from_json, field_to_json)
+                          element_to_json, field_from_json, field_to_json)
 
 
 class PlaceData(NamedTuple):
@@ -50,23 +51,14 @@ class EigenSystem(NamedTuple):
 
     @property
     def is_normalized(self) -> bool:
-        return False
+        """Determinant-1 data, the state normalize brings a system to."""
+        return self.m is None
 
     def places(self, bound: int | None = None) -> list:
         """Good places present in the data, sorted, optionally norm-capped."""
         out = [v for v, pd in self.coeffs.items()
                if bound is None or pd.norm <= bound]
         return sorted(out, key=_place_order)
-
-
-class NormalizedSystem(EigenSystem):
-    """Determinant-1 coefficient data: constant term (-1)^n at every place."""
-
-    __slots__ = ()
-
-    @property
-    def is_normalized(self) -> bool:
-        return True
 
 
 def _place_order(v) -> tuple:
@@ -109,9 +101,8 @@ def load_system(doc: dict) -> EigenSystem:
 
     cc = doc["central_character"]
     if cc == "normalized":
-        normalized, m, omega = True, None, None
+        m, omega = None, None
     elif isinstance(cc, dict) and "m" in cc and "omega" in cc:
-        normalized = False
         m = int_from_json(cc["m"], "central character exponent m")
         omega = None if cc["omega"] == "trivial" else char_from_json(field, cc["omega"])
     else:
@@ -154,9 +145,16 @@ def load_system(doc: dict) -> EigenSystem:
             b = None
         coeffs[place] = PlaceData(norm, a, b)
 
-    cls = NormalizedSystem if normalized else EigenSystem
-    return cls(n=n, field=field, base_field_label=base, m=m, omega=omega,
-               bad_places=bad, coeffs=coeffs)
+    return EigenSystem(n=n, field=field, base_field_label=base, m=m,
+                       omega=omega, bad_places=bad, coeffs=coeffs)
+
+
+def scalings_from_json(sys: EigenSystem, doc) -> dict:
+    """normalize's scalings map from a document: place labels of the system's
+    base field to coordinate lists of its coefficient field."""
+    return {_parse_place_label(key, sys.base_field_label):
+            element_from_json(sys.field, coords)
+            for key, coords in typed_from_json(doc, dict, "scalings").items()}
 
 
 def serialize(sys: EigenSystem) -> dict:
@@ -169,9 +167,9 @@ def serialize(sys: EigenSystem) -> dict:
     coeffs = {}
     for place in sys.places():
         pd = sys.coeffs[place]
-        entry = {"norm": pd.norm, "a": [str(c) for c in pd.a.coords]}
+        entry = {"norm": pd.norm, "a": element_to_json(pd.a)}
         if pd.b is not None:
-            entry["b"] = [str(c) for c in pd.b.coords]
+            entry["b"] = element_to_json(pd.b)
         coeffs[str(place)] = entry
     return {
         "n": sys.n,
@@ -183,7 +181,7 @@ def serialize(sys: EigenSystem) -> dict:
     }
 
 
-def normalize(sys: EigenSystem, scalings: dict | None = None) -> NormalizedSystem:
+def normalize(sys: EigenSystem, scalings: dict | None = None) -> EigenSystem:
     """Rescale roots so the characteristic polynomials have determinant 1.
 
     Takes a scalings map place -> c_v, where each c_v must satisfy c_v^n =
@@ -191,7 +189,7 @@ def normalize(sys: EigenSystem, scalings: dict | None = None) -> NormalizedSyste
     a_v / c_v and b_v / c_v^2 are stored.  Without one, omega must be
     trivial and n | m, and the scalings are c_v = norm^(m/n).
     """
-    if isinstance(sys, NormalizedSystem):
+    if sys.is_normalized:
         return sys
     if scalings is None:
         if sys.omega is not None and not sys.omega.is_trivial():
@@ -219,7 +217,4 @@ def normalize(sys: EigenSystem, scalings: dict | None = None) -> NormalizedSyste
         a = pd.a / c
         b = None if pd.b is None else pd.b / (c * c)
         new[v] = PlaceData(pd.norm, a, b)
-    return NormalizedSystem(n=sys.n, field=sys.field,
-                            base_field_label=sys.base_field_label,
-                            m=None, omega=None, bad_places=sys.bad_places,
-                            coeffs=new)
+    return sys._replace(m=None, omega=None, coeffs=new)

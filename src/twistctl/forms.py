@@ -659,10 +659,10 @@ def cocycle_to_json(cocycle: Cocycle) -> dict:
         doc["model"] = {"q": ctx.model.q, "m": ctx.model.m, "n": ctx.model.n}
         cell = lambda x: x
     else:
-        from .numberfield import field_to_json
+        from .numberfield import element_to_json, field_to_json
         doc["field"] = field_to_json(ctx.field)
         doc["subgroup"] = sorted(ctx.elements)
-        cell = lambda x: [str(c) for c in x.coords]
+        cell = element_to_json
     doc["assignments"] = {
         str(e): {"alpha": [[cell(x) for x in row] for row in alpha],
                  "flip": flip}

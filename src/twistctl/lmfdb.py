@@ -42,7 +42,7 @@ from .errors import (
     int_from_json,
     typed_from_json,
 )
-from .numberfield import field_make, unit_roots
+from .numberfield import field_make, first_primitive, unit_roots
 from .polynomials import QPoly, poly_from_strings, rational_from_json
 from .twists import DetectionResult
 
@@ -262,11 +262,8 @@ def _character_from_values(field, char_values) -> Character | None:
         raise SchemaDrift(
             f"nebentypus values require a root of unity of order "
             f"{value_order}, which the Hecke field lacks", body=char_values)
-    # the record's root of unity is zeta^t, the primitive value_order-th
-    # root of unity that comes first by coordinates
-    step = mu.order // value_order
-    t = min((j * step for j in range(1, value_order) if gcd(j, value_order) == 1),
-            key=lambda k: mu.powers[k].coords)
+    # the record's root of unity is the first primitive one of its order
+    t = first_primitive(mu.powers, value_order)
     table = residue_table(modulus, [(g, e * t) for g, e in zip(gens, exps)],
                           mu.order)
     if table is None:
@@ -356,32 +353,25 @@ def compare_inner_twists(result: DetectionResult | None, record: NewformRecord,
     recorded = tuple(
         (lab, order, int(lab.split(".")[0]), proved)
         for lab, order, proved in record.recorded_inner_twists)
-    if result is None:
-        return TwistComparison(
-            label=record.label, bound=bound, detected=(), recorded=recorded,
-            counts_agree=not recorded, orders_agree=not recorded,
-            conductors_agree=not recorded,
-            proved_unmatched=tuple(r for r in recorded if r[3]),
-            bound_insufficient=True, verdict="bound-insufficient")
-
     rows = []
-    for t in result.group.twists:
-        if t.aut_index == 0 and t.character.is_trivial():
-            continue
-        rows.append((t.aut_index, t.character.order(),
-                     t.character.conductor()))
-    verdict = result.verdict
-    if verdict.kind == "self-twist" and verdict.witness is not None:
-        rows.append((0, verdict.witness.order(),
-                     verdict.witness.conductor()))
+    if result is not None:
+        for t in result.group.twists:
+            if t.aut_index == 0 and t.character.is_trivial():
+                continue
+            rows.append((t.aut_index, t.character.order(),
+                         t.character.conductor()))
+        verdict = result.verdict
+        if verdict.kind == "self-twist" and verdict.witness is not None:
+            rows.append((0, verdict.witness.order(),
+                         verdict.witness.conductor()))
     detected = tuple(sorted(rows))
 
     counts = len(detected) == len(recorded)
     orders = sorted(d[1] for d in detected) == sorted(r[1] for r in recorded)
     conductors = sorted(d[2] for d in detected) \
         == sorted(r[2] for r in recorded)
-    insufficient = len(detected) < len(recorded)
-    if counts and orders and conductors:
+    insufficient = result is None or len(detected) < len(recorded)
+    if counts and orders and conductors and not insufficient:
         outcome = "agree"
     elif insufficient:
         outcome = "bound-insufficient"

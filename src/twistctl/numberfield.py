@@ -638,16 +638,21 @@ def roots_of_unity(field: NumberField) -> list[FieldElement]:
     powers = [one]
     while (x := powers[-1] * zeta) != one:
         powers.append(x)
-    # the generator is the primitive power first by coordinates, zeta^j;
-    # its powers are those of zeta reindexed, and sigma_i(zeta^j) =
-    # (zeta^j)^c_i as for zeta
+    # the generator is zeta^j, the first primitive power; its powers are
+    # those of zeta reindexed, and sigma_i(zeta^j) = (zeta^j)^c_i as for zeta
     w = len(powers)
-    j = min((j for j in range(w) if gcd(j, w) == 1),
-            key=lambda j: powers[j].coords)
+    j = first_primitive(powers, w)
     gen_powers = tuple(powers[j * k % w] for k in range(w))
     field._unit_roots = UnitRoots(
         w, gen_powers, {z.key: k for k, z in enumerate(gen_powers)}, mult)
     return sorted(powers, key=lambda z: z.coords)
+
+
+def first_primitive(powers, k: int) -> int:
+    """The e with powers[e] the first primitive k-th root of unity by
+    coordinates, powers[j] = zeta^j for a zeta of order divisible by k."""
+    return min((j * (len(powers) // k) for j in range(k) if gcd(j, k) == 1),
+               key=lambda e: powers[e].coords)
 
 
 def _root_of_largest_order(field: NumberField, orders):
@@ -769,7 +774,7 @@ def unit_roots(field: NumberField) -> UnitRoots:
 def field_to_json(field: NumberField) -> dict:
     return {
         "min_poly": poly_to_strings(field.min_poly),
-        "aut_images": [[str(c) for c in img.coords] for img in field.aut_images],
+        "aut_images": [element_to_json(img) for img in field.aut_images],
     }
 
 
@@ -789,3 +794,8 @@ def aut_images_from_json(images) -> list[list[Fraction]]:
 def element_from_json(field: NumberField, coords) -> FieldElement:
     """The element with these document coordinates (see rational_from_json)."""
     return field.element([rational_from_json(c) for c in coords])
+
+
+def element_to_json(x: FieldElement) -> list[str]:
+    """The element's document coordinates, read back by element_from_json."""
+    return [str(c) for c in x.coords]

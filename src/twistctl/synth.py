@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from .arith import primes_up_to
-from .eigensystem import EigenSystem, NormalizedSystem, PlaceData
+from .eigensystem import EigenSystem, PlaceData
 from .numberfield import NumberField, field_make
 
 
@@ -123,7 +123,7 @@ def vantop_system(bound: int = 100, seed: int = 1) -> EigenSystem:
                        bad_places=(2,), coeffs=coeffs)
 
 
-def generic_system(bound: int = 100, seed: int = 2) -> NormalizedSystem:
+def generic_system(bound: int = 100, seed: int = 2) -> EigenSystem:
     """Normalized rank-3 data over Q(i) with no extra twists at all: at every
     place the ratios conj(a)/a, a/b and conj(a)/b all avoid roots of unity."""
     field = gaussian_field()
@@ -138,11 +138,11 @@ def generic_system(bound: int = 100, seed: int = 2) -> NormalizedSystem:
             if all(a != z * b and conj_a != z * b for z in mu):
                 break
         coeffs[p] = PlaceData(p, a, b)
-    return NormalizedSystem(n=3, field=field, base_field_label="Q", m=None,
-                            omega=None, bad_places=(2,), coeffs=coeffs)
+    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
+                       omega=None, bad_places=(2,), coeffs=coeffs)
 
 
-def rational_inner_system(bound: int = 100, seed: int = 3) -> NormalizedSystem:
+def rational_inner_system(bound: int = 100, seed: int = 3) -> EigenSystem:
     """Normalized rank-3 data over Q(sqrt 2) whose coefficients are rational:
     both automorphisms carry inner twists with trivial character and there is
     no outer twist (a/b avoids +-1 everywhere)."""
@@ -155,11 +155,11 @@ def rational_inner_system(bound: int = 100, seed: int = 3) -> NormalizedSystem:
             if abs(x) != abs(y):
                 break
         coeffs[p] = PlaceData(p, field.from_rational(x), field.from_rational(y))
-    return NormalizedSystem(n=3, field=field, base_field_label="Q", m=None,
-                            omega=None, bad_places=(2,), coeffs=coeffs)
+    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
+                       omega=None, bad_places=(2,), coeffs=coeffs)
 
 
-def klein_system(bound: int = 100, seed: int = 4) -> NormalizedSystem:
+def klein_system(bound: int = 100, seed: int = 4) -> EigenSystem:
     """Normalized rank-3 data over Q(sqrt 2, i) with a_v generic in Q(sqrt 2)
     and b_v its conjugate.  The twist group is the full Klein four-group:
     fixing i gives an inner twist, negating sqrt 2 gives outer ones, all with
@@ -173,8 +173,8 @@ def klein_system(bound: int = 100, seed: int = 4) -> NormalizedSystem:
         a = field.from_rational(x) + r2 * y
         b = field.apply_aut(1, a)
         coeffs[p] = PlaceData(p, a, b)
-    return NormalizedSystem(n=3, field=field, base_field_label="Q", m=None,
-                            omega=None, bad_places=(2, 3), coeffs=coeffs)
+    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
+                       omega=None, bad_places=(2, 3), coeffs=coeffs)
 
 
 def chi4_system(bound: int = 100, seed: int = 5) -> EigenSystem:
@@ -196,7 +196,7 @@ def chi4_system(bound: int = 100, seed: int = 5) -> EigenSystem:
 _CUBE_CLASS_MOD_7 = {1: 0, 3: 1, 2: 2, 6: 0, 4: 1, 5: 2}   # discrete log mod 3
 
 
-def cubic_twist_system(bound: int = 100, seed: int = 6) -> NormalizedSystem:
+def cubic_twist_system(bound: int = 100, seed: int = 6) -> EigenSystem:
     """Normalized rank-3 data over Q(zeta_3) planting the cubic character
     mod 7 on conjugation: a_v = zeta^k(v) c_v and b_v = zeta^-k(v) d_v with
     c, d rational and k(v) the cube class of v mod 7.  Conjugation then
@@ -214,11 +214,11 @@ def cubic_twist_system(bound: int = 100, seed: int = 6) -> NormalizedSystem:
         a = zeta ** k * c
         b = zeta ** (3 - k if k else 0) * d
         coeffs[p] = PlaceData(p, a, b)
-    return NormalizedSystem(n=3, field=field, base_field_label="Q", m=None,
-                            omega=None, bad_places=(3, 7), coeffs=coeffs)
+    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
+                       omega=None, bad_places=(3, 7), coeffs=coeffs)
 
 
-def selfdual_system(bound: int = 100, seed: int = 7) -> NormalizedSystem:
+def selfdual_system(bound: int = 100, seed: int = 7) -> EigenSystem:
     """Normalized rank-3 data over Q(i) with b_v = a_v: the system equals its
     own dual on the nose, so the verdict is essentially-self-dual with a
     trivial witness."""
@@ -228,11 +228,11 @@ def selfdual_system(bound: int = 100, seed: int = 7) -> NormalizedSystem:
     for p in primes_up_to(bound, exclude=(2,)):
         a = _generic_gaussian(rng, field)
         coeffs[p] = PlaceData(p, a, a)
-    return NormalizedSystem(n=3, field=field, base_field_label="Q", m=None,
-                            omega=None, bad_places=(2,), coeffs=coeffs)
+    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
+                       omega=None, bad_places=(2,), coeffs=coeffs)
 
 
-def cubic_klein_system(bound: int = 100, seed: int = 9) -> NormalizedSystem:
+def cubic_klein_system(bound: int = 100, seed: int = 9) -> EigenSystem:
     """Normalized rank-3 data over Q(zeta_3, sqrt 2) whose twist group is the
     Klein four-group with characters of exact order 3.
 
@@ -254,11 +254,11 @@ def cubic_klein_system(bound: int = 100, seed: int = 9) -> NormalizedSystem:
         a = zeta ** k * u
         b = zeta ** (3 - k if k else 0) * field.apply_aut(2, u)
         coeffs[p] = PlaceData(p, a, b)
-    return NormalizedSystem(n=3, field=field, base_field_label="Q", m=None,
-                            omega=None, bad_places=(2, 3, 7), coeffs=coeffs)
+    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
+                       omega=None, bad_places=(2, 3, 7), coeffs=coeffs)
 
 
-def drifting_coefficient_system(bound: int = 100, seed: int = 10) -> NormalizedSystem:
+def drifting_coefficient_system(bound: int = 100, seed: int = 10) -> EigenSystem:
     """Normalized rank-3 data over Q(i) with rational a_v but generic Gaussian
     b_v: conjugation fixes every a_v yet fails the b relation, so it carries
     no twist and the a-stabilizer strictly contains the detected inner
@@ -271,11 +271,11 @@ def drifting_coefficient_system(bound: int = 100, seed: int = 10) -> NormalizedS
         a = field.from_rational(_nonzero(rng))
         b = _generic_gaussian(rng, field)
         coeffs[p] = PlaceData(p, a, b)
-    return NormalizedSystem(n=3, field=field, base_field_label="Q", m=None,
-                            omega=None, bad_places=(2,), coeffs=coeffs)
+    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
+                       omega=None, bad_places=(2,), coeffs=coeffs)
 
 
-def rational_rank2_system(bound: int = 100, seed: int = 11) -> NormalizedSystem:
+def rational_rank2_system(bound: int = 100, seed: int = 11) -> EigenSystem:
     """Normalized rank-2 data with rational coefficients: E = Q has no
     automorphisms besides the identity, so the twist group is forced trivial
     and every fixed field is Q itself."""
@@ -284,11 +284,11 @@ def rational_rank2_system(bound: int = 100, seed: int = 11) -> NormalizedSystem:
     coeffs = {}
     for p in primes_up_to(bound, exclude=(2,)):
         coeffs[p] = PlaceData(p, field.from_rational(_nonzero(rng)), None)
-    return NormalizedSystem(n=2, field=field, base_field_label="Q", m=None,
-                            omega=None, bad_places=(2,), coeffs=coeffs)
+    return EigenSystem(n=2, field=field, base_field_label="Q", m=None,
+                       omega=None, bad_places=(2,), coeffs=coeffs)
 
 
-def quadratic_rank2_system(bound: int = 100, seed: int = 12) -> NormalizedSystem:
+def quadratic_rank2_system(bound: int = 100, seed: int = 12) -> EigenSystem:
     """Normalized rank-2 data over Q(sqrt 5) with both coordinates nonzero at
     every place, so conjugation never lands on +-a_v and the twist group is
     trivial: the fixed field stays the full quadratic field."""
@@ -298,11 +298,11 @@ def quadratic_rank2_system(bound: int = 100, seed: int = 12) -> NormalizedSystem
     for p in primes_up_to(bound, exclude=(2, 5)):
         a = field.element([_nonzero(rng), _nonzero(rng)])
         coeffs[p] = PlaceData(p, a, None)
-    return NormalizedSystem(n=2, field=field, base_field_label="Q", m=None,
-                            omega=None, bad_places=(2, 5), coeffs=coeffs)
+    return EigenSystem(n=2, field=field, base_field_label="Q", m=None,
+                       omega=None, bad_places=(2, 5), coeffs=coeffs)
 
 
-def cm_system(bound: int = 200, seed: int = 8) -> NormalizedSystem:
+def cm_system(bound: int = 200, seed: int = 8) -> EigenSystem:
     """Normalized rank-3 data over Q(zeta_3) that vanishes off the kernel of
     the cubic character mod 7 and is rational on it: the vanishing pattern
     witnesses a nontrivial self-twist.  Only a third of the places carry
@@ -318,5 +318,5 @@ def cm_system(bound: int = 200, seed: int = 8) -> NormalizedSystem:
         else:
             a, b = zero, zero
         coeffs[p] = PlaceData(p, a, b)
-    return NormalizedSystem(n=3, field=field, base_field_label="Q", m=None,
-                            omega=None, bad_places=(3, 7), coeffs=coeffs)
+    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
+                       omega=None, bad_places=(3, 7), coeffs=coeffs)

@@ -785,6 +785,16 @@ class TestNormalizeCommand:
         assert code == 1 and out == ""
         assert err.startswith("error[SchemaError]")
 
+    def test_empty_scalings_are_not_the_default(self, capsys, tmp_path):
+        """An empty scalings object reaches normalize as given: every place
+        lacks its scaling, and the default norm powers are not used."""
+        scalings = tmp_path / "scalings.json"
+        scalings.write_text("{}")
+        code, out, err = invoke(capsys, "normalize", "--input", VANTOP,
+                                "--scalings", str(scalings))
+        assert code == 1 and out == ""
+        assert err.startswith("error[MissingValue]")
+
 
 class TestLmfdbCommands:
     def test_fetch_from_committed_cache(self, capsys):

@@ -21,12 +21,12 @@ from twistctl.errors import (
 )
 from twistctl.eigensystem import (
     EigenSystem,
-    NormalizedSystem,
     load_system,
     normalize,
     serialize,
 )
 from twistctl.numberfield import NumberField, field_make, field_to_json
+from twistctl.twists import detect
 
 
 def gaussian_field():
@@ -191,7 +191,7 @@ class TestNormalize:
 
     def test_vantop_scaling(self):
         nsys = normalize(load_system(vantop_doc()))
-        assert isinstance(nsys, NormalizedSystem) and nsys.is_normalized
+        assert nsys.is_normalized
         K = nsys.field
         # (a, b) = (b_p, p conj(b_p)) becomes (b_p / p, conj(b_p) / p)
         assert nsys.coeffs[13].a == K.element([Q(3, 13), Q(2, 13)])
@@ -287,3 +287,23 @@ class TestSerialization:
         assert doc["central_character"] == "normalized"
         back = load_system(doc)
         assert back == nsys and serialize(back) == doc
+
+
+class TestFieldsDecide:
+    """A system behaves by its fields alone: it is normalized exactly when m
+    is None, however it was built."""
+
+    @pytest.mark.parametrize("name,order", [("klein_system", 4),
+                                            ("vantop_system", 2)])
+    def test_rebuilt_system_behaves_as_the_original(self, name, order):
+        sys = getattr(synth, name)(60)
+        copy = EigenSystem(*sys)
+        assert copy.is_normalized == sys.is_normalized
+        assert load_system(serialize(copy)) == sys
+        for s in (sys, copy):
+            data = s if name == "klein_system" else normalize(s)
+            assert detect(data, 60).group.order == order
+
+    def test_a_set_m_is_written(self):
+        doc = serialize(synth.klein_system(60)._replace(m=3))
+        assert doc["central_character"] == {"m": 3, "omega": "trivial"}

@@ -660,6 +660,19 @@ class TestComparison:
         assert cmp.bound_insufficient
         assert cmp.proved_unmatched == (("47.b", 2, 47, True),)
 
+    @pytest.mark.parametrize("label", ["11.2.a.a", "16.3.c.a", "47.1.b.a"])
+    def test_failed_detection_compares_as_no_rows(self, label):
+        record = cached_record(label)
+        rows = tuple(lmfdb.compare_inner_twists(None, record, 20))
+        if label == "11.2.a.a":
+            assert rows == (label, 20, (), (), True, True, True, (), True,
+                            "bound-insufficient")
+        else:
+            recorded = rows[3]
+            assert len(recorded) == 1
+            assert rows == (label, 20, (), recorded, False, False, False,
+                            recorded, True, "bound-insufficient")
+
     def test_extra_detected_row_is_a_mismatch(self):
         record = cached_record("11.2.a.a")
         sys = lmfdb.to_eigensystem(record, bound=500)

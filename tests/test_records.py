@@ -54,7 +54,6 @@ def _biquadratic_stabilizer():
 BUILDERS = {
     eigensystem.PlaceData: lambda: _klein().coeffs[5],
     eigensystem.EigenSystem: lambda: synth.vantop_system(30),
-    eigensystem.NormalizedSystem: _klein,
     numberfield.Subgroup: _biquadratic_stabilizer,
     numberfield.SubfieldDescriptor: lambda: _detection().fixed,
     numberfield.FrobeniusResult:
@@ -160,7 +159,7 @@ def test_subgroup_sorts_and_drops_repeats():
 def test_replace_keeps_the_normalized_type():
     sys_ = _klein()
     changed = sys_._replace(bad_places=())
-    assert type(changed) is eigensystem.NormalizedSystem
+    assert type(changed) is eigensystem.EigenSystem
     assert changed.is_normalized and changed.bad_places == ()
     assert changed != sys_
     raw = synth.vantop_system(30)._replace(m=1)
