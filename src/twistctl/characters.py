@@ -112,19 +112,19 @@ class Character:
                   exponents) -> "Character":
         """The character mod N sending the i-th canonical generator, of
         order d_i, to zeta^exponents[i]; there must be one exponent per
-        generator, and d_i exponents[i] must be 0 mod w."""
+        generator, and d_i exponents[i] must be 0 mod w: residue_table's
+        walk fails exactly when one is not."""
         gens = unit_group_structure(modulus)
         w = unit_roots(field).order
-        exponents = [k % w for k in exponents]
         if len(exponents) != len(gens):
             raise ValueError(f"expected {len(gens)} generator exponents for "
                              f"modulus {modulus}, got {len(exponents)}")
-        for (g, d), k in zip(gens, exponents):
-            if d * k % w:
-                raise NotRootOfUnity(
-                    f"image of generator {g} is not a root of unity of order dividing {d}")
-        return cls(field, "dirichlet", modulus, residue_table(
-            modulus, [(g, k) for (g, _), k in zip(gens, exponents)], w))
+        table = residue_table(
+            modulus, [(g, k % w) for (g, _), k in zip(gens, exponents)], w)
+        if table is None:
+            raise NotRootOfUnity(f"a generator's image mod {modulus} is not "
+                                 "a root of unity of order dividing its own")
+        return cls(field, "dirichlet", modulus, table)
 
     def _mapped(self, f) -> "Character":
         """The character with every exponent k replaced by f(k)."""

@@ -51,7 +51,9 @@ class EigenSystem(NamedTuple):
 
     @property
     def is_normalized(self) -> bool:
-        """Determinant-1 data, the state normalize brings a system to."""
+        """Determinant-1 data (m = None, so no omega), as normalize makes."""
+        if self.m is None and self.omega is not None:
+            raise SchemaError("a normalized system (m = None) carries no omega")
         return self.m is None
 
     def places(self, bound: int | None = None) -> list:

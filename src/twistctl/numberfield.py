@@ -43,15 +43,15 @@ from .errors import (
 )
 from .polynomials import (
     QPoly,
-    _as_fraction,
-    _monic_integer_model,
-    _root_bound,
+    as_fraction,
     certify_irreducible,
     hensel_lift,
+    monic_integer_model,
     pmod_reduce,
     poly_from_strings,
     poly_to_strings,
     rational_from_json,
+    root_bound,
 )
 
 Q = Fraction
@@ -256,7 +256,7 @@ class NumberField:
     def element(self, coords: Sequence[Fraction]) -> FieldElement:
         """The element with these power-basis coordinates (ints, Fractions
         or their strings; a float raises TypeError)."""
-        coords = [_as_fraction(c) for c in coords]
+        coords = [as_fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise ValueError(
                 f"expected {self.degree} coordinates, got {len(coords)}")
@@ -265,7 +265,7 @@ class NumberField:
                                         for c in coords), den)
 
     def from_rational(self, c) -> FieldElement:
-        c = _as_fraction(c)
+        c = as_fraction(c)
         return _reduced(self, (c.numerator,) + (0,) * (self.degree - 1),
                         c.denominator)
 
@@ -672,14 +672,14 @@ def _root_of_largest_order(field: NumberField, orders):
     images iota_k(zeta) = iota_0(zeta^c[k]) = Omega^c[k] for a
     homomorphism c of G onto (Z/k)^x.  The traces t_m = Tr(zeta y^m) =
     sum_k iota_k(zeta) Y_k^m are integers with |t_m| <= d M^m, M =
-    _root_bound(F), lam and F from _monic_integer_model, so their residues
+    root_bound(F), lam and F from monic_integer_model, so their residues
     mod p^N > 2 d M^(d-1) give them exactly, and a c whose residues break
     those bounds has no zeta.  zeta is rebuilt from its traces with the
     dual basis beta_m / F'(y) of the powers of y, where F(X) / (X - y) =
     sum_m beta_m X^m, and kept only if zeta^k = 1 exactly."""
     d, p = field.degree, field.split_primes[0]
-    lam, model = _monic_integer_model(field.min_poly)
-    limits = [d * _root_bound(model) ** m for m in range(d)]
+    lam, model = monic_integer_model(field.min_poly)
+    limits = [d * root_bound(model) ** m for m in range(d)]
     n = 1
     while p ** n <= 2 * limits[-1]:
         n += 1

@@ -31,7 +31,7 @@ from .arith import (distinct_degree_parts, iroot, is_prime, pmod_divmod,
 from .errors import (BadReduction, NotIrreducible, NotSeparableModP,
                      SchemaError, typed_from_json)
 
-def _as_fraction(x) -> Fraction:
+def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
@@ -45,7 +45,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -205,7 +205,7 @@ _SCAN_LIMIT = 10007  # the first prime past 10^4
 _PATTERN_PRIMES = 12  # odd good primes whose factor degrees are read
 
 
-def _monic_integer_model(f: QPoly) -> tuple[int, list[int]]:
+def monic_integer_model(f: QPoly) -> tuple[int, list[int]]:
     """(lam, F) for monic f over Q: F = lam^d f(y/lam), irreducible with f,
     has the integer coefficients f_i lam^(d-i), lam the lcm over i of the
     exact (d-i)-th root of den f_i or, where there is none, of den f_i."""
@@ -216,7 +216,7 @@ def _monic_integer_model(f: QPoly) -> tuple[int, list[int]]:
     return lam, [int(c * lam ** (d - i)) for i, c in enumerate(f.coeffs)]
 
 
-def _root_bound(model: list[int]) -> int:
+def root_bound(model: list[int]) -> int:
     """The smaller of Cauchy's 1 + max |F_i| and Fujiwara's 2 max_j
     ceil(|F_(d-j)|^(1/j)), both bounds on the roots of the monic model F."""
     fujiwara = max((iroot(abs(c) - 1, j) + 1
@@ -254,7 +254,7 @@ def certify_irreducible(f: QPoly) -> list[int]:
     d = f.degree
     if d < 1:
         raise NotIrreducible(f"{f!r} is constant")
-    model = _monic_integer_model(f)[1]
+    model = monic_integer_model(f)[1]
     disc_bound = d ** d * sum(c * c for c in model) ** (d - 1)
     primes = (p for p in range(2, _SCAN_LIMIT + 1) if is_prime(p))
     possible, split, counts, inseparable = set(range(1, d)), [], [], 1
@@ -299,11 +299,11 @@ def _recombine(model: list[int], q: int, possible: set[int]) -> None:
     prime q are lifted, and each set of them of such a degree (at k = d/2
     those holding factor 0, one of each complementary pair) is tried by
     exact division: a factor's coefficients are at most (1 + M)^k, M =
-    _root_bound(model), so residues mod q^n > 2 (1 + M)^(d/2) give them
+    root_bound(model), so residues mod q^n > 2 (1 + M)^(d/2) give them
     exactly (Berlekamp-Zassenhaus, Cohen GTM 138, section 3.5)."""
     d = len(model) - 1
     big, factors = lifted_factors(
-        model, q, 2 * (1 + _root_bound(model)) ** (d // 2))
+        model, q, 2 * (1 + root_bound(model)) ** (d // 2))
     for size in range(1, len(factors)):
         for subset in combinations(range(len(factors)), size):
             k = sum(len(factors[i]) - 1 for i in subset)

@@ -9,11 +9,13 @@ is fitted modulo conductor_bound(sys).  detect builds one relation table,
 relations(sys, bound), which computes each image sigma(x) of a nonzero
 coefficient and each product zeta^k t, zeta the generator of mu(E), once;
 find_inner, general_type_verdict and find_outer read it, so they do no
-field arithmetic.  A scan reads each relation as the exponent k with
-sigma(s) = zeta^k t, by lookup, and keeps an automorphism only when every
-relation has an exponent, the relations at each place agree and every order
-is within the bound.  The general-type verdict asks the outer question on
-tau = 0 alone; find_outer asks it on every tau.
+field arithmetic, and coefficient_field_check reads its places and
+coefficients.  A scan reads each relation as the exponent k with sigma(s) =
+zeta^k t, by lookup, and keeps an automorphism only when every relation has
+an exponent, the relations at each place agree and every order is within
+the bound.  The general-type verdict fits a self-twist only when some place
+is blank and asks the outer question on tau = 0 alone, at rank 2 too, where
+eta = 1 fits a_v = eta(v) a_v; find_outer asks it on every tau.
 
 Composition: applying (tau, eta) first and (sigma, chi) second yields
 (sigma tau, chi^s * sigma(eta)) where s = -1 when the second factor of the
@@ -37,7 +39,6 @@ from .characters import (
     char_to_json,
     char_transform,
     fit_all,
-    trivial_character,
 )
 from .eigensystem import EigenSystem
 from .errors import (
@@ -296,13 +297,12 @@ def assemble_group(inners, outers, field: NumberField) -> TwistGroup:
     return TwistGroup(field, twists, inner, full)
 
 
-def fixed_fields(group: TwistGroup,
-                 field: NumberField) -> tuple[SubfieldDescriptor, SubfieldDescriptor]:
-    """(F, F_inn): the subfields fixed by all twist automorphisms and by the
-    inner ones.  F_inn is a quadratic extension of F exactly when outer
-    twists are present."""
-    F = fixed_field(field, group.full_subgroup)
-    F_inn = fixed_field(field, group.inner_subgroup)
+def fixed_fields(group: TwistGroup) -> tuple[SubfieldDescriptor, SubfieldDescriptor]:
+    """(F, F_inn): the subfields of group.field fixed by all twist
+    automorphisms and by the inner ones.  F_inn is a quadratic extension of
+    F exactly when outer twists are present."""
+    F = fixed_field(group.field, group.full_subgroup)
+    F_inn = fixed_field(group.field, group.inner_subgroup)
     expected = 2 * F.degree if group.has_outer() else F.degree
     if F_inn.degree != expected:
         raise NotClosed(
@@ -326,38 +326,32 @@ class CentReport(NamedTuple):
     bound: int
 
 
-def coefficient_field_check(sys: EigenSystem, group: TwistGroup, bound: int) -> CentReport:
-    """Coefficient-field check over kernel places.
+def coefficient_field_check(rel: Relations, group: TwistGroup) -> CentReport:
+    """Coefficient-field check over the kernel places of the relation table.
 
-    At places where every detected character evaluates to 1 the twist
-    relations fix a_v under inner automorphisms and a_v + b_v under all of
-    them, so the a_v should generate the field fixed by the inner subgroup
-    and the sums the field fixed by everything.  Stabilizers are compared to
-    the detected subgroups; discrepancies are reported, not raised.  A strict
-    inclusion with no contradiction is flagged as possible bound
-    insufficiency.  For n = 2 both stabilizers read the a_v."""
-    field = sys.field
-    kernel = [v for v in sys.places(bound)
+    At places where every detected character evaluates to 1 the twist relations
+    fix a_v under inner automorphisms and the sum of the place's coefficients
+    (a_v + b_v, or a_v at rank 2) under all of them, so the a_v should generate
+    the field fixed by the inner subgroup and the sums the field fixed by
+    everything.  Stabilizers, recomputed from the table's coefficients, are
+    compared to the detected subgroups; discrepancies are reported, not raised,
+    and a strict inclusion with no contradiction flags a bound perhaps too low."""
+    kernel = [v for v in rel.places
               if all(_exponent(t.character, v) == 0 for t in group.twists)]
-    a_vals = [sys.coeffs[v].a for v in kernel]
-    if sys.n == 3:
-        sum_vals = [sys.coeffs[v].a + sys.coeffs[v].b for v in kernel]
-    else:
-        sum_vals = a_vals
-    stab_a = stabilizer(field, a_vals)
-    stab_sum = stabilizer(field, sum_vals)
+    stab_a = stabilizer(group.field, [rel.pairs[v][0] for v in kernel])
+    stab_sum = stabilizer(group.field, [sum(rel.pairs[v][1:], rel.pairs[v][0])
+                                        for v in kernel])
     inner_ok = stab_a == group.inner_subgroup
-    full_ok = stab_sum == group.full_subgroup
     inclusion = all(i in stab_a for i in group.inner_subgroup)
     return CentReport(
         inner_stabilizer=stab_a,
         full_stabilizer=stab_sum,
         inner_matches=inner_ok,
-        full_matches=full_ok,
+        full_matches=stab_sum == group.full_subgroup,
         inclusion_holds=inclusion,
         b_insufficiency=inclusion and not inner_ok,
         kernel_places=tuple(kernel),
-        bound=bound,
+        bound=rel.bound,
     )
 
 
@@ -373,14 +367,14 @@ def general_type_verdict(rel: Relations) -> GeneralTypeVerdict:
     to a character, general type otherwise.
 
     At sigma = 0 every inner relation reads s = t, so a self-twist character
-    is 1 at each place where some relation is not 0 = 0: the candidates are
-    fitted to 1 there, and one is kept when it is not 1 at some place where
-    every relation reads 0 = 0, the only places that can witness it.
-    Self-twist wins when both degeneracies hold.  Rank-2 systems are always
-    essentially self-dual after determinant normalization, and the
-    self-twist scan runs over the rational base field only.  Essential
-    self-duality is find_outer's scan on tau = 0 alone, and raises
-    InsufficientData or Ambiguous as that scan does."""
+    is 1 at each place where some relation is not 0 = 0, and only a blank
+    place, where every relation reads 0 = 0, can witness it: with one, over
+    the rational base field, the candidates are fitted to 1 on the rest and
+    one is kept when it is not 1 at a blank place.  Self-twist wins when
+    both degeneracies hold.  Essential self-duality is find_outer's scan on
+    tau = 0 alone, which raises InsufficientData or Ambiguous as that scan
+    does; at rank 2 it reads a_v = eta(v) a_v, which eta = 1 fits, so every
+    rank-2 system is essentially self-dual."""
     sys, bound = rel.sys, rel.bound
     _check_detection_input(sys)
     ob = _max_order(sys)
@@ -390,20 +384,14 @@ def general_type_verdict(rel: Relations) -> GeneralTypeVerdict:
             f"{len(determined)} places have a_v != 0; at least {MIN_PLACES} "
             f"are needed for a verdict")
 
-    if sys.base_field_label == "Q":
-        blank = rel.undetermined
+    blank = rel.undetermined
+    if blank and sys.base_field_label == "Q":
         for cand in fit_all(dict.fromkeys(set(rel.places) - set(blank), 0),
                             conductor_bound(sys), ob, sys.field):
             if _power_ok(sys, cand) and any(
                     _exponent(cand, v) not in (0, None) for v in blank):
                 return GeneralTypeVerdict("self-twist", cand, bound)
 
-    if sys.n == 2:
-        # the identity twist's character, of the kind every twist here has
-        witness = (trivial_character(sys.field) if sys.base_field_label == "Q"
-                   else Character(sys.field, "table",
-                                  exps=dict.fromkeys(determined, 0)))
-        return GeneralTypeVerdict("essentially-self-dual", witness, bound)
     for t in _scan(rel, "outer", (0,)):
         return GeneralTypeVerdict("essentially-self-dual", t.character, bound)
     return GeneralTypeVerdict("general-type", None, bound)
@@ -435,8 +423,8 @@ def detect(sys: EigenSystem, bound: int) -> DetectionResult:
     verdict = general_type_verdict(rel)
     outers = find_outer(rel) if verdict.kind == "general-type" else []
     group = assemble_group(inners, outers, sys.field)
-    F, F_inn = fixed_fields(group, sys.field)
-    cent = coefficient_field_check(sys, group, bound)
+    F, F_inn = fixed_fields(group)
+    cent = coefficient_field_check(rel, group)
     return DetectionResult(group, F, F_inn, cent, verdict, bound)
 
 

@@ -7,6 +7,7 @@ character of small modulus exists and one that is genuinely ambiguous).
 
 import hashlib
 from fractions import Fraction as Q
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -20,7 +21,7 @@ from twistctl.errors import (
     SchemaError,
 )
 from twistctl.numberfield import field_make, unit_roots
-from twistctl import characters
+from twistctl import characters, synth
 from twistctl.characters import (
     Character,
     char_eval,
@@ -156,6 +157,23 @@ class TestEvalAndAlgebra:
             dirichlet_character(K, 4, [K.from_rational(2)])
         with pytest.raises(NotRootOfUnity):
             dirichlet_character(K, 4, [K.element([0, 1])])   # i has order 4, not 2
+
+    @pytest.mark.parametrize("make", [gaussian_field, synth.eisenstein_field])
+    @pytest.mark.parametrize("modulus", [1, 5, 8, 12, 15, 16, 21, 24, 40, 63])
+    def test_refuses_what_the_generator_check_refuses(self, make, modulus):
+        """The walk of residue_table refuses exactly the exponents the check
+        d_i k_i = 0 mod w, generator by generator, refused, and a character
+        it builds sends each generator to its exponent."""
+        K = make()
+        w = unit_roots(K).order
+        gens = unit_group_structure(modulus)
+        for exps in product(range(w), repeat=len(gens)):
+            if any(d * k % w for (_, d), k in zip(gens, exps)):
+                with pytest.raises(NotRootOfUnity):
+                    Character.dirichlet(K, modulus, exps)
+            else:
+                chi = Character.dirichlet(K, modulus, exps)
+                assert [chi.exps[g] for g, _ in gens] == list(exps)
 
     @pytest.mark.parametrize("modulus,exponents", [
         (8, [2]), (8, [0, 2, 0]), (1, [0]), (5, [])])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from twistctl import synth
+from twistctl import lmfdb, synth
 from twistctl.characters import dirichlet_character
 from twistctl.errors import (
     CoefficientDimensionMismatch,
@@ -307,3 +307,17 @@ class TestFieldsDecide:
     def test_a_set_m_is_written(self):
         doc = serialize(synth.klein_system(60)._replace(m=3))
         assert doc["central_character"] == {"m": 3, "omega": "trivial"}
+
+    @pytest.mark.parametrize("run", [serialize, normalize,
+                                     lambda s: detect(s, 50)],
+                             ids=["serialize", "normalize", "detect"])
+    def test_a_normalized_system_with_an_omega_is_refused(self, run):
+        """m = None beside a nebentypus would serialize as "normalized" and
+        drop omega, and normalize would return it unchanged."""
+        record = lmfdb.fetch_newform(
+            "16.3.c.a", cache_dir=Path(__file__).parent / "data" / "lmfdb_cache",
+            allow_network=False)
+        sys = lmfdb.to_eigensystem(record, bound=50)._replace(m=None)
+        assert sys.omega is not None
+        with pytest.raises(SchemaError, match="carries no omega"):
+            run(sys)

@@ -24,14 +24,14 @@ from twistctl.errors import (BadReduction, NotIrreducible, NotSeparableModP,
 from twistctl.numberfield import field_make
 from twistctl.polynomials import (
     QPoly,
-    _monic_integer_model,
-    _root_bound,
     certify_irreducible,
     ddf_mod_p,
     hensel_lift,
+    monic_integer_model,
     poly_from_strings,
     poly_to_strings,
     rational_from_json,
+    root_bound,
 )
 
 # ---------------------------------------------------------------- oracle
@@ -357,7 +357,7 @@ def test_the_integer_model_scales_by_exact_roots(lower):
     f_i itself where it has none: Phi_5(2x) / 2^4 gives lam = 2."""
     f = QPoly(list(lower) + [1])
     d = f.degree
-    lam, model = _monic_integer_model(f)
+    lam, model = monic_integer_model(f)
     assert all(type(c) is int for c in model) and model[-1] == 1
     assert model == [c * lam ** (d - i) for i, c in enumerate(f.coeffs)]
     want = 1
@@ -373,10 +373,10 @@ def test_the_integer_model_scales_by_exact_roots(lower):
 @example([3 ** 6, 3 ** 5, 3 ** 4, 3 ** 3, 3 ** 2, 3])
 @example([0, 1])
 def test_the_root_bound_holds_and_never_exceeds_cauchy(lower):
-    """_root_bound is at most Cauchy's bound and at least |y| for every
+    """root_bound is at most Cauchy's bound and at least |y| for every
     complex root y, found numerically for a squarefree F."""
     model = list(lower) + [1]
-    bound = _root_bound(model)
+    bound = root_bound(model)
     assert bound <= 1 + max(map(abs, lower))
     poly = sympy.Poly(list(reversed(model)), sympy.symbols("x"))
     assume(sympy.gcd(poly, poly.diff()).degree() == 0)

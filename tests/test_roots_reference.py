@@ -9,7 +9,7 @@ powers and aut_mult must agree.  Larger cyclotomic fields on which sympy
 takes seconds, Q(zeta_41) of degree 40 on zeta_41 / 2 and 3 zeta_41 / 2
 among them, are checked against the closed form |mu| = lcm(2, n) only.
 lam, the model and the bound on its roots are read from the helpers the
-search reads, _monic_integer_model and _root_bound.
+search reads, monic_integer_model and root_bound.
 
 The roots Y_k of the model at the first split prime are the lifts, by
 hensel_lift, of lam times the field's split_roots.  lifted_factors, which
@@ -38,11 +38,11 @@ from twistctl.numberfield import (
 from test_classify_reference import FIELDS as CLASSIFY_FIELDS
 from test_polynomials import residue_roots
 from twistctl.polynomials import (
-    _monic_integer_model,
-    _root_bound,
     hensel_lift,
     lifted_factors,
+    monic_integer_model,
     pmod_reduce,
+    root_bound,
 )
 
 CACHE = Path(__file__).parent / "data" / "lmfdb_cache"
@@ -65,7 +65,7 @@ def reference_roots_of_unity(field):
 def _cyclotomic_roots_sympy(field, orders):
     if not orders:
         return
-    lam, model = _monic_integer_model(field.min_poly)
+    lam, model = monic_integer_model(field.min_poly)
     x = sympy.symbols("x")
     expr = sum(c * x ** i for i, c in enumerate(model))
     K = SQQ.algebraic_field(sympy.CRootOf(sympy.Poly(expr, x), 0))
@@ -191,8 +191,8 @@ def test_lifted_factors_match_the_residue_scan(name):
     as the search lifts the field's split_roots."""
     field = ALL_FIELDS[name]()
     d = field.degree
-    lam, model = _monic_integer_model(field.min_poly)
-    bound = 2 * d * _root_bound(model) ** (d - 1)
+    lam, model = monic_integer_model(field.min_poly)
+    bound = 2 * d * root_bound(model) ** (d - 1)
     for p in field.split_primes:
         n = 1
         while p ** n <= bound:

@@ -24,20 +24,25 @@ result holds a character whose conductor does not divide conductor_bound:
 such a character is ramified at a good place, so it is no twist.  It must
 also give what ref_detect gives, the flow where the verdict scanned the
 outer relations on tau = 0 alone and detect then scanned every other tau,
-each scan by ref_scan: the same document or the same exception.  That
-comparison also runs on every builder under seeds 2 and 3.
+each scan by ref_scan, and its coefficient-field check by
+ref_coefficient_field_check, the check as it read the system and its own
+list of places, with a rank branch for the sums: the same document or the
+same exception.  That comparison also runs on every builder under seeds 2
+and 3, and on the three cached newforms, raw rank-2 data with a
+nebentypus, at bounds 100 and 500.
 """
 
 from functools import lru_cache
 from itertools import groupby
 from math import prod
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fit_reference import fit_upto
-from twistctl import characters, synth, twists
+from twistctl import characters, lmfdb, synth, twists
 from twistctl.characters import (
     Character,
     char_eval,
@@ -55,10 +60,11 @@ from twistctl.errors import (
     NotRootOfUnity,
     TwistctlError,
 )
-from twistctl.numberfield import unit_roots
+from twistctl.numberfield import stabilizer, unit_roots
 from twistctl.twists import (
     DEFAULT_RAW_ORDER_BOUND,
     MIN_PLACES,
+    CentReport,
     DetectionResult,
     ExtraTwist,
     GeneralTypeVerdict,
@@ -76,6 +82,10 @@ from twistctl.twists import (
     general_type_verdict,
     relations,
 )
+
+CACHE = Path(__file__).parent / "data" / "lmfdb_cache"
+NEWFORMS = (("11.2.a.a", None), ("16.3.c.a", None),
+            ("47.1.b.a", [[0, 1], [1, -1]]))
 
 BUILDERS = ("vantop_system", "generic_system", "rational_inner_system",
             "klein_system", "chi4_system", "cubic_twist_system",
@@ -480,6 +490,34 @@ def test_detect_matches_the_capped_fit(problem):
 # detect against the flow where the verdict owned tau = 0
 # ---------------------------------------------------------------------------
 
+def ref_coefficient_field_check(sys, group, bound):
+    """The coefficient-field check as it read the system: its own list of
+    places up to the bound, a_v + b_v for n = 3 and a_v for n = 2."""
+    field = sys.field
+    kernel = [v for v in sys.places(bound)
+              if all(_exponent(t.character, v) == 0 for t in group.twists)]
+    a_vals = [sys.coeffs[v].a for v in kernel]
+    if sys.n == 3:
+        sum_vals = [sys.coeffs[v].a + sys.coeffs[v].b for v in kernel]
+    else:
+        sum_vals = a_vals
+    stab_a = stabilizer(field, a_vals)
+    stab_sum = stabilizer(field, sum_vals)
+    inner_ok = stab_a == group.inner_subgroup
+    full_ok = stab_sum == group.full_subgroup
+    inclusion = all(i in stab_a for i in group.inner_subgroup)
+    return CentReport(
+        inner_stabilizer=stab_a,
+        full_stabilizer=stab_sum,
+        inner_matches=inner_ok,
+        full_matches=full_ok,
+        inclusion_holds=inclusion,
+        b_insufficiency=inclusion and not inner_ok,
+        kernel_places=tuple(kernel),
+        bound=bound,
+    )
+
+
 def ref_detect(sys_, bound):
     """detection_to_json of detect as it ran when find_outer took the
     automorphisms to scan: the inner scan, the verdict with its outer scan
@@ -494,8 +532,8 @@ def ref_detect(sys_, bound):
     else:
         outers = []
     group = assemble_group(inners, outers, sys_.field)
-    F, F_inn = fixed_fields(group, sys_.field)
-    cent = coefficient_field_check(sys_, group, bound)
+    F, F_inn = fixed_fields(group)
+    cent = ref_coefficient_field_check(sys_, group, bound)
     return detection_to_json(
         DetectionResult(group, F, F_inn, cent, verdict, bound))
 
@@ -517,7 +555,27 @@ def test_detect_on_every_builder_matches_the_split_outer_scan(name, seed,
     _check_against_the_split_outer_scan(_system(name, seed), bound)
 
 
+@pytest.mark.parametrize("bound", [100, 500])
+@pytest.mark.parametrize("label,auts", NEWFORMS, ids=[n for n, _ in NEWFORMS])
+def test_detect_on_the_cached_newforms_matches_the_split_outer_scan(
+        label, auts, bound):
+    record = lmfdb.fetch_newform(label, cache_dir=CACHE, allow_network=False)
+    sys_ = lmfdb.to_eigensystem(record, aut_images=auts, bound=bound)
+    _check_against_the_split_outer_scan(sys_, bound)
+
+
 @settings(max_examples=50, deadline=None)
 @given(scan_problems())
 def test_detect_matches_the_split_outer_scan(problem):
     _check_against_the_split_outer_scan(*problem)
+
+
+def test_the_check_matches_its_reference_on_every_builder_field_by_field():
+    """coefficient_field_check(rel, group) reports what the reference does,
+    stabilizers and kernel places included, not only the document fields."""
+    for name in BUILDERS:
+        sys_ = _system(name)
+        result = detect(sys_, 200)
+        got = coefficient_field_check(relations(sys_, 200), result.group)
+        assert got == result.cent == ref_coefficient_field_check(
+            sys_, result.group, 200), name

@@ -8,6 +8,9 @@ the base of an attribute, or inside a string annotation.  A module-level
 import is read anywhere in the module; a function's import is read in that
 function, nested code included.
 
+No module imports another module's private name: a relative import
+names no `_`-prefixed attribute, so what a module shares it names publicly.
+
 No module passes indent= to json.dumps: cli._dumps is the one indented
 writer, and the stdlib's stays in tests/test_dumps.py as its reference.
 No module but numberfield reads a field's _bad_reduction: which primes
@@ -118,6 +121,31 @@ def test_the_check_sees_an_unread_import():
     assert set(unread_imports(tree)) == {
         ("<module>", "os"), ("<module>", "lcm"),
         ("g", "ceil"), ("g", "trunc")}
+
+
+def private_imports(tree):
+    """(line, name) for each `_`-prefixed name a relative import takes from
+    another module of the package."""
+    return [(node.lineno, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = private_imports(tree)
+    assert not private, f"{path.name}: imports private names: {private}"
+
+
+def test_the_check_sees_a_private_import():
+    tree = ast.parse("from . import arith, _cache\n"
+                     "from .polynomials import QPoly, _root_bound as rb\n"
+                     "from .errors import NotFound as _NotFound\n"
+                     "from os.path import _joinrealpath\n"
+                     "def f():\n    from .characters import _fits\n")
+    assert private_imports(tree) == [(1, "_cache"), (2, "_root_bound"),
+                                     (6, "_fits")]
 
 
 def foreign_imports(tree):

@@ -387,6 +387,22 @@ class TestRelationTable:
                     pass
         assert (mul.call_count, aut.call_count) == (0, 0)
 
+    @pytest.mark.parametrize("make,bound,calls", [
+        (cubic_klein_system, 100, 0), (synth.cm_system, 200, 1)])
+    def test_the_self_twist_fit_runs_only_with_a_blank_place(self, make,
+                                                             bound, calls):
+        """Only a place where every relation reads 0 = 0 can witness a
+        self-twist, so with none the verdict fits no candidate."""
+        rel = relations(make(), bound)
+        assert len(rel.undetermined) > 0 if calls else not rel.undetermined
+        with mock.patch.object(twists, "fit_all",
+                               wraps=twists.fit_all) as fits:
+            verdict = general_type_verdict(rel)
+        assert fits.call_count == calls
+        if calls:
+            assert verdict.kind == "self-twist"
+            assert verdict.witness.conductor() == 7
+
     def test_detect_builds_one_table(self):
         with mock.patch.object(twists, "relations",
                                wraps=twists.relations) as built:
@@ -501,7 +517,7 @@ class TestGroupAssembly:
         dual = _as_twist("outer", 1, trivial_character(field))
         group = TwistGroup(field, (dual,), whole, whole)
         with pytest.raises(NotClosed, match="quadratic"):
-            fixed_fields(group, field)
+            fixed_fields(group)
 
 
 # ---------------------------------------------------------------------------
