@@ -294,8 +294,8 @@ def _local_characters(q: int, e: int, w: int, order_bound: int,
             for xs in chars]
 
 
-def _fits_by_conductor(exponents: dict, N: int, order_bound: int,
-                       field: NumberField):
+def fits_by_conductor(exponents: dict, N: int, order_bound: int,
+                      field: NumberField):
     """The primitive Dirichlet characters of conductor dividing N and order
     <= order_bound with chi(v) = zeta^k_v for every entry v -> k_v of
     exponents, one list per conductor, conductors ascending, each sorted by
@@ -338,9 +338,9 @@ def _fits_by_conductor(exponents: dict, N: int, order_bound: int,
 
 def fit_all(exponents: dict, N: int, order_bound: int,
             field: NumberField) -> list[Character]:
-    """Every fit of _fits_by_conductor, sorted by conductor then value
-    table; the self-twist scan of the general-type verdict reads them all."""
-    return [chi for fits in _fits_by_conductor(exponents, N, order_bound, field)
+    """Every fit of fits_by_conductor, sorted by conductor then value
+    table: the whole walk, where char_fit and the verdict stop early."""
+    return [chi for fits in fits_by_conductor(exponents, N, order_bound, field)
             for chi in fits]
 
 
@@ -348,9 +348,9 @@ def char_fit(exponents: dict, N: int, order_bound: int,
              field: NumberField) -> Character | None:
     """The unique smallest-conductor Dirichlet character of conductor
     dividing N with chi(v) = zeta^k_v on the exponent map, None if nothing
-    fits, Ambiguous on a tie: the first list of _fits_by_conductor, so no
+    fits, Ambiguous on a tie: the first list of fits_by_conductor, so no
     larger conductor is scanned (an all-zero map stops at conductor 1)."""
-    fits = next(_fits_by_conductor(exponents, N, order_bound, field), None)
+    fits = next(fits_by_conductor(exponents, N, order_bound, field), None)
     if fits is None:
         return None
     if len(fits) > 1:
@@ -396,11 +396,12 @@ def char_from_json(field: NumberField, doc: dict) -> Character:
             raise SchemaError(
                 f"values_on_generators must be keyed by the generators "
                 f"{[g for g, _ in gens]} of (Z/{modulus})^x, got {raw!r}")
-        return dirichlet_character(field, modulus, [
-            element_from_json(field, raw[str(g)]) for g, _ in gens])
+        return dirichlet_character(field, modulus, [element_from_json(
+            field, raw[str(g)], f"value on generator {g}") for g, _ in gens])
     if kind != "table" or not isinstance(doc.get("values"), dict):
         raise SchemaError("a character must be a dirichlet one with modulus "
                           "and values_on_generators, or a table of values")
     return table_character(field, {
-        label_from_json(k, "character place label"): element_from_json(field, c)
+        label_from_json(k, "character place label"):
+            element_from_json(field, c, f"character value at {k}")
         for k, c in doc["values"].items()})

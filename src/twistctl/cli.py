@@ -384,7 +384,8 @@ def _cmd_lmfdb(ns) -> int:
             _sys.stdout)
         return 0
 
-    aut_images = (aut_images_from_json(json.loads(ns.aut_images))
+    aut_images = (aut_images_from_json(json.loads(ns.aut_images),
+                                       record.hecke_field_poly.degree)
                   if ns.aut_images else None)
     sys_ = lmfdb.to_eigensystem(record, aut_images=aut_images,
                                 bound=ns.bound)

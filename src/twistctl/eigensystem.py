@@ -18,7 +18,6 @@ from typing import NamedTuple
 from .arith import factorize, is_prime
 from .characters import Character, char_eval, char_from_json, char_to_json
 from .errors import (
-    CoefficientDimensionMismatch,
     DuplicatePlace,
     MissingValue,
     NontrivialNebentypus,
@@ -68,18 +67,6 @@ def _place_order(v) -> tuple:
     return str(type(v)), v
 
 
-def _parse_coords(field: NumberField, raw, what: str) -> FieldElement:
-    if not isinstance(raw, (list, tuple)):
-        raise SchemaError(f"{what} must be a coordinate list")
-    if len(raw) != field.degree:
-        raise CoefficientDimensionMismatch(
-            f"{what} has {len(raw)} coordinates, field degree is {field.degree}")
-    try:
-        return element_from_json(field, raw)
-    except SchemaError as e:
-        raise SchemaError(f"bad rational in {what}: {e}") from None
-
-
 def _parse_place_label(key, base_field: str):
     label = label_from_json(key, "place label")
     if base_field == "Q" and type(label) is not int:
@@ -89,8 +76,7 @@ def _parse_place_label(key, base_field: str):
 
 def load_system(doc: dict) -> EigenSystem:
     """Validate and construct a system from its JSON document."""
-    if not isinstance(doc, dict):
-        raise SchemaError("document must be a JSON object")
+    doc = typed_from_json(doc, dict, "document")
     for key in ("n", "base_field", "field", "central_character",
                 "bad_places", "coefficients"):
         if key not in doc:
@@ -110,23 +96,22 @@ def load_system(doc: dict) -> EigenSystem:
     else:
         raise SchemaError("central_character must be 'normalized' or {m, omega}")
 
-    if not isinstance(doc["bad_places"], list):
-        raise SchemaError("bad_places must be a list of place labels")
-    bad = tuple(sorted((_parse_place_label(v, base) for v in doc["bad_places"]),
+    bad = tuple(sorted((_parse_place_label(v, base) for v in
+                        typed_from_json(doc["bad_places"], list, "bad_places")),
                        key=_place_order))
     if base == "Q" and not all(map(is_prime, bad)):
         raise SchemaError(f"over Q every bad place must be a prime, got {list(bad)}")
-    if not isinstance(doc["coefficients"], dict):
-        raise SchemaError("coefficients must be an object")
 
     coeffs = {}
-    for key, entry in doc["coefficients"].items():
+    for key, entry in typed_from_json(doc["coefficients"], dict,
+                                      "coefficients").items():
         place = _parse_place_label(key, base)
         if place in bad:
             raise DuplicatePlace(f"place {place} is listed among the bad places")
         if place in coeffs:
             raise DuplicatePlace(f"place {place} appears twice")
-        if not isinstance(entry, dict) or "norm" not in entry or "a" not in entry:
+        entry = typed_from_json(entry, dict, f"entry at {place}")
+        if "norm" not in entry or "a" not in entry:
             raise SchemaError(f"entry at {place} must carry norm and a")
         norm = int_from_json(entry["norm"], f"norm at {place}")
         if len(factorize(norm)) != 1:
@@ -136,11 +121,11 @@ def load_system(doc: dict) -> EigenSystem:
                 raise SchemaError(
                     f"over Q the place label must be the prime itself; got "
                     f"label {place}, norm {norm}")
-        a = _parse_coords(field, entry["a"], f"a at place {place}")
+        a = element_from_json(field, entry["a"], f"a at place {place}")
         if n == 3:
             if "b" not in entry:
                 raise SchemaError(f"n = 3 requires b at place {place}")
-            b = _parse_coords(field, entry["b"], f"b at place {place}")
+            b = element_from_json(field, entry["b"], f"b at place {place}")
         else:
             if "b" in entry:
                 raise SchemaError(f"n = 2 forbids b at place {place}")
@@ -155,7 +140,7 @@ def scalings_from_json(sys: EigenSystem, doc) -> dict:
     """normalize's scalings map from a document: place labels of the system's
     base field to coordinate lists of its coefficient field."""
     return {_parse_place_label(key, sys.base_field_label):
-            element_from_json(sys.field, coords)
+            element_from_json(sys.field, coords, f"scaling at {key}")
             for key, coords in typed_from_json(doc, dict, "scalings").items()}
 
 

@@ -116,8 +116,8 @@ def typed_from_json(x, kind: type, what: str):
     return x
 
 
-class CoefficientDimensionMismatch(TwistctlError):
-    pass
+class CoefficientDimensionMismatch(SchemaError):
+    """A coordinate list whose length is not the degree it belongs to."""
 
 
 class DuplicatePlace(TwistctlError):

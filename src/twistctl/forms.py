@@ -689,11 +689,12 @@ def cocycle_from_json(doc: dict) -> Cocycle:
             subgroup = subgroup_make(field, [
                 int_from_json(i, "subgroup entry") for i in doc["subgroup"]])
             context = number_field_context(field, subgroup)
-            cell = lambda x: element_from_json(field, x)
+            cell = lambda x: element_from_json(field, x, "an alpha cell")
         assignments = {
             int_from_json(label_from_json(key, "assignment key"),
                           "assignment key"):
-                (tuple(tuple(cell(x) for x in row) for row in entry["alpha"]),
+                (tuple(tuple(map(cell, typed_from_json(row, list, "an alpha row")))
+                       for row in typed_from_json(entry["alpha"], list, "alpha")),
                  bool_from_json(entry["flip"], "flip"))
             for key, entry in typed_from_json(raw, dict, "assignments").items()
         }

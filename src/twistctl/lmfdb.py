@@ -43,7 +43,7 @@ from .errors import (
     typed_from_json,
 )
 from .numberfield import field_make, first_primitive, unit_roots
-from .polynomials import QPoly, poly_from_strings, rational_from_json
+from .polynomials import QPoly, poly_from_strings, rationals_from_json
 from .twists import DetectionResult
 
 BASE_URL = "https://www.lmfdb.org/api"
@@ -230,14 +230,11 @@ def _parse_record(label: str, doc: dict) -> NewformRecord:
         raise SchemaDrift(f"field_poly for {label} is constant", body=doc)
     an_exact = {}
     for i, vec in enumerate(an):
-        if not isinstance(vec, (list, tuple)) or len(vec) != degree:
-            raise SchemaDrift(
-                f"a_{i + 1} of {label} is not a degree-{degree} coordinate "
-                "vector", body=doc)
         try:
-            an_exact[i + 1] = tuple(str(rational_from_json(c)) for c in vec)
+            an_exact[i + 1] = tuple(map(str, rationals_from_json(
+                vec, f"the coordinate list of a_{i + 1}", degree)))
         except SchemaError as exc:
-            raise SchemaDrift(f"a_{i + 1} of {label}: {exc}", body=doc)
+            raise SchemaDrift(f"{label}: {exc}", body=doc)
     if not an_exact:
         raise SchemaDrift(f"record for {label} has no eigenvalues", body=doc)
     return NewformRecord(label=label, level=level, weight=weight,

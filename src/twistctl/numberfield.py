@@ -50,7 +50,7 @@ from .polynomials import (
     pmod_reduce,
     poly_from_strings,
     poly_to_strings,
-    rational_from_json,
+    rationals_from_json,
     root_bound,
 )
 
@@ -780,20 +780,20 @@ def field_to_json(field: NumberField) -> dict:
 
 def field_from_json(doc: dict) -> NumberField:
     doc = typed_from_json(doc, dict, "field")
-    return field_make(poly_from_strings(doc.get("min_poly")),
-                      aut_images_from_json(doc.get("aut_images")))
+    min_poly = poly_from_strings(doc.get("min_poly"))
+    return field_make(min_poly, aut_images_from_json(doc.get("aut_images"),
+                                                     min_poly.degree))
 
 
-def aut_images_from_json(images) -> list[list[Fraction]]:
-    """A document's list of automorphism images, each a coordinate list."""
-    return [[rational_from_json(c)
-             for c in typed_from_json(img, list, "automorphism image")]
+def aut_images_from_json(images, degree: int) -> list[list[Fraction]]:
+    """A document's automorphism images, coordinate lists of this degree."""
+    return [rationals_from_json(img, "automorphism image", degree)
             for img in typed_from_json(images, list, "aut_images")]
 
 
-def element_from_json(field: NumberField, coords) -> FieldElement:
-    """The element with these document coordinates (see rational_from_json)."""
-    return field.element([rational_from_json(c) for c in coords])
+def element_from_json(field: NumberField, coords, what: str) -> FieldElement:
+    """The element with these document coordinates (see rationals_from_json)."""
+    return field.element(rationals_from_json(coords, what, field.degree))
 
 
 def element_to_json(x: FieldElement) -> list[str]:

@@ -14,7 +14,7 @@ Hensel lifting of one factor or of every factor to one precision
 minimal polynomial: factor-degree patterns mod p, then recombination of the
 lifted factors at one prime, so a polynomial is certified irreducible or
 refused, and the primes where it splits completely come out of the same
-scan.  The reader of document rationals (never floats) lives here too.
+scan.  The one reader of a document's rational lists lives here too.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from typing import Iterable, Sequence
 from .arith import (distinct_degree_parts, iroot, is_prime, pmod_divmod,
                     pmod_gcd, pmod_mul, pmod_pow_mod, pmod_sub,
                     squarefree_mod_p)
-from .errors import (BadReduction, NotIrreducible, NotSeparableModP,
-                     SchemaError, typed_from_json)
+from .errors import (BadReduction, CoefficientDimensionMismatch,
+                     NotIrreducible, NotSeparableModP, SchemaError,
+                     typed_from_json)
 
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -102,21 +103,33 @@ class QPoly:
         return acc
 
 
-def rational_from_json(x) -> Fraction:
+def rational_from_json(x, what: str) -> Fraction:
     """A rational as a document holds it: an int, or an exact string such as
     "-3/4" or "0.25".  A float (whose binary value is not the decimal it was
-    written as), a zero denominator or anything else raises SchemaError."""
+    written as), a zero denominator or anything else raises SchemaError,
+    naming what holds it."""
     if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
-    raise SchemaError(f"{x!r} is not an int or an exact rational string")
+    raise SchemaError(f"{what} holds {x!r}, which is not an int or an exact "
+                      "rational string")
+
+
+def rationals_from_json(x, what: str, length: int | None = None) -> list[Fraction]:
+    """A document's list of rationals (see rational_from_json), of exactly
+    length entries when a length is given: the one reader of every
+    coordinate list and coefficient list a document holds."""
+    items = typed_from_json(x, list, what)
+    if length is not None and len(items) != length:
+        raise CoefficientDimensionMismatch(
+            f"{what} has {len(items)} entries, expected {length}")
+    return [rational_from_json(c, what) for c in items]
 
 
 def poly_from_strings(items: Sequence[str | int]) -> QPoly:
-    return QPoly([rational_from_json(s)
-                  for s in typed_from_json(items, list, "a polynomial")])
+    return QPoly(rationals_from_json(items, "a polynomial"))
 
 
 def poly_to_strings(p: QPoly) -> list[str]:

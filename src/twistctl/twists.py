@@ -38,7 +38,7 @@ from .characters import (
     char_mul,
     char_to_json,
     char_transform,
-    fit_all,
+    fits_by_conductor,
 )
 from .eigensystem import EigenSystem
 from .errors import (
@@ -369,12 +369,12 @@ def general_type_verdict(rel: Relations) -> GeneralTypeVerdict:
     At sigma = 0 every inner relation reads s = t, so a self-twist character
     is 1 at each place where some relation is not 0 = 0, and only a blank
     place, where every relation reads 0 = 0, can witness it: with one, over
-    the rational base field, the candidates are fitted to 1 on the rest and
-    one is kept when it is not 1 at a blank place.  Self-twist wins when
-    both degeneracies hold.  Essential self-duality is find_outer's scan on
-    tau = 0 alone, which raises InsufficientData or Ambiguous as that scan
-    does; at rank 2 it reads a_v = eta(v) a_v, which eta = 1 fits, so every
-    rank-2 system is essentially self-dual."""
+    the rational base field, the walk fits candidates to 1 on the rest, by
+    conductor, and stops at the first that is not 1 at a blank place.
+    Self-twist wins when both degeneracies hold.  Essential self-duality is
+    find_outer's scan on tau = 0 alone, which raises InsufficientData or
+    Ambiguous as that scan does; at rank 2 it reads a_v = eta(v) a_v, which
+    eta = 1 fits, so every rank-2 system is essentially self-dual."""
     sys, bound = rel.sys, rel.bound
     _check_detection_input(sys)
     ob = _max_order(sys)
@@ -386,8 +386,9 @@ def general_type_verdict(rel: Relations) -> GeneralTypeVerdict:
 
     blank = rel.undetermined
     if blank and sys.base_field_label == "Q":
-        for cand in fit_all(dict.fromkeys(set(rel.places) - set(blank), 0),
-                            conductor_bound(sys), ob, sys.field):
+        walk = fits_by_conductor(dict.fromkeys(set(rel.places) - set(blank), 0),
+                                 conductor_bound(sys), ob, sys.field)
+        for cand in (chi for fits in walk for chi in fits):
             if _power_ok(sys, cand) and any(
                     _exponent(cand, v) not in (0, None) for v in blank):
                 return GeneralTypeVerdict("self-twist", cand, bound)

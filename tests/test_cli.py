@@ -9,6 +9,7 @@ import argparse
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from test_lmfdb import tampered_cache
 from test_numberfield import SEXTIC_IMAGES, SEXTIC_PHI
 from twistctl import forms, numberfield, synth
 from twistctl.characters import dirichlet_character
@@ -420,6 +422,23 @@ class TestVerifyCocycleCommand:
         self._rejected(capsys, tmp_path, doc)
 
 
+# Malformed shapes of a list a document gives, each made from the valid
+# list: an int, a digit string (iterated, "10" read as the coordinates 1
+# and 0), an object, and a list one entry too long.
+SHAPES = {"int": lambda good: 5, "digits": lambda good: "10",
+          "object": lambda good: {"0": "1"},
+          "long": lambda good: good + good[:1]}
+
+
+def refused_shape(capsys, *argv):
+    """Run the command and expect exit 1, nothing on stdout, and one error
+    line that names a schema error."""
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error\[(SchemaError|CoefficientDimensionMismatch|"
+                        r"SchemaDrift)\]: .*\n", err), err
+
+
 class TestExactRationals:
     """Every rational in an input document is an int or an exact string; a
     float, a zero denominator or junk is a SchemaError at every entry
@@ -495,6 +514,69 @@ class TestExactRationals:
         scalings.write_text(json.dumps([1, 2]))
         self.run_on(capsys, tmp_path, lambda doc: None, "normalize",
                     "--scalings", str(scalings))
+
+    # (holder, key) of each list: in the vantop document, over Q(i), or in
+    # the 3 x 3 cocycle over Q(i)
+    LISTS = {
+        "a": lambda doc: (doc["coefficients"]["101"], "a"),
+        "b": lambda doc: (doc["coefficients"]["101"], "b"),
+        "aut_image": lambda doc: (doc["field"]["aut_images"], 1),
+        "min_poly": lambda doc: (doc["field"], "min_poly"),
+    }
+    COCYCLE_LISTS = {
+        "alpha_cell": lambda doc: (doc["assignments"]["1"]["alpha"][2], 2),
+        "alpha_row": lambda doc: (doc["assignments"]["1"]["alpha"], 2),
+        "alpha": lambda doc: (doc["assignments"]["1"], "alpha"),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("where", [*LISTS, *COCYCLE_LISTS])
+    def test_a_document_list_has_its_shape(self, capsys, tmp_path, where,
+                                           shape):
+        if where in self.LISTS:
+            doc = json.loads(Path(VANTOP).read_text())
+            argv, at = ["twists"], self.LISTS[where]
+        else:
+            doc = gaussian_cocycle_doc(True)
+            argv, at = ["verify-cocycle"], self.COCYCLE_LISTS[where]
+        holder, key = at(doc)
+        holder[key] = SHAPES[shape](holder[key])
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        refused_shape(capsys, *argv, "--input", str(path))
+
+    # each passed as valid: the strings were iterated as rows of cells
+    @pytest.mark.parametrize("alpha", [["10", "01"], "1"])
+    def test_an_alpha_over_q_is_a_list_of_lists(self, capsys, tmp_path,
+                                                alpha):
+        doc = {"field": {"min_poly": ["0", "1"], "aut_images": [["0"]]},
+               "subgroup": [0],
+               "assignments": {"0": {"alpha": alpha, "flip": False}}}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        refused_shape(capsys, "verify-cocycle", "--input", str(path))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_scaling_has_its_shape(self, capsys, tmp_path, shape):
+        scalings = tmp_path / "scalings.json"
+        scalings.write_text(json.dumps({"101": SHAPES[shape](["1", "0"])}))
+        refused_shape(capsys, "normalize", "--input", VANTOP,
+                      "--scalings", str(scalings))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_newform_automorphism_image_has_its_shape(self, capsys, shape):
+        images = [[0, 1], SHAPES[shape]([1, -1])]
+        refused_shape(capsys, "lmfdb", "compare", "--label", "47.1.b.a",
+                      "--cache-dir", CACHE, "--aut-images", json.dumps(images))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_cached_coefficient_has_its_shape(self, capsys, tmp_path, shape):
+        def mutate(doc):
+            an = doc["eigenvalues"]["data"][0]["an"]
+            an[4] = SHAPES[shape](an[4])
+        tampered_cache(tmp_path, "47.1.b.a", mutate)
+        refused_shape(capsys, "lmfdb", "fetch", "--label", "47.1.b.a",
+                      "--cache-dir", str(tmp_path))
 
 
 def rejected(capsys, tmp_path, doc, *argv):
@@ -589,6 +671,24 @@ class TestStrictCharactersAndPlaces:
         else:
             doc[where] = bad
         self.refused(capsys, tmp_path, doc, "twists")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kind", ["dirichlet", "table"])
+    def test_a_character_value_has_its_shape(self, capsys, tmp_path, kind,
+                                             shape):
+        """A table over Q(i) read "10" as the value 1."""
+        if kind == "dirichlet":
+            doc = chi4_omega_doc(values_on_generators={
+                "3": SHAPES[shape](["-1", "0"])})
+        else:
+            doc = json.loads(Path(VANTOP).read_text())
+            doc["central_character"]["omega"] = {
+                "kind": "table", "values": {"101": SHAPES[shape](["1", "0"])}}
+        with pytest.raises(SchemaError):
+            load_system(doc)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        refused_shape(capsys, "twists", "--input", str(path))
 
     def test_the_canonical_omega_is_read(self, capsys, tmp_path):
         path = tmp_path / "input.json"

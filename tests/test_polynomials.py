@@ -19,8 +19,9 @@ from test_field_reference import FIELDS
 from twistctl import synth
 from twistctl.arith import (divisors, pmod_divmod, pmod_mul, pmod_pow_mod,
                             primitive_root)
-from twistctl.errors import (BadReduction, NotIrreducible, NotSeparableModP,
-                             SchemaError, label_from_json)
+from twistctl.errors import (BadReduction, CoefficientDimensionMismatch,
+                             NotIrreducible, NotSeparableModP, SchemaError,
+                             label_from_json)
 from twistctl.numberfield import field_make
 from twistctl.polynomials import (
     QPoly,
@@ -31,6 +32,7 @@ from twistctl.polynomials import (
     poly_from_strings,
     poly_to_strings,
     rational_from_json,
+    rationals_from_json,
     root_bound,
 )
 
@@ -393,12 +395,25 @@ def test_json_string_round_trip():
 
 
 def test_document_rationals_are_ints_or_exact_strings():
-    assert rational_from_json(-3) == -3
-    assert rational_from_json("-3/4") == Fraction(-3, 4)
-    assert rational_from_json("0.1") == Fraction(1, 10)
+    assert rational_from_json(-3, "c") == -3
+    assert rational_from_json("-3/4", "c") == Fraction(-3, 4)
+    assert rational_from_json("0.1", "c") == Fraction(1, 10)
     for bad in (0.1, 2.0, True, None, [1], "1/0", "x", ""):
-        with pytest.raises(SchemaError):
-            rational_from_json(bad)
+        with pytest.raises(SchemaError, match="^a at place 3 holds "):
+            rational_from_json(bad, "a at place 3")
+
+
+def test_a_rational_list_is_a_json_list_of_its_length():
+    assert rationals_from_json(["1/2", 3], "a") == [Fraction(1, 2), 3]
+    assert rationals_from_json([], "a", 0) == []
+    # "10" would iterate as the coordinates 1 and 0
+    for bad in ("10", 10, {"0": 1}, ("1", "0"), None):
+        with pytest.raises(SchemaError, match="a must be a JSON list"):
+            rationals_from_json(bad, "a", 2)
+    for bad in (["1"], ["1", "0", "0"]):
+        with pytest.raises(CoefficientDimensionMismatch, match="expected 2"):
+            rationals_from_json(bad, "a", 2)
+    assert issubclass(CoefficientDimensionMismatch, SchemaError)
 
 
 def test_document_labels_are_ints_in_one_form():

@@ -448,14 +448,16 @@ def _detect_outcome(sys_, bound):
 def _capped_detect_outcome(sys_, bound):
     """_detect_outcome with every fit run by fit_upto up to 16 * prod(bad
     places), the cap the fit modulo conductor_bound replaced: the walk that
-    fit_all and char_fit read yields its fits grouped by conductor."""
+    fit_all, char_fit and the verdict read yields its fits grouped by
+    conductor."""
     cap = 16 * prod(sys_.bad_places)
 
     def fits_by_conductor(exponents, N, order_bound, field):
         fits = fit_upto(exponents, cap, order_bound, field)
         return iter([list(g) for _, g in groupby(fits, lambda c: c.modulus)])
 
-    with mock.patch.object(characters, "_fits_by_conductor", fits_by_conductor):
+    with mock.patch.object(characters, "fits_by_conductor", fits_by_conductor), \
+            mock.patch.object(twists, "fits_by_conductor", fits_by_conductor):
         return _detect_outcome(sys_, bound)
 
 

@@ -15,6 +15,9 @@ No module passes indent= to json.dumps: cli._dumps is the one indented
 writer, and the stdlib's stays in tests/test_dumps.py as its reference.
 No module but numberfield reads a field's _bad_reduction: which primes
 are ramified, and which share a Frobenius class, is decided there.
+Only polynomials.rationals_from_json names rational_from_json: every list
+of rationals a document gives, coordinates included, is read with its type
+and length checked in that one place.
 
 The package has no runtime dependency: every import names the package or
 the standard library, and pyproject.toml declares none.
@@ -227,6 +230,50 @@ def test_the_check_sees_a_bad_reduction_read():
     tree = ast.parse("b = field._bad_reduction % p\n"
                      "c = f(x)._bad_reduction\nd = bad_reduction\n")
     assert attribute_uses(tree, "_bad_reduction") == [1, 2]
+
+
+def name_uses(tree, name):
+    """(line, scope) for each load of name, bare or as an attribute, and each
+    import of it, scope being the innermost function around it or
+    "<module>"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == name
+                    and isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.ImportFrom)
+                    and name in (alias.name for alias in child.names)):
+                found.append((child.lineno, scope))
+            visit(child, child.name if isinstance(child, _FUNCTIONS) else scope)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_rationals_from_json_reads_a_document_rational(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {"rationals_from_json"} if path.stem == "polynomials" else set()
+    stray = [(line, scope) for line, scope in
+             name_uses(tree, "rational_from_json") if scope not in allowed]
+    assert not stray, f"{path.name}: use rationals_from_json: {stray}"
+
+
+def test_the_check_sees_a_stray_rational_read():
+    tree = ast.parse("from .polynomials import rational_from_json as r\n"
+                     "from . import polynomials as P\n"
+                     "def rationals_from_json(x):\n"
+                     "    return [rational_from_json(c) for c in x]\n"
+                     "def f(x):\n    return list(map(rational_from_json, x))\n"
+                     "def g(x):\n    def h(y):\n"
+                     "        return P.rational_from_json(y)\n"
+                     "    return h\n"
+                     "rational_from_json = None\ny = rational_from_json\n")
+    assert name_uses(tree, "rational_from_json") == [
+        (1, "<module>"), (4, "rationals_from_json"), (6, "f"), (9, "h"),
+        (12, "<module>")]
 
 
 def test_cli_start_up_loads_no_dataclasses():

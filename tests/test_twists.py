@@ -395,13 +395,32 @@ class TestRelationTable:
         self-twist, so with none the verdict fits no candidate."""
         rel = relations(make(), bound)
         assert len(rel.undetermined) > 0 if calls else not rel.undetermined
-        with mock.patch.object(twists, "fit_all",
-                               wraps=twists.fit_all) as fits:
+        with mock.patch.object(twists, "fits_by_conductor",
+                               wraps=twists.fits_by_conductor) as walk:
             verdict = general_type_verdict(rel)
-        assert fits.call_count == calls
+        assert walk.call_count == calls
         if calls:
             assert verdict.kind == "self-twist"
             assert verdict.witness.conductor() == 7
+
+    def test_the_self_twist_walk_stops_at_its_witness(self):
+        """On cm, N_0 = 63 and the witness has conductor 7: the walk yields
+        the lists of conductors 1 and 7 and is left there unexhausted, so
+        conductors 9, 21 and 63 are never scanned."""
+        rel = relations(synth.cm_system(200), 200)
+        walk, seen = twists.fits_by_conductor, []
+
+        def spy(*args):
+            for fits in walk(*args):
+                seen.append(fits[0].modulus)
+                yield fits
+            seen.append("exhausted")
+
+        with mock.patch.object(twists, "fits_by_conductor", spy):
+            verdict = general_type_verdict(rel)
+        assert conductor_bound(rel.sys) == 63
+        assert verdict.witness.conductor() == 7
+        assert seen == [1, 7]
 
     def test_detect_builds_one_table(self):
         with mock.patch.object(twists, "relations",
