@@ -94,7 +94,7 @@ class Character:
     """Immutable finite-order character: exps maps each residue mod the
     modulus (Dirichlet) or each place (value table) to an exponent of zeta."""
 
-    __slots__ = ("field", "kind", "modulus", "exps", "_canonical", "_conductor")
+    __slots__ = ("field", "kind", "modulus", "exps")
 
     def __init__(self, field: NumberField, kind: str, modulus: int = 1,
                  exps: dict | None = None):
@@ -104,8 +104,6 @@ class Character:
         self.kind = kind
         self.modulus = modulus
         self.exps = dict(exps or {})
-        self._canonical = None
-        self._conductor = None
 
     @classmethod
     def dirichlet(cls, field: NumberField, modulus: int,
@@ -144,11 +142,8 @@ class Character:
         """Smallest modulus M such that values depend only on v mod M."""
         if self.kind != "dirichlet":
             raise ValueError("conductor is defined for Dirichlet characters only")
-        if self._conductor is None:
-            self._conductor = next(
-                M for M in divisors(self.modulus)
-                if not any(k for r, k in self.exps.items() if r % M == 1 % M))
-        return self._conductor
+        return next(M for M in divisors(self.modulus)
+                    if not any(k for r, k in self.exps.items() if r % M == 1 % M))
 
     def primitive(self) -> "Character":
         """The primitive character of modulus = conductor inducing this one:
@@ -170,13 +165,11 @@ class Character:
         """The value table as (label, coordinates of the value) pairs,
         Dirichlet characters taken primitive; the fits of one conductor
         are sorted by it."""
-        if self._canonical is None:
-            chi = self.primitive() if self.kind == "dirichlet" else self
-            label = int if self.kind == "dirichlet" else str
-            self._canonical = (self.kind, chi.modulus, tuple(sorted(
-                (label(p), unit_roots(self.field).powers[k].coords)
-                for p, k in chi.exps.items())))
-        return self._canonical
+        chi = self.primitive() if self.kind == "dirichlet" else self
+        label = int if self.kind == "dirichlet" else str
+        return (self.kind, chi.modulus, tuple(sorted(
+            (label(p), unit_roots(self.field).powers[k].coords)
+            for p, k in chi.exps.items())))
 
     def __eq__(self, other):
         if not isinstance(other, Character):
@@ -276,11 +269,9 @@ def _local_characters(q: int, e: int, w: int, order_bound: int,
              if xs[-1] * kernel_step % w and w // gcd(w, *xs) <= order_bound]
     if not chars:
         return []
-    # a generator is searched for only once some character survives, and
-    # not for h = 2 at odd q, where g^(d/2) = -1 for every generator g
+    # a generator is searched for only once some character survives
     m = q ** e
-    root = m - 1 if q > 2 and h == 2 else pow(
-        _local_generators(q, e)[-1][0], d // h, m)
+    root = pow(_local_generators(q, e)[-1][0], d // h, m)
     table = {pow(root, j, m): j for j in range(h)}
     logs = []
     for v in places:

@@ -7,7 +7,8 @@ A system is normalized, of determinant 1, exactly when m is None: the
 polynomial at every place is X^n - a X^(n-1) + ... + (-1)^(n-1) b X + (-1)^n.
 normalize brings data there by one scaling c_v per place, c_v^n = norm^m
 omega(v): given (scalings_from_json reads them from a document), or
-norm^(m/n) when omega is trivial.
+norm^(m/n) when omega is trivial.  system_over_q builds the system over Q
+that a rule p -> (a_p, b_p) gives; no other module constructs a record.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import factorize, is_prime
+from .arith import factorize, is_prime, primes_up_to
 from .characters import Character, char_eval, char_from_json, char_to_json
 from .errors import (
     DuplicatePlace,
@@ -60,6 +61,18 @@ class EigenSystem(NamedTuple):
         out = [v for v, pd in self.coeffs.items()
                if bound is None or pd.norm <= bound]
         return sorted(out, key=_place_order)
+
+
+def system_over_q(field: NumberField, n: int, bad_places: tuple, bound: int,
+                  coeff, m: int | None = None,
+                  omega: Character | None = None) -> EigenSystem:
+    """The system over Q whose place p carries PlaceData(p, *coeff(p)), for
+    each prime p <= bound not among bad_places, taken in increasing order;
+    coeff(p) gives (a_p, b_p), b_p None at n = 2."""
+    coeffs = {p: PlaceData(p, *coeff(p))
+              for p in primes_up_to(bound, exclude=bad_places)}
+    return EigenSystem(n=n, field=field, base_field_label="Q", m=m,
+                       omega=omega, bad_places=bad_places, coeffs=coeffs)
 
 
 def _place_order(v) -> tuple:

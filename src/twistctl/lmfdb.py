@@ -13,7 +13,7 @@ central character |.|^(k-1) times the nebentypus; the caller supplies the
 Galois automorphism images of the field since the tables do not store them.
 The comparison helper lines detected twists up against the recorded
 inner-twist table (which lists self-twists of CM forms alongside twists by
-nontrivial field automorphisms) by character order and conductor.
+nontrivial field automorphisms) by (character order, conductor) pair.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from math import gcd
 from pathlib import Path
 from typing import NamedTuple
 
-from .arith import euler_phi, factorize, primes_up_to
+from .arith import euler_phi, factorize
 from .characters import Character, residue_table
-from .eigensystem import EigenSystem, PlaceData
+from .eigensystem import EigenSystem, system_over_q
 from .errors import (
     MissingCoefficients,
     NetworkError,
@@ -302,22 +302,17 @@ def to_eigensystem(record: NewformRecord, aut_images=None,
         raise MissingCoefficients(
             f"record for {record.label} stores a_n up to n = {available}, "
             f"but the requested bound is {bound}")
-    coeffs = {}
-    for p in primes_up_to(bound):
-        if record.level % p == 0:
-            continue
-        vec = record.an_exact.get(p)
-        if vec is None:
+
+    def coeff(p):
+        if p not in record.an_exact:
             raise MissingCoefficients(f"no a_{p} stored for {record.label}")
-        a = field.element(vec)
-        coeffs[p] = PlaceData(p, a, None)
-    if not coeffs:
+        return field.element(record.an_exact[p]), None
+    sys = system_over_q(field, 2, tuple(p for p, _ in factorize(record.level)),
+                        bound, coeff, m=record.weight - 1, omega=omega)
+    if not sys.coeffs:
         raise MissingCoefficients(
             f"record for {record.label} has no usable prime coefficients")
-    return EigenSystem(n=2, field=field, base_field_label="Q",
-                       m=record.weight - 1, omega=omega,
-                       bad_places=tuple(p for p, _ in factorize(record.level)),
-                       coeffs=coeffs)
+    return sys
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +340,9 @@ def compare_inner_twists(result: DetectionResult | None, record: NewformRecord,
     self-twist witness when the verdict reports one (CM forms record their
     self-twist in the same table).  A detection that failed outright, or
     found fewer rows than recorded, is flagged as bound insufficiency since
-    a larger bound may still close the gap; extra or contradictory rows are
-    genuine mismatches."""
+    a larger bound may still close the gap; otherwise the verdict agrees
+    exactly when the sorted (order, conductor) pairs of the two tables are
+    equal, the pairs proved_unmatched matches by, and is a mismatch else."""
     recorded = tuple(
         (lab, order, int(lab.split(".")[0]), proved)
         for lab, order, proved in record.recorded_inner_twists)
@@ -367,15 +363,12 @@ def compare_inner_twists(result: DetectionResult | None, record: NewformRecord,
     orders = sorted(d[1] for d in detected) == sorted(r[1] for r in recorded)
     conductors = sorted(d[2] for d in detected) \
         == sorted(r[2] for r in recorded)
+    pairs = sorted(d[1:] for d in detected) == sorted(r[1:3] for r in recorded)
     insufficient = result is None or len(detected) < len(recorded)
-    if counts and orders and conductors and not insufficient:
-        outcome = "agree"
-    elif insufficient:
-        outcome = "bound-insufficient"
-    else:
-        outcome = "mismatch"
-    seen = {(d[1], d[2]) for d in detected}
-    unmatched = tuple(r for r in recorded if r[3] and (r[1], r[2]) not in seen)
+    outcome = ("bound-insufficient" if insufficient
+               else "agree" if pairs else "mismatch")
+    seen = {d[1:] for d in detected}
+    unmatched = tuple(r for r in recorded if r[3] and r[1:3] not in seen)
     return TwistComparison(
         label=record.label, bound=bound, detected=detected, recorded=recorded,
         counts_agree=counts, orders_agree=orders, conductors_agree=conductors,

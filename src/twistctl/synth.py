@@ -14,8 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .arith import primes_up_to
-from .eigensystem import EigenSystem, PlaceData
+from .eigensystem import EigenSystem, system_over_q
 from .numberfield import NumberField, field_make
 
 
@@ -94,17 +93,23 @@ def _nonzero(rng: random.Random, lo: int = 1, hi: int = 9) -> int:
     return rng.randint(lo, hi) * rng.choice((-1, 1))
 
 
+def _distinct_pair(rng: random.Random) -> tuple[int, int]:
+    """Nonzero x, y with |x| != |y|: x/y avoids +-1."""
+    while True:
+        x, y = _nonzero(rng), _nonzero(rng)
+        if abs(x) != abs(y):
+            return x, y
+
+
 def _generic_gaussian(rng: random.Random, field: NumberField):
     """u + vi with u, v nonzero and |u| != |v|: the conjugate ratio avoids
     every fourth root of unity."""
-    while True:
-        u, v = _nonzero(rng), _nonzero(rng)
-        if abs(u) != abs(v):
-            return field.element([u, v])
+    return field.element(_distinct_pair(rng))
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: each is a field, a seeded rule p -> (a_p, b_p) and one call to
+# system_over_q, whose bad places are the primes the rule never sees
 # ---------------------------------------------------------------------------
 
 def vantop_system(bound: int = 100, seed: int = 1) -> EigenSystem:
@@ -114,13 +119,11 @@ def vantop_system(bound: int = 100, seed: int = 1) -> EigenSystem:
     extra twist is the outer one on conjugation, with trivial character."""
     field = gaussian_field()
     rng = random.Random(seed)
-    coeffs = {}
-    for p in primes_up_to(bound, exclude=(2,)):
+
+    def coeff(p):
         a = _generic_gaussian(rng, field)
-        b = field.apply_aut(1, a) * p
-        coeffs[p] = PlaceData(p, a, b)
-    return EigenSystem(n=3, field=field, base_field_label="Q", m=3, omega=None,
-                       bad_places=(2,), coeffs=coeffs)
+        return a, field.apply_aut(1, a) * p
+    return system_over_q(field, 3, (2,), bound, coeff, m=3)
 
 
 def generic_system(bound: int = 100, seed: int = 2) -> EigenSystem:
@@ -129,17 +132,15 @@ def generic_system(bound: int = 100, seed: int = 2) -> EigenSystem:
     field = gaussian_field()
     rng = random.Random(seed)
     mu = [field.one(), field.gen(), -field.one(), -field.gen()]
-    coeffs = {}
-    for p in primes_up_to(bound, exclude=(2,)):
+
+    def coeff(p):
         while True:
             a = _generic_gaussian(rng, field)
             b = _generic_gaussian(rng, field)
             conj_a = field.apply_aut(1, a)
             if all(a != z * b and conj_a != z * b for z in mu):
-                break
-        coeffs[p] = PlaceData(p, a, b)
-    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
-                       omega=None, bad_places=(2,), coeffs=coeffs)
+                return a, b
+    return system_over_q(field, 3, (2,), bound, coeff)
 
 
 def rational_inner_system(bound: int = 100, seed: int = 3) -> EigenSystem:
@@ -148,15 +149,11 @@ def rational_inner_system(bound: int = 100, seed: int = 3) -> EigenSystem:
     no outer twist (a/b avoids +-1 everywhere)."""
     field = sqrt2_field()
     rng = random.Random(seed)
-    coeffs = {}
-    for p in primes_up_to(bound, exclude=(2,)):
-        while True:
-            x, y = _nonzero(rng), _nonzero(rng)
-            if abs(x) != abs(y):
-                break
-        coeffs[p] = PlaceData(p, field.from_rational(x), field.from_rational(y))
-    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
-                       omega=None, bad_places=(2,), coeffs=coeffs)
+
+    def coeff(p):
+        x, y = _distinct_pair(rng)
+        return field.from_rational(x), field.from_rational(y)
+    return system_over_q(field, 3, (2,), bound, coeff)
 
 
 def klein_system(bound: int = 100, seed: int = 4) -> EigenSystem:
@@ -167,14 +164,12 @@ def klein_system(bound: int = 100, seed: int = 4) -> EigenSystem:
     field = biquadratic_field()
     rng = random.Random(seed)
     r2 = biq_sqrt2(field)
-    coeffs = {}
-    for p in primes_up_to(bound, exclude=(2, 3)):
+
+    def coeff(p):
         x, y = _nonzero(rng), _nonzero(rng)
         a = field.from_rational(x) + r2 * y
-        b = field.apply_aut(1, a)
-        coeffs[p] = PlaceData(p, a, b)
-    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
-                       omega=None, bad_places=(2, 3), coeffs=coeffs)
+        return a, field.apply_aut(1, a)
+    return system_over_q(field, 3, (2, 3), bound, coeff)
 
 
 def chi4_system(bound: int = 100, seed: int = 5) -> EigenSystem:
@@ -184,13 +179,11 @@ def chi4_system(bound: int = 100, seed: int = 5) -> EigenSystem:
     field = gaussian_field()
     rng = random.Random(seed)
     i = field.gen()
-    coeffs = {}
-    for p in primes_up_to(bound, exclude=(2,)):
+
+    def coeff(p):
         c = field.from_rational(_nonzero(rng))
-        a = c if p % 4 == 1 else i * c
-        coeffs[p] = PlaceData(p, a, None)
-    return EigenSystem(n=2, field=field, base_field_label="Q", m=1, omega=None,
-                       bad_places=(2,), coeffs=coeffs)
+        return (c if p % 4 == 1 else i * c), None
+    return system_over_q(field, 2, (2,), bound, coeff, m=1)
 
 
 _CUBE_CLASS_MOD_7 = {1: 0, 3: 1, 2: 2, 6: 0, 4: 1, 5: 2}   # discrete log mod 3
@@ -204,18 +197,12 @@ def cubic_twist_system(bound: int = 100, seed: int = 6) -> EigenSystem:
     field = eisenstein_field()
     rng = random.Random(seed)
     zeta = field.gen()
-    coeffs = {}
-    for p in primes_up_to(bound, exclude=(3, 7)):
-        while True:
-            c, d = _nonzero(rng), _nonzero(rng)
-            if abs(c) != abs(d):
-                break
+
+    def coeff(p):
+        c, d = _distinct_pair(rng)
         k = _CUBE_CLASS_MOD_7[p % 7]
-        a = zeta ** k * c
-        b = zeta ** (3 - k if k else 0) * d
-        coeffs[p] = PlaceData(p, a, b)
-    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
-                       omega=None, bad_places=(3, 7), coeffs=coeffs)
+        return zeta ** k * c, zeta ** (-k % 3) * d
+    return system_over_q(field, 3, (3, 7), bound, coeff)
 
 
 def selfdual_system(bound: int = 100, seed: int = 7) -> EigenSystem:
@@ -224,12 +211,11 @@ def selfdual_system(bound: int = 100, seed: int = 7) -> EigenSystem:
     trivial witness."""
     field = gaussian_field()
     rng = random.Random(seed)
-    coeffs = {}
-    for p in primes_up_to(bound, exclude=(2,)):
+
+    def coeff(p):
         a = _generic_gaussian(rng, field)
-        coeffs[p] = PlaceData(p, a, a)
-    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
-                       omega=None, bad_places=(2,), coeffs=coeffs)
+        return a, a
+    return system_over_q(field, 3, (2,), bound, coeff)
 
 
 def cubic_klein_system(bound: int = 100, seed: int = 9) -> EigenSystem:
@@ -246,16 +232,13 @@ def cubic_klein_system(bound: int = 100, seed: int = 9) -> EigenSystem:
     rng = random.Random(seed)
     zeta = ck_zeta(field)
     r2 = ck_sqrt2(field)
-    coeffs = {}
-    for p in primes_up_to(bound, exclude=(2, 3, 7)):
+
+    def coeff(p):
         x, y = _nonzero(rng), _nonzero(rng)
         u = field.from_rational(x) + r2 * y
         k = _CUBE_CLASS_MOD_7[p % 7]
-        a = zeta ** k * u
-        b = zeta ** (3 - k if k else 0) * field.apply_aut(2, u)
-        coeffs[p] = PlaceData(p, a, b)
-    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
-                       omega=None, bad_places=(2, 3, 7), coeffs=coeffs)
+        return zeta ** k * u, zeta ** (-k % 3) * field.apply_aut(2, u)
+    return system_over_q(field, 3, (2, 3, 7), bound, coeff)
 
 
 def drifting_coefficient_system(bound: int = 100, seed: int = 10) -> EigenSystem:
@@ -266,13 +249,11 @@ def drifting_coefficient_system(bound: int = 100, seed: int = 10) -> EigenSystem
     report."""
     field = gaussian_field()
     rng = random.Random(seed)
-    coeffs = {}
-    for p in primes_up_to(bound, exclude=(2,)):
+
+    def coeff(p):
         a = field.from_rational(_nonzero(rng))
-        b = _generic_gaussian(rng, field)
-        coeffs[p] = PlaceData(p, a, b)
-    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
-                       omega=None, bad_places=(2,), coeffs=coeffs)
+        return a, _generic_gaussian(rng, field)
+    return system_over_q(field, 3, (2,), bound, coeff)
 
 
 def rational_rank2_system(bound: int = 100, seed: int = 11) -> EigenSystem:
@@ -281,11 +262,9 @@ def rational_rank2_system(bound: int = 100, seed: int = 11) -> EigenSystem:
     and every fixed field is Q itself."""
     field = rational_field()
     rng = random.Random(seed)
-    coeffs = {}
-    for p in primes_up_to(bound, exclude=(2,)):
-        coeffs[p] = PlaceData(p, field.from_rational(_nonzero(rng)), None)
-    return EigenSystem(n=2, field=field, base_field_label="Q", m=None,
-                       omega=None, bad_places=(2,), coeffs=coeffs)
+    return system_over_q(
+        field, 2, (2,), bound,
+        lambda p: (field.from_rational(_nonzero(rng)), None))
 
 
 def quadratic_rank2_system(bound: int = 100, seed: int = 12) -> EigenSystem:
@@ -294,12 +273,9 @@ def quadratic_rank2_system(bound: int = 100, seed: int = 12) -> EigenSystem:
     trivial: the fixed field stays the full quadratic field."""
     field = sqrt5_field()
     rng = random.Random(seed)
-    coeffs = {}
-    for p in primes_up_to(bound, exclude=(2, 5)):
-        a = field.element([_nonzero(rng), _nonzero(rng)])
-        coeffs[p] = PlaceData(p, a, None)
-    return EigenSystem(n=2, field=field, base_field_label="Q", m=None,
-                       omega=None, bad_places=(2, 5), coeffs=coeffs)
+    return system_over_q(
+        field, 2, (2, 5), bound,
+        lambda p: (field.element([_nonzero(rng), _nonzero(rng)]), None))
 
 
 def cm_system(bound: int = 200, seed: int = 8) -> EigenSystem:
@@ -309,14 +285,10 @@ def cm_system(bound: int = 200, seed: int = 8) -> EigenSystem:
     nonzero data, hence the larger default bound."""
     field = eisenstein_field()
     rng = random.Random(seed)
-    zero = field.zero()
-    coeffs = {}
-    for p in primes_up_to(bound, exclude=(3, 7)):
-        if _CUBE_CLASS_MOD_7[p % 7] == 0:
-            a = field.from_rational(_nonzero(rng))
-            b = field.from_rational(_nonzero(rng))
-        else:
-            a, b = zero, zero
-        coeffs[p] = PlaceData(p, a, b)
-    return EigenSystem(n=3, field=field, base_field_label="Q", m=None,
-                       omega=None, bad_places=(3, 7), coeffs=coeffs)
+
+    def coeff(p):
+        if _CUBE_CLASS_MOD_7[p % 7]:
+            return field.zero(), field.zero()
+        x, y = _nonzero(rng), _nonzero(rng)
+        return field.from_rational(x), field.from_rational(y)
+    return system_over_q(field, 3, (3, 7), bound, coeff)

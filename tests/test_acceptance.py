@@ -18,6 +18,7 @@ from pathlib import Path
 
 from detection_helpers import place_decomposition, twist_at
 from twistctl import forms, lmfdb, synth
+from twistctl.arith import primes_up_to
 from twistctl.eigensystem import load_system, normalize
 from twistctl.errors import InsufficientData, NotSeparableModP
 from twistctl.finitefield import split_order, unitary_order
@@ -104,7 +105,7 @@ def test_outer_twist_walkthrough_end_to_end(capsys):
     assert result.fixed_inner.degree == 2
     assert result.fixed_inner.min_poly.coeffs == (1, 0, 1)
     assert result.verdict.kind == "general-type"
-    primes = [p for p in synth.primes_up_to(100) if p != 2]
+    primes = [p for p in primes_up_to(100) if p != 2]
     report = forms.image_report(sys_, result, primes)
     assert report.predicted_dimension == 9
     for p, verdicts in report.places:
@@ -190,7 +191,7 @@ def test_splitting_arithmetic_matches_naive_computation(capsys):
     started = time.monotonic()
     field = synth.gaussian_field()
     whole = subgroup_make(field, [0])
-    for p in synth.primes_up_to(1000, exclude=(2,)):
+    for p in primes_up_to(1000, exclude=(2,)):
         frob = frobenius_at(field, p)
         assert frob.index == (0 if p % 4 == 1 else 1), p
         places = place_decomposition(field, whole, p)
@@ -203,7 +204,7 @@ def test_splitting_arithmetic_matches_naive_computation(capsys):
     checked = 0
     for coeffs in polys:
         degree = len(coeffs) - 1
-        for p in synth.primes_up_to(200):
+        for p in primes_up_to(200):
             try:
                 blocks = ddf_mod_p(QPoly(coeffs), p)
             except NotSeparableModP:

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 import forms_reference as ref
 from detection_helpers import place_decomposition
 from twistctl import forms, synth
+from twistctl.arith import primes_up_to
 from twistctl.eigensystem import normalize
 from twistctl.errors import (
     BudgetExceeded,
@@ -506,7 +507,7 @@ class TestClassification:
 
     def test_gaussian_dichotomy_follows_p_mod_4(self):
         sys, result = vantop_result()
-        for p in synth.primes_up_to(1000, exclude=(2,)):
+        for p in primes_up_to(1000, exclude=(2,)):
             verdicts = forms.classify_place(sys.field, result.group, p, sys.n)
             assert len(verdicts) == 1
             want = "inner-split" if p % 4 == 1 else "outer-unitary"
@@ -523,7 +524,7 @@ class TestClassification:
 
     def test_biquadratic_dichotomy_follows_p_mod_8(self):
         sys, result = klein_result()
-        for p in synth.primes_up_to(300, exclude=(2, 3)):
+        for p in primes_up_to(300, exclude=(2, 3)):
             verdicts = forms.classify_place(sys.field, result.group, p, sys.n)
             inner = all(v.form == "inner-split" for v in verdicts)
             assert inner == (p % 8 in (1, 7)), p

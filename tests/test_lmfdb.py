@@ -685,6 +685,28 @@ class TestComparison:
             record, 500)
         assert backwards.verdict == "mismatch"
 
+    def test_crossed_pairs_are_a_mismatch(self):
+        """Orders and conductors that agree as two lists but pair up
+        differently are a mismatch, as proved_unmatched says."""
+        def twist(aut_index, order, conductor):
+            chi = SimpleNamespace(is_trivial=lambda: False,
+                                  order=lambda: order,
+                                  conductor=lambda: conductor)
+            return SimpleNamespace(aut_index=aut_index, character=chi)
+        result = SimpleNamespace(
+            group=SimpleNamespace(twists=[twist(1, 2, 3), twist(2, 3, 4)]),
+            verdict=SimpleNamespace(kind="general-type", witness=None))
+        record = cached_record("11.2.a.a")._replace(recorded_inner_twists=(
+            ("4.a", 2, True), ("3.a", 3, True)))
+        cmp = lmfdb.compare_inner_twists(result, record, 500)
+        assert cmp.detected == ((1, 2, 3), (2, 3, 4))
+        assert (cmp.counts_agree, cmp.orders_agree,
+                cmp.conductors_agree) == (True, True, True)
+        assert cmp.proved_unmatched == (("4.a", 2, 4, True),
+                                         ("3.a", 3, 3, True))
+        assert not cmp.bound_insufficient
+        assert cmp.verdict == "mismatch"
+
     def test_comparison_json_is_deterministic(self):
         cmp = self.detect_and_compare("16.3.c.a", None, 500)
         doc = lmfdb.comparison_to_json(cmp)

@@ -18,6 +18,9 @@ are ramified, and which share a Frobenius class, is decided there.
 Only polynomials.rationals_from_json names rational_from_json: every list
 of rationals a document gives, coordinates included, is read with its type
 and length checked in that one place.
+Only eigensystem calls EigenSystem(...) or PlaceData(...): a system is
+built by load_system, normalize or system_over_q, so every record over Q
+comes from one constructor.
 
 The package has no runtime dependency: every import names the package or
 the standard library, and pyproject.toml declares none.
@@ -274,6 +277,34 @@ def test_the_check_sees_a_stray_rational_read():
     assert name_uses(tree, "rational_from_json") == [
         (1, "<module>"), (4, "rationals_from_json"), (6, "f"), (9, "h"),
         (12, "<module>")]
+
+
+def record_constructions(tree):
+    """Lines of the calls to EigenSystem or PlaceData, bare or as an
+    attribute of anything."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  in ("EigenSystem", "PlaceData"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_eigensystem_constructs_a_system(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    if path.stem != "eigensystem":
+        assert not record_constructions(tree), \
+            f"{path.name}: use eigensystem.system_over_q"
+
+
+def test_the_check_sees_a_record_construction():
+    tree = ast.parse("from .eigensystem import EigenSystem, PlaceData\n"
+                     "from . import eigensystem as es\n"
+                     "def f(p, a) -> EigenSystem:\n"
+                     "    d = {p: PlaceData(p, a, None)}\n"
+                     "    return es.EigenSystem(2, None, 'Q', None, None,\n"
+                     "                          (), d)\n"
+                     "g = sys._replace(m=None)\nh = EigenSystem\n")
+    assert record_constructions(tree) == [4, 5]
 
 
 def test_cli_start_up_loads_no_dataclasses():
